@@ -3,20 +3,14 @@
 // resolution, session ticking, K-means fitting, tree training and the
 // stage predictor's online inference.
 //
-// After the google-benchmark suite, main() runs two hand-timed harnesses:
-//  - a SoA batch-kernel harness (vectorized hw/batch_kernels vs their
-//    *_scalar twins) writing BENCH_micro_kernels.json, gated on the
-//    elementwise kernels (min_into / scale_into / mul_into) reaching
-//    >= 1.5x over scalar;
-//  - a compiled-inference harness (legacy tree walk vs CompiledForest,
-//    scalar vs batch vs lane-blocked SIMD batch) writing
-//    BENCH_micro_inference.json, gated on >= 2x for batched inference
-//    over the legacy per-row tree walk on the RF-25 model.
+// After the google-benchmark suite, main() runs a hand-timed
+// compiled-inference harness (legacy tree walk vs CompiledForest, scalar vs
+// batch) writing BENCH_micro_inference.json, gated on >= 2x for batched
+// inference over the legacy per-row tree walk on the RF-25 model.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -24,7 +18,6 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/table.h"
-#include "hw/batch_kernels.h"
 #include "core/offline.h"
 #include "game/library.h"
 #include "game/plan.h"
@@ -154,215 +147,6 @@ void BM_OfflineTrainGame(benchmark::State& state) {
 BENCHMARK(BM_OfflineTrainGame);
 
 // ---------------------------------------------------------------------------
-// SoA batch-kernel harness (hand-timed; emits BENCH_micro_kernels.json)
-// ---------------------------------------------------------------------------
-
-/// One kernel measured both ways. `lanes_per_s` counts one lane-visit per
-/// element per pass, best of `reps` timed passes (each pass repeats the
-/// kernel `inner` times so the measured interval is well above timer
-/// granularity).
-struct KernelResult {
-  std::string kernel;
-  double vector_lanes_per_s = 0.0;
-  double scalar_lanes_per_s = 0.0;
-  bool parity = true;  ///< vectorized output bit-identical to scalar
-  bool gated = false;  ///< participates in the >= 1.5x exit gate
-  double speedup() const { return vector_lanes_per_s / scalar_lanes_per_s; }
-};
-
-template <typename F>
-double best_lanes_per_s(std::size_t n, int reps, int inner, F&& body) {
-  double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    double checksum = 0.0;
-    for (int i = 0; i < inner; ++i) checksum += body();
-    const double s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    benchmark::DoNotOptimize(checksum);
-    best = std::max(best, static_cast<double>(n) * inner / s);
-  }
-  return best;
-}
-
-int run_batch_kernel_harness() {
-  bench::banner("micro_kernels",
-                "SoA batch kernels: auto-vectorized vs scalar reference");
-  // L1-resident lane count: resolve_server runs these kernels at
-  // n = sessions-per-server (8..128 at paper density), never at
-  // cache-spilling sizes. 1024 lanes keeps even the 3-stream mul_into
-  // working set (24 KB) inside L1, so the gate measures the kernels'
-  // compute speedup rather than L2 bandwidth.
-  constexpr std::size_t kLanes = 1024;
-  constexpr int kReps = 9;
-  constexpr int kInner = 8000;
-
-  // Resource-shaped inputs: positive draws with a sprinkling of exact
-  // zeros in the demand lanes (idle dimensions), supplies <= demand —
-  // the same value population resolve_server feeds these kernels.
-  Rng rng(20240808);
-  std::vector<double> a(kLanes), b(kLanes), demand(kLanes), supplied(kLanes);
-  for (std::size_t i = 0; i < kLanes; ++i) {
-    a[i] = rng.uniform(0.0, 100.0);
-    b[i] = rng.uniform(0.0, 100.0);
-    demand[i] = (i % 16 == 0) ? 0.0 : rng.uniform(1.0, 100.0);
-    supplied[i] = demand[i] * rng.uniform(0.25, 1.0);
-  }
-  std::vector<double> dst(kLanes), dst_ref(kLanes);
-  std::vector<double> sat(kLanes), any(kLanes), sat_ref(kLanes),
-      any_ref(kLanes);
-
-  std::vector<KernelResult> results;
-
-  const auto elementwise = [&](const std::string& name, auto&& vec,
-                               auto&& scal) {
-    KernelResult r;
-    r.kernel = name;
-    r.gated = true;
-    vec(dst.data());
-    scal(dst_ref.data());
-    r.parity = dst == dst_ref;
-    r.vector_lanes_per_s =
-        best_lanes_per_s(kLanes, kReps, kInner, [&] {
-          vec(dst.data());
-          return dst[0];
-        });
-    r.scalar_lanes_per_s =
-        best_lanes_per_s(kLanes, kReps, kInner, [&] {
-          scal(dst_ref.data());
-          return dst_ref[0];
-        });
-    results.push_back(r);
-  };
-
-  namespace bk = hw::batch;
-  elementwise(
-      "min_into",
-      [&](double* d) { bk::min_into(d, a.data(), b.data(), kLanes); },
-      [&](double* d) { bk::min_into_scalar(d, a.data(), b.data(), kLanes); });
-  elementwise(
-      "scale_into",
-      [&](double* d) { bk::scale_into(d, a.data(), 0.8125, kLanes); },
-      [&](double* d) { bk::scale_into_scalar(d, a.data(), 0.8125, kLanes); });
-  elementwise(
-      "mul_into",
-      [&](double* d) { bk::mul_into(d, a.data(), b.data(), kLanes); },
-      [&](double* d) { bk::mul_into_scalar(d, a.data(), b.data(), kLanes); });
-
-  // satisfaction_apply_dim: reported, not gated. The vectorized form
-  // must divide every lane and blend (branchless masking), while the
-  // scalar form skips the divide on zero-demand lanes; with SSE2's
-  // 2-wide divpd the packed divides roughly break even with the skipped
-  // scalar ones, so this kernel hovers near 1x and only pulls ahead on
-  // wider vector units. It stays SoA for bit-identity and uniformity,
-  // not for throughput.
-  {
-    KernelResult r;
-    r.kernel = "satisfaction_apply_dim";
-    r.gated = false;
-    bk::satisfaction_init(sat.data(), any.data(), kLanes);
-    bk::satisfaction_apply_dim(sat.data(), any.data(), demand.data(),
-                               supplied.data(), kLanes);
-    bk::satisfaction_init(sat_ref.data(), any_ref.data(), kLanes);
-    bk::satisfaction_apply_dim_scalar(sat_ref.data(), any_ref.data(),
-                                      demand.data(), supplied.data(), kLanes);
-    r.parity = sat == sat_ref && any == any_ref;
-    r.vector_lanes_per_s = best_lanes_per_s(kLanes, kReps, kInner, [&] {
-      bk::satisfaction_init(sat.data(), any.data(), kLanes);
-      bk::satisfaction_apply_dim(sat.data(), any.data(), demand.data(),
-                                 supplied.data(), kLanes);
-      return sat[0];
-    });
-    r.scalar_lanes_per_s = best_lanes_per_s(kLanes, kReps, kInner, [&] {
-      bk::satisfaction_init(sat_ref.data(), any_ref.data(), kLanes);
-      bk::satisfaction_apply_dim_scalar(sat_ref.data(), any_ref.data(),
-                                        demand.data(), supplied.data(),
-                                        kLanes);
-      return sat_ref[0];
-    });
-    results.push_back(r);
-  }
-
-  // satisfaction_into: the fused four-dim kernel resolve_server actually
-  // calls. Also reported, not gated — it inherits apply_dim's masked
-  // divides, the fusion only removes the inter-dimension memory passes.
-  {
-    std::vector<std::vector<double>> dd(4), ss(4);
-    Rng drng(7);
-    for (int d = 0; d < 4; ++d) {
-      dd[d].resize(kLanes);
-      ss[d].resize(kLanes);
-      for (std::size_t i = 0; i < kLanes; ++i) {
-        dd[d][i] = (i % (13 + d) == 0) ? 0.0 : drng.uniform(1.0, 100.0);
-        ss[d][i] = dd[d][i] * drng.uniform(0.25, 1.0);
-      }
-    }
-    KernelResult r;
-    r.kernel = "satisfaction_into (fused)";
-    r.gated = false;
-    bk::satisfaction_into(sat.data(), dd[0].data(), ss[0].data(),
-                          dd[1].data(), ss[1].data(), dd[2].data(),
-                          ss[2].data(), dd[3].data(), ss[3].data(), kLanes);
-    bk::satisfaction_into_scalar(sat_ref.data(), dd[0].data(), ss[0].data(),
-                                 dd[1].data(), ss[1].data(), dd[2].data(),
-                                 ss[2].data(), dd[3].data(), ss[3].data(),
-                                 kLanes);
-    r.parity = sat == sat_ref;
-    r.vector_lanes_per_s = best_lanes_per_s(kLanes, kReps, kInner, [&] {
-      bk::satisfaction_into(sat.data(), dd[0].data(), ss[0].data(),
-                            dd[1].data(), ss[1].data(), dd[2].data(),
-                            ss[2].data(), dd[3].data(), ss[3].data(), kLanes);
-      return sat[0];
-    });
-    r.scalar_lanes_per_s = best_lanes_per_s(kLanes, kReps, kInner, [&] {
-      bk::satisfaction_into_scalar(sat_ref.data(), dd[0].data(), ss[0].data(),
-                                   dd[1].data(), ss[1].data(), dd[2].data(),
-                                   ss[2].data(), dd[3].data(), ss[3].data(),
-                                   kLanes);
-      return sat_ref[0];
-    });
-    results.push_back(r);
-  }
-
-  bench::BenchJson json("micro_kernels");
-  json.set("lanes", static_cast<double>(kLanes));
-
-  TablePrinter table({"kernel", "vector lanes/s", "scalar lanes/s", "speedup",
-                      "gated", "parity"});
-  bool all_parity = true;
-  double min_gated_speedup = 1e300;
-  for (const auto& r : results) {
-    all_parity = all_parity && r.parity;
-    if (r.gated) min_gated_speedup = std::min(min_gated_speedup, r.speedup());
-    table.add_row({r.kernel, TablePrinter::fmt(r.vector_lanes_per_s, 0),
-                   TablePrinter::fmt(r.scalar_lanes_per_s, 0),
-                   TablePrinter::fmt(r.speedup(), 2) + "x",
-                   r.gated ? "yes" : "no", r.parity ? "exact" : "MISMATCH"});
-    json.row()
-        .set("kernel", r.kernel)
-        .set("vector_lanes_per_s", r.vector_lanes_per_s)
-        .set("scalar_lanes_per_s", r.scalar_lanes_per_s)
-        .set("speedup_vector_vs_scalar", r.speedup())
-        .set("gated", r.gated ? 1.0 : 0.0)
-        .set("parity", r.parity ? 1.0 : 0.0);
-  }
-  table.print(std::cout);
-
-  json.set("min_gated_speedup", min_gated_speedup);
-  json.set("parity_all_kernels", all_parity ? 1.0 : 0.0);
-  json.write();
-
-  const bool pass = all_parity && min_gated_speedup >= 1.5;
-  std::cout << (pass ? "PASS" : "FAIL")
-            << ": slowest gated elementwise kernel is "
-            << TablePrinter::fmt(min_gated_speedup, 2)
-            << "x its scalar twin (gate: >= 1.5x, parity "
-            << (all_parity ? "exact" : "BROKEN") << ")\n";
-  return pass ? 0 : 1;
-}
-
-// ---------------------------------------------------------------------------
 // Compiled-inference harness (hand-timed; emits BENCH_micro_inference.json)
 // ---------------------------------------------------------------------------
 
@@ -408,8 +192,6 @@ struct InferenceResult {
   double compiled_scalar_rows_per_s = 0.0; ///< predict_proba_into per row
   double compiled_batch_rows_per_s = 0.0;  ///< predict_proba_batch
   double batch_predict_rows_per_s = 0.0;   ///< predict_batch (labels only)
-  double simd_proba_rows_per_s = 0.0;      ///< predict_proba_batch_simd
-  double simd_predict_rows_per_s = 0.0;    ///< predict_batch_simd
   bool parity = true;  ///< compiled == legacy, bit for bit, on every row
 };
 
@@ -438,15 +220,6 @@ InferenceResult run_inference_bench(const std::string& name,
       if (batch[i * k + c] != want[c]) res.parity = false;
     }
   }
-  // The lane-blocked SIMD walk must reproduce the serial batch bit for
-  // bit (and, transitively, the legacy walk).
-  std::vector<double> simd_proba(n * k, 0.0);
-  compiled.predict_proba_batch_simd(m, simd_proba);
-  if (simd_proba != batch) res.parity = false;
-  std::vector<int> simd_labels(n, 0), serial_labels(n, 0);
-  compiled.predict_batch(m, serial_labels);
-  compiled.predict_batch_simd(m, simd_labels);
-  if (simd_labels != serial_labels) res.parity = false;
 
   res.treewalk_rows_per_s = best_rows_per_s(n, reps, [&] {
     double sum = 0.0;
@@ -470,14 +243,6 @@ InferenceResult run_inference_bench(const std::string& name,
   res.batch_predict_rows_per_s = best_rows_per_s(n, reps, [&] {
     compiled.predict_batch(m, labels);
     return static_cast<double>(labels[0]);
-  });
-  res.simd_proba_rows_per_s = best_rows_per_s(n, reps, [&] {
-    compiled.predict_proba_batch_simd(m, simd_proba);
-    return simd_proba[0];
-  });
-  res.simd_predict_rows_per_s = best_rows_per_s(n, reps, [&] {
-    compiled.predict_batch_simd(m, simd_labels);
-    return static_cast<double>(simd_labels[0]);
   });
   return res;
 }
@@ -528,22 +293,17 @@ int run_compiled_inference_harness() {
 
   TablePrinter table({"model", "trees", "tree-walk rows/s",
                       "compiled scalar rows/s", "compiled batch rows/s",
-                      "simd batch rows/s", "batch vs walk", "simd vs batch",
-                      "parity"});
+                      "batch vs walk", "parity"});
   bool all_parity = true;
   for (const auto& r : results) {
     all_parity = all_parity && r.parity;
     const double speedup_batch =
         r.compiled_batch_rows_per_s / r.treewalk_rows_per_s;
-    const double speedup_simd =
-        r.simd_proba_rows_per_s / r.compiled_batch_rows_per_s;
     table.add_row({r.model, std::to_string(r.trees),
                    TablePrinter::fmt(r.treewalk_rows_per_s, 0),
                    TablePrinter::fmt(r.compiled_scalar_rows_per_s, 0),
                    TablePrinter::fmt(r.compiled_batch_rows_per_s, 0),
-                   TablePrinter::fmt(r.simd_proba_rows_per_s, 0),
                    TablePrinter::fmt(speedup_batch, 2) + "x",
-                   TablePrinter::fmt(speedup_simd, 2) + "x",
                    r.parity ? "exact" : "MISMATCH"});
     json.row()
         .set("model", r.model)
@@ -552,16 +312,11 @@ int run_compiled_inference_harness() {
         .set("compiled_scalar_proba_rows_per_s", r.compiled_scalar_rows_per_s)
         .set("compiled_batch_proba_rows_per_s", r.compiled_batch_rows_per_s)
         .set("compiled_batch_predict_rows_per_s", r.batch_predict_rows_per_s)
-        .set("simd_batch_proba_rows_per_s", r.simd_proba_rows_per_s)
-        .set("simd_batch_predict_rows_per_s", r.simd_predict_rows_per_s)
         .set("speedup_batch_vs_treewalk", speedup_batch)
         .set("speedup_scalar_vs_treewalk",
              r.compiled_scalar_rows_per_s / r.treewalk_rows_per_s)
         .set("speedup_batch_vs_scalar",
              r.compiled_batch_rows_per_s / r.compiled_scalar_rows_per_s)
-        .set("speedup_simd_vs_batch_proba", speedup_simd)
-        .set("speedup_simd_vs_batch_predict",
-             r.simd_predict_rows_per_s / r.batch_predict_rows_per_s)
         .set("parity", r.parity ? 1.0 : 0.0);
   }
   table.print(std::cout);
@@ -600,7 +355,5 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  const int kernels_rc = cocg::run_batch_kernel_harness();
-  const int inference_rc = cocg::run_compiled_inference_harness();
-  return kernels_rc != 0 ? kernels_rc : inference_rc;
+  return cocg::run_compiled_inference_harness();
 }

@@ -16,17 +16,6 @@
 //    machinery (event queue, session table, resolver, telemetry) that the
 //    hot-path work targets, and exercises the noise-off fast paths.
 //
-// The noisy rows run the production-default quiescence engine (incremental
-// resolve + macro ticks); noise defeats both fast paths, so they measure
-// the engine's bookkeeping overhead on the per-tick path. The det row pins
-// the engine off (always-resolve oracle) so its number stays comparable to
-// the recorded pre-optimization baseline. Two extra steady-state rows at
-// 32 servers — spikes zeroed, control period stretched to 60 s — compare
-// the engine against its always-resolve twin on the same workload; the
-// bench exits non-zero unless the quiescent row is at least
-// --min-quiesce-speedup (default 3.0) times the always-resolve row
-// (docs/performance.md).
-//
 // Emits BENCH_tick.json. With --baseline <json> the bench also gates
 // itself: it exits non-zero unless ticks_per_sec_s32_det is at least
 // --min-speedup (default 2.0) times the baseline's recorded value. CI runs
@@ -145,11 +134,6 @@ struct Config {
   DurationMs ticks;
   bool obs;
   bool det;
-  /// Quiescence engine (incremental resolve + macro ticks) on/off.
-  bool quiesce;
-  /// Steady-state rows: spikes zeroed and a 60 s control period, so
-  /// macro-tick windows actually form between control ticks.
-  bool steady;
   std::string key;  ///< top-level ticks_per_sec key ("" = row only)
 };
 
@@ -159,15 +143,9 @@ TickResult run_config(const Config& c, int sessions_per_server) {
 
   platform::PlatformConfig cfg;
   cfg.seed = 7001;
-  cfg.incremental_resolve = c.quiesce;
-  cfg.macro_ticks = c.quiesce;
   if (c.det) {
     cfg.measurement_noise_rel = 0.0;
     cfg.streaming.network_jitter_ms = 0.0;
-  }
-  if (c.steady) {
-    cfg.session.spike_prob = 0.0;
-    cfg.control_period_ms = 60000;
   }
   const game::GameSpec spec = marathon_spec(c.det);
   // 8 sessions per 2-GPU server: CPU 8x11 = 88 of 100, GPU 4x22 = 88 per
@@ -241,7 +219,6 @@ double json_field(const std::string& path, const std::string& key) {
 int main(int argc, char** argv) {
   std::string baseline_path;
   double min_speedup = 2.0;
-  double min_quiesce_speedup = 3.0;
   int repeats = 5;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -249,15 +226,12 @@ int main(int argc, char** argv) {
       baseline_path = argv[++i];
     } else if (arg == "--min-speedup" && i + 1 < argc) {
       min_speedup = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--min-quiesce-speedup" && i + 1 < argc) {
-      min_quiesce_speedup = std::strtod(argv[++i], nullptr);
     } else if (arg == "--repeats" && i + 1 < argc) {
       repeats = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
       if (repeats < 1) repeats = 1;
     } else {
       std::cerr << "usage: bench_tick [--baseline BENCH_tick.json]"
-                   " [--min-speedup X] [--min-quiesce-speedup X]"
-                   " [--repeats N]\n";
+                   " [--min-speedup X] [--repeats N]\n";
       return 2;
     }
   }
@@ -268,29 +242,21 @@ int main(int argc, char** argv) {
   bench::BenchJson json("tick");
   json.set("sessions_per_server", static_cast<double>(kPerServer));
 
-  TablePrinter table({"servers", "sessions", "noise", "obs", "engine",
+  TablePrinter table({"servers", "sessions", "noise", "obs",
                       "measured ticks", "wall s", "ticks/s",
                       "session-ticks/s"});
   std::vector<std::vector<std::string>> csv;
-  csv.push_back({"servers", "sessions", "noise", "obs", "engine", "wall_s",
+  csv.push_back({"servers", "sessions", "noise", "obs", "wall_s",
                  "ticks_per_sec", "session_ticks_per_sec"});
 
-  // Noisy rows: production default (engine on, defeated by noise — pure
-  // overhead measurement). The det row pins the always-resolve oracle so
-  // ticks_per_sec_s32_det stays comparable to the recorded baseline. The
-  // two steady rows are the quiescence comparison on one workload.
   const std::vector<Config> configs = {
-      {1, 60000, false, false, true, false, "ticks_per_sec_s1"},
-      {8, 12000, false, false, true, false, "ticks_per_sec_s8"},
-      {32, 4000, false, false, true, false, "ticks_per_sec_s32"},
-      {32, 4000, true, false, true, false, ""},
-      {32, 4000, false, true, false, false, "ticks_per_sec_s32_det"},
-      {32, 4000, false, true, false, true, "ticks_per_sec_s32_always"},
-      {32, 40000, false, true, true, true, "ticks_per_sec_s32_quiesce"}};
+      {1, 60000, false, false, "ticks_per_sec_s1"},
+      {8, 12000, false, false, "ticks_per_sec_s8"},
+      {32, 4000, false, false, "ticks_per_sec_s32"},
+      {32, 4000, true, false, ""},
+      {32, 4000, false, true, "ticks_per_sec_s32_det"}};
 
   double s32_det = 0.0;
-  double s32_always = 0.0;
-  double s32_quiesce = 0.0;
   for (const auto& c : configs) {
     // Best of N trials: each trial is a deterministic replay of the same
     // simulation, so the fastest one is the least-perturbed measurement of
@@ -301,18 +267,15 @@ int main(int argc, char** argv) {
       if (t.ticks_per_sec > r.ticks_per_sec) r = t;
     }
     if (c.key == "ticks_per_sec_s32_det") s32_det = r.ticks_per_sec;
-    if (c.key == "ticks_per_sec_s32_always") s32_always = r.ticks_per_sec;
-    if (c.key == "ticks_per_sec_s32_quiesce") s32_quiesce = r.ticks_per_sec;
     const std::string obs_label = c.obs ? "on" : "off";
     const std::string noise_label = c.det ? "off" : "on";
-    const std::string engine_label = c.quiesce ? "quiesce" : "always";
     table.add_row({std::to_string(r.servers), std::to_string(r.sessions),
-                   noise_label, obs_label, engine_label,
+                   noise_label, obs_label,
                    std::to_string(c.ticks), TablePrinter::fmt(r.wall_s, 3),
                    TablePrinter::fmt(r.ticks_per_sec, 0),
                    TablePrinter::fmt(r.session_ticks_per_sec, 0)});
     csv.push_back({std::to_string(r.servers), std::to_string(r.sessions),
-                   noise_label, obs_label, engine_label,
+                   noise_label, obs_label,
                    TablePrinter::fmt(r.wall_s, 4),
                    TablePrinter::fmt(r.ticks_per_sec, 1),
                    TablePrinter::fmt(r.session_ticks_per_sec, 1)});
@@ -321,31 +284,15 @@ int main(int argc, char** argv) {
         .set("sessions", static_cast<double>(r.sessions))
         .set("noise", noise_label)
         .set("obs", obs_label)
-        .set("engine", engine_label)
         .set("measured_ticks", static_cast<double>(c.ticks))
         .set("wall_s", r.wall_s)
         .set("ticks_per_sec", r.ticks_per_sec)
         .set("session_ticks_per_sec", r.session_ticks_per_sec);
     if (!c.key.empty()) json.set(c.key, r.ticks_per_sec);
   }
-  const double quiesce_speedup =
-      s32_always > 0.0 ? s32_quiesce / s32_always : 0.0;
-  json.set("quiesce_speedup_s32", quiesce_speedup);
   table.print(std::cout);
   json.write();
   bench::write_csv("tick", csv);
-
-  // Self-gate: the quiescence engine must pay for itself on the steady
-  // workload it is built for, on this machine, in this run.
-  std::cout << "\nquiescence at 32 servers (steady): "
-            << TablePrinter::fmt(s32_quiesce, 0) << " vs always-resolve "
-            << TablePrinter::fmt(s32_always, 0) << " — "
-            << TablePrinter::fmt(quiesce_speedup, 2) << "x (gate >= "
-            << TablePrinter::fmt(min_quiesce_speedup, 2) << "x)\n";
-  if (quiesce_speedup < min_quiesce_speedup) {
-    std::cout << "bench_tick: FAIL — quiescence speedup below the gate\n";
-    return 1;
-  }
 
   if (!baseline_path.empty()) {
     const double base = json_field(baseline_path, "ticks_per_sec_s32_det");

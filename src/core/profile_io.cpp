@@ -1,6 +1,8 @@
 #include "core/profile_io.h"
 
+#include <cmath>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -24,6 +26,21 @@ ResourceVector read_vector(LineReader& r, std::istringstream& is,
   ResourceVector v;
   for (std::size_t i = 0; i < kNumDims; ++i) {
     v.at(i) = r.field<double>(is, ctx);
+  }
+  return v;
+}
+
+/// A demand vector the simulator can run on: every component finite and
+/// non-negative (a negative peak would reach the server's allocation
+/// precondition mid-run instead of failing here).
+ResourceVector read_demand(LineReader& r, std::istringstream& is,
+                           const std::string& ctx) {
+  const ResourceVector v = read_vector(r, is, ctx);
+  for (std::size_t i = 0; i < kNumDims; ++i) {
+    if (!std::isfinite(v.at(i)) || v.at(i) < 0.0) {
+      r.fail(ctx + " component " + std::to_string(i) +
+             " must be finite and non-negative");
+    }
   }
   return v;
 }
@@ -93,7 +110,7 @@ GameProfile read_profile(LineReader& r) {
   }
   {
     auto ls = r.expect("peak_demand ");
-    p.peak_demand = read_vector(r, ls, "peak_demand");
+    p.peak_demand = read_demand(r, ls, "peak_demand");
   }
   {
     auto ls = r.expect("loading_stage_type ");
@@ -104,10 +121,12 @@ GameProfile read_profile(LineReader& r) {
     auto ls = r.expect("clusters ");
     n_clusters = r.field<std::size_t>(ls, "clusters");
   }
+  std::set<int> cluster_ids;
   for (std::size_t i = 0; i < n_clusters; ++i) {
     auto ls = r.expect("cluster ");
     ClusterInfo c;
     c.id = r.field<int>(ls, "cluster id");
+    cluster_ids.insert(c.id);
     c.frames = r.field<std::size_t>(ls, "cluster frames");
     c.loading = r.field<int>(ls, "cluster loading") != 0;
     c.centroid = read_vector(r, ls, "cluster centroid");
@@ -125,13 +144,25 @@ GameProfile read_profile(LineReader& r) {
     st.loading = r.field<int>(ls, "stage loading") != 0;
     st.mean_duration_ms = r.field<DurationMs>(ls, "stage mean duration");
     st.max_duration_ms = r.field<DurationMs>(ls, "stage max duration");
+    if (st.mean_duration_ms < 0 || st.max_duration_ms < 0) {
+      r.fail("stage durations must be non-negative");
+    }
+    if (st.mean_duration_ms > st.max_duration_ms) {
+      r.fail("stage mean duration " + std::to_string(st.mean_duration_ms) +
+             " exceeds its max " + std::to_string(st.max_duration_ms));
+    }
     st.occurrences = r.field<std::size_t>(ls, "stage occurrences");
     const auto n_members = r.field<std::size_t>(ls, "stage member count");
     for (std::size_t m = 0; m < n_members; ++m) {
-      st.clusters.push_back(r.field<int>(ls, "stage member"));
+      const int member = r.field<int>(ls, "stage member");
+      if (cluster_ids.count(member) == 0) {
+        r.fail("stage member " + std::to_string(member) +
+               " names no declared cluster");
+      }
+      st.clusters.push_back(member);
     }
-    st.peak_demand = read_vector(r, ls, "stage peak");
-    st.mean_demand = read_vector(r, ls, "stage mean");
+    st.peak_demand = read_demand(r, ls, "stage peak");
+    st.mean_demand = read_demand(r, ls, "stage mean");
     p.stage_types.push_back(st);
   }
   return p;

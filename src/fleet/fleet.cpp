@@ -268,16 +268,6 @@ void Fleet::write_health_snapshot_now(TimeMs t) {
     snap.executor.idle_ns = c.idle_ns;
     snap.executor.syncs = exec_stats_.syncs;
   }
-  if (cfg_.platform.incremental_resolve) {
-    snap.quiescence.present = true;
-    for (const auto& s : shards_) {
-      const auto& q = s.platform->quiescence_stats();
-      snap.quiescence.ticks_skipped += q.ticks_skipped;
-      snap.quiescence.fast_forward_windows += q.fast_forward_windows;
-      snap.quiescence.resolve_cache_hits += q.resolve_cache_hits;
-      snap.quiescence.resolve_cache_misses += q.resolve_cache_misses;
-    }
-  }
   obs::write_health_snapshot(snap, *health_os_);
   health_prev_t_ = t;
   health_prev_arrivals_ = arrivals_;
@@ -562,13 +552,6 @@ FleetReport Fleet::report() const {
   }
   r.slo = merged_slo_attainment();
   r.stage_costs = merged_stage_profile();
-  for (const auto& s : shards_) {
-    const auto& q = s.platform->quiescence_stats();
-    r.quiescence.ticks_skipped += q.ticks_skipped;
-    r.quiescence.fast_forward_windows += q.fast_forward_windows;
-    r.quiescence.resolve_cache_hits += q.resolve_cache_hits;
-    r.quiescence.resolve_cache_misses += q.resolve_cache_misses;
-  }
   return r;
 }
 
@@ -697,11 +680,7 @@ void write_report_json(const FleetReport& rep, std::ostream& os,
      << ",\"steals\":" << exec.steals << ",\"steal_ns\":" << exec.steal_ns
      << ",\"idle_waits\":" << exec.idle_waits
      << ",\"idle_ns\":" << exec.idle_ns << ",\"syncs\":" << exec.syncs
-     << "},\"quiescence\":{\"ticks_skipped\":"
-     << rep.quiescence.ticks_skipped << ",\"fast_forward_windows\":"
-     << rep.quiescence.fast_forward_windows << ",\"resolve_cache_hits\":"
-     << rep.quiescence.resolve_cache_hits << ",\"resolve_cache_misses\":"
-     << rep.quiescence.resolve_cache_misses << "}}\n";
+     << "}}\n";
 }
 
 }  // namespace cocg::fleet

@@ -115,13 +115,6 @@ struct FleetReport {
   /// Merged stage-profiler table (coordinator + shards); all zeros unless
   /// obs::set_profiling_enabled(true) during the run.
   obs::StageProfile stage_costs{};
-  /// Quiescence-engine totals summed over shards (resolve cache +
-  /// macro-tick fast-forward; zeros when incremental resolve is off).
-  /// Deliberately NOT part of the 2-argument canonical encoding: the
-  /// counters legitimately differ between the quiescent engine and its
-  /// always-resolve oracle, whose *reports* must stay byte-identical.
-  /// The extended (3-argument) writer and health heartbeats carry them.
-  platform::QuiescenceStats quiescence{};
 };
 
 /// Canonical JSON encoding of a FleetReport: fixed key order, doubles at

@@ -48,17 +48,7 @@ void GameSession::enter_stage(std::size_t idx) {
   stage_elapsed_ms_ = 0;
   loading_progress_ms_ = 0;
   stage_history_.push_back(plan_[idx].stage_type);
-  update_pending_demand(noisy_demand(active_cluster()));
-}
-
-void GameSession::update_pending_demand(const ResourceVector& d) {
-  // Value comparison, not assignment-count: a redraw that lands on the same
-  // vector (jitter off, no spike) keeps the version stable, which is what
-  // lets the platform's resolve cache stay hot between stage boundaries.
-  if (!(d == pending_demand_)) {
-    pending_demand_ = d;
-    ++demand_version_;
-  }
+  pending_demand_ = noisy_demand(active_cluster());
 }
 
 ResourceVector GameSession::noisy_demand(const FrameClusterSpec& c) const {
@@ -123,8 +113,8 @@ void GameSession::tick(TimeMs now, const ResourceVector& supplied) {
       --spike_ticks_left_;
     } else if (cfg_.spike_prob > 0.0 && rng_.chance(cfg_.spike_prob)) {
       // The guard is not just an optimization: chance() consumes a draw even
-      // at p=0, and spike-free configs must leave the RNG untouched so the
-      // macro-tick fast-forward (which draws nothing) stays bit-identical.
+      // at p=0, so dropping it would shift the RNG stream of spike-free
+      // configs.
       spike_ticks_left_ = static_cast<int>(
           rng_.uniform_int(cfg_.spike_min_ticks, cfg_.spike_max_ticks));
     }
@@ -138,103 +128,8 @@ void GameSession::tick(TimeMs now, const ResourceVector& supplied) {
     }
     enter_stage(stage_idx_ + 1);
   } else {
-    update_pending_demand(noisy_demand(active_cluster()));
+    pending_demand_ = noisy_demand(active_cluster());
   }
-}
-
-std::int64_t GameSession::quiescent_ticks(
-    const ResourceVector& supplied) const {
-  if (!started_ || finished_) return 0;
-  const DurationMs dt = cfg_.tick_ms;
-  const PlannedStage& ps = plan_[stage_idx_];
-  const StageTypeSpec& st = spec_->stage_type(ps.stage_type);
-  if (!active_cluster().jitter.is_zero()) return 0;  // per-tick redraw
-  if (st.kind == StageKind::kLoading) {
-    // spike_ticks_left_ is frozen during loading (the bookkeeping lives in
-    // the execution branch), so an active spike just scales demand by a
-    // constant — still quiescent.
-    if (loading_hold_) return kQuiescentUnbounded;
-    const double cpu_need = pending_demand_[Dim::kCpuPct];
-    const double cpu_got = supplied[Dim::kCpuPct];
-    const double rate =
-        cpu_need <= 0.0 ? 1.0 : std::clamp(cpu_got / cpu_need, 0.0, 1.0);
-    const auto per_tick =
-        static_cast<DurationMs>(rate * static_cast<double>(dt));
-    if (per_tick <= 0) return kQuiescentUnbounded;  // starved: no progress
-    const DurationMs remaining = ps.planned_dwell_ms - loading_progress_ms_;
-    const DurationMs to_advance = (remaining + per_tick - 1) / per_tick;
-    return std::max<std::int64_t>(
-        0, static_cast<std::int64_t>(to_advance) - 1);
-  }
-  // Execution: when spikes are possible, every tick draws chance(); when one
-  // is active, its countdown mutates demand at an RNG-decided boundary.
-  if (cfg_.spike_prob > 0.0 || spike_ticks_left_ > 0) return 0;
-  const DurationMs remaining = ps.planned_dwell_ms - stage_elapsed_ms_;
-  DurationMs to_boundary = (remaining + dt - 1) / dt;  // stage advance
-  if (ps.cluster_order.size() > 1) {
-    // Cluster rotation changes achievable_fps and the demand centroid; the
-    // rotation tick must run for real.
-    const auto n = static_cast<DurationMs>(ps.cluster_order.size());
-    const DurationMs share = std::max<DurationMs>(1, ps.planned_dwell_ms / n);
-    const auto pos = std::min<DurationMs>(stage_elapsed_ms_ / share, n - 1);
-    if (pos < n - 1) {
-      const DurationMs rot_remaining = (pos + 1) * share - stage_elapsed_ms_;
-      to_boundary = std::min(to_boundary, (rot_remaining + dt - 1) / dt);
-    }
-  }
-  return std::max<std::int64_t>(
-      0, static_cast<std::int64_t>(to_boundary) - 1);
-}
-
-void GameSession::fast_forward(std::int64_t w, const ResourceVector& supplied) {
-  COCG_EXPECTS(started_ && !finished_);
-  COCG_EXPECTS(w >= 1);
-  COCG_EXPECTS_MSG(w <= quiescent_ticks(supplied),
-                   "fast_forward window crosses a session boundary");
-  const DurationMs dt = cfg_.tick_ms;
-  const DurationMs wdt = static_cast<DurationMs>(w) * dt;
-  const PlannedStage& ps = plan_[stage_idx_];
-  const StageTypeSpec& st = spec_->stage_type(ps.stage_type);
-  const double sat =
-      std::clamp(pending_demand_.satisfaction_ratio(supplied), 0.0, 1.0);
-
-  elapsed_ms_ += wdt;
-  stage_elapsed_ms_ += wdt;
-
-  if (st.kind == StageKind::kLoading) {
-    loading_ms_ += wdt;
-    last_fps_ = 0.0;  // black screen while loading
-    if (!loading_hold_) {
-      const double cpu_need = pending_demand_[Dim::kCpuPct];
-      const double cpu_got = supplied[Dim::kCpuPct];
-      const double rate =
-          cpu_need <= 0.0 ? 1.0 : std::clamp(cpu_got / cpu_need, 0.0, 1.0);
-      // The per-tick path truncates once per tick; truncate first, then
-      // multiply by the exact integer w.
-      const auto per_tick =
-          static_cast<DurationMs>(rate * static_cast<double>(dt));
-      loading_progress_ms_ += static_cast<DurationMs>(w) * per_tick;
-      COCG_ENSURES(loading_progress_ms_ < ps.planned_dwell_ms);
-    }
-  } else {
-    execution_ms_ += wdt;
-    const double achievable = achievable_fps();
-    const double realized = achievable * std::pow(sat, cfg_.fps_exponent);
-    last_fps_ = realized;
-    const double ratio = achievable > 0.0 ? realized / achievable : 1.0;
-    // Strictly sequential adds: w * realized would reassociate the
-    // accumulation and drift from the per-tick path's bits.
-    for (std::int64_t k = 0; k < w; ++k) {
-      fps_sum_ += realized;
-      fps_ratio_sum_ += ratio;
-    }
-    fps_samples_ += static_cast<std::size_t>(w);
-    if (realized < cfg_.qos_fps_floor) qos_violation_ms_ += wdt;
-    COCG_ENSURES(stage_elapsed_ms_ < ps.planned_dwell_ms);
-  }
-  // pending_demand_ is a fixed point here (jitter off, spike state frozen),
-  // so the per-tick reassignment would be a value no-op: skip it and leave
-  // demand_version_ untouched.
 }
 
 DurationMs GameSession::loading_extension_ms() const {

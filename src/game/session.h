@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "common/check.h"
@@ -68,35 +67,6 @@ class GameSession {
 
   /// Advance one tick given what the hardware supplied.
   void tick(TimeMs now, const ResourceVector& supplied);
-
-  // --- quiescence (the macro-tick fast-forward contract) ---
-
-  /// Sentinel for "no internal boundary under this supply" (a held or
-  /// fully-starved loading stage). Half of max so callers can add safely.
-  static constexpr std::int64_t kQuiescentUnbounded =
-      std::numeric_limits<std::int64_t>::max() / 2;
-
-  /// Version counter of pending_demand_: bumped exactly when the demanded
-  /// vector changes value (stage entry, cluster rotation, jitter redraw,
-  /// spike start/end). Equal versions ⇒ bit-identical demand, which is what
-  /// the platform's per-server resolve cache keys on.
-  std::uint64_t demand_version() const { return demand_version_; }
-
-  /// How many ADDITIONAL tick(now, supplied) calls after the current state
-  /// are guaranteed to be pure repetition under the same `supplied`: no
-  /// stage advance or finish, no cluster rotation, no demand change, no RNG
-  /// draw. 0 when the session is not quiescent at all (demand jitter on,
-  /// spikes possible/active); kQuiescentUnbounded when no boundary can
-  /// arrive (loading held, or loading fully starved of CPU).
-  std::int64_t quiescent_ticks(const ResourceVector& supplied) const;
-
-  /// Bulk-advance `w` ticks (1 <= w <= quiescent_ticks(supplied)) with the
-  /// identical end state the per-tick path would reach: integer accumulators
-  /// advance by exact multiples, floating-point accumulators by w strictly
-  /// sequential adds (w*x would reassociate and break bit-identity), and the
-  /// RNG is untouched (the quiescence preconditions guarantee the per-tick
-  /// path draws nothing either).
-  void fast_forward(std::int64_t w, const ResourceVector& supplied);
 
   // --- current state (requires started()) ---
   StageKind stage_kind() const {
@@ -168,8 +138,6 @@ class GameSession {
     return spec_->cluster(ps.cluster_order[pos]);
   }
   ResourceVector noisy_demand(const FrameClusterSpec& c) const;
-  /// Assign pending_demand_, bumping demand_version_ iff the value changed.
-  void update_pending_demand(const ResourceVector& d);
 
   SessionId id_;
   const GameSpec* spec_;
@@ -188,7 +156,6 @@ class GameSession {
   DurationMs loading_progress_ms_ = 0;
   std::vector<int> stage_history_;
   ResourceVector pending_demand_;  ///< demand quoted for the next tick
-  std::uint64_t demand_version_ = 0;
   bool loading_hold_ = false;
 
   int spike_ticks_left_ = 0;

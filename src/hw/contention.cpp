@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "hw/batch_kernels.h"
 #include "hw/server.h"
 
 namespace cocg::hw {
@@ -48,124 +47,7 @@ std::vector<SessionSupply> ContentionModel::resolve(
   return out;
 }
 
-void ResolveLanes::resize(std::size_t n) {
-  for (std::size_t d = 0; d < kNumDims; ++d) {
-    demand[d].resize(n);
-    alloc[d].resize(n);
-    desired[d].resize(n);
-    supplied[d].resize(n);
-  }
-  gpu_scale.resize(n);
-  vram_scale.resize(n);
-  satisfaction.resize(n);
-}
-
 const std::vector<SessionSupply>& resolve_server(
-    const ServerSpec& spec, const std::vector<PinnedDraw>& draws,
-    ServerResolveScratch& scratch) {
-  obs::StageScope profile_scope(scratch.prof);
-  const std::size_t n = draws.size();
-  ResolveLanes& lanes = scratch.lanes;
-  lanes.resize(n);
-
-  // Transpose AoS draws into per-dimension lanes (and validate, exactly
-  // like the reference path).
-  const std::size_t ngpus = static_cast<std::size_t>(spec.num_gpus);
-  for (std::size_t s = 0; s < n; ++s) {
-    const auto& d = draws[s];
-    COCG_EXPECTS(d.gpu_index >= 0 && d.gpu_index < spec.num_gpus);
-    COCG_EXPECTS(d.draw.demand.non_negative());
-    COCG_EXPECTS(d.draw.allocation.non_negative());
-    for (std::size_t k = 0; k < kNumDims; ++k) {
-      lanes.demand[k][s] = d.draw.demand.at(k);
-      lanes.alloc[k][s] = d.draw.allocation.at(k);
-    }
-  }
-
-  // Desired draw per dimension: elementwise min — the vector kernel.
-  for (std::size_t k = 0; k < kNumDims; ++k) {
-    batch::min_into(lanes.desired[k].data(), lanes.demand[k].data(),
-                    lanes.alloc[k].data(), n);
-  }
-
-  // Pool totals. Whole-server sums stay strictly ordered (scalar) and the
-  // per-device sums bucket in draw order — bit-identical to the reference
-  // accumulation.
-  constexpr auto kCpu = static_cast<std::size_t>(Dim::kCpuPct);
-  constexpr auto kGpu = static_cast<std::size_t>(Dim::kGpuPct);
-  constexpr auto kVram = static_cast<std::size_t>(Dim::kGpuMemMb);
-  constexpr auto kRam = static_cast<std::size_t>(Dim::kRamMb);
-  const double cpu_total = batch::sum_ordered(lanes.desired[kCpu].data(), n);
-  const double ram_total = batch::sum_ordered(lanes.desired[kRam].data(), n);
-  scratch.gpu_total.assign(ngpus, 0.0);
-  scratch.vram_total.assign(ngpus, 0.0);
-  for (std::size_t s = 0; s < n; ++s) {
-    const auto g = static_cast<std::size_t>(draws[s].gpu_index);
-    scratch.gpu_total[g] += lanes.desired[kGpu][s];
-    scratch.vram_total[g] += lanes.desired[kVram][s];
-  }
-
-  const double cpu_scale =
-      cpu_total > spec.cpu_capacity_pct ? spec.cpu_capacity_pct / cpu_total
-                                        : 1.0;
-  const double ram_scale =
-      ram_total > spec.ram_mb ? spec.ram_mb / ram_total : 1.0;
-  // Per-device scales computed once per device (the divides are the
-  // expensive part — one per GPU, not one per draw), then gathered into
-  // per-draw lanes so the GPU-dim supply multiply is a straight
-  // elementwise kernel. The totals buffers are rewritten in place with
-  // the scales; they are not read again this call.
-  for (std::size_t g = 0; g < ngpus; ++g) {
-    const double gt = scratch.gpu_total[g];
-    const double vt = scratch.vram_total[g];
-    scratch.gpu_total[g] =
-        gt > spec.gpu_capacity_pct ? spec.gpu_capacity_pct / gt : 1.0;
-    scratch.vram_total[g] = vt > spec.gpu_mem_mb ? spec.gpu_mem_mb / vt : 1.0;
-  }
-  for (std::size_t s = 0; s < n; ++s) {
-    const auto g = static_cast<std::size_t>(draws[s].gpu_index);
-    lanes.gpu_scale[s] = scratch.gpu_total[g];
-    lanes.vram_scale[s] = scratch.vram_total[g];
-  }
-
-  batch::scale_into(lanes.supplied[kCpu].data(), lanes.desired[kCpu].data(),
-                    cpu_scale, n);
-  batch::scale_into(lanes.supplied[kRam].data(), lanes.desired[kRam].data(),
-                    ram_scale, n);
-  batch::mul_into(lanes.supplied[kGpu].data(), lanes.desired[kGpu].data(),
-                  lanes.gpu_scale.data(), n);
-  batch::mul_into(lanes.supplied[kVram].data(), lanes.desired[kVram].data(),
-                  lanes.vram_scale.data(), n);
-
-  // Satisfaction per lane over the ORIGINAL demand (not the capped
-  // desired), all four dimensions fused into one pass — bit-identical
-  // to the composable init/apply_dim/finalize pipeline (min is exact,
-  // the fold order is fixed) but without five extra trips through the
-  // lane arrays.
-  static_assert(kNumDims == 4, "satisfaction_into folds exactly four dims");
-  batch::satisfaction_into(
-      lanes.satisfaction.data(), lanes.demand[0].data(),
-      lanes.supplied[0].data(), lanes.demand[1].data(),
-      lanes.supplied[1].data(), lanes.demand[2].data(),
-      lanes.supplied[2].data(), lanes.demand[3].data(),
-      lanes.supplied[3].data(), n);
-
-  // Transpose back to the AoS result the callers consume.
-  scratch.out.clear();
-  scratch.out.reserve(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    SessionSupply sup;
-    sup.sid = draws[s].draw.sid;
-    for (std::size_t k = 0; k < kNumDims; ++k) {
-      sup.supplied.at(k) = lanes.supplied[k][s];
-    }
-    sup.satisfaction = lanes.satisfaction[s];
-    scratch.out.push_back(sup);
-  }
-  return scratch.out;
-}
-
-const std::vector<SessionSupply>& resolve_server_reference(
     const ServerSpec& spec, const std::vector<PinnedDraw>& draws,
     ServerResolveScratch& scratch) {
   obs::StageScope profile_scope(scratch.prof);

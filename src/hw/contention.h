@@ -8,7 +8,6 @@
 // CPU shares and GPU time-slicing under saturation.
 #pragma once
 
-#include <array>
 #include <vector>
 
 #include "common/resources.h"
@@ -49,31 +48,13 @@ struct PinnedDraw {
 
 struct ServerSpec;  // fwd decl (server.h)
 
-/// Per-dimension SoA lanes of one resolve batch: lane i of every array
-/// belongs to draw i. resolve_server transposes the AoS draws in, runs
-/// the batch kernels (hw/batch_kernels.h) over the lanes, and transposes
-/// the supplies back out; hardware_tick reads `supplied` directly for the
-/// utilization sums so the accumulation pass is SoA too.
-struct ResolveLanes {
-  std::array<std::vector<double>, kNumDims> demand;
-  std::array<std::vector<double>, kNumDims> alloc;
-  std::array<std::vector<double>, kNumDims> desired;
-  std::array<std::vector<double>, kNumDims> supplied;
-  std::vector<double> gpu_scale;   ///< per-draw gathered device scale
-  std::vector<double> vram_scale;  ///< per-draw gathered device scale
-  std::vector<double> satisfaction;
-
-  void resize(std::size_t n);
-};
-
-/// Reusable buffers for resolve_server. Hot loops keep one per server so
+/// Reusable buffers for resolve_server. Hot loops keep one and reuse it, so
 /// steady-state resolution performs zero heap allocation: every vector is
 /// cleared (capacity retained) and refilled on each call.
 struct ServerResolveScratch {
-  std::vector<ResourceVector> desired;  ///< per draw (reference path)
+  std::vector<ResourceVector> desired;  ///< per draw
   std::vector<double> gpu_total;        ///< per device, indexed by gpu
   std::vector<double> vram_total;       ///< per device, indexed by gpu
-  ResolveLanes lanes;                   ///< SoA lanes (batch path)
   std::vector<SessionSupply> out;       ///< result, order matches input
   /// Stage-profiler handle, bound to the obs domain active when the
   /// scratch is constructed (the owning platform's shard domain).
@@ -88,16 +69,8 @@ std::vector<SessionSupply> resolve_server(const struct ServerSpec& spec,
                                           const std::vector<PinnedDraw>& draws);
 
 /// Allocation-free variant: results land in (and are valid until the next
-/// call with) `scratch.out`. Internally runs the SoA batch kernels over
-/// `scratch.lanes`; outputs are bit-identical to resolve_server_reference
-/// (tests/hw enforces it).
+/// call with) `scratch.out`.
 const std::vector<SessionSupply>& resolve_server(
-    const struct ServerSpec& spec, const std::vector<PinnedDraw>& draws,
-    ServerResolveScratch& scratch);
-
-/// The pre-SoA scalar AoS implementation, kept verbatim as the
-/// bit-identity oracle for the batch path and the bench_micro comparator.
-const std::vector<SessionSupply>& resolve_server_reference(
     const struct ServerSpec& spec, const std::vector<PinnedDraw>& draws,
     ServerResolveScratch& scratch);
 

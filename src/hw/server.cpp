@@ -99,7 +99,6 @@ bool Server::place(SessionId sid, int gpu_index,
   auto pos =
       std::lower_bound(sessions_.begin(), sessions_.end(), sid, sid_less);
   sessions_.insert(pos, HostedSession{sid, {gpu_index, allocation}});
-  bump_demand_epoch();
   return true;
 }
 
@@ -131,7 +130,6 @@ bool Server::reallocate(SessionId sid, const ResourceVector& allocation,
     return false;
   }
   it->placement.allocation = allocation;
-  bump_demand_epoch();
   return true;
 }
 
@@ -139,7 +137,6 @@ bool Server::remove(SessionId sid) {
   auto it = find(sid);
   if (it == sessions_.end()) return false;
   sessions_.erase(it);
-  bump_demand_epoch();
   return true;
 }
 

@@ -102,17 +102,6 @@ class Server {
   /// Contiguous, allocation-free; invalidated by place/remove.
   const std::vector<HostedSession>& hosted() const { return sessions_; }
 
-  /// Demand epoch: a monotone counter that advances whenever the resolve
-  /// inputs this server presents to the contention model may have changed —
-  /// every successful place/remove/reallocate bumps it internally, and the
-  /// platform bumps it explicitly when a hosted session's stated demand
-  /// changes (stage transition, jitter redraw, spike, regulator hold).
-  /// Equal epochs ⇒ identical hosted set, allocations and demands, so a
-  /// cached resolve_server result is still bit-exact (docs/performance.md,
-  /// "Quiescence-aware tick engine").
-  std::uint64_t demand_epoch() const { return demand_epoch_; }
-  void bump_demand_epoch() { ++demand_epoch_; }
-
   std::vector<SessionId> session_ids() const;  ///< sorted for determinism
   std::vector<SessionId> sessions_on_gpu(int gpu_index) const;  ///< sorted
 
@@ -137,7 +126,6 @@ class Server {
   ServerId id_;
   ServerSpec spec_;
   std::vector<HostedSession> sessions_;  ///< sorted by sid
-  std::uint64_t demand_epoch_ = 0;
 };
 
 }  // namespace cocg::hw

@@ -341,74 +341,6 @@ int CompiledForest::predict(std::span<const double> x) const {
   return 0;
 }
 
-void CompiledForest::walk_lanes(std::size_t tree, const FeatureMatrix& xs,
-                                std::size_t row0, std::size_t count,
-                                std::size_t* leaves) const {
-  // All lanes start at the tree root and step together; a lane that
-  // reaches its leaf keeps testing feature[i] < 0 (cheap, no memory
-  // traffic beyond the node row already in cache) until the slowest lane
-  // finishes. The win is instruction-level: eight independent
-  // load->compare->select chains in flight instead of one.
-  std::size_t idx[kLaneWidth];
-  const auto first = static_cast<std::size_t>(d_.tree_first[tree]);
-  for (std::size_t l = 0; l < count; ++l) idx[l] = first;
-  bool walking = true;
-  while (walking) {
-    walking = false;
-    for (std::size_t l = 0; l < count; ++l) {
-      const std::size_t i = idx[l];
-      const std::int32_t f = d_.feature[i];
-      if (f >= 0) {
-        const double x = xs.row(row0 + l)[static_cast<std::size_t>(f)];
-        idx[l] = static_cast<std::size_t>(
-            x <= d_.threshold[i] ? d_.left[i] : d_.right[i]);
-        walking = true;
-      }
-    }
-  }
-  for (std::size_t l = 0; l < count; ++l) {
-    leaves[l] = static_cast<std::size_t>(d_.left[idx[l]]);
-  }
-}
-
-void CompiledForest::accumulate_simd(const FeatureMatrix& xs,
-                                     std::span<double> acc, bool votes) const {
-  // Same tree-outer / row-inner order as accumulate(): within a lane block
-  // the leaves are applied in ascending-row order, so every per-(row,class)
-  // sum sees its addends in the identical sequence.
-  const auto k = static_cast<std::size_t>(d_.num_classes);
-  const std::size_t n = xs.rows();
-  std::size_t leaves[kLaneWidth];
-  for (std::size_t t = 0; t < num_trees(); ++t) {
-    const std::size_t gbdt_class = t % k;
-    for (std::size_t r0 = 0; r0 < n; r0 += kLaneWidth) {
-      const std::size_t count = std::min(kLaneWidth, n - r0);
-      walk_lanes(t, xs, r0, count, leaves);
-      for (std::size_t l = 0; l < count; ++l) {
-        const std::size_t r = r0 + l;
-        const std::size_t leaf = leaves[l];
-        switch (d_.kind) {
-          case ModelKind::kRf:
-            if (votes) {
-              acc[r * k + static_cast<std::size_t>(d_.leaf_label[leaf])] +=
-                  1.0;
-            } else {
-              for (std::size_t c = 0; c < k; ++c) {
-                acc[r * k + c] += d_.leaf_data[leaf * k + c];
-              }
-            }
-            break;
-          case ModelKind::kGbdt:
-            acc[r * k + gbdt_class] += d_.learning_rate * d_.leaf_data[leaf];
-            break;
-          case ModelKind::kDtc:
-            break;  // handled by the callers directly
-        }
-      }
-    }
-  }
-}
-
 void CompiledForest::accumulate(const FeatureMatrix& xs,
                                 std::span<double> acc, bool votes) const {
   // Tree-outer, row-inner: each tree's node arrays stay cache-resident
@@ -501,82 +433,6 @@ void CompiledForest::predict_batch(const FeatureMatrix& xs,
     }
   }
   accumulate(xs, acc, /*votes=*/d_.kind == ModelKind::kRf);
-  for (std::size_t r = 0; r < n; ++r) {
-    out[r] = static_cast<int>(
-        argmax(std::span<const double>(acc.data() + r * k, k)));
-  }
-}
-
-void CompiledForest::predict_proba_batch_simd(const FeatureMatrix& xs,
-                                              std::span<double> out) const {
-  COCG_EXPECTS_MSG(trained(), "predict before fit");
-  COCG_EXPECTS(xs.cols() >= static_cast<std::size_t>(d_.num_features));
-  const auto k = static_cast<std::size_t>(d_.num_classes);
-  const std::size_t n = xs.rows();
-  COCG_EXPECTS_MSG(out.size() == n * k,
-                   "predict_proba_batch_simd: out needs rows()*num_classes");
-  switch (d_.kind) {
-    case ModelKind::kDtc: {
-      std::size_t leaves[kLaneWidth];
-      for (std::size_t r0 = 0; r0 < n; r0 += kLaneWidth) {
-        const std::size_t count = std::min(kLaneWidth, n - r0);
-        walk_lanes(0, xs, r0, count, leaves);
-        for (std::size_t l = 0; l < count; ++l) {
-          for (std::size_t c = 0; c < k; ++c) {
-            out[(r0 + l) * k + c] = d_.leaf_data[leaves[l] * k + c];
-          }
-        }
-      }
-      break;
-    }
-    case ModelKind::kRf: {
-      std::fill(out.begin(), out.end(), 0.0);
-      accumulate_simd(xs, out, /*votes=*/false);
-      const auto trees = static_cast<double>(num_trees());
-      for (auto& v : out) v /= trees;
-      break;
-    }
-    case ModelKind::kGbdt: {
-      for (std::size_t r = 0; r < n; ++r) {
-        for (std::size_t c = 0; c < k; ++c) {
-          out[r * k + c] = d_.base_score[c];
-        }
-      }
-      accumulate_simd(xs, out, /*votes=*/false);
-      for (std::size_t r = 0; r < n; ++r) {
-        softmax_span(out.subspan(r * k, k));
-      }
-      break;
-    }
-  }
-}
-
-void CompiledForest::predict_batch_simd(const FeatureMatrix& xs,
-                                        std::span<int> out) const {
-  COCG_EXPECTS_MSG(trained(), "predict before fit");
-  COCG_EXPECTS(xs.cols() >= static_cast<std::size_t>(d_.num_features));
-  const auto k = static_cast<std::size_t>(d_.num_classes);
-  const std::size_t n = xs.rows();
-  COCG_EXPECTS_MSG(out.size() == n,
-                   "predict_batch_simd: out needs rows() slots");
-  if (d_.kind == ModelKind::kDtc) {
-    std::size_t leaves[kLaneWidth];
-    for (std::size_t r0 = 0; r0 < n; r0 += kLaneWidth) {
-      const std::size_t count = std::min(kLaneWidth, n - r0);
-      walk_lanes(0, xs, r0, count, leaves);
-      for (std::size_t l = 0; l < count; ++l) {
-        out[r0 + l] = d_.leaf_label[leaves[l]];
-      }
-    }
-    return;
-  }
-  std::vector<double> acc(n * k, 0.0);
-  if (d_.kind == ModelKind::kGbdt) {
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t c = 0; c < k; ++c) acc[r * k + c] = d_.base_score[c];
-    }
-  }
-  accumulate_simd(xs, acc, /*votes=*/d_.kind == ModelKind::kRf);
   for (std::size_t r = 0; r < n; ++r) {
     out[r] = static_cast<int>(
         argmax(std::span<const double>(acc.data() + r * k, k)));

@@ -120,31 +120,13 @@ class CompiledForest {
   void predict_proba_batch(const FeatureMatrix& xs,
                            std::span<double> out) const;
 
-  /// Lane-blocked variants: per tree, kLaneWidth independent row walks
-  /// advance in lockstep so the node-chase loads of different rows overlap
-  /// instead of serializing on one dependency chain. Every per-(row,class)
-  /// accumulation happens in exactly the order of the serial batch path,
-  /// so outputs are bit-identical to predict_batch / predict_proba_batch
-  /// (tests/ml enforces it).
-  static constexpr std::size_t kLaneWidth = 8;
-  void predict_batch_simd(const FeatureMatrix& xs, std::span<int> out) const;
-  void predict_proba_batch_simd(const FeatureMatrix& xs,
-                                std::span<double> out) const;
-
  private:
   /// Walk one tree; returns the reached leaf's leaf-table row index.
   std::size_t walk(std::size_t tree, std::span<const double> x) const;
-  /// Walk `count` (<= kLaneWidth) consecutive rows through one tree in
-  /// lockstep; writes each row's leaf-table index into `leaves`.
-  void walk_lanes(std::size_t tree, const FeatureMatrix& xs, std::size_t row0,
-                  std::size_t count, std::size_t* leaves) const;
   /// Per-class accumulation shared by the proba/label paths: RF leaf-proba
   /// sums or GBDT raw scores into `acc` (rows * num_classes, row-major).
   void accumulate(const FeatureMatrix& xs, std::span<double> acc,
                   bool votes) const;
-  /// Lane-blocked accumulate; same accumulation order, same results.
-  void accumulate_simd(const FeatureMatrix& xs, std::span<double> acc,
-                       bool votes) const;
 
   Data d_;
 };

@@ -29,13 +29,6 @@ void write_health_snapshot(const HealthSnapshot& s, std::ostream& os) {
        << ",\"idle_ns\":" << s.executor.idle_ns
        << ",\"syncs\":" << s.executor.syncs << '}';
   }
-  if (s.quiescence.present) {
-    os << ",\"quiescence\":{\"ticks_skipped\":" << s.quiescence.ticks_skipped
-       << ",\"fast_forward_windows\":" << s.quiescence.fast_forward_windows
-       << ",\"resolve_cache_hits\":" << s.quiescence.resolve_cache_hits
-       << ",\"resolve_cache_misses\":" << s.quiescence.resolve_cache_misses
-       << '}';
-  }
   os << "}\n";
 }
 

@@ -55,17 +55,6 @@ struct HealthExecutor {
   std::uint64_t syncs = 0;
 };
 
-/// Quiescence-engine counters (platform resolve cache + macro-tick
-/// fast-forward). `present` gates the field like HealthExecutor — runs with
-/// incremental resolve disabled keep the legacy schema byte-for-byte.
-struct HealthQuiescence {
-  bool present = false;
-  std::uint64_t ticks_skipped = 0;
-  std::uint64_t fast_forward_windows = 0;
-  std::uint64_t resolve_cache_hits = 0;
-  std::uint64_t resolve_cache_misses = 0;
-};
-
 struct HealthSnapshot {
   TimeMs t = 0;
   std::uint64_t arrivals = 0;  ///< cumulative arrivals generated
@@ -74,7 +63,6 @@ struct HealthSnapshot {
   std::vector<SloAttainment> slo;
   StageProfile stage_costs{};  ///< cumulative; zeros when profiling is off
   HealthExecutor executor{};   ///< cumulative; emitted only when present
-  HealthQuiescence quiescence{};  ///< cumulative; emitted only when present
 };
 
 /// Append one JSONL line (newline included).

@@ -50,7 +50,9 @@ enum class Stage : std::uint8_t {
   kShardBarrier,        ///< fleet epoch barrier (pool run + join)
   kExecutorSteal,       ///< steal runner: epochs run off their home worker
   kExecutorIdle,        ///< steal runner: worker wall time with no runnable job
-  kFastForward,         ///< quiescent macro-tick window materialization
+  /// Never timed: kept so the exported stage list (and every consumer
+  /// keyed on it) keeps its "fast_forward" row, which always reads 0.
+  kFastForward,
 };
 
 inline constexpr std::size_t kNumStages = 12;

@@ -5,7 +5,6 @@
 #include "common/check.h"
 #include "common/log.h"
 #include "game/plan.h"
-#include "hw/batch_kernels.h"
 #include "schedcheck/fault.h"
 #include "schedcheck/session.h"
 
@@ -59,13 +58,8 @@ CloudPlatform::CloudPlatform(PlatformConfig cfg,
       {1000, 5000, 15000, 30000, 60000, 120000, 300000});
   obs_trace_dropped_ = reg.counter("platform.trace_samples_dropped");
   obs_util_dropped_ = reg.counter("platform.util_log_points_dropped");
-  obs_ticks_skipped_ = reg.counter("tick.skipped");
-  obs_ff_windows_ = reg.counter("tick.fast_forward_windows");
-  obs_cache_hits_ = reg.counter("resolve.cache_hits");
-  obs_cache_misses_ = reg.counter("resolve.cache_misses");
   prof_rng_ = obs::stage_timer(obs::Stage::kRngDraws);
   prof_kernels_ = obs::stage_timer(obs::Stage::kResourceKernels);
-  prof_ff_ = obs::stage_timer(obs::Stage::kFastForward);
   prof_domain_ = &obs::profiler();
   slo_.configure(cfg_.slo_classes.empty() ? default_slo_classes()
                                           : cfg_.slo_classes);
@@ -76,7 +70,6 @@ CloudPlatform::~CloudPlatform() = default;
 ServerId CloudPlatform::add_server(const hw::ServerSpec& spec) {
   const ServerId id{servers_.size()};
   servers_.emplace_back(id, spec);
-  caches_.emplace_back();
   auto& gauges = obs_util_.emplace_back();
   const std::string base = "platform.util.s" + std::to_string(id.value);
   for (int g = 0; g < spec.num_gpus; ++g) {
@@ -289,75 +282,36 @@ void CloudPlatform::roll_stage_span(ActiveSession& as, SessionId sid,
   as.span_start = t;
 }
 
-DurationMs CloudPlatform::hardware_tick() {
+void CloudPlatform::hardware_tick() {
   const TimeMs t = engine_.now();
   obs_hw_ticks_.add();
   const bool obs_on = obs::enabled();
   const bool trace_on = obs::trace_enabled();
 
-  // Global fast-forward candidacy: any per-tick recorder that needs real
-  // ticks (trace spans/counters, util log, harvest integration) or any
-  // per-tick RNG consumer (measurement noise, streaming jitter) pins the
-  // engine to per-tick execution; per-session quiescence (demand jitter,
-  // spikes, stage boundaries) is folded in below.
-  const bool ff_candidate =
-      cfg_.macro_ticks && cfg_.incremental_resolve &&
-      cfg_.measurement_noise_rel <= 0.0 &&
-      streaming_.config().network_jitter_ms <= 0.0 && !trace_on &&
-      !record_utilization_ && !record_harvest_;
-  bool ff_ok = ff_candidate;
-  std::int64_t min_quiescent = game::GameSession::kQuiescentUnbounded;
-  std::size_t live_total = 0;
-
   // Per server: gather draws, resolve contention, advance sessions. The
   // hosted() view is iterated in ascending-sid order, matching the legacy
-  // map-backed walk draw for draw. Draw/resolve buffers live in the
-  // per-server ResolveCache: an unchanged demand epoch proves the hosted
-  // set, allocations and demands are all bit-identical to the last resolve,
-  // so a hit reuses the cached result; a miss (or the always-resolve
-  // oracle) rebuilds the same buffers in place.
-  for (auto& srv : servers_) {
+  // map-backed walk draw for draw.
+  for (const auto& srv : servers_) {
     const auto& hosted = srv.hosted();
     if (hosted.empty()) continue;
-    ResolveCache& cache = caches_[srv.id().value];
-    const bool hit = cfg_.incremental_resolve && cache.valid &&
-                     cache.stamp == srv.demand_epoch();
+    auto& draws = scratch_.draws;
     auto& live = scratch_.live;
+    draws.clear();
     live.clear();
-    if (hit) {
-      ++qstats_.resolve_cache_hits;
-      obs_cache_hits_.add();
-      // Session pointers are never cached: SessionTable growth relocates
-      // slots, so re-find by sid (O(1)) every tick.
-      for (const auto& h : hosted) {
-        ActiveSession* as = sessions_.find(h.sid);
-        COCG_CHECK(as != nullptr);
-        live.push_back(as);
-      }
-    } else {
-      ++qstats_.resolve_cache_misses;
-      obs_cache_misses_.add();
-      auto& draws = cache.draws;
-      draws.clear();
-      for (const auto& h : hosted) {
-        ActiveSession* as = sessions_.find(h.sid);
-        COCG_CHECK(as != nullptr);
-        hw::PinnedDraw pd;
-        pd.draw.sid = h.sid;
-        pd.draw.demand = as->session->demand();
-        pd.draw.allocation = h.placement.allocation;
-        pd.gpu_index = as->gpu_index;
-        draws.push_back(pd);
-        live.push_back(as);
-      }
-      hw::resolve_server(srv.spec(), draws, cache.resolve);
-      cache.valid = true;
-      cache.stamp = srv.demand_epoch();
+    for (const auto& h : hosted) {
+      ActiveSession* as = sessions_.find(h.sid);
+      COCG_CHECK(as != nullptr);
+      hw::PinnedDraw pd;
+      pd.draw.sid = h.sid;
+      pd.draw.demand = as->session->demand();
+      pd.draw.allocation = h.placement.allocation;
+      pd.gpu_index = as->gpu_index;
+      draws.push_back(pd);
+      live.push_back(as);
     }
-    const auto& draws = cache.draws;
-    const auto& supplies = cache.resolve.out;
+    const auto& supplies =
+        hw::resolve_server(srv.spec(), draws, scratch_.resolve);
     obs_session_ticks_.add(draws.size());
-    live_total += draws.size();
 
     // Utilization snapshots (per GPU view). The registry gauges and trace
     // counter tracks are the metrics-facing export; util_log_ keeps the
@@ -380,29 +334,22 @@ DurationMs CloudPlatform::hardware_tick() {
         util[g].max_dim_fraction = 0.0;
       }
       // CPU/RAM are charged to every view; every view adds the same
-      // supplies in the same session order, so one ordered sum over the
-      // SoA supply lanes equals each view's former sequential total
-      // bit-for-bit. GPU dims bucket to the pinned view in draw order.
-      const auto& lanes = cache.resolve.lanes;
-      const std::size_t ndraws = draws.size();
-      const double cpu_sum = hw::batch::sum_ordered(
-          lanes.supplied[static_cast<std::size_t>(Dim::kCpuPct)].data(),
-          ndraws);
-      const double ram_sum = hw::batch::sum_ordered(
-          lanes.supplied[static_cast<std::size_t>(Dim::kRamMb)].data(),
-          ndraws);
+      // supplies in the same session order, so one ordered sum equals each
+      // view's sequential total bit-for-bit. GPU dims bucket to the pinned
+      // view in draw order.
+      double cpu_sum = 0.0;
+      double ram_sum = 0.0;
+      for (std::size_t i = 0; i < draws.size(); ++i) {
+        const ResourceVector& sup = supplies[i].supplied;
+        cpu_sum += sup[Dim::kCpuPct];
+        ram_sum += sup[Dim::kRamMb];
+        auto& pinned = util[static_cast<std::size_t>(draws[i].gpu_index)];
+        pinned.total_supplied[Dim::kGpuPct] += sup[Dim::kGpuPct];
+        pinned.total_supplied[Dim::kGpuMemMb] += sup[Dim::kGpuMemMb];
+      }
       for (std::size_t g = 0; g < ngpus; ++g) {
         util[g].total_supplied[Dim::kCpuPct] = cpu_sum;
         util[g].total_supplied[Dim::kRamMb] = ram_sum;
-      }
-      const double* gpu_lane =
-          lanes.supplied[static_cast<std::size_t>(Dim::kGpuPct)].data();
-      const double* vram_lane =
-          lanes.supplied[static_cast<std::size_t>(Dim::kGpuMemMb)].data();
-      for (std::size_t i = 0; i < ndraws; ++i) {
-        auto& pinned = util[static_cast<std::size_t>(draws[i].gpu_index)];
-        pinned.total_supplied[Dim::kGpuPct] += gpu_lane[i];
-        pinned.total_supplied[Dim::kGpuMemMb] += vram_lane[i];
       }
       for (std::size_t g = 0; g < ngpus; ++g) {
         UtilizationPoint& up = util[g];
@@ -461,25 +408,10 @@ DurationMs CloudPlatform::hardware_tick() {
         roll_stage_span(as, draws[i].draw.sid,
                         stage_key(s.true_loading, s.true_stage_type), t);
       }
-      const ResourceVector demand_before = draws[i].draw.demand;
-      const std::uint64_t dv = as.session->demand_version();
+      const ResourceVector& demand_before = draws[i].draw.demand;
       {
         obs::StageScope kernel_scope(prof_kernels_);
         as.session->tick(t, supplies[i].supplied);
-      }
-      // Stage transition / jitter redraw / spike start-or-end all surface
-      // as a demand-version change: advance the server's epoch so the next
-      // tick re-resolves.
-      if (as.session->demand_version() != dv) srv.bump_demand_epoch();
-      if (ff_ok) {
-        if (as.session->finished()) {
-          ff_ok = false;  // reap + removal this tick: state changes
-        } else {
-          const std::int64_t q =
-              as.session->quiescent_ticks(supplies[i].supplied);
-          if (q < min_quiescent) min_quiescent = q;
-          if (q == 0) ff_ok = false;
-        }
       }
       s.fps = as.session->last_fps();
       as.trace.add(s);
@@ -538,88 +470,6 @@ DurationMs CloudPlatform::hardware_tick() {
   });
   std::sort(done.begin(), done.end());
   for (SessionId sid : done) finish_session(sid, t + cfg_.tick_ms);
-
-  // --- macro-tick fast-forward decision ---
-  const DurationMs dt = cfg_.tick_ms;
-  if (!ff_ok || !done.empty() || min_quiescent < 1) return dt;
-  // Every session must have been advanced exactly once: a double-hosted
-  // session (fault windows) ticks once per hosting server and would be
-  // fast-forwarded at the wrong rate.
-  if (live_total != sessions_.size()) return dt;
-  // End-of-tick revalidation: any epoch advance during the session pass
-  // (stage transition, regulator action from a racing control path) means
-  // next tick's resolve differs — no window.
-  for (const auto& srv : servers_) {
-    if (srv.hosted().empty()) continue;
-    const ResolveCache& cache = caches_[srv.id().value];
-    if (!cache.valid || cache.stamp != srv.demand_epoch()) return dt;
-  }
-  // Window bound: the skipped ticks plus the re-armed tick must all land
-  // strictly inside the gap to the next scheduled event AND inside the
-  // current run_until() limit — the fleet's epoch barrier reads shard
-  // state at exactly that limit, so state must not advance past it.
-  const TimeMs bound = std::min(engine_.next_interesting_time(), horizon_);
-  if (bound <= t) return dt;
-  const auto max_w = static_cast<std::int64_t>((bound - t) / dt) - 1;
-  const std::int64_t w = std::min(min_quiescent, max_w);
-  if (w < 1) return dt;
-  fast_forward_window(w, t);
-  return (static_cast<DurationMs>(w) + 1) * dt;
-}
-
-void CloudPlatform::fast_forward_window(std::int64_t w, TimeMs t) {
-  obs::StageScope ff_scope(prof_ff_);
-  const DurationMs dt = cfg_.tick_ms;
-  for (auto& srv : servers_) {
-    const auto& hosted = srv.hosted();
-    if (hosted.empty()) continue;
-    ResolveCache& cache = caches_[srv.id().value];
-    const auto& draws = cache.draws;
-    const auto& supplies = cache.resolve.out;
-    for (std::size_t i = 0; i < draws.size(); ++i) {
-      ActiveSession* asp = sessions_.find(draws[i].draw.sid);
-      COCG_CHECK(asp != nullptr);
-      ActiveSession& as = *asp;
-      // Pre-tick observable state is constant across a quiescent window,
-      // so the skipped ticks' telemetry samples differ only in timestamp.
-      telemetry::MetricSample s;
-      s.usage = supplies[i].supplied;
-      s.true_stage_type = as.session->stage_type();
-      s.true_loading =
-          as.session->stage_kind() == game::StageKind::kLoading;
-      s.true_cluster = as.session->current_cluster();
-      s.fps = as.session->last_fps();
-      for (std::int64_t k = 1; k <= w; ++k) {
-        s.t = t + static_cast<DurationMs>(k) * dt;
-        as.trace.add(s);
-      }
-      as.session->fast_forward(w, supplies[i].supplied);
-      if (s.fps > 0.0) {
-        const ResourceVector& demand_before = draws[i].draw.demand;
-        const double cpu_sat =
-            demand_before[Dim::kCpuPct] > 0.0
-                ? std::min(1.0, supplies[i].supplied[Dim::kCpuPct] /
-                                    demand_before[Dim::kCpuPct])
-                : 1.0;
-        // Jitter-free by the window's preconditions: latency_ms draws no
-        // RNG and returns the same value every skipped tick. Welford
-        // accumulation is order-dependent, so add it w times rather than
-        // folding — bit-identity with the per-tick path.
-        const double lat = streaming_.latency_ms(s.fps, cpu_sat, rng_);
-        for (std::int64_t k = 0; k < w; ++k) as.latency_ms.add(lat);
-        if (lat > streaming_.config().latency_budget_ms) {
-          as.latency_violation_ms += static_cast<DurationMs>(w) * dt;
-        }
-      }
-    }
-    obs_session_ticks_.add(static_cast<std::uint64_t>(w) * draws.size());
-  }
-  // Keep the tick counters equal to what the per-tick oracle would report.
-  obs_hw_ticks_.add(static_cast<std::uint64_t>(w));
-  qstats_.ticks_skipped += static_cast<std::uint64_t>(w);
-  ++qstats_.fast_forward_windows;
-  obs_ticks_skipped_.add(static_cast<std::uint64_t>(w));
-  obs_ff_windows_.add();
 }
 
 void CloudPlatform::finish_session(SessionId sid, TimeMs end) {
@@ -756,13 +606,11 @@ void CloudPlatform::begin(DurationMs duration_ms) {
   replenish_sources();
   try_admit_queue();
 
-  // The hardware tick chooses its own next delay: tick_ms normally,
-  // (w+1)·tick_ms after absorbing a quiescent window. Delays are always
-  // multiples of tick_ms, so firings stay on the tick grid.
-  hw_task_ = engine_.schedule_periodic_dyn(cfg_.tick_ms, [this](TimeMs t) {
-    const DurationMs next = hardware_tick();
-    return t < horizon_ ? next : 0;
-  });
+  hw_task_ = engine_.schedule_periodic(
+      cfg_.tick_ms, cfg_.tick_ms, [this](TimeMs t) {
+        hardware_tick();
+        return t < horizon_;
+      });
   ctl_task_ = engine_.schedule_periodic(
       cfg_.control_period_ms, cfg_.control_period_ms, [this](TimeMs t) {
         control_tick();
@@ -839,11 +687,6 @@ void CloudPlatform::hold_loading(SessionId sid, bool hold) {
   ActiveSession* as = sessions_.find(sid);
   if (as == nullptr) return;
   as->session->set_loading_hold(hold);
-  // A hold leaves the resolve inputs untouched (demand keeps being drawn),
-  // but every regulator action advances the epoch by policy — one spare
-  // re-resolve is cheaper than reasoning about the exception (see the
-  // invalidation table in docs/performance.md).
-  server_mut(as->server).bump_demand_epoch();
 }
 
 const game::GameSession& CloudPlatform::session_truth(SessionId sid) const {

@@ -91,8 +91,6 @@ RunOutcome run_scenario(const Scenario& sc, Session* session) {
   fcfg.runner = sc.runner;
   fcfg.policy = sc.policy;
   fcfg.seed = sc.seed;
-  fcfg.platform.incremental_resolve = sc.quiescence;
-  fcfg.platform.macro_ticks = sc.quiescence;
   fleet::Fleet sim(fcfg, [&](int) {
     return core::make_named_scheduler("cocg", bank, suite);
   });
@@ -146,7 +144,6 @@ void scenario_to_meta(const Scenario& sc, Schedule& schedule) {
   }
   schedule.set_meta("rate", rate.str());
   schedule.set_meta("seed", std::to_string(sc.seed));
-  schedule.set_meta("quiescence", sc.quiescence ? "1" : "0");
 }
 
 Scenario scenario_from_meta(const Schedule& schedule) {
@@ -171,10 +168,6 @@ Scenario scenario_from_meta(const Schedule& schedule) {
   sc.games = split_csv(require_meta(schedule, "games"));
   sc.arrivals_per_hour = std::stod(require_meta(schedule, "rate"));
   sc.seed = std::stoull(require_meta(schedule, "seed"));
-  // Optional: artifacts recorded before the quiescence engine carry no key
-  // and replay under the (default-on) engine.
-  const std::string q = schedule.meta_value("quiescence");
-  if (!q.empty()) sc.quiescence = q != "0";
   return sc;
 }
 

@@ -30,12 +30,6 @@ struct Scenario {
   std::vector<std::string> games = {"Contra", "CSGO"};
   double arrivals_per_hour = 600.0;  ///< per game stream
   std::uint64_t seed = 42;
-  /// Platform quiescence engine (incremental resolve + macro ticks). On by
-  /// default, matching PlatformConfig; off selects the always-resolve
-  /// per-tick oracle. Replaying one schedule under both settings must
-  /// produce byte-identical reports (tests/schedcheck enforces it). Old
-  /// artifacts without the meta key load as `true`.
-  bool quiescence = true;
 };
 
 /// Scenario ⇄ schedule meta (self-contained artifacts). from_meta throws

@@ -17,7 +17,6 @@ Engine::Engine()
 struct PeriodicTask::State {
   Engine* engine = nullptr;
   Engine::PeriodicFn fn;
-  Engine::DynPeriodicFn dyn_fn;  ///< set instead of fn for dyn tasks
   DurationMs period = 0;
   EventHandle pending;
   bool stopped = false;
@@ -71,37 +70,6 @@ PeriodicTask Engine::schedule_periodic(DurationMs first_delay,
   return PeriodicTask(state);
 }
 
-PeriodicTask Engine::schedule_periodic_dyn(DurationMs first_delay,
-                                           DynPeriodicFn fn) {
-  COCG_EXPECTS(first_delay >= 0);
-  auto state = std::make_shared<PeriodicTask::State>();
-  state->engine = this;
-  state->dyn_fn = std::move(fn);
-
-  // Same self-re-arming shape as schedule_periodic, but the callback chooses
-  // each next delay itself (0 = stop). The re-armed event gets a fresh heap
-  // sequence number, so a coincident event scheduled earlier (e.g. the
-  // control tick) keeps firing first — FIFO tie-break preserved.
-  struct Arm {
-    static void arm(const std::shared_ptr<PeriodicTask::State>& st,
-                    DurationMs delay) {
-      st->pending = st->engine->schedule_in(delay, [st] {
-        if (st->stopped) return;
-        ++st->engine->periodic_fires_;
-        st->engine->obs_periodic_.add();
-        const DurationMs next = st->dyn_fn(st->engine->now());
-        if (next > 0 && !st->stopped) {
-          arm(st, next);
-        } else {
-          st->stopped = true;
-        }
-      });
-    }
-  };
-  Arm::arm(state, first_delay);
-  return PeriodicTask(state);
-}
-
 void Engine::count_dispatch() {
   ++events_processed_;
   obs_dispatched_.add();
@@ -111,7 +79,6 @@ void Engine::count_dispatch() {
 TimeMs Engine::run_until(TimeMs until) {
   COCG_EXPECTS(until >= now_);
   stop_requested_ = false;
-  run_limit_ = until;  // visible to events via run_limit()
   while (!queue_.empty() && !stop_requested_) {
     if (queue_.next_time() > until) break;
     std::pair<TimeMs, EventFn> ev;
@@ -123,7 +90,6 @@ TimeMs Engine::run_until(TimeMs until) {
     ev.second();
     count_dispatch();
   }
-  run_limit_ = kTimeNever;
   if (now_ < until) now_ = until;
   return now_;
 }

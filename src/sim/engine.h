@@ -6,7 +6,6 @@
 // fully deterministic.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -59,14 +58,6 @@ class Engine {
   PeriodicTask schedule_periodic(DurationMs first_delay, DurationMs period,
                                  PeriodicFn fn);
 
-  /// Variable-period periodic task: `fn` receives the firing time and
-  /// returns the delay until its next occurrence, or 0 to stop. This is how
-  /// the quiescence-aware platform stretches its hardware tick across a
-  /// macro-tick window ((w+1)·tick_ms) and snaps back to tick_ms when the
-  /// fleet goes non-quiescent.
-  using DynPeriodicFn = std::function<DurationMs(TimeMs)>;
-  PeriodicTask schedule_periodic_dyn(DurationMs first_delay, DynPeriodicFn fn);
-
   bool cancel(EventHandle h) { return queue_.cancel(h); }
 
   /// Run until the queue is empty or `until` is reached (events at exactly
@@ -83,33 +74,12 @@ class Engine {
   std::uint64_t events_processed() const { return events_processed_; }
   std::uint64_t periodic_fires() const { return periodic_fires_; }
 
-  // --- quiescence support (macro-tick fast-forward) ---
-
-  /// Timestamp of the earliest pending event, or kTimeNever when idle.
-  TimeMs next_event_time() const {
-    return queue_.empty() ? kTimeNever : queue_.next_time();
-  }
-
-  /// The `until` bound of the run_until() currently executing on this
-  /// engine, or kTimeNever outside run_until (including run_all). Callers
-  /// that skip ahead (fast-forward) must not advance state past this: the
-  /// fleet's epoch barrier reads shard state at exactly this time.
-  TimeMs run_limit() const { return run_limit_; }
-
-  /// Earliest time anything is scheduled to happen: min of the next pending
-  /// event and the active run limit. A tick handler may advance internal
-  /// state analytically up to (but not across) this bound.
-  TimeMs next_interesting_time() const {
-    return std::min(next_event_time(), run_limit());
-  }
-
  private:
   friend class PeriodicTask;
   void count_dispatch();
 
   EventQueue queue_;
   TimeMs now_ = 0;
-  TimeMs run_limit_ = kTimeNever;
   bool stop_requested_ = false;
   std::uint64_t events_processed_ = 0;
   std::uint64_t periodic_fires_ = 0;

@@ -150,6 +150,76 @@ TEST(ProfileIo, RoundTripIsByteExact) {
   EXPECT_EQ(ss2.str(), text);
 }
 
+/// read_profile's diagnostic for `p`, or "" (with a test failure) when the
+/// profile loads.
+std::string rejection(const GameProfile& p) {
+  std::stringstream ss;
+  write_profile(p, ss);
+  try {
+    read_profile(ss);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "invalid profile accepted";
+  return "";
+}
+
+/// "line N" for the first serialized line of `p` that starts with `prefix`.
+std::string line_tag(const GameProfile& p, const std::string& prefix) {
+  std::stringstream ss;
+  write_profile(p, ss);
+  std::string l;
+  for (int n = 1; std::getline(ss, l); ++n) {
+    if (l.rfind(prefix, 0) == 0) return "line " + std::to_string(n) + ":";
+  }
+  ADD_FAILURE() << "no line starts with " << prefix;
+  return "";
+}
+
+TEST(ProfileIo, NegativeDemandRejectedNamingTheLine) {
+  const GameProfile good = sample_profile();
+  {
+    GameProfile p = good;
+    for (std::size_t d = 0; d < kNumDims; ++d) {
+      p.peak_demand.at(d) = -p.peak_demand.at(d);
+    }
+    EXPECT_NE(rejection(p).find(line_tag(p, "peak_demand ")),
+              std::string::npos);
+  }
+  ASSERT_FALSE(good.stage_types.empty());
+  {
+    GameProfile p = good;
+    p.stage_types[0].peak_demand.at(1) = -1.0;
+    EXPECT_NE(rejection(p).find(line_tag(p, "stage ")), std::string::npos);
+  }
+  {
+    GameProfile p = good;
+    p.stage_types[0].mean_demand.at(0) = -0.5;
+    EXPECT_NE(rejection(p).find("stage mean"), std::string::npos);
+  }
+}
+
+TEST(ProfileIo, BadStageDurationOrMemberRejected) {
+  const GameProfile good = sample_profile();
+  ASSERT_FALSE(good.stage_types.empty());
+  {
+    GameProfile p = good;
+    p.stage_types[0].mean_duration_ms = p.stage_types[0].max_duration_ms + 1;
+    EXPECT_NE(rejection(p).find(line_tag(p, "stage ")), std::string::npos);
+  }
+  {
+    GameProfile p = good;
+    p.stage_types[0].mean_duration_ms = -1000;
+    EXPECT_NE(rejection(p).find("non-negative"), std::string::npos);
+  }
+  {
+    GameProfile p = good;
+    p.stage_types[0].clusters.push_back(9999);
+    EXPECT_NE(rejection(p).find("names no declared cluster"),
+              std::string::npos);
+  }
+}
+
 TEST(ProfileIo, GameNameWithSpacesSurvives) {
   GameProfile p = sample_profile();
   p.game_name = "Devil May Cry";

@@ -97,9 +97,14 @@ TEST(ResolveServer, GpuContendsWithinDevice) {
   std::vector<PinnedDraw> draws;
   draws.push_back({draw(1, {10, 80, 100, 100}, spec.per_gpu_capacity()), 0});
   draws.push_back({draw(2, {10, 80, 100, 100}, spec.per_gpu_capacity()), 0});
+  // Same device, no GPU demand: the zero dimension is not a squeeze.
+  draws.push_back({draw(3, {10, 0, 100, 100}, spec.per_gpu_capacity()), 0});
   const auto out = resolve_server(spec, draws);
   EXPECT_DOUBLE_EQ(out[0].supplied.gpu(), 50.0);
   EXPECT_DOUBLE_EQ(out[1].supplied.gpu(), 50.0);
+  EXPECT_DOUBLE_EQ(out[0].satisfaction, 50.0 / 80.0);
+  EXPECT_DOUBLE_EQ(out[2].supplied.gpu(), 0.0);
+  EXPECT_EQ(out[2].satisfaction, 1.0);
 }
 
 TEST(ResolveServer, CpuPooledAcrossDevices) {
@@ -136,6 +141,14 @@ TEST_P(ResolveServerProp, NeverExceedsCapacity) {
                      i % spec.num_gpus});
   }
   const auto out = resolve_server(spec, draws);
+  // The allocation-free overload yields the same result (empty for n = 0).
+  ServerResolveScratch scratch;
+  const auto& reused = resolve_server(spec, draws, scratch);
+  ASSERT_EQ(reused.size(), out.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(reused[i].supplied, out[i].supplied);
+    EXPECT_EQ(reused[i].satisfaction, out[i].satisfaction);
+  }
   double cpu_total = 0, ram_total = 0;
   std::vector<double> gpu_total(static_cast<std::size_t>(spec.num_gpus), 0);
   for (std::size_t i = 0; i < out.size(); ++i) {
@@ -152,7 +165,7 @@ TEST_P(ResolveServerProp, NeverExceedsCapacity) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Counts, ResolveServerProp,
-                         ::testing::Values(1, 2, 3, 4, 6, 10));
+                         ::testing::Values(1, 2, 3, 4, 6, 10, 0));
 
 }  // namespace
 }  // namespace cocg::hw

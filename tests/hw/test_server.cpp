@@ -151,53 +151,6 @@ TEST(Server, SessionIdsSorted) {
   EXPECT_EQ(on0[0].value, 5u);
 }
 
-// The demand epoch is the platform resolve cache's invalidation key: every
-// successful placement mutation must advance it, and failed mutations must
-// not (a rejected place changes nothing a resolve could observe).
-TEST(ServerEpoch, SuccessfulMutationsBump) {
-  Server s(ServerId{0}, testbed());
-  const std::uint64_t e0 = s.demand_epoch();
-  ASSERT_TRUE(s.place(SessionId{1}, 0, {10, 20, 100, 100}));
-  const std::uint64_t e1 = s.demand_epoch();
-  EXPECT_GT(e1, e0);
-  ASSERT_TRUE(s.reallocate(SessionId{1}, {20, 30, 200, 200}));
-  const std::uint64_t e2 = s.demand_epoch();
-  EXPECT_GT(e2, e1);
-  ASSERT_TRUE(s.remove(SessionId{1}));
-  EXPECT_GT(s.demand_epoch(), e2);
-}
-
-TEST(ServerEpoch, FailedMutationsDoNotBump) {
-  Server s(ServerId{0}, testbed());
-  ASSERT_TRUE(s.place(SessionId{1}, 0, {10, 90, 100, 100}));
-  const std::uint64_t e = s.demand_epoch();
-  EXPECT_FALSE(s.place(SessionId{2}, 0, {10, 20, 100, 100}));  // won't fit
-  EXPECT_FALSE(s.reallocate(SessionId{1}, {10, 120, 100, 100}));
-  EXPECT_FALSE(s.reallocate(SessionId{9}, {1, 1, 1, 1}));  // unknown sid
-  EXPECT_FALSE(s.remove(SessionId{9}));
-  EXPECT_EQ(s.demand_epoch(), e);
-}
-
-TEST(ServerEpoch, PlaceBestGpuBumpsExactlyOnSuccess) {
-  Server s(ServerId{0}, testbed());
-  const std::uint64_t e0 = s.demand_epoch();
-  ASSERT_TRUE(s.place_best_gpu(SessionId{1}, {5, 95, 100, 100}).has_value());
-  ASSERT_TRUE(s.place_best_gpu(SessionId{2}, {5, 95, 100, 100}).has_value());
-  const std::uint64_t e2 = s.demand_epoch();
-  EXPECT_EQ(e2, e0 + 2);
-  EXPECT_FALSE(s.place_best_gpu(SessionId{3}, {5, 10, 100, 100}).has_value());
-  EXPECT_EQ(s.demand_epoch(), e2);
-}
-
-TEST(ServerEpoch, ExternalBumpAvailableForPolicyInvalidation) {
-  // hold_loading and similar regulator actions invalidate conservatively
-  // through the public bump; it must be monotone and cheap.
-  Server s(ServerId{0}, testbed());
-  const std::uint64_t e = s.demand_epoch();
-  s.bump_demand_epoch();
-  EXPECT_EQ(s.demand_epoch(), e + 1);
-}
-
 TEST(Server, RejectsNegativeAllocation) {
   Server s(ServerId{0}, testbed());
   EXPECT_THROW(s.place(SessionId{1}, 0, {-1, 0, 0, 0}), ContractError);

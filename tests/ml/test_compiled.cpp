@@ -49,17 +49,12 @@ void expect_bit_identical(const Legacy& legacy, const CompiledForest& c,
   std::vector<double> batch_proba(rows.size() * k);
   c.predict_batch(m, batch_labels);
   c.predict_proba_batch(m, batch_proba);
-  std::vector<int> simd_labels(rows.size());
-  std::vector<double> simd_proba(rows.size() * k);
-  c.predict_batch_simd(m, simd_labels);
-  c.predict_proba_batch_simd(m, simd_proba);
   std::vector<double> scalar(k, 0.0);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto want_proba = legacy.predict_proba(rows[i]);
     const int want_label = legacy.predict(rows[i]);
     EXPECT_EQ(c.predict(rows[i]), want_label) << "row " << i;
     EXPECT_EQ(batch_labels[i], want_label) << "row " << i;
-    EXPECT_EQ(simd_labels[i], want_label) << "row " << i;
     const auto got = c.predict_proba(rows[i]);
     ASSERT_EQ(got.size(), want_proba.size());
     c.predict_proba_into(m.row(i), scalar);
@@ -67,8 +62,6 @@ void expect_bit_identical(const Legacy& legacy, const CompiledForest& c,
       EXPECT_EQ(got[cl], want_proba[cl]) << "row " << i << " class " << cl;
       EXPECT_EQ(scalar[cl], want_proba[cl]) << "row " << i << " class " << cl;
       EXPECT_EQ(batch_proba[i * k + cl], want_proba[cl])
-          << "row " << i << " class " << cl;
-      EXPECT_EQ(simd_proba[i * k + cl], want_proba[cl])
           << "row " << i << " class " << cl;
     }
   }
@@ -113,34 +106,6 @@ TEST_P(CompiledParity, GbdtBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CompiledParity,
                          ::testing::Values(11u, 222u, 3333u, 44444u));
-
-// The lane-blocked walk must handle every remainder shape: fewer rows
-// than a lane block, one row, and counts straddling block boundaries.
-TEST(CompiledSimd, RemainderLanesMatchSerialBatch) {
-  Rng rng(321);
-  const Dataset d = blobs(rng);
-  RandomForestClassifier rf;
-  Rng fit(322);
-  rf.fit(d, fit);
-  const CompiledForest c = CompiledForest::compile(rf);
-  const auto k = static_cast<std::size_t>(c.num_classes());
-  for (std::size_t n :
-       {std::size_t{1}, std::size_t{3}, CompiledForest::kLaneWidth - 1,
-        CompiledForest::kLaneWidth, CompiledForest::kLaneWidth + 1,
-        std::size_t{41}}) {
-    const FeatureMatrix m = FeatureMatrix::from_rows(probe_rows(rng, n));
-    std::vector<int> want(n), got(n);
-    c.predict_batch(m, want);
-    c.predict_batch_simd(m, got);
-    EXPECT_EQ(want, got) << n;
-    std::vector<double> want_p(n * k), got_p(n * k);
-    c.predict_proba_batch(m, want_p);
-    c.predict_proba_batch_simd(m, got_p);
-    for (std::size_t i = 0; i < n * k; ++i) {
-      EXPECT_EQ(want_p[i], got_p[i]) << "n " << n << " slot " << i;
-    }
-  }
-}
 
 TEST(FeatureMatrix, RowsAreContiguousViews) {
   FeatureMatrix m(3, 2);

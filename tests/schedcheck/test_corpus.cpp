@@ -1,7 +1,8 @@
 // Seeded regression corpus: every .sched artifact under
 // tests/schedcheck/corpus replays in-process and must reproduce the
 // outcome its meta declares. Conventions (see corpus/README.md):
-//   meta expect clean            — replay must finish without violations
+//   meta expect clean            — strict replay must finish without
+//                                  violations or divergences
 //   meta expect <invariant>      — replay must abort on that invariant
 //   meta fault double_host_window — arm the planted fault for this replay
 // The corpus dir is baked in at compile time (COCG_SCHEDCHECK_CORPUS_DIR)
@@ -53,48 +54,23 @@ TEST(SchedCorpus, EveryArtifactReproducesItsDeclaredOutcome) {
       ASSERT_TRUE(fault_name.empty()) << "unknown fault " << fault_name;
     }
 
+    // Clean artifacts are full recordings: they must replay strictly,
+    // every decision forced and none diverging.
+    const bool clean = expect == "clean";
     const Scenario sc = scenario_from_meta(schedule);
-    const RunOutcome out = replay_run(sc, schedule);
+    const RunOutcome out = replay_run(sc, schedule, /*strict=*/clean);
     set_fault(Fault::kNone);
 
-    if (expect == "clean") {
+    if (clean) {
       EXPECT_FALSE(out.aborted) << describe(out.violations);
+      EXPECT_EQ(out.stats.forced, out.stats.decisions);
+      EXPECT_EQ(out.stats.divergences, 0u);
     } else {
       ASSERT_TRUE(out.aborted) << "expected invariant " << expect;
       ASSERT_FALSE(out.violations.empty());
       EXPECT_EQ(out.violations.front().invariant, expect)
           << describe(out.violations);
     }
-  }
-}
-
-// Quiescence engine vs oracle on a pinned schedule: strict replay of the
-// clean corpus artifacts must force every decision and produce the same
-// fleet report whether the platform runs the incremental-resolve +
-// macro-tick engine or the always-resolve per-tick oracle.
-TEST(SchedCorpus, CleanArtifactsReplayIdenticallyUnderQuiescenceAndOracle) {
-  namespace fs = std::filesystem;
-  const std::string dir = corpus_dir();
-  for (const char* name : {"lockstep_clean.sched", "steal_clean.sched"}) {
-    SCOPED_TRACE(name);
-    const fs::path path = fs::path(dir) / name;
-    ASSERT_TRUE(fs::exists(path)) << path;
-    const Schedule schedule = load_schedule(path.string());
-
-    Scenario quiesce = scenario_from_meta(schedule);
-    quiesce.quiescence = true;
-    Scenario oracle = quiesce;
-    oracle.quiescence = false;
-
-    const RunOutcome fast = replay_run(quiesce, schedule, /*strict=*/true);
-    const RunOutcome slow = replay_run(oracle, schedule, /*strict=*/true);
-    ASSERT_FALSE(fast.aborted) << describe(fast.violations);
-    ASSERT_FALSE(slow.aborted) << describe(slow.violations);
-    EXPECT_EQ(fast.report, slow.report);
-    EXPECT_EQ(fast.stats.forced, fast.stats.decisions);
-    EXPECT_EQ(slow.stats.forced, slow.stats.decisions);
-    EXPECT_EQ(fast.stats.divergences, 0u);
-    EXPECT_EQ(slow.stats.divergences, 0u);
   }
 }
 

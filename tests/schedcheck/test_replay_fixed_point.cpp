@@ -94,6 +94,9 @@ TEST(ReplayScenarioMeta, RoundTripsThroughScheduleMeta) {
   Schedule s;
   s.streams.resize(4);
   scenario_to_meta(sc, s);
+  // Keys this build does not read (here the removed tick-engine switch
+  // that older artifacts carry) are ignored, not rejected.
+  s.set_meta("quiescence", "0");
   const Scenario back = scenario_from_meta(s);
   EXPECT_EQ(back.shards, sc.shards);
   EXPECT_EQ(back.threads, sc.threads);

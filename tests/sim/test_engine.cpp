@@ -159,100 +159,5 @@ TEST(Engine, InterleavedPeriodicsDeterministic) {
   EXPECT_EQ(log, expect);
 }
 
-TEST(Engine, DynPeriodicVariableDelays) {
-  Engine e;
-  std::vector<TimeMs> fired;
-  // Stretch the period each firing: 10, then +20, then +40, then stop.
-  e.schedule_periodic_dyn(10, [&](TimeMs t) -> DurationMs {
-    fired.push_back(t);
-    if (fired.size() == 1) return 20;
-    if (fired.size() == 2) return 40;
-    return 0;
-  });
-  e.run_all();
-  EXPECT_EQ(fired, (std::vector<TimeMs>{10, 30, 70}));
-}
-
-TEST(Engine, DynPeriodicStopHandle) {
-  Engine e;
-  int count = 0;
-  auto task = e.schedule_periodic_dyn(5, [&](TimeMs) -> DurationMs {
-    ++count;
-    return 5;
-  });
-  e.run_until(20);
-  EXPECT_EQ(count, 4);
-  EXPECT_TRUE(task.active());
-  task.stop();
-  EXPECT_FALSE(task.active());
-  e.run_until(100);
-  EXPECT_EQ(count, 4);
-}
-
-TEST(Engine, DynPeriodicCountsAsPeriodicFires) {
-  Engine e;
-  e.schedule_periodic_dyn(1, [&](TimeMs t) -> DurationMs {
-    return t < 3 ? 1 : 0;
-  });
-  e.run_all();
-  EXPECT_EQ(e.periodic_fires(), 3u);
-}
-
-TEST(Engine, DynPeriodicKeepsFifoOrderAgainstFixedTask) {
-  // A dyn task that re-arms onto the same timestamps as schedule_periodic
-  // must preserve the re-arm-order FIFO tie-break the fixed tasks get —
-  // the platform relies on this for its ctl-before-hw coincidence order.
-  Engine e;
-  std::vector<std::pair<TimeMs, char>> log;
-  e.schedule_periodic(2, 2, [&](TimeMs t) {
-    log.push_back({t, 'a'});
-    return t < 8;
-  });
-  e.schedule_periodic_dyn(3, [&](TimeMs t) -> DurationMs {
-    log.push_back({t, 'b'});
-    return t < 9 ? 3 : 0;
-  });
-  e.run_all();
-  const std::vector<std::pair<TimeMs, char>> expect{
-      {2, 'a'}, {3, 'b'}, {4, 'a'}, {6, 'b'}, {6, 'a'},
-      {8, 'a'}, {9, 'b'}};
-  EXPECT_EQ(log, expect);
-}
-
-TEST(Engine, NextEventTimeTracksQueue) {
-  Engine e;
-  EXPECT_EQ(e.next_event_time(), kTimeNever);
-  e.schedule_at(40, [] {});
-  e.schedule_at(25, [] {});
-  EXPECT_EQ(e.next_event_time(), 25);
-  e.run_all();
-  EXPECT_EQ(e.next_event_time(), kTimeNever);
-}
-
-TEST(Engine, RunLimitVisibleOnlyDuringRunUntil) {
-  Engine e;
-  EXPECT_EQ(e.run_limit(), kTimeNever);
-  TimeMs seen = 0;
-  e.schedule_at(10, [&] { seen = e.run_limit(); });
-  e.run_until(500);
-  EXPECT_EQ(seen, 500);
-  EXPECT_EQ(e.run_limit(), kTimeNever);  // cleared on return
-  // run_all leaves the limit unset.
-  e.schedule_at(600, [&] { seen = e.run_limit(); });
-  e.run_all();
-  EXPECT_EQ(seen, kTimeNever);
-}
-
-TEST(Engine, NextInterestingTimeIsMinOfEventAndLimit) {
-  Engine e;
-  std::vector<TimeMs> seen;
-  e.schedule_at(10, [&] { seen.push_back(e.next_interesting_time()); });
-  e.schedule_at(30, [&] { seen.push_back(e.next_interesting_time()); });
-  e.run_until(100);
-  // At t=10 the next event (30) is nearer than the limit; at t=30 the
-  // queue is empty so the limit (100) bounds.
-  EXPECT_EQ(seen, (std::vector<TimeMs>{30, 100}));
-}
-
 }  // namespace
 }  // namespace cocg::sim
