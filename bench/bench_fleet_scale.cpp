@@ -3,7 +3,7 @@
 // Runs the same open-loop workload (fixed total server count, fixed
 // per-game Poisson arrival stream) on K ∈ {1, 2, 4, 8} shards with
 // threads = K and compares wall-clock simulation speed. Sharding wins
-// twice: shard event loops run concurrently on the EpochPool, and each
+// twice: shard event loops run concurrently on the ShardExecutor, and each
 // shard's CoCG admission pass scans a K× smaller cluster against a K×
 // smaller queue (the distributor's per-request cost is O(servers ×
 // hosted sessions), so splitting the cluster shrinks total scheduler
@@ -15,12 +15,13 @@
 // per wall-second, speedup vs. the 1-shard baseline, and fleet results)
 // for the perf trajectory. Acceptance target: ≥ 2.5× simulated-time
 // throughput speedup at 4 shards / 4 threads vs. 1 shard.
-// A second section compares execution runners (lockstep barriers vs the
-// work-stealing ShardExecutor) on a rotating-skew workload: a synthetic
-// trace with recorded router verdicts sends each burst of arrivals to a
-// different shard, so every epoch has one hot shard and the hot shard
-// keeps moving. Lockstep pays sum-over-epochs of the *slowest* shard
-// (the barrier waits for the laggard every epoch); the steal runner
+// A second section compares the ShardExecutor's two sync policies
+// (lockstep: drain before every epoch; steal: run ahead) on a
+// rotating-skew workload: a synthetic trace with recorded router verdicts
+// sends each burst of arrivals to a different shard, so every epoch has
+// one hot shard and the hot shard keeps moving. Lockstep pays
+// sum-over-epochs of the *slowest* shard (the per-epoch drain waits for
+// the laggard); the steal runner
 // routes the whole horizon ahead (recorded verdicts need no load
 // snapshots) and overlaps different shards' epoch chains, paying only
 // the longest per-shard chain. Reports must stay byte-identical; the

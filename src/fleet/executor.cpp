@@ -1,11 +1,11 @@
 #include "fleet/executor.h"
 
 #include <chrono>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "common/check.h"
-#include "fleet/runner.h"
 
 namespace cocg::fleet {
 
@@ -16,6 +16,21 @@ std::uint64_t wall_ns() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+/// Rethrow a captured job error as "epoch job <idx> (shard <s>): <what>";
+/// non-std::exception payloads become "... : unknown exception".
+[[noreturn]] void rethrow_job_error(const std::exception_ptr& err,
+                                    std::size_t job_index, int shard) {
+  const std::string prefix = "epoch job " + std::to_string(job_index) +
+                             " (shard " + std::to_string(shard) + "): ";
+  try {
+    std::rethrow_exception(err);
+  } catch (const std::exception& e) {
+    throw std::runtime_error(prefix + e.what());
+  } catch (...) {
+    throw std::runtime_error(prefix + "unknown exception");
+  }
 }
 
 }  // namespace
@@ -132,6 +147,7 @@ void ShardExecutor::worker_loop(int worker) {
     if (err && (error_ == nullptr || idx < first_error_idx_)) {
       error_ = err;
       first_error_idx_ = idx;
+      first_error_shard_ = shard;
     }
     ++done_;
     // Freeing this shard (or having popped its queue) may make another
@@ -146,35 +162,9 @@ void ShardExecutor::drain() {
   done_cv_.wait(lk, [&] { return done_ == submitted_; });
   if (error_ != nullptr) {
     std::exception_ptr err = error_;
-    const std::size_t idx = first_error_idx_;
     error_ = nullptr;
-    rethrow_job_error(err, idx);
+    rethrow_job_error(err, first_error_idx_, first_error_shard_);
   }
-}
-
-std::uint64_t ShardExecutor::jobs_run() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return jobs_run_;
-}
-
-std::uint64_t ShardExecutor::steals() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return steals_;
-}
-
-std::uint64_t ShardExecutor::steal_ns() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return steal_ns_;
-}
-
-std::uint64_t ShardExecutor::idle_waits() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return idle_waits_;
-}
-
-std::uint64_t ShardExecutor::idle_ns() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return idle_ns_;
 }
 
 ShardExecutor::Counters ShardExecutor::snapshot() const {

@@ -1,26 +1,26 @@
-// ShardExecutor — post-lockstep shard scheduling with work stealing.
+// ShardExecutor — the fleet's one shard runner.
 //
-// The lockstep EpochPool advances every shard exactly one control period
-// per run() call and meets at a barrier, so the slowest shard of each
-// epoch stalls the whole fleet. The ShardExecutor removes the structural
-// barrier: each shard owns a private FIFO queue of epoch jobs, and the
-// fleet coordinator may enqueue many epochs ahead whenever the routing
-// data dependency allows it (see fleet.cpp). Workers prefer their home
-// shards (shard % threads == worker) and, when those queues are empty,
-// steal the *whole next epoch* of the laggard shard — the runnable shard
-// with the deepest backlog — so a slow shard is driven by every idle
-// worker in turn instead of stalling them.
+// Each shard owns a private FIFO queue of epoch jobs. The fleet
+// coordinator enqueues one job per shard per control period and drains
+// the executor (a sync) wherever it needs every shard at the same
+// boundary: before every epoch under the lockstep policy, and only on a
+// real cross-shard data dependency under the run-ahead steal policy (see
+// Fleet::run). Workers prefer their home shards (shard % threads ==
+// worker) and, when those queues are empty, steal the *whole next epoch*
+// of the laggard shard — the runnable shard with the deepest backlog — so
+// a slow shard is driven by every idle worker in turn instead of stalling
+// them.
 //
 // Determinism contract: a shard's jobs execute in submission order and
 // never concurrently with each other (thread confinement), so per-shard
 // state evolves exactly as it would single-threaded; which worker runs a
-// job affects wall clock only. The fleet's steal runner therefore
-// produces byte-identical reports to lockstep (tests/fleet enforces
-// this at 1, 2 and 8 threads).
+// job affects wall clock only. Both runner policies therefore produce
+// byte-identical reports at any thread count (tests/fleet enforces this
+// at 1, 2 and 8 threads).
 //
-// Error handling matches EpochPool: every submitted job still runs, the
-// first failure by submission index is rethrown from drain() with the
-// job's index in the message.
+// Error handling: every submitted job still runs, and drain() rethrows
+// the first failure by submission index as
+// "epoch job <idx> (shard <s>): <what>".
 #pragma once
 
 #include <condition_variable>
@@ -37,8 +37,9 @@
 
 namespace cocg::fleet {
 
-/// Which execution model Fleet::run uses. Lockstep is the bitwise
-/// reference; steal must reproduce its reports exactly.
+/// Which sync policy Fleet::run drives the executor with. Lockstep drains
+/// before every epoch (the reference schedule); steal routes ahead and
+/// drains only on a cross-shard dependency. Reports are identical.
 enum class RunnerKind { kLockstep, kSteal };
 
 const char* runner_kind_name(RunnerKind kind);
@@ -47,10 +48,9 @@ bool parse_runner_kind(const std::string& name, RunnerKind& out);
 
 class ShardExecutor {
  public:
-  /// Spawns `threads` worker threads serving `shards` queues. Unlike
-  /// EpochPool the caller never claims jobs: the coordinator keeps
-  /// routing future epochs while workers execute, which is where the
-  /// post-lockstep overlap comes from.
+  /// Spawns `threads` worker threads serving `shards` queues. The caller
+  /// never claims jobs: the coordinator keeps routing future epochs while
+  /// workers execute, which is where the run-ahead overlap comes from.
   ShardExecutor(int threads, int shards);
   ~ShardExecutor();
 
@@ -65,26 +65,20 @@ class ShardExecutor {
   void submit(int shard, std::function<void()> job);
 
   /// Block until every submitted job has finished. Rethrows the first
-  /// error by submission index (wrapped with the job index). Safe to
-  /// call repeatedly; submit() may be called again afterwards.
+  /// error by submission index, wrapped with the job index and its shard.
+  /// Returns at once when nothing is pending. Safe to call repeatedly;
+  /// submit() may be called again afterwards.
   void drain();
 
-  // --- wall-clock diagnostics (stable only after drain()) ---
-  std::uint64_t jobs_run() const;
-  /// Jobs executed by a worker other than the shard's home worker.
-  std::uint64_t steals() const;
-  std::uint64_t steal_ns() const;  ///< wall time inside stolen jobs
-  std::uint64_t idle_waits() const;
-  std::uint64_t idle_ns() const;   ///< wall time workers spent blocked
-
-  /// All diagnostics in one lock acquisition — the mid-run health
-  /// heartbeat reads this at sync points (quiescent after drain()).
+  /// Wall-clock diagnostics, read in one lock acquisition (stable only
+  /// after drain()).
   struct Counters {
     std::uint64_t jobs_run = 0;
+    /// Jobs executed by a worker other than the shard's home worker.
     std::uint64_t steals = 0;
-    std::uint64_t steal_ns = 0;
+    std::uint64_t steal_ns = 0;    ///< wall time inside stolen jobs
     std::uint64_t idle_waits = 0;
-    std::uint64_t idle_ns = 0;
+    std::uint64_t idle_ns = 0;     ///< wall time workers spent blocked
   };
   Counters snapshot() const;
 
@@ -109,6 +103,7 @@ class ShardExecutor {
   std::size_t submitted_ = 0;
   std::size_t done_ = 0;
   std::size_t first_error_idx_ = 0;
+  int first_error_shard_ = 0;
   std::exception_ptr error_;
   bool shutdown_ = false;
 

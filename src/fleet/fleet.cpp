@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "common/check.h"
-#include "fleet/runner.h"
 #include "obs/json.h"
 
 namespace cocg::fleet {
@@ -169,7 +168,7 @@ void Fleet::drain_sources(TimeMs t0, TimeMs t1) {
                    });
 }
 
-void Fleet::route_epoch(std::vector<std::vector<StagedRequest>>* staging) {
+void Fleet::route_epoch() {
   for (const auto& a : epoch_arrivals_) {
     int shard = 0;
     if (a.shard >= 0 && a.shard < num_shards()) {
@@ -190,19 +189,13 @@ void Fleet::route_epoch(std::vector<std::vector<StagedRequest>>* staging) {
           [&] { return router_.route(loads_, a.region); }, &forced);
       if (forced) router_.account(loads_, shard);
     }
-    auto& s = shards_[static_cast<std::size_t>(shard)];
     platform::RequestMeta meta;
     meta.region = a.region;
     meta.profile = static_cast<std::uint8_t>(a.profile);
     meta.expected_session_ms = a.expected_session_ms;
-    if (staging == nullptr) {
-      s.platform->schedule_request(a.spec, a.script_idx, a.player_id, a.at,
-                                   meta);
-    } else {
-      (*staging)[static_cast<std::size_t>(shard)].push_back(
-          StagedRequest{a.spec, a.script_idx, a.player_id, a.at, meta});
-    }
-    ++s.routed;
+    staged_[static_cast<std::size_t>(shard)].push_back(
+        StagedRequest{a.spec, a.script_idx, a.player_id, a.at, meta});
+    ++shards_[static_cast<std::size_t>(shard)].routed;
     ++arrivals_;
     if (a.region >= region_routed_.size()) {
       region_routed_.resize(a.region + 1, 0);
@@ -271,8 +264,27 @@ void Fleet::write_health_snapshot_now(TimeMs t) {
   obs::write_health_snapshot(snap, *health_os_);
   health_prev_t_ = t;
   health_prev_arrivals_ = arrivals_;
+  if (health_period_ms_ > 0) {
+    while (health_next_due_ <= t) health_next_due_ += health_period_ms_;
+  }
 }
 
+// One epoch loop for both runners. Each shard owns a FIFO of epoch jobs
+// on the ShardExecutor, and the coordinator syncs — drains it, so every
+// shard is exactly at time t — only where the runner policy asks:
+//  * lockstep syncs before every epoch after the first, so every shard
+//    meets at each boundary (the reference schedule);
+//  * steal runs ahead. Round-robin routing and recorded-verdict replay
+//    never read the load snapshots, so the coordinator routes whole epochs
+//    ahead and a slow shard no longer stalls the rest; load-based policies
+//    (ll/p2c/region) force a sync before any epoch that routes a fresh
+//    arrival, so in the worst case the schedule degenerates to lockstep's;
+//  * a due health snapshot forces a sync under either policy (snapshots
+//    are defined with all shards at the boundary).
+// Routed arrivals are injected inside the shard's epoch job, so engine
+// state stays thread-confined: the job runs after the shard reached the
+// window's start and schedules the same requests in the same order
+// whatever the policy, thread count or worker.
 void Fleet::run(DurationMs duration_ms) {
   COCG_EXPECTS(duration_ms > 0);
   COCG_EXPECTS_MSG(!ran_, "Fleet::run is one-shot");
@@ -292,78 +304,12 @@ void Fleet::run(DurationMs duration_ms) {
   health_prev_t_ = 0;
   health_prev_arrivals_ = 0;
 
-  if (cfg_.runner == RunnerKind::kSteal) {
-    run_steal(duration_ms);
-  } else {
-    run_lockstep(duration_ms);
-  }
-
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    auto& s = shards_[i];
-    obs::ScopedDomain sd(*s.domain);
-    schedcheck::ScopedStream ss(sched_session_, static_cast<int>(i) + 1,
-                                &shard_clock, s.platform.get());
-    s.platform->finish();
-  }
-}
-
-void Fleet::run_lockstep(DurationMs duration_ms) {
-  EpochPool pool(cfg_.threads);
-  std::vector<std::function<void()>> jobs(shards_.size());
-  const DurationMs epoch = cfg_.platform.control_period_ms;
-  schedcheck::ScopedStream coord(sched_session_,
-                                 schedcheck::Session::kCoordinatorStream,
-                                 &coord_clock, &sched_now_);
-  TimeMs t = 0;
-  while (t < duration_ms) {
-    const TimeMs t1 = std::min<TimeMs>(t + epoch, duration_ms);
-    sched_now_ = t;
-    // Routing first: every cross-shard input for this epoch is fixed
-    // before any shard advances, so thread scheduling cannot influence
-    // results.
-    drain_sources(t, t1);
-    route_epoch(nullptr);
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      Shard& s = shards_[i];
-      jobs[i] = [&s, t1, this, i] {
-        obs::ScopedDomain sd(*s.domain);
-        schedcheck::ScopedStream ss(sched_session_, static_cast<int>(i) + 1,
-                                    &shard_clock, s.platform.get());
-        s.platform->advance_until(t1);
-      };
-    }
-    {
-      obs::StageScope barrier_scope(prof_barrier_);
-      pool.run(jobs);
-    }
-    t = t1;
-    refresh_loads();  // barrier snapshot for the next epoch's routing
-    if (barrier_hook_) barrier_hook_(t);
-    if (health_os_ != nullptr && t >= health_next_due_) {
-      write_health_snapshot_now(t);
-      if (health_period_ms_ > 0) {
-        while (health_next_due_ <= t) health_next_due_ += health_period_ms_;
-      }
-    }
-  }
-}
-
-// The steal runner removes the structural barrier: shards sync only where
-// a real data dependency exists. Round-robin routing and recorded-verdict
-// replay never read the load snapshots, so the coordinator can route
-// whole epochs ahead and keep every shard's queue full — a slow shard no
-// longer stalls the rest. Load-based policies (ll/p2c/region) force a
-// drain before any epoch that routes a fresh arrival, and a due health
-// snapshot forces one too (snapshots are defined with all shards at the
-// boundary); in the worst case the schedule degenerates to lockstep's.
-// Arrival injection happens inside the shard's epoch job so engine state
-// stays thread-confined and bitwise identical to lockstep (the job runs
-// after the shard reached the window's start, exactly where the lockstep
-// coordinator would have scheduled the same requests in the same order).
-void Fleet::run_steal(DurationMs duration_ms) {
+  const bool lockstep = cfg_.runner == RunnerKind::kLockstep;
   ShardExecutor exec(cfg_.threads, num_shards());
   exec_stats_ = ExecutorStats{};
-  live_exec_ = &exec;
+  // Executor telemetry (stats, the health `executor` block, wall-mode
+  // profiler rows) is run-ahead-only: lockstep outputs keep their schema.
+  live_exec_ = lockstep ? nullptr : &exec;
   // The hook may throw (invariant violation aborts the run) — never leave
   // a dangling executor pointer behind.
   struct LiveExecReset {
@@ -373,106 +319,112 @@ void Fleet::run_steal(DurationMs duration_ms) {
   staged_.assign(shards_.size(), {});
   const DurationMs epoch = cfg_.platform.control_period_ms;
   const bool loads_free = cfg_.policy == RouterPolicy::kRoundRobin;
-  schedcheck::ScopedStream coord(sched_session_,
-                                 schedcheck::Session::kCoordinatorStream,
-                                 &coord_clock, &sched_now_);
-  TimeMs t = 0;
-  bool synced = true;  // loads_ reflect every shard at time t right now
-  while (t < duration_ms) {
-    const TimeMs t1 = std::min<TimeMs>(t + epoch, duration_ms);
-    sched_now_ = t;
-    drain_sources(t, t1);
-    bool needs_loads = false;
-    if (!loads_free) {
-      for (const auto& a : epoch_arrivals_) {
-        if (!(a.shard >= 0 && a.shard < num_shards())) {
-          needs_loads = true;  // fresh routing under a load-based policy
-          break;
-        }
-      }
+  const auto sync_at = [&](TimeMs t, bool health_due) {
+    {
+      obs::StageScope barrier_scope(prof_barrier_);
+      exec.drain();  // every shard is now exactly at time t
     }
-    const bool health_due =
-        health_os_ != nullptr && t > 0 && t >= health_next_due_;
-    // Schedule point: the run-ahead sync. Forcing 0 where the natural run
-    // would drain routes this epoch on stale load snapshots (shard epoch
-    // skew); forcing 1 inserts an extra rendezvous.
-    const bool natural_sync = (needs_loads && !synced) || health_due;
-    const bool sync = schedcheck::decide(schedcheck::Point::kExecutorSync, 2,
-                                         natural_sync ? 1 : 0) != 0;
-    if (sync) {
-      ++exec_stats_.syncs;
-      {
-        obs::StageScope barrier_scope(prof_barrier_);
-        exec.drain();  // every shard is now exactly at time t
-      }
-      refresh_loads();
-      synced = true;
-      if (barrier_hook_) barrier_hook_(t);
-      if (health_due) {
-        write_health_snapshot_now(t);
-        if (health_period_ms_ > 0) {
-          while (health_next_due_ <= t) health_next_due_ += health_period_ms_;
-        }
-      }
-    }
-    route_epoch(&staged_);
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      Shard& s = shards_[i];
-      exec.submit(static_cast<int>(i),
-                  [&s, t1, this, i, staged = std::move(staged_[i])] {
-                    obs::ScopedDomain sd(*s.domain);
-                    schedcheck::ScopedStream ss(sched_session_,
-                                                static_cast<int>(i) + 1,
-                                                &shard_clock,
-                                                s.platform.get());
-                    for (const auto& r : staged) {
-                      s.platform->schedule_request(r.spec, r.script_idx,
-                                                   r.player_id, r.at, r.meta);
-                    }
-                    s.platform->advance_until(t1);
-                  });
-      staged_[i].clear();
-    }
-    synced = false;
-    t = t1;
-  }
+    refresh_loads();
+    if (barrier_hook_) barrier_hook_(t);
+    if (health_due) write_health_snapshot_now(t);
+  };
   {
-    obs::StageScope barrier_scope(prof_barrier_);
-    exec.drain();
+    schedcheck::ScopedStream coord(sched_session_,
+                                   schedcheck::Session::kCoordinatorStream,
+                                   &coord_clock, &sched_now_);
+    TimeMs t = 0;
+    bool synced = true;  // loads_ reflect every shard at time t right now
+    while (t < duration_ms) {
+      const TimeMs t1 = std::min<TimeMs>(t + epoch, duration_ms);
+      sched_now_ = t;
+      drain_sources(t, t1);
+      bool needs_loads = false;
+      if (!loads_free) {
+        for (const auto& a : epoch_arrivals_) {
+          if (!(a.shard >= 0 && a.shard < num_shards())) {
+            needs_loads = true;  // fresh routing under a load-based policy
+            break;
+          }
+        }
+      }
+      const bool health_due =
+          health_os_ != nullptr && t > 0 && t >= health_next_due_;
+      const bool natural_sync =
+          (!synced && (lockstep || needs_loads)) || health_due;
+      // Schedule point (run-ahead only): forcing 0 where the natural run
+      // would drain routes this epoch on stale load snapshots (shard epoch
+      // skew); forcing 1 inserts an extra rendezvous.
+      const bool sync =
+          lockstep ? natural_sync
+                   : schedcheck::decide(schedcheck::Point::kExecutorSync, 2,
+                                        natural_sync ? 1 : 0) != 0;
+      if (sync) {
+        if (!lockstep) ++exec_stats_.syncs;
+        sync_at(t, health_due);
+        synced = true;
+      }
+      route_epoch();
+      for (std::size_t i = 0; i < shards_.size(); ++i) {
+        Shard& s = shards_[i];
+        exec.submit(static_cast<int>(i),
+                    [&s, t1, this, i, staged = std::move(staged_[i])] {
+                      obs::ScopedDomain sd(*s.domain);
+                      schedcheck::ScopedStream ss(sched_session_,
+                                                  static_cast<int>(i) + 1,
+                                                  &shard_clock,
+                                                  s.platform.get());
+                      for (const auto& r : staged) {
+                        s.platform->schedule_request(r.spec, r.script_idx,
+                                                     r.player_id, r.at,
+                                                     r.meta);
+                      }
+                      s.platform->advance_until(t1);
+                    });
+        staged_[i].clear();
+      }
+      synced = false;
+      t = t1;
+    }
+    sync_at(t, health_os_ != nullptr && t >= health_next_due_);
   }
-  refresh_loads();
-  if (barrier_hook_) barrier_hook_(t);
-  if (health_os_ != nullptr && t >= health_next_due_) {
-    write_health_snapshot_now(t);
-    if (health_period_ms_ > 0) {
-      while (health_next_due_ <= t) health_next_due_ += health_period_ms_;
+
+  if (!lockstep) {
+    const auto c = exec.snapshot();
+    exec_stats_.jobs_run = c.jobs_run;
+    exec_stats_.steals = c.steals;
+    exec_stats_.steal_ns = c.steal_ns;
+    exec_stats_.idle_waits = c.idle_waits;
+    exec_stats_.idle_ns = c.idle_ns;
+    // Steals are wall-class schedule points: thread confinement means the
+    // victim choice cannot affect results, so they are counted, never
+    // recorded or forced (docs/schedcheck.md).
+    if (sched_session_ != nullptr) {
+      sched_session_->note_wall_points(exec_stats_.steals);
+    }
+    // Executor schedule costs feed the coordinator profiler in wall-clock
+    // mode only: deterministic-mode stage costs must stay a pure function
+    // of the call sequence (thread-count invariant), which wall-clock
+    // steal/idle times are not.
+    if (obs::profiling_enabled() &&
+        obs::profiler_clock_mode() == obs::ProfilerClockMode::kWall) {
+      obs::StageProfile p{};
+      auto& steal_row =
+          p[static_cast<std::size_t>(obs::Stage::kExecutorSteal)];
+      steal_row.calls = exec_stats_.steals;
+      steal_row.total_ns = exec_stats_.steal_ns;
+      auto& idle_row = p[static_cast<std::size_t>(obs::Stage::kExecutorIdle)];
+      idle_row.calls = exec_stats_.idle_waits;
+      idle_row.total_ns = exec_stats_.idle_ns;
+      coord_prof_.merge_from(p);
     }
   }
-  exec_stats_.jobs_run = exec.jobs_run();
-  exec_stats_.steals = exec.steals();
-  exec_stats_.steal_ns = exec.steal_ns();
-  exec_stats_.idle_waits = exec.idle_waits();
-  exec_stats_.idle_ns = exec.idle_ns();
-  // Steals are wall-class schedule points: thread confinement means the
-  // victim choice cannot affect results, so they are counted, never
-  // recorded or forced (docs/schedcheck.md).
-  if (sched_session_ != nullptr) {
-    sched_session_->note_wall_points(exec_stats_.steals);
-  }
-  // Executor schedule costs feed the coordinator profiler in wall-clock
-  // mode only: deterministic-mode stage costs must stay a pure function
-  // of the call sequence (thread-count invariant), which wall-clock
-  // steal/idle times are not.
-  if (obs::profiling_enabled() &&
-      obs::profiler_clock_mode() == obs::ProfilerClockMode::kWall) {
-    obs::StageProfile p{};
-    auto& steal_row = p[static_cast<std::size_t>(obs::Stage::kExecutorSteal)];
-    steal_row.calls = exec_stats_.steals;
-    steal_row.total_ns = exec_stats_.steal_ns;
-    auto& idle_row = p[static_cast<std::size_t>(obs::Stage::kExecutorIdle)];
-    idle_row.calls = exec_stats_.idle_waits;
-    idle_row.total_ns = exec_stats_.idle_ns;
-    coord_prof_.merge_from(p);
+
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    auto& s = shards_[i];
+    obs::ScopedDomain sd(*s.domain);
+    schedcheck::ScopedStream ss(sched_session_, static_cast<int>(i) + 1,
+                                &shard_clock, s.platform.get());
+    s.platform->finish();
   }
 }
 

@@ -11,12 +11,14 @@
 // traffic::ArrivalSources once per epoch (the legacy Poisson stream, a
 // replayed trace, or both), orders the epoch's arrivals by time, and a
 // Router assigns each to a shard using only the load snapshots taken at
-// the previous epoch barrier. Shards then advance one control period in
-// parallel (EpochPool; lock-free hot loop, shards share no mutable
-// state), meet at the barrier, publish fresh snapshots, and repeat.
-// Because every cross-shard input is fixed before an epoch starts,
-// aggregate results are bit-identical for any thread count (tests/fleet
-// enforces this).
+// the last sync. Each shard then advances one control period as a job on
+// its own ShardExecutor queue (lock-free hot loop, shards share no
+// mutable state). The runner policy decides where the coordinator syncs
+// — drains the executor and publishes fresh snapshots: lockstep before
+// every epoch, steal only where a load-based router needs them. Because
+// every cross-shard input is fixed before a shard's epoch job is queued,
+// aggregate results are bit-identical for any thread count and either
+// runner (tests/fleet enforces this).
 //
 // Capture/replay: enable_capture() records every routed arrival plus the
 // router's verdict into a traffic::TraceRecorder; add_trace_arrivals()
@@ -54,11 +56,11 @@ struct FleetConfig {
   int shards = 1;
   int threads = 1;  ///< runner parallelism; never changes results, only speed
   RouterPolicy policy = RouterPolicy::kRoundRobin;
-  /// Execution model: kLockstep advances all shards one epoch per barrier
-  /// (the bitwise reference); kSteal gives each shard a private epoch-job
-  /// queue (ShardExecutor) and lets the coordinator route ahead whenever
-  /// the routing policy has no load-snapshot dependency on the epoch —
-  /// reports are byte-identical either way (tests/fleet enforces it).
+  /// Sync policy of the ShardExecutor loop: kLockstep drains before every
+  /// epoch (every shard meets at each boundary, the reference schedule);
+  /// kSteal lets the coordinator route ahead whenever the routing policy
+  /// has no load-snapshot dependency on the epoch — reports are
+  /// byte-identical either way (tests/fleet enforces it).
   RunnerKind runner = RunnerKind::kLockstep;
   std::uint64_t seed = 42;
   /// Per-shard platform template. `platform.seed` is ignored — each shard
@@ -175,8 +177,8 @@ class Fleet {
   void add_shard_source(int shard, const platform::SourceConfig& source);
 
   /// Stream health snapshots (obs/health.h JSONL) to `os` during run():
-  /// one line per `period_ms` of simulated time, written at the epoch
-  /// barrier that reaches the due time (period 0 = every epoch). The
+  /// one line per `period_ms` of simulated time, written at a sync on the
+  /// epoch boundary that reaches the due time (period 0 = every epoch). The
   /// stream must outlive run(); pass nullptr to disable.
   void enable_health_stream(std::ostream* os, DurationMs period_ms = 0);
 
@@ -188,15 +190,15 @@ class Fleet {
   /// disabled fast path. Call before run().
   void set_schedule_session(schedcheck::Session* session);
 
-  /// Invoked at every epoch barrier (all shards quiescent at time `t`,
-  /// load snapshots fresh) and once after the final epoch — the schedcheck
-  /// invariant suite hangs off this. A throwing hook aborts run() with the
-  /// exception. Call before run().
+  /// Invoked at every sync (all shards quiescent at time `t`, load
+  /// snapshots fresh; every epoch boundary under lockstep) and once after
+  /// the final epoch — the schedcheck invariant suite hangs off this. A
+  /// throwing hook aborts run() with the exception. Call before run().
   void set_barrier_hook(std::function<void(TimeMs)> hook);
 
   /// Run every shard for `duration_ms` of simulated time in epochs of one
-  /// control period, under the configured runner (lockstep barriers or the
-  /// work-stealing ShardExecutor — identical results). One-shot.
+  /// control period on the work-stealing ShardExecutor, syncing per the
+  /// configured runner policy (identical results). One-shot.
   void run(DurationMs duration_ms);
 
   /// Steal-runner schedule diagnostics from the last run() (all zeros
@@ -246,9 +248,9 @@ class Fleet {
   };
 
   /// A routed arrival staged for injection at the start of its shard's
-  /// epoch job (steal runner): the request is scheduled onto the shard's
-  /// event queue by the worker that owns the shard for that epoch, so
-  /// engine state stays thread-confined and evolves exactly as lockstep's.
+  /// epoch job: the request is scheduled onto the shard's event queue by
+  /// the worker that owns the shard for that epoch, so engine state stays
+  /// thread-confined.
   struct StagedRequest {
     const game::GameSpec* spec = nullptr;
     std::size_t script_idx = 0;
@@ -261,12 +263,10 @@ class Fleet {
   /// Drain every arrival source for (t0, t1] into epoch_arrivals_, ordered
   /// by arrival time (stable — ties keep source registration order).
   void drain_sources(TimeMs t0, TimeMs t1);
-  /// Route epoch_arrivals_. With `staging == nullptr` requests go straight
-  /// onto shard event queues (lockstep); otherwise they are staged per
-  /// shard for injection inside that shard's epoch job (steal).
-  void route_epoch(std::vector<std::vector<StagedRequest>>* staging);
-  void run_lockstep(DurationMs duration_ms);
-  void run_steal(DurationMs duration_ms);
+  /// Route epoch_arrivals_, staging each request in staged_ for injection
+  /// inside its shard's next epoch job.
+  void route_epoch();
+  /// Write one health line at `t` and advance the next due time.
   void write_health_snapshot_now(TimeMs t);
   traffic::PoissonSource& poisson_source();
 
@@ -284,7 +284,7 @@ class Fleet {
   std::vector<std::unique_ptr<std::vector<traffic::Arrival>>> bound_;
   traffic::TraceRecorder* recorder_ = nullptr;
   std::vector<traffic::Arrival> epoch_arrivals_;  ///< per-epoch scratch
-  /// Steal-runner staging buffers, one per shard (per-epoch scratch).
+  /// Routed-arrival staging buffers, one per shard (per-epoch scratch).
   std::vector<std::vector<StagedRequest>> staged_;
   ExecutorStats exec_stats_;
   std::vector<std::size_t> region_routed_;
@@ -309,7 +309,7 @@ class Fleet {
   schedcheck::Session* sched_session_ = nullptr;
   std::function<void(TimeMs)> barrier_hook_;
   TimeMs sched_now_ = 0;  ///< coordinator-stream clock (epoch start)
-  /// Live executor during run_steal() only — lets the health heartbeat
+  /// Live executor during a steal run() only — lets the health heartbeat
   /// export mid-run executor counters at sync points.
   const ShardExecutor* live_exec_ = nullptr;
 };

@@ -26,7 +26,7 @@
 //   end-traffic
 //
 // Event timestamps must be non-decreasing (validated on read — replay
-// feeds them straight into lockstep epochs). `shard` is the captured
+// feeds them straight into fleet epochs). `shard` is the captured
 // router verdict, -1 when the trace was generated rather than captured.
 #pragma once
 

@@ -4,8 +4,10 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -33,7 +35,7 @@ TEST(ShardExecutor, RunsEveryJobExactlyOnce) {
     }
     exec.drain();
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << threads;
-    EXPECT_EQ(exec.jobs_run(), 30u) << threads;
+    EXPECT_EQ(exec.snapshot().jobs_run, 30u) << threads;
   }
 }
 
@@ -100,13 +102,15 @@ TEST(ShardExecutor, IdleWorkersStealForeignShards) {
   exec.submit(0, rendezvous);
   exec.submit(2, rendezvous);
   exec.drain();
-  EXPECT_EQ(exec.jobs_run(), 2u);
-  EXPECT_GT(exec.steals(), 0u);
+  const auto c = exec.snapshot();
+  EXPECT_EQ(c.jobs_run, 2u);
+  EXPECT_GT(c.steals, 0u);
 }
 
 TEST(ShardExecutor, DrainIsRepeatableAndSubmitContinues) {
   ShardExecutor exec(2, 2);
   std::atomic<int> ran{0};
+  exec.drain();  // nothing submitted yet: returns immediately
   exec.submit(0, [&] { ++ran; });
   exec.drain();
   EXPECT_EQ(ran.load(), 1);
@@ -128,13 +132,21 @@ TEST(ShardExecutor, DrainRethrowsFirstErrorBySubmissionIndex) {
     exec.drain();
     FAIL() << "expected rethrow";
   } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "epoch job 1: first");
+    EXPECT_STREQ(e.what(), "epoch job 1 (shard 1): first");
   }
   EXPECT_EQ(ran.load(), 2);  // every job still ran
   // The executor survives: a later submit + drain works.
-  exec.submit(1, [&] { ++ran; });
+  exec.submit(1, [&] { ++ran; });  // idx 4
   exec.drain();
   EXPECT_EQ(ran.load(), 3);
+  // A non-std::exception payload is wrapped with its index and shard too.
+  exec.submit(2, [] { throw 42; });  // idx 5
+  try {
+    exec.drain();
+    FAIL() << "expected rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "epoch job 5 (shard 2): unknown exception");
+  }
 }
 
 TEST(ShardExecutor, EveryFailureStillRunsLowestIndexWins) {
@@ -151,7 +163,7 @@ TEST(ShardExecutor, EveryFailureStillRunsLowestIndexWins) {
       exec.drain();
       FAIL() << "expected rethrow";
     } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "epoch job 0: boom 0") << threads;
+      EXPECT_STREQ(e.what(), "epoch job 0 (shard 0): boom 0") << threads;
     }
     EXPECT_EQ(attempts.load(), 16) << threads;
   }
@@ -166,6 +178,126 @@ TEST(ShardExecutor, MoreThreadsThanShards) {
   exec.drain();
   ASSERT_EQ(order.size(), 50u);
   for (int i = 0; i < 50; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+}
+
+// The epoch-pool contract the lockstep policy relies on: one epoch is a
+// batch of jobs submitted round-robin over the shards and closed by
+// drain(), which is a barrier. Job i of a fresh executor's first epoch has
+// submission index i, so failure messages name it exactly as a pool would.
+void run_epoch(ShardExecutor& exec, const std::vector<std::function<void()>>& jobs) {
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    exec.submit(static_cast<int>(i) % exec.shards(), jobs[i]);
+  }
+  exec.drain();
+}
+
+TEST(EpochPool, RunsEveryJobExactlyOnce) {
+  for (int threads : {1, 2, 4, 8}) {
+    ShardExecutor exec(threads, 13);
+    std::vector<std::atomic<int>> hits(13);
+    std::vector<std::function<void()>> jobs;
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      jobs.push_back([&hits, i] { ++hits[i]; });
+    }
+    run_epoch(exec, jobs);
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << threads;
+  }
+}
+
+TEST(EpochPool, RunIsABarrierAcrossEpochs) {
+  ShardExecutor exec(4, 4);
+  std::atomic<int> done{0};
+  for (int epoch = 0; epoch < 50; ++epoch) {
+    std::vector<std::function<void()>> jobs;
+    for (int i = 0; i < 4; ++i) {
+      jobs.push_back([&done, epoch] {
+        // Every job of epoch N must observe all of epoch N-1 finished.
+        EXPECT_EQ(done.load() / 4, epoch);
+        ++done;
+      });
+    }
+    run_epoch(exec, jobs);
+    EXPECT_EQ(done.load(), (epoch + 1) * 4);
+  }
+}
+
+TEST(EpochPool, RethrowsFirstExceptionByJobIndex) {
+  ShardExecutor exec(2, 4);
+  std::atomic<int> ran{0};
+  std::vector<std::function<void()>> jobs = {
+      [&] { ++ran; },
+      [] { throw std::runtime_error("job one"); },
+      [] { throw std::runtime_error("job two"); },
+      [&] { ++ran; },
+  };
+  try {
+    run_epoch(exec, jobs);
+    FAIL() << "expected rethrow";
+  } catch (const std::runtime_error& e) {
+    // The failing job's index and shard are part of the message, so a
+    // 64-shard run names the shard that died instead of an anonymous
+    // "what()".
+    EXPECT_STREQ(e.what(), "epoch job 1 (shard 1): job one");
+  }
+  // The executor survives a throwing epoch.
+  std::vector<std::function<void()>> ok = {[&] { ++ran; }};
+  run_epoch(exec, ok);
+  EXPECT_EQ(ran.load(), 3);
+}
+
+TEST(EpochPool, ManyFailuresReportTheLowestJobIndex) {
+  // Every job throws; whatever order the threads run them in, the
+  // rethrown error must be job 0's, and every job must still have run.
+  for (int threads : {1, 2, 4}) {
+    ShardExecutor exec(threads, 16);
+    std::atomic<int> attempts{0};
+    std::vector<std::function<void()>> jobs;
+    for (int i = 0; i < 16; ++i) {
+      jobs.push_back([&attempts, i] {
+        ++attempts;
+        throw std::runtime_error("boom " + std::to_string(i));
+      });
+    }
+    try {
+      run_epoch(exec, jobs);
+      FAIL() << "expected rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "epoch job 0 (shard 0): boom 0") << threads;
+    }
+    EXPECT_EQ(attempts.load(), 16) << threads;
+  }
+}
+
+TEST(EpochPool, NonStdExceptionIsWrappedWithItsIndex) {
+  ShardExecutor exec(2, 2);
+  std::vector<std::function<void()>> jobs = {
+      [] {},
+      [] { throw 42; },
+  };
+  try {
+    run_epoch(exec, jobs);
+    FAIL() << "expected rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "epoch job 1 (shard 1): unknown exception");
+  }
+}
+
+TEST(EpochPool, MoreJobsThanThreads) {
+  ShardExecutor exec(3, 8);
+  std::atomic<int> sum{0};
+  std::vector<std::function<void()>> jobs;
+  for (int i = 1; i <= 100; ++i) {
+    jobs.push_back([&sum, i] { sum += i; });
+  }
+  run_epoch(exec, jobs);
+  EXPECT_EQ(sum.load(), 5050);
+}
+
+TEST(EpochPool, EmptyJobListIsANoOp) {
+  ShardExecutor exec(2, 2);
+  run_epoch(exec, {});
+  run_epoch(exec, {});
+  EXPECT_EQ(exec.snapshot().jobs_run, 0u);
 }
 
 TEST(ShardExecutor, DestructorDrainsOutstandingJobs) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 #include "core/model_bank.h"
 #include "core/offline.h"
@@ -410,6 +411,41 @@ TEST(FleetSteal, CaptureReplayRoundTripsAcrossRunners) {
           << runner_kind_name(runner) << " x" << threads;
       EXPECT_EQ(base.events, got.events)
           << runner_kind_name(runner) << " x" << threads;
+    }
+  }
+}
+
+/// Admits nothing and fails every control tick.
+class ThrowingControlScheduler final : public platform::Scheduler {
+ public:
+  std::string name() const override { return "throwing"; }
+  std::optional<platform::Placement> admit(
+      platform::PlatformView&, const platform::GameRequest&) override {
+    return std::nullopt;
+  }
+  void control(platform::PlatformView&) override {
+    throw std::runtime_error("control failed");
+  }
+};
+
+// A shard that dies mid-run must be named in the error under either
+// runner policy, even though the executor's job index is run-wide.
+TEST(FleetSteal, ShardFailureNamesTheShardUnderBothRunners) {
+  for (RunnerKind runner : {RunnerKind::kLockstep, RunnerKind::kSteal}) {
+    auto cfg = small_config(3, 2, RouterPolicy::kRoundRobin);
+    cfg.runner = runner;
+    Fleet f(cfg, [](int shard) -> std::unique_ptr<platform::Scheduler> {
+      if (shard == 1) return std::make_unique<ThrowingControlScheduler>();
+      return std::make_unique<GreedyScheduler>();
+    });
+    for (int i = 0; i < 3; ++i) f.add_server(hw::ServerSpec{});
+    try {
+      f.run(10 * 60 * 1000);
+      FAIL() << "expected rethrow under " << runner_kind_name(runner);
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("(shard 1): control failed"), std::string::npos)
+          << runner_kind_name(runner) << ": " << what;
     }
   }
 }

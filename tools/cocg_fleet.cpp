@@ -14,8 +14,9 @@
 //
 // Partitions N servers round-robin into K shards (each its own engine +
 // platform + scheduler), feeds one global open-loop Poisson arrival
-// stream per game through the router, runs the shards in lockstep epochs
-// on T threads, and prints the merged fleet report.
+// stream per game through the router, runs the shards' epochs on T
+// threads (--runner picks the sync policy), and prints the merged fleet
+// report.
 //
 // Models are trained ONCE and shared across shards through a
 // core::ModelBank (every shard aliases the same immutable compiled
