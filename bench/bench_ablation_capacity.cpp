@@ -11,6 +11,7 @@
 #include "core/baselines.h"
 #include "core/cocg_scheduler.h"
 #include "platform/cloud_platform.h"
+#include "traffic/source.h"
 
 using namespace cocg;
 
@@ -29,18 +30,19 @@ LoadResult run_load(std::unique_ptr<platform::Scheduler> sched,
   platform::CloudPlatform cloud(pcfg, std::move(sched));
   cloud.add_server(hw::ServerSpec{});
   static const auto& suite = bench::paper_suite_static();
-  platform::OpenLoopSource genshin;
-  genshin.spec = &suite[2];
-  genshin.arrivals_per_hour = per_hour * 0.5;
-  platform::OpenLoopSource contra;
-  contra.spec = &suite[4];
-  contra.arrivals_per_hour = per_hour * 0.5;
-  cloud.add_open_loop_source(genshin);
-  cloud.add_open_loop_source(contra);
-  cloud.run(2LL * 60 * 60 * 1000);
+  traffic::PoissonSource poisson(seed);
+  poisson.add_stream({&suite[2], per_hour * 0.5, 16});  // Genshin Impact
+  poisson.add_stream({&suite[4], per_hour * 0.5, 16});  // Contra
+  constexpr DurationMs kHorizon = 2LL * 60 * 60 * 1000;
+  std::vector<traffic::Arrival> arrivals;
+  poisson.generate(0, kHorizon, arrivals);
+  for (const auto& a : arrivals) {
+    cloud.schedule_request(a.spec, a.script_idx, a.player_id, a.at);
+  }
+  cloud.run(kHorizon);
 
   LoadResult res;
-  res.arrivals = cloud.open_loop_arrivals();
+  res.arrivals = arrivals.size();
   res.served = cloud.completed_runs().size();
   res.queued = cloud.queued_requests();
   return res;

@@ -32,8 +32,7 @@ std::string sanitize_name(const std::string& name) {
 
 }  // namespace
 
-void write_bundle(const GameBundle& bundle, std::ostream& os,
-                  bool include_corpus) {
+void write_bundle(const GameBundle& bundle, std::ostream& os) {
   if (bundle.profile == nullptr) {
     throw std::runtime_error("write_bundle: bundle has no profile");
   }
@@ -48,15 +47,14 @@ void write_bundle(const GameBundle& bundle, std::ostream& os,
   // Re-serialize the predictor artifact via a throwaway StagePredictor so
   // there is exactly one writer for the predictor block.
   StagePredictor::from_artifact(bundle.predictor, bundle.profile.get())
-      ->save_bundle(os, include_corpus);
+      ->save_bundle(os);
   os << "end-bundle\n";
 }
 
-void save_bundle_file(const GameBundle& bundle, const std::string& path,
-                      bool include_corpus) {
+void save_bundle_file(const GameBundle& bundle, const std::string& path) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) throw std::runtime_error("save_bundle: cannot open " + path);
-  write_bundle(bundle, out, include_corpus);
+  write_bundle(bundle, out);
   if (!out) throw std::runtime_error("save_bundle: write failed " + path);
 }
 
@@ -109,14 +107,13 @@ GameBundle load_bundle_file(const std::string& path) {
   }
 }
 
-GameBundle ModelBank::bundle_from(const TrainedGame& tg,
-                                  bool include_corpus) {
+GameBundle ModelBank::bundle_from(const TrainedGame& tg) {
   COCG_EXPECTS_MSG(tg.profile != nullptr && tg.predictor != nullptr &&
                        tg.predictor->trained(),
                    "bundle_from requires a fully trained game");
   GameBundle b;
   b.profile = std::make_shared<const GameProfile>(*tg.profile);
-  b.predictor = tg.predictor->to_artifact(include_corpus);
+  b.predictor = tg.predictor->to_artifact();
   b.sse_by_k = tg.sse_by_k;
   b.chosen_k = tg.chosen_k;
   b.mean_run_duration_ms = tg.mean_run_duration_ms;
@@ -131,8 +128,8 @@ void ModelBank::add(GameBundle bundle) {
   bundles_.insert_or_assign(name, std::move(bundle));
 }
 
-void ModelBank::add_trained(const TrainedGame& tg, bool include_corpus) {
-  add(bundle_from(tg, include_corpus));
+void ModelBank::add_trained(const TrainedGame& tg) {
+  add(bundle_from(tg));
 }
 
 bool ModelBank::has(const std::string& game) const {
@@ -181,8 +178,7 @@ std::map<std::string, TrainedGame> ModelBank::instantiate_suite(
   return out;
 }
 
-std::vector<std::string> ModelBank::save_dir(const std::string& dir,
-                                             bool include_corpus) const {
+std::vector<std::string> ModelBank::save_dir(const std::string& dir) const {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {
@@ -194,7 +190,7 @@ std::vector<std::string> ModelBank::save_dir(const std::string& dir,
     const auto path =
         (std::filesystem::path(dir) / (sanitize_name(name) + kFileExt))
             .string();
-    save_bundle_file(b, path, include_corpus);
+    save_bundle_file(b, path);
     paths.push_back(path);
   }
   return paths;

@@ -10,9 +10,8 @@
 //   * the profile is DEEP-COPIED per instantiation (it is small, and the
 //     per-shard copy keeps any future profile mutation from leaking
 //     across shards);
-//   * the training corpus rides along (unless saved without it), so a
-//     restored predictor's replace_model retrains exactly like the
-//     original's.
+//   * the training corpus rides along, so a restored predictor's
+//     replace_model retrains exactly like the original's.
 //
 // Lifetime rules: a bundle handed out by the bank stays valid as long as
 // any instantiated TrainedGame holds its forests — the shared_ptrs keep
@@ -44,10 +43,8 @@ struct GameBundle {
 
 /// Serialize one bundle (versioned, human-diffable; embeds the profile
 /// and predictor blocks). Throws std::runtime_error on failure.
-void write_bundle(const GameBundle& bundle, std::ostream& os,
-                  bool include_corpus = true);
-void save_bundle_file(const GameBundle& bundle, const std::string& path,
-                      bool include_corpus = true);
+void write_bundle(const GameBundle& bundle, std::ostream& os);
+void save_bundle_file(const GameBundle& bundle, const std::string& path);
 
 /// Deserialize. Throws std::runtime_error with a line/field diagnostic on
 /// truncated, corrupt, or version-skewed input.
@@ -58,12 +55,11 @@ class ModelBank {
  public:
   /// Snapshot a TrainedGame as an immutable bundle (models shared, not
   /// copied; profile copied).
-  static GameBundle bundle_from(const TrainedGame& tg,
-                                bool include_corpus = true);
+  static GameBundle bundle_from(const TrainedGame& tg);
 
   /// Register a bundle under its game name, replacing any previous one.
   void add(GameBundle bundle);
-  void add_trained(const TrainedGame& tg, bool include_corpus = true);
+  void add_trained(const TrainedGame& tg);
 
   bool has(const std::string& game) const;
   std::size_t size() const { return bundles_.size(); }
@@ -86,8 +82,7 @@ class ModelBank {
 
   /// Write one `<sanitized-game-name>.cocgm` file per bundle into `dir`
   /// (created if needed); returns the paths written.
-  std::vector<std::string> save_dir(const std::string& dir,
-                                    bool include_corpus = true) const;
+  std::vector<std::string> save_dir(const std::string& dir) const;
   /// Load every *.cocgm file in `dir`. Throws std::runtime_error when the
   /// directory is missing or any bundle fails to parse.
   static ModelBank load_dir(const std::string& dir);

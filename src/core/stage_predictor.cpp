@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 #include "common/check.h"
 #include "ml/metrics.h"
@@ -64,8 +65,7 @@ void StagePredictor::fit_active(Rng& rng) {
     train = all;
     test = all;
   }
-  pooled_ = ml::make_classifier(cfg_.model);
-  pooled_->fit(train, rng);
+  pooled_ = ml::fit_model(cfg_.model, train, rng);
   std::vector<int> pred;
   pred.reserve(test.size());
   for (std::size_t i = 0; i < test.size(); ++i) {
@@ -74,8 +74,7 @@ void StagePredictor::fit_active(Rng& rng) {
   accuracy_ = ml::accuracy(test.labels(), pred);
 
   // Refit the pooled model on everything for online use.
-  pooled_ = ml::make_classifier(cfg_.model);
-  pooled_->fit(all, rng);
+  pooled_ = ml::fit_model(cfg_.model, all, rng);
 
   // Mobile quadrant: personal models for players with enough history
   // (§IV-B1 "finely establish a training set for each individual player").
@@ -87,9 +86,7 @@ void StagePredictor::fit_active(Rng& rng) {
       if (runs.size() < cfg_.min_player_runs) continue;
       const ml::Dataset pd = build_dataset(runs);
       if (pd.empty()) continue;
-      auto model = ml::make_classifier(cfg_.model);
-      model->fit(pd, rng);
-      per_player_[pid] = std::move(model);
+      per_player_[pid] = ml::fit_model(cfg_.model, pd, rng);
     }
   }
 }
@@ -141,8 +138,8 @@ void StagePredictor::replace_model(Rng& rng) {
   // model and cfg_.model consistent.
   if (!can_retrain()) {
     throw std::runtime_error(
-        "replace_model: predictor was restored without its training corpus; "
-        "save the bundle with include_corpus=true to enable retraining");
+        "replace_model: predictor was restored from a bundle without its "
+        "training corpus, nothing to retrain on");
   }
   switch (cfg_.model) {
     case ml::ModelKind::kDtc: cfg_.model = ml::ModelKind::kRf; break;
@@ -169,8 +166,7 @@ double StagePredictor::evaluate_model(ml::ModelKind kind, Rng& rng) const {
   const ml::Dataset all = build_dataset(corpus_);
   auto [train, test] = all.split(cfg_.train_fraction, rng);
   if (train.empty() || test.empty()) return 1.0;
-  auto model = ml::make_classifier(kind);
-  model->fit(train, rng);
+  const auto model = ml::fit_model(kind, train, rng);
 
   std::vector<int> pred;
   pred.reserve(test.size());
@@ -191,24 +187,42 @@ constexpr const char* kBundleVersionPrefix = "cocg-predictor-";
 
 }  // namespace
 
-PredictorArtifact StagePredictor::to_artifact(bool include_corpus) const {
+PredictorArtifact StagePredictor::to_artifact() const {
   COCG_EXPECTS_MSG(trained(), "to_artifact before train");
   PredictorArtifact art;
   art.cfg = cfg_;
   art.accuracy = accuracy_;
-  art.pooled = pooled_->compiled();
-  for (const auto& [pid, model] : per_player_) {
-    art.per_player[pid] = model->compiled();
-  }
-  if (include_corpus) art.corpus = corpus_;
+  art.pooled = pooled_;
+  art.per_player = per_player_;
+  art.corpus = corpus_;
   return art;
 }
 
+namespace {
+
+/// Every forest a predictor adopts must be trained and of the kind its
+/// `model` line names.
+void check_forest(const std::shared_ptr<const ml::CompiledForest>& forest,
+                  ml::ModelKind kind, const char* what) {
+  if (forest == nullptr || !forest->trained()) {
+    throw std::runtime_error(std::string("predictor artifact has no trained ") +
+                             what + " model");
+  }
+  if (forest->kind() != kind) {
+    throw std::runtime_error(
+        std::string("predictor artifact model kind mismatch: ") + what +
+        " forest is " + ml::model_kind_name(forest->kind()) +
+        ", model line says " + ml::model_kind_name(kind));
+  }
+}
+
+}  // namespace
+
 std::unique_ptr<StagePredictor> StagePredictor::from_artifact(
     const PredictorArtifact& artifact, const GameProfile* profile) {
-  if (artifact.pooled == nullptr || !artifact.pooled->trained()) {
-    throw std::runtime_error(
-        "predictor artifact has no trained pooled model");
+  check_forest(artifact.pooled, artifact.cfg.model, "pooled");
+  for (const auto& [pid, forest] : artifact.per_player) {
+    check_forest(forest, artifact.cfg.model, "per-player");
   }
   auto p = std::make_unique<StagePredictor>(profile, artifact.cfg);
   const auto width =
@@ -226,18 +240,12 @@ std::unique_ptr<StagePredictor> StagePredictor::from_artifact(
   }
   p->corpus_ = artifact.corpus;
   p->accuracy_ = artifact.accuracy;
-  p->pooled_ = ml::make_classifier(artifact.cfg.model);
-  p->pooled_->restore(artifact.pooled);
-  for (const auto& [pid, forest] : artifact.per_player) {
-    auto model = ml::make_classifier(artifact.cfg.model);
-    model->restore(forest);
-    p->per_player_[pid] = std::move(model);
-  }
+  p->pooled_ = artifact.pooled;
+  p->per_player_ = artifact.per_player;
   return p;
 }
 
-void StagePredictor::save_bundle(std::ostream& os,
-                                 bool include_corpus) const {
+void StagePredictor::save_bundle(std::ostream& os) const {
   COCG_EXPECTS_MSG(trained(), "save_bundle before train");
   FullPrecision precision(os);
   os << kBundleMagic << '\n';
@@ -249,21 +257,19 @@ void StagePredictor::save_bundle(std::ostream& os,
   os << "train_fraction " << cfg_.train_fraction << '\n';
   os << "min_player_runs " << cfg_.min_player_runs << '\n';
   os << "accuracy " << accuracy_ << '\n';
-  os << "corpus " << (include_corpus ? corpus_.size() : 0) << '\n';
-  if (include_corpus) {
-    for (const auto& run : corpus_) {
-      os << "run " << run.player_id << ' ' << run.script_idx << ' '
-         << run.stage_seq.size();
-      for (int st : run.stage_seq) os << ' ' << st;
-      os << '\n';
-    }
+  os << "corpus " << corpus_.size() << '\n';
+  for (const auto& run : corpus_) {
+    os << "run " << run.player_id << ' ' << run.script_idx << ' '
+       << run.stage_seq.size();
+    for (int st : run.stage_seq) os << ' ' << st;
+    os << '\n';
   }
   os << "pooled\n";
-  ml::write_model(*pooled_->compiled(), os);
+  ml::write_model(*pooled_, os);
   os << "per_player " << per_player_.size() << '\n';
   for (const auto& [pid, model] : per_player_) {
     os << "player " << pid << '\n';
-    ml::write_model(*model->compiled(), os);
+    ml::write_model(*model, os);
   }
   os << "end-predictor\n";
 }

@@ -23,7 +23,8 @@
 #include "core/features.h"
 #include "core/game_profile.h"
 #include "game/spec.h"
-#include "ml/classifier.h"
+#include "ml/compiled.h"
+#include "ml/dataset.h"
 
 namespace cocg::core {
 
@@ -45,11 +46,11 @@ struct TrainingRun {
 };
 
 /// Everything a trained predictor is, minus the profile pointer: the
-/// immutable compiled models plus config and held-out accuracy P, and
-/// (optionally) the training corpus so replace_model can still retrain.
-/// This is the in-memory form of the on-disk predictor bundle and the
-/// unit the core ModelBank shares across sessions and fleet shards — the
-/// CompiledForest pointers are aliased, never deep-copied.
+/// immutable compiled models plus config and held-out accuracy P, and the
+/// training corpus so replace_model can still retrain. This is the
+/// in-memory form of the on-disk predictor bundle and the unit the core
+/// ModelBank shares across sessions and fleet shards — the CompiledForest
+/// pointers are aliased, never deep-copied.
 struct PredictorArtifact {
   PredictorConfig cfg;
   double accuracy = 0.0;
@@ -97,7 +98,7 @@ class StagePredictor {
   ml::ModelKind model_kind() const { return cfg_.model; }
 
   /// Whether replace_model/evaluate_model can retrain. False when the
-  /// predictor was restored from a bundle saved without its corpus —
+  /// predictor was restored from a bundle whose corpus is empty —
   /// callers (e.g. the CoCG scheduler's §IV-B2 fallback) must check this
   /// before asking for a model swap.
   bool can_retrain() const { return !corpus_.empty(); }
@@ -113,20 +114,20 @@ class StagePredictor {
   double evaluate_model(ml::ModelKind kind, Rng& rng) const;
 
   /// Snapshot the trained state. Compiled models are shared, not copied;
-  /// the corpus is copied unless excluded (smaller artifact, but the
-  /// restored predictor cannot retrain — see can_retrain()).
-  PredictorArtifact to_artifact(bool include_corpus = true) const;
+  /// the corpus is copied.
+  PredictorArtifact to_artifact() const;
 
   /// Reconstruct a trained predictor from an artifact. `profile` must
   /// outlive the predictor, exactly as for the training constructor.
-  /// Throws std::runtime_error if the artifact is untrained or does not
-  /// match the profile's stage-type catalog.
+  /// Throws std::runtime_error if the artifact is untrained, holds a
+  /// forest of another kind than its `cfg.model`, or does not match the
+  /// profile's stage-type catalog.
   static std::unique_ptr<StagePredictor> from_artifact(
       const PredictorArtifact& artifact, const GameProfile* profile);
 
   /// Serialize the trained state as a self-delimiting text block
   /// (versioned, human-diffable, embeddable inside larger bundles).
-  void save_bundle(std::ostream& os, bool include_corpus = true) const;
+  void save_bundle(std::ostream& os) const;
 
   /// Restore from save_bundle output. Throws std::runtime_error with a
   /// line/field diagnostic on truncated, corrupt, or version-skewed input.
@@ -157,8 +158,9 @@ class StagePredictor {
   FeatureEncoder encoder_;
   std::vector<TrainingRun> corpus_;
 
-  std::unique_ptr<ml::Classifier> pooled_;
-  std::map<std::uint64_t, std::unique_ptr<ml::Classifier>> per_player_;
+  std::shared_ptr<const ml::CompiledForest> pooled_;
+  std::map<std::uint64_t, std::shared_ptr<const ml::CompiledForest>>
+      per_player_;
   double accuracy_ = 0.0;
   double online_acc_ = 0.0;
   std::size_t online_n_ = 0;

@@ -88,18 +88,8 @@ traffic::PoissonSource& Fleet::poisson_source() {
   return *poisson_;
 }
 
-void Fleet::add_global_source(const platform::OpenLoopSource& source) {
-  COCG_EXPECTS(source.spec != nullptr);
-  COCG_EXPECTS(source.arrivals_per_hour > 0.0);
-  COCG_EXPECTS(source.player_pool >= 1);
-  poisson_source().add_stream(source, 0);
-}
-
-void Fleet::add_global_source(const platform::OpenLoopSource& source,
+void Fleet::add_global_source(const traffic::OpenLoopSource& source,
                               const std::string& region) {
-  COCG_EXPECTS(source.spec != nullptr);
-  COCG_EXPECTS(source.arrivals_per_hour > 0.0);
-  COCG_EXPECTS(source.player_pool >= 1);
   poisson_source().add_stream(source, regions_.intern(region));
 }
 

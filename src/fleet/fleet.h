@@ -121,9 +121,9 @@ struct FleetReport {
 
 /// Canonical JSON encoding of a FleetReport: fixed key order, doubles at
 /// max_digits10 — two reports serialize to the same bytes iff they are
-/// equal. The determinism tests compare the train-once ModelBank path
-/// against retrain-per-shard, and thread counts against each other, as
-/// strings of this encoding.
+/// equal. The determinism tests compare thread counts against each other,
+/// and a shared ModelBank against a factory that retrains in every shard,
+/// as strings of this encoding.
 void write_report_json(const FleetReport& rep, std::ostream& os);
 std::string report_json(const FleetReport& rep);
 
@@ -149,11 +149,10 @@ class Fleet {
   void add_server_to_shard(int shard, const hw::ServerSpec& spec);
 
   /// Register a global open-loop Poisson source; arrivals are routed
-  /// across shards by the configured policy. The two-argument form tags
-  /// every arrival with a region (interned into regions()).
-  void add_global_source(const platform::OpenLoopSource& source);
-  void add_global_source(const platform::OpenLoopSource& source,
-                         const std::string& region);
+  /// across shards by the configured policy. Every arrival is tagged with
+  /// `region` (interned into regions(); "global" is index 0).
+  void add_global_source(const traffic::OpenLoopSource& source,
+                         const std::string& region = "global");
 
   /// Feed a trace's arrivals into the run (replay). Games are bound
   /// against `specs` by name (traffic::BindError on mismatch); region

@@ -102,24 +102,6 @@ bool Server::place(SessionId sid, int gpu_index,
   return true;
 }
 
-std::optional<int> Server::place_best_gpu(SessionId sid,
-                                          const ResourceVector& allocation) {
-  int best = -1;
-  double best_util = 2.0;
-  for (int g = 0; g < spec_.num_gpus; ++g) {
-    if (!fits_after(sid, g, allocation)) continue;
-    const double u = utilization_on_gpu(g);
-    if (u < best_util) {
-      best_util = u;
-      best = g;
-    }
-  }
-  if (best < 0) return std::nullopt;
-  const bool ok = place(sid, best, allocation);
-  COCG_ENSURES(ok);
-  return best;
-}
-
 bool Server::reallocate(SessionId sid, const ResourceVector& allocation,
                         bool allow_oversubscribe) {
   COCG_EXPECTS(allocation.non_negative());

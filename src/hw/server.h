@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -78,11 +77,6 @@ class Server {
   /// Fails (returns false, no change) if any dimension would exceed
   /// capacity. gpu_index must be in [0, num_gpus).
   bool place(SessionId sid, int gpu_index, const ResourceVector& allocation);
-
-  /// Pick the GPU with the most free utilization headroom and place there.
-  /// Returns the chosen GPU index, or nullopt if no GPU fits.
-  std::optional<int> place_best_gpu(SessionId sid,
-                                    const ResourceVector& allocation);
 
   /// Change a hosted session's allocation cap. The new cap may exceed
   /// remaining capacity only if `allow_oversubscribe` — CoCG's regulator

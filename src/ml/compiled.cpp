@@ -30,23 +30,6 @@ bool parse_model_kind(const std::string& name, ModelKind& out) {
 }
 
 // ---------------------------------------------------------------------------
-// FeatureMatrix
-// ---------------------------------------------------------------------------
-
-FeatureMatrix::FeatureMatrix(std::size_t rows, std::size_t cols)
-    : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
-
-FeatureMatrix FeatureMatrix::from_rows(const std::vector<FeatureRow>& rows) {
-  FeatureMatrix m(rows.size(), rows.empty() ? 0 : rows[0].size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    COCG_EXPECTS_MSG(rows[i].size() == m.cols_,
-                     "FeatureMatrix rows must have equal width");
-    std::copy(rows[i].begin(), rows[i].end(), m.row(i).begin());
-  }
-  return m;
-}
-
-// ---------------------------------------------------------------------------
 // CompiledForest — validation
 // ---------------------------------------------------------------------------
 
@@ -254,6 +237,47 @@ CompiledForest CompiledForest::compile(const GbdtClassifier& gbdt) {
   return CompiledForest(std::move(d));
 }
 
+namespace {
+
+template <typename Learner, typename Config>
+std::shared_ptr<const CompiledForest> fit_and_compile(Config cfg,
+                                                      const Dataset& data,
+                                                      Rng& rng) {
+  Learner learner(cfg);
+  learner.fit(data, rng);
+  return std::make_shared<const CompiledForest>(
+      CompiledForest::compile(learner));
+}
+
+}  // namespace
+
+std::shared_ptr<const CompiledForest> fit_model(ModelKind kind,
+                                                const Dataset& data,
+                                                Rng& rng) {
+  switch (kind) {
+    case ModelKind::kDtc: {
+      // A single CART of moderate depth — enough for script/stage logic,
+      // not enough to memorize every player's personal task order.
+      TreeConfig cfg;
+      cfg.max_depth = 8;
+      return fit_and_compile<DecisionTreeClassifier>(cfg, data, rng);
+    }
+    case ModelKind::kRf:
+      return fit_and_compile<RandomForestClassifier>(RandomForestConfig{},
+                                                     data, rng);
+    case ModelKind::kGbdt: {
+      // Deeper iteration: the paper notes GBDT "requires more in-depth
+      // iteration" and stays accurate on complex titles.
+      GbdtConfig cfg;
+      cfg.n_rounds = 80;
+      cfg.tree.max_depth = 6;
+      return fit_and_compile<GbdtClassifier>(cfg, data, rng);
+    }
+  }
+  COCG_CHECK_MSG(false, "unknown model kind");
+  return nullptr;
+}
+
 // ---------------------------------------------------------------------------
 // Inference
 // ---------------------------------------------------------------------------
@@ -339,104 +363,6 @@ int CompiledForest::predict(std::span<const double> x) const {
     }
   }
   return 0;
-}
-
-void CompiledForest::accumulate(const FeatureMatrix& xs,
-                                std::span<double> acc, bool votes) const {
-  // Tree-outer, row-inner: each tree's node arrays stay cache-resident
-  // while the rows stream past. The per-(row, class) accumulation order is
-  // still "trees ascending", identical to the scalar walk.
-  const auto k = static_cast<std::size_t>(d_.num_classes);
-  const std::size_t n = xs.rows();
-  for (std::size_t t = 0; t < num_trees(); ++t) {
-    const std::size_t gbdt_class = t % k;
-    for (std::size_t r = 0; r < n; ++r) {
-      const std::size_t leaf = walk(t, xs.row(r));
-      switch (d_.kind) {
-        case ModelKind::kRf:
-          if (votes) {
-            acc[r * k + static_cast<std::size_t>(d_.leaf_label[leaf])] += 1.0;
-          } else {
-            for (std::size_t c = 0; c < k; ++c) {
-              acc[r * k + c] += d_.leaf_data[leaf * k + c];
-            }
-          }
-          break;
-        case ModelKind::kGbdt:
-          acc[r * k + gbdt_class] += d_.learning_rate * d_.leaf_data[leaf];
-          break;
-        case ModelKind::kDtc:
-          break;  // handled by the callers directly
-      }
-    }
-  }
-}
-
-void CompiledForest::predict_proba_batch(const FeatureMatrix& xs,
-                                         std::span<double> out) const {
-  COCG_EXPECTS_MSG(trained(), "predict before fit");
-  COCG_EXPECTS(xs.cols() >= static_cast<std::size_t>(d_.num_features));
-  const auto k = static_cast<std::size_t>(d_.num_classes);
-  const std::size_t n = xs.rows();
-  COCG_EXPECTS_MSG(out.size() == n * k,
-                   "predict_proba_batch: out needs rows()*num_classes slots");
-  switch (d_.kind) {
-    case ModelKind::kDtc:
-      for (std::size_t r = 0; r < n; ++r) {
-        const std::size_t leaf = walk(0, xs.row(r));
-        for (std::size_t c = 0; c < k; ++c) {
-          out[r * k + c] = d_.leaf_data[leaf * k + c];
-        }
-      }
-      break;
-    case ModelKind::kRf: {
-      std::fill(out.begin(), out.end(), 0.0);
-      accumulate(xs, out, /*votes=*/false);
-      const auto trees = static_cast<double>(num_trees());
-      for (auto& v : out) v /= trees;
-      break;
-    }
-    case ModelKind::kGbdt: {
-      for (std::size_t r = 0; r < n; ++r) {
-        for (std::size_t c = 0; c < k; ++c) {
-          out[r * k + c] = d_.base_score[c];
-        }
-      }
-      accumulate(xs, out, /*votes=*/false);
-      for (std::size_t r = 0; r < n; ++r) {
-        softmax_span(out.subspan(r * k, k));
-      }
-      break;
-    }
-  }
-}
-
-void CompiledForest::predict_batch(const FeatureMatrix& xs,
-                                   std::span<int> out) const {
-  COCG_EXPECTS_MSG(trained(), "predict before fit");
-  COCG_EXPECTS(xs.cols() >= static_cast<std::size_t>(d_.num_features));
-  const auto k = static_cast<std::size_t>(d_.num_classes);
-  const std::size_t n = xs.rows();
-  COCG_EXPECTS_MSG(out.size() == n,
-                   "predict_batch: out needs rows() slots");
-  if (d_.kind == ModelKind::kDtc) {
-    for (std::size_t r = 0; r < n; ++r) {
-      out[r] = d_.leaf_label[walk(0, xs.row(r))];
-    }
-    return;
-  }
-  // One scratch accumulator per call; no per-row allocation.
-  std::vector<double> acc(n * k, 0.0);
-  if (d_.kind == ModelKind::kGbdt) {
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t c = 0; c < k; ++c) acc[r * k + c] = d_.base_score[c];
-    }
-  }
-  accumulate(xs, acc, /*votes=*/d_.kind == ModelKind::kRf);
-  for (std::size_t r = 0; r < n; ++r) {
-    out[r] = static_cast<int>(
-        argmax(std::span<const double>(acc.data() + r * k, k)));
-  }
 }
 
 }  // namespace cocg::ml

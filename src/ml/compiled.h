@@ -1,12 +1,12 @@
 // Pointer-free compiled inference artifacts (train once, share everywhere).
 //
-// CompiledForest is the common post-`fit` representation of the three
-// predictor algorithms (DTC / RF / GBDT): every tree flattened into
-// contiguous feature/threshold/child arrays plus a flat leaf-payload table,
-// so the hot path is an index walk over a few vectors instead of pointer
-// chasing through per-model node structures. Predictions are bit-identical
-// to the original tree walks (tests/ml/test_compiled.cpp enforces this),
-// and the batched entry points do zero per-row heap allocation.
+// CompiledForest is the one model type of the three predictor algorithms
+// (DTC / RF / GBDT) from fit to inference: fit_model trains a learner,
+// flattens every tree into contiguous feature/threshold/child arrays plus a
+// flat leaf-payload table, and frees the learner. The hot path is an index
+// walk over a few vectors instead of pointer chasing through per-model node
+// structures. Predictions are bit-identical to the learners' own tree walks
+// (tests/ml/test_compiled.cpp enforces this).
 //
 // The artifact is also the serialization unit (ml/model_io.h) and the
 // sharing unit: the core ModelBank hands the same immutable CompiledForest
@@ -14,10 +14,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "ml/dataset.h"
 
 namespace cocg::ml {
@@ -31,29 +33,6 @@ enum class ModelKind { kDtc, kRf, kGbdt };
 const char* model_kind_name(ModelKind kind);
 /// Inverse of model_kind_name; returns false on unknown names.
 bool parse_model_kind(const std::string& name, ModelKind& out);
-
-/// Dense row-major feature matrix for batched inference: one contiguous
-/// buffer instead of a vector of per-row vectors.
-class FeatureMatrix {
- public:
-  FeatureMatrix() = default;
-  FeatureMatrix(std::size_t rows, std::size_t cols);
-  static FeatureMatrix from_rows(const std::vector<FeatureRow>& rows);
-
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
-  std::span<const double> row(std::size_t i) const {
-    return {data_.data() + i * cols_, cols_};
-  }
-  std::span<double> row(std::size_t i) {
-    return {data_.data() + i * cols_, cols_};
-  }
-
- private:
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  std::vector<double> data_;
-};
 
 class CompiledForest {
  public:
@@ -105,30 +84,25 @@ class CompiledForest {
   }
   const Data& data() const { return d_; }
 
-  // Scalar entry points (thin wrappers over the allocation-free kernels).
   int predict(std::span<const double> x) const;
   std::vector<double> predict_proba(std::span<const double> x) const;
-  /// Allocation-free scalar probability; `out` needs num_classes slots.
+  /// Allocation-free probability; `out` needs num_classes slots.
   void predict_proba_into(std::span<const double> x,
                           std::span<double> out) const;
-
-  /// Batched class prediction; `out` needs xs.rows() slots. No per-row
-  /// heap allocation (one scratch accumulator per call for RF/GBDT).
-  void predict_batch(const FeatureMatrix& xs, std::span<int> out) const;
-  /// Batched probabilities, row-major with stride num_classes; `out`
-  /// needs xs.rows() * num_classes slots. Zero heap allocation.
-  void predict_proba_batch(const FeatureMatrix& xs,
-                           std::span<double> out) const;
 
  private:
   /// Walk one tree; returns the reached leaf's leaf-table row index.
   std::size_t walk(std::size_t tree, std::span<const double> x) const;
-  /// Per-class accumulation shared by the proba/label paths: RF leaf-proba
-  /// sums or GBDT raw scores into `acc` (rows * num_classes, row-major).
-  void accumulate(const FeatureMatrix& xs, std::span<double> acc,
-                  bool votes) const;
 
   Data d_;
 };
+
+/// Trains the `kind` learner with the configuration tuned for stage
+/// prediction (DTC depth 8; RF defaults; GBDT 80 rounds at depth 6) on
+/// `data`, drawing from `rng` exactly as the learner's own fit does, and
+/// returns the compiled result. The learner is freed before returning.
+std::shared_ptr<const CompiledForest> fit_model(ModelKind kind,
+                                                const Dataset& data,
+                                                Rng& rng);
 
 }  // namespace cocg::ml

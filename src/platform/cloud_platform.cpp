@@ -121,35 +121,6 @@ RequestId CloudPlatform::submit(const game::GameSpec* spec,
   return req.id;
 }
 
-void CloudPlatform::add_open_loop_source(const OpenLoopSource& source) {
-  COCG_EXPECTS(source.spec != nullptr);
-  COCG_EXPECTS(source.arrivals_per_hour > 0.0);
-  COCG_EXPECTS(source.player_pool >= 1);
-  open_sources_.push_back(OpenState{source, kTimeNever});
-}
-
-void CloudPlatform::pump_open_loop_arrivals() {
-  const TimeMs now = engine_.now();
-  for (auto& os : open_sources_) {
-    const double mean_gap_ms =
-        3600.0 * 1000.0 / os.cfg.arrivals_per_hour;
-    if (os.next_due == kTimeNever) {
-      os.next_due = now + static_cast<DurationMs>(
-                              std::max(1.0, rng_.exponential(mean_gap_ms)));
-    }
-    while (os.next_due <= now) {
-      const auto script = static_cast<std::size_t>(rng_.uniform_int(
-          0, static_cast<std::int64_t>(os.cfg.spec->scripts.size()) - 1));
-      const auto player = static_cast<std::uint64_t>(
-          rng_.uniform_int(1, os.cfg.player_pool));
-      submit(os.cfg.spec, script, player);
-      ++open_loop_arrivals_;
-      os.next_due += static_cast<DurationMs>(
-          std::max(1.0, rng_.exponential(mean_gap_ms)));
-    }
-  }
-}
-
 void CloudPlatform::replenish_sources() {
   for (auto& src : sources_) {
     while (src.outstanding < src.cfg.max_concurrent) {
@@ -528,7 +499,6 @@ void CloudPlatform::finish_session(SessionId sid, TimeMs end) {
 
 void CloudPlatform::control_tick() {
   replenish_sources();
-  pump_open_loop_arrivals();
   try_admit_queue();
   scheduler_->control(*this);
   obs_control_ticks_.add();

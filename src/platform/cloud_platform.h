@@ -119,13 +119,6 @@ class CloudPlatform final : public PlatformView {
   /// Register a closed-loop request source.
   void add_source(const SourceConfig& source);
 
-  /// Register an open-loop Poisson arrival source (active once run()
-  /// starts; arrivals stop at the experiment horizon).
-  void add_open_loop_source(const OpenLoopSource& source);
-
-  /// Arrivals generated by open-loop sources so far.
-  std::size_t open_loop_arrivals() const { return open_loop_arrivals_; }
-
   /// Submit a one-shot request (used by targeted experiments).
   RequestId submit(const game::GameSpec* spec, std::size_t script_idx,
                    std::uint64_t player_id);
@@ -135,7 +128,7 @@ class CloudPlatform final : public PlatformView {
                    std::uint64_t player_id, const RequestMeta& meta);
 
   /// Observe every request the instant it joins the admission queue
-  /// (closed-loop replenish, open-loop pumps, scheduled injections alike).
+  /// (closed-loop replenish, submit() and scheduled injections alike).
   /// The capture path hangs a traffic recorder off this; null disables.
   /// The hook must not reenter the platform.
   using ArrivalHook = std::function<void(const GameRequest&)>;
@@ -266,7 +259,6 @@ class CloudPlatform final : public PlatformView {
                        TimeMs t);
   /// Interned span name for a stage key (-1 → "loading", k → "exec:k").
   const std::string& span_name(int key);
-  void pump_open_loop_arrivals();
   void try_admit_queue();
   void finish_session(SessionId sid, TimeMs end);
   void replenish_sources();
@@ -283,14 +275,8 @@ class CloudPlatform final : public PlatformView {
   /// Dense slot store; deterministic id order is recovered where it matters
   /// (reaping, session_ids) via collect-and-sort.
   SessionTable<ActiveSession> sessions_;
-  struct OpenState {
-    OpenLoopSource cfg;
-    TimeMs next_due = kTimeNever;
-  };
   std::deque<GameRequest> queue_;
   std::vector<SourceState> sources_;
-  std::vector<OpenState> open_sources_;
-  std::size_t open_loop_arrivals_ = 0;
   ArrivalHook arrival_hook_;
 
   std::vector<CompletedRun> completed_;

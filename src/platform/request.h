@@ -39,13 +39,4 @@ struct SourceConfig {
   int player_pool = 16;  ///< player ids drawn from [1, player_pool]
 };
 
-/// Open-loop Poisson source: players arrive at `arrivals_per_hour`
-/// independent of service progress — the datacenter-facing workload model
-/// (queue growth under overload is visible, unlike closed loops).
-struct OpenLoopSource {
-  const game::GameSpec* spec = nullptr;
-  double arrivals_per_hour = 6.0;
-  int player_pool = 16;
-};
-
 }  // namespace cocg::platform

@@ -49,7 +49,7 @@ PlayerProfile draw_profile(Rng& rng) {
 PoissonSource::PoissonSource(std::uint64_t seed)
     : rng_(seed), meta_rng_(rng_.fork()) {}
 
-void PoissonSource::add_stream(const platform::OpenLoopSource& cfg,
+void PoissonSource::add_stream(const OpenLoopSource& cfg,
                                std::uint32_t region) {
   COCG_EXPECTS(cfg.spec != nullptr);
   COCG_EXPECTS(cfg.arrivals_per_hour > 0.0);

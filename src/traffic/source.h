@@ -19,10 +19,18 @@
 #include "common/rng.h"
 #include "common/types.h"
 #include "game/spec.h"
-#include "platform/request.h"
 #include "traffic/trace.h"
 
 namespace cocg::traffic {
+
+/// Open-loop Poisson stream: players arrive at `arrivals_per_hour`
+/// independent of service progress — the datacenter-facing workload model
+/// (queue growth under overload is visible, unlike closed loops).
+struct OpenLoopSource {
+  const game::GameSpec* spec = nullptr;
+  double arrivals_per_hour = 6.0;
+  int player_pool = 16;
+};
 
 /// One spec-resolved arrival, ready to route. The in-memory twin of
 /// TraceEvent: names are bound to a GameSpec and a RegionTable index.
@@ -67,15 +75,14 @@ class PoissonSource final : public ArrivalSource {
  public:
   explicit PoissonSource(std::uint64_t seed);
 
-  void add_stream(const platform::OpenLoopSource& cfg,
-                  std::uint32_t region = 0);
+  void add_stream(const OpenLoopSource& cfg, std::uint32_t region = 0);
   std::size_t num_streams() const { return streams_.size(); }
 
   void generate(TimeMs t0, TimeMs t1, std::vector<Arrival>& out) override;
 
  private:
   struct Stream {
-    platform::OpenLoopSource cfg;
+    OpenLoopSource cfg;
     std::uint32_t region = 0;
     TimeMs next_due = kTimeNever;
   };

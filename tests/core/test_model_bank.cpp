@@ -99,8 +99,16 @@ TEST(GameBundle, ReplaceModelRetrainsIdentically) {
 TEST(GameBundle, CorpusFreeBundleDegradesGracefully) {
   static const game::GameSpec g = game::make_contra();
   const TrainedGame tg = train_game(g, small_cfg());
-  std::stringstream ss;
-  write_bundle(ModelBank::bundle_from(tg), ss, /*include_corpus=*/false);
+  std::stringstream saved;
+  write_bundle(ModelBank::bundle_from(tg), saved);
+  // Drop the predictor block's `corpus N` count line and its N run lines.
+  std::string text = saved.str();
+  const auto begin = text.find("\ncorpus ");
+  const auto end = text.find("\npooled\n", begin);
+  ASSERT_NE(begin, std::string::npos);
+  ASSERT_NE(end, std::string::npos);
+  text.replace(begin, end - begin, "\ncorpus 0");
+  std::stringstream ss(text);
   const GameBundle back = read_bundle(ss);
   EXPECT_TRUE(back.predictor.corpus.empty());
 
@@ -157,9 +165,9 @@ TEST(ModelBank, InstantiateSharesForestsCopiesProfile) {
   // The compiled forests are one shared copy across the bank and every
   // instantiation; the profiles are independent deep copies.
   const auto& bank_pooled = bank.bundle("Genshin Impact").predictor.pooled;
-  EXPECT_EQ(inst_a.predictor->to_artifact(false).pooled.get(),
+  EXPECT_EQ(inst_a.predictor->to_artifact().pooled.get(),
             bank_pooled.get());
-  EXPECT_EQ(inst_b.predictor->to_artifact(false).pooled.get(),
+  EXPECT_EQ(inst_b.predictor->to_artifact().pooled.get(),
             bank_pooled.get());
   EXPECT_NE(inst_a.profile.get(), inst_b.profile.get());
   EXPECT_NE(inst_a.profile.get(),

@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "common/check.h"
 #include "core/features.h"
@@ -282,13 +283,26 @@ TEST(StagePredictorBundle, RoundTripPreservesEverything) {
   }
 }
 
+/// A saved bundle with its `corpus N` block (the count line plus its N
+/// `run` lines) replaced by `corpus 0`.
+std::string without_corpus(const std::string& bundle) {
+  const auto begin = bundle.find("\ncorpus ");
+  const auto end = bundle.find("\npooled\n", begin);
+  EXPECT_NE(begin, std::string::npos);
+  EXPECT_NE(end, std::string::npos);
+  std::string out = bundle;
+  out.replace(begin, end - begin, "\ncorpus 0");
+  return out;
+}
+
 TEST(StagePredictorBundle, CorpusFreeLoadCannotRetrain) {
   const GameProfile p = toy_profile();
   StagePredictor pred(&p, PredictorConfig{});
   Rng rng(42);
   pred.train(deterministic_corpus(40), rng);
-  std::stringstream ss;
-  pred.save_bundle(ss, /*include_corpus=*/false);
+  std::stringstream saved;
+  pred.save_bundle(saved);
+  std::stringstream ss(without_corpus(saved.str()));
   const auto back = StagePredictor::load_bundle(ss, &p);
   EXPECT_FALSE(back->can_retrain());
   EXPECT_EQ(back->predict_next({1}, 1, 0), pred.predict_next({1}, 1, 0));
@@ -311,6 +325,29 @@ TEST(StagePredictorBundle, TruncatedAndCorruptRejected) {
   skewed.replace(skewed.find("cocg-predictor-v1"), 17, "cocg-predictor-v8");
   std::stringstream sk(skewed);
   EXPECT_THROW(StagePredictor::load_bundle(sk, &p), std::runtime_error);
+}
+
+TEST(StagePredictorBundle, ModelKindMismatchRejected) {
+  const GameProfile p = toy_profile();
+  StagePredictor pred(&p, PredictorConfig{});
+  Rng rng(45);
+  pred.train(deterministic_corpus(40), rng);
+  ASSERT_EQ(pred.model_kind(), ml::ModelKind::kDtc);
+  std::stringstream ss;
+  pred.save_bundle(ss);
+  // The header claims RF, but the pooled forest on disk is a DTC.
+  std::string edited = ss.str();
+  const auto at = edited.find("\nmodel DTC\n");
+  ASSERT_NE(at, std::string::npos);
+  edited.replace(at, 11, "\nmodel RF\n");
+  std::stringstream in(edited);
+  try {
+    StagePredictor::load_bundle(in, &p);
+    FAIL() << "model kind mismatch accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("kind"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(StagePredictorBundle, MismatchedProfileRejected) {

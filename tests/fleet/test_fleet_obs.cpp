@@ -45,7 +45,7 @@ std::unique_ptr<Fleet> make_fleet(int shards, int threads,
   auto f = std::make_unique<Fleet>(
       cfg, [](int) { return std::make_unique<GreedyScheduler>(); });
   for (int s = 0; s < 2 * shards; ++s) f->add_server(hw::ServerSpec{});
-  platform::OpenLoopSource src;
+  traffic::OpenLoopSource src;
   src.spec = &contra;
   src.arrivals_per_hour = 240.0;
   src.player_pool = 16;

@@ -121,21 +121,6 @@ TEST(Server, RemoveFreesCapacity) {
   EXPECT_TRUE(s.place(SessionId{2}, 0, {10, 90, 100, 100}));
 }
 
-TEST(Server, PlaceBestGpuPicksLeastLoaded) {
-  Server s(ServerId{0}, testbed());
-  ASSERT_TRUE(s.place(SessionId{1}, 0, {5, 60, 100, 100}));
-  const auto gpu = s.place_best_gpu(SessionId{2}, {5, 30, 100, 100});
-  ASSERT_TRUE(gpu.has_value());
-  EXPECT_EQ(*gpu, 1);
-}
-
-TEST(Server, PlaceBestGpuNoneFits) {
-  Server s(ServerId{0}, testbed());
-  ASSERT_TRUE(s.place(SessionId{1}, 0, {5, 95, 100, 100}));
-  ASSERT_TRUE(s.place(SessionId{2}, 1, {5, 95, 100, 100}));
-  EXPECT_FALSE(s.place_best_gpu(SessionId{3}, {5, 10, 100, 100}).has_value());
-}
-
 TEST(Server, SessionIdsSorted) {
   Server s(ServerId{0}, testbed());
   ASSERT_TRUE(s.place(SessionId{5}, 0, {1, 1, 1, 1}));

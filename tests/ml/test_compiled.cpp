@@ -1,14 +1,12 @@
-// Parity tests for CompiledForest: compiled inference — scalar and
-// batched — must be bit-identical to the legacy tree walks of all three
-// learners, and the validating constructor must reject every corrupt
-// Data variant a broken serializer could produce.
+// Parity tests for CompiledForest: compiled inference must be bit-identical
+// to the tree walks of all three learners, and the validating constructor
+// must reject every corrupt Data variant a broken serializer could produce.
 #include "ml/compiled.h"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
-#include "common/check.h"
 #include "ml/gbdt.h"
 #include "ml/random_forest.h"
 #include "ml/tree.h"
@@ -44,25 +42,17 @@ template <typename Legacy>
 void expect_bit_identical(const Legacy& legacy, const CompiledForest& c,
                           const std::vector<FeatureRow>& rows) {
   const auto k = static_cast<std::size_t>(c.num_classes());
-  const FeatureMatrix m = FeatureMatrix::from_rows(rows);
-  std::vector<int> batch_labels(rows.size());
-  std::vector<double> batch_proba(rows.size() * k);
-  c.predict_batch(m, batch_labels);
-  c.predict_proba_batch(m, batch_proba);
   std::vector<double> scalar(k, 0.0);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto want_proba = legacy.predict_proba(rows[i]);
     const int want_label = legacy.predict(rows[i]);
     EXPECT_EQ(c.predict(rows[i]), want_label) << "row " << i;
-    EXPECT_EQ(batch_labels[i], want_label) << "row " << i;
     const auto got = c.predict_proba(rows[i]);
     ASSERT_EQ(got.size(), want_proba.size());
-    c.predict_proba_into(m.row(i), scalar);
+    c.predict_proba_into(rows[i], scalar);
     for (std::size_t cl = 0; cl < k; ++cl) {
       EXPECT_EQ(got[cl], want_proba[cl]) << "row " << i << " class " << cl;
       EXPECT_EQ(scalar[cl], want_proba[cl]) << "row " << i << " class " << cl;
-      EXPECT_EQ(batch_proba[i * k + cl], want_proba[cl])
-          << "row " << i << " class " << cl;
     }
   }
 }
@@ -106,33 +96,6 @@ TEST_P(CompiledParity, GbdtBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CompiledParity,
                          ::testing::Values(11u, 222u, 3333u, 44444u));
-
-TEST(FeatureMatrix, RowsAreContiguousViews) {
-  FeatureMatrix m(3, 2);
-  for (std::size_t i = 0; i < 3; ++i) {
-    m.row(i)[0] = static_cast<double>(i);
-    m.row(i)[1] = 10.0 + static_cast<double>(i);
-  }
-  EXPECT_EQ(m.rows(), 3u);
-  EXPECT_EQ(m.cols(), 2u);
-  EXPECT_EQ(m.row(2)[1], 12.0);
-  // Adjacent rows are adjacent in memory.
-  EXPECT_EQ(m.row(0).data() + 2, m.row(1).data());
-}
-
-TEST(FeatureMatrix, FromRowsCopiesAndChecksWidth) {
-  const std::vector<FeatureRow> rows = {{1, 2}, {3, 4}, {5, 6}};
-  const FeatureMatrix m = FeatureMatrix::from_rows(rows);
-  ASSERT_EQ(m.rows(), 3u);
-  EXPECT_EQ(m.row(1)[0], 3.0);
-  const std::vector<FeatureRow> ragged = {{1, 2}, {3}};
-  EXPECT_THROW(FeatureMatrix::from_rows(ragged), ContractError);
-}
-
-TEST(FeatureMatrix, EmptyIsFine) {
-  const FeatureMatrix m = FeatureMatrix::from_rows({});
-  EXPECT_EQ(m.rows(), 0u);
-}
 
 CompiledForest::Data tiny_valid() {
   // One tree: root splits f0 <= 0.5, two leaves with 2-class probas.

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
-#include "ml/classifier.h"
+#include "ml/compiled.h"
 #include "ml/metrics.h"
 
 namespace cocg::ml {
@@ -126,15 +126,18 @@ TEST(Gbdt, ConfigValidation) {
   EXPECT_THROW(g2.fit(d, fit), ContractError);
 }
 
-// --- Classifier facade ---
+// --- fit_model: the one entry point over all three learners ---
 
 TEST(ClassifierFacade, FactoryProducesAllKinds) {
+  Rng rng(12);
+  const Dataset d = blobs(rng, 10);
   for (ModelKind kind :
        {ModelKind::kDtc, ModelKind::kRf, ModelKind::kGbdt}) {
-    auto c = make_classifier(kind);
+    Rng fit(12);
+    const auto c = fit_model(kind, d, fit);
     ASSERT_NE(c, nullptr);
     EXPECT_EQ(c->kind(), kind);
-    EXPECT_FALSE(c->trained());
+    EXPECT_TRUE(c->trained());
   }
 }
 
@@ -149,12 +152,13 @@ class FacadeProp : public ::testing::TestWithParam<ModelKind> {};
 TEST_P(FacadeProp, AllKindsLearnBlobs) {
   Rng rng(13);
   const Dataset d = blobs(rng, 40);
-  auto c = make_classifier(GetParam());
   Rng fit(14);
-  c->fit(d, fit);
+  const auto c = fit_model(GetParam(), d, fit);
   EXPECT_TRUE(c->trained());
-  EXPECT_GE(accuracy(d.labels(), c->predict_all(d.features())), 0.95);
-  const auto p = c->predict_proba({0.0, 0.0});
+  std::vector<int> pred;
+  for (const auto& x : d.features()) pred.push_back(c->predict(x));
+  EXPECT_GE(accuracy(d.labels(), pred), 0.95);
+  const auto p = c->predict_proba(FeatureRow{0.0, 0.0});
   double total = 0.0;
   for (double v : p) total += v;
   EXPECT_NEAR(total, 1.0, 1e-6);

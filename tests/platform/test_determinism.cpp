@@ -132,7 +132,7 @@ std::string run_fleet(int threads) {
   auto f = std::make_unique<fleet::Fleet>(
       cfg, [](int) { return std::make_unique<GreedyScheduler>(); });
   for (int s = 0; s < 6; ++s) f->add_server(hw::ServerSpec{});
-  platform::OpenLoopSource src;
+  traffic::OpenLoopSource src;
   src.spec = &contra;
   src.arrivals_per_hour = 240.0;
   src.player_pool = 16;

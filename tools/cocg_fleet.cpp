@@ -6,7 +6,7 @@
 //              [--games "A,B,..."]
 //              [--trace-in t.trace] [--replay-reroute]
 //              [--capture-out t.trace]
-//              [--models-in dir] [--models-out dir] [--retrain-per-shard]
+//              [--models-in dir] [--models-out dir]
 //              [--report-out r.json] [--health-interval-s S]
 //              [--metrics-out m.json] [--events-out e.jsonl]
 //              [--trace-out t.json] [--health-out h.jsonl]
@@ -21,13 +21,10 @@
 // Models are trained ONCE and shared across shards through a
 // core::ModelBank (every shard aliases the same immutable compiled
 // forests); --models-in skips training entirely by loading bundles
-// written by `cocg_profiler train-suite` or --models-out.
-// --retrain-per-shard restores the legacy K-independent-retrains path —
-// byte-identical aggregate results, K× the training cost (the
-// determinism tests rely on that equivalence). The observability flags
-// dump the *merged* per-shard registries, the time-ordered event JSONL
-// (with a shard field), and a Perfetto trace with one process group per
-// shard.
+// written by `cocg_profiler train-suite` or --models-out. The
+// observability flags dump the *merged* per-shard registries, the
+// time-ordered event JSONL (with a shard field), and a Perfetto trace with
+// one process group per shard.
 //
 // Capture/replay (docs/traffic.md): --capture-out records the run's
 // arrival stream plus router verdicts as a traffic trace; --trace-in
@@ -88,8 +85,6 @@ int usage() {
          "  --models-in DIR        load trained bundles instead of"
          " training\n"
          "  --models-out DIR       save the trained bundles for reuse\n"
-         "  --retrain-per-shard    legacy path: every shard retrains"
-         " (same results, K x cost)\n"
          "  --report-out FILE      write the merged report as canonical"
          " JSON\n"
       << obs::cli_usage_with_health();
@@ -132,7 +127,6 @@ int main(int argc, char** argv) {
     std::string models_in, models_out, report_out;
     std::string trace_in, capture_out;
     bool replay_reroute = false;
-    bool retrain_per_shard = false;
     int health_interval_s = 30;
 
     for (std::size_t i = 0; i < args.size(); ++i) {
@@ -156,7 +150,6 @@ int main(int argc, char** argv) {
       else if (a == "--games") games_csv = next();
       else if (a == "--models-in") models_in = next();
       else if (a == "--models-out") models_out = next();
-      else if (a == "--retrain-per-shard") retrain_per_shard = true;
       else if (a == "--report-out") report_out = next();
       else if (a == "--trace-in") trace_in = next();
       else if (a == "--capture-out") capture_out = next();
@@ -209,7 +202,7 @@ int main(int argc, char** argv) {
       bank = core::ModelBank::load_dir(models_in);
       std::cout << "loaded " << bank.size() << " model bundle(s) from "
                 << models_in << "\n";
-    } else if (!retrain_per_shard || !models_out.empty()) {
+    } else {
       std::cout << "training models once (shared across shards)...\n";
       for (const auto& [name, tg] : core::train_suite(suite, ocfg)) {
         bank.add_trained(tg);
@@ -220,9 +213,6 @@ int main(int argc, char** argv) {
       std::cout << "wrote " << paths.size() << " bundle(s) to "
                 << models_out << "\n";
     }
-    if (retrain_per_shard) {
-      std::cout << "training models (once per shard, same seed)...\n";
-    }
 
     fleet::FleetConfig fcfg;
     fcfg.shards = shards;
@@ -231,10 +221,6 @@ int main(int argc, char** argv) {
     fcfg.policy = *policy;
     fcfg.seed = seed;
     fleet::Fleet sim(fcfg, [&](int) {
-      if (retrain_per_shard) {
-        return core::make_named_scheduler(sched_name,
-                                          core::train_suite(suite, ocfg));
-      }
       return core::make_named_scheduler(sched_name, bank, suite);
     });
 
