@@ -25,6 +25,10 @@ CocgScheduler::CocgScheduler(std::map<std::string, TrainedGame> models,
   obs_rejected_ = reg.counter("scheduler.admit.rejected");
   obs_holds_ = reg.counter("regulator.holds");
   obs_replacements_ = reg.counter("scheduler.model_replacements");
+  obs_outlook_hits_ = reg.counter("scheduler.outlook_memo.hits");
+  obs_outlook_misses_ = reg.counter("scheduler.outlook_memo.misses");
+  obs_candidate_hits_ = reg.counter("scheduler.candidate_memo.hits");
+  obs_candidate_misses_ = reg.counter("scheduler.candidate_memo.misses");
   prof_predictor_ = obs::stage_timer(obs::Stage::kPredictorDecide);
   prof_distributor_ = obs::stage_timer(obs::Stage::kDistributorDecide);
   prof_regulator_ = obs::stage_timer(obs::Stage::kRegulator);
@@ -41,13 +45,14 @@ ResourceVector CocgScheduler::view_capacity(
   const auto& srv = view.server(server);
   ResourceVector cap = srv.spec().per_gpu_capacity();
   // Sessions pinned to other GPUs still drain the shared CPU/RAM pools.
+  // Summed GPU-major, then by session id.
   double other_cpu = 0.0, other_ram = 0.0;
   for (int g = 0; g < srv.spec().num_gpus; ++g) {
     if (g == gpu) continue;
-    for (SessionId sid : srv.sessions_on_gpu(g)) {
-      const auto& alloc = srv.placement(sid).allocation;
-      other_cpu += alloc[Dim::kCpuPct];
-      other_ram += alloc[Dim::kRamMb];
+    for (const auto& h : srv.hosted()) {
+      if (h.placement.gpu_index != g) continue;
+      other_cpu += h.placement.allocation[Dim::kCpuPct];
+      other_ram += h.placement.allocation[Dim::kRamMb];
     }
   }
   cap[Dim::kCpuPct] = std::max(0.0, cap[Dim::kCpuPct] - other_cpu);
@@ -84,14 +89,10 @@ ResourceVector expected_demand(const GameProfile& profile,
 
 }  // namespace
 
-SessionOutlook CocgScheduler::outlook_for(const SessionState& st,
-                                          TimeMs now) const {
+SessionOutlook CocgScheduler::outlook_for(const SessionState& st) const {
   const auto& profile = *model(st.game).profile;
   SessionOutlook o;
   o.in_loading = st.monitor->in_loading();
-  o.expected_remaining_ms =
-      st.monitor->current_stage() >= 0 ? st.monitor->expected_remaining_ms(now)
-                                       : 0;
   const int cur = st.monitor->current_stage();
   if (cur >= 0) {
     o.current_peak = profile.stage_type(cur).peak_demand;
@@ -110,6 +111,15 @@ SessionOutlook CocgScheduler::outlook_for(const SessionState& st,
   }
   o.expected = expected_demand(profile, seq);
   return o;
+}
+
+const SessionOutlook& CocgScheduler::hosted_outlook(SessionState& st) {
+  if (st.outlook) {
+    obs_outlook_hits_.add();
+    return *st.outlook;
+  }
+  obs_outlook_misses_.add();
+  return st.outlook.emplace(outlook_for(st));
 }
 
 CandidateOutlook CocgScheduler::candidate_outlook(
@@ -142,10 +152,23 @@ CandidateOutlook CocgScheduler::candidate_outlook(
   return c;
 }
 
+const CandidateOutlook& CocgScheduler::memo_candidate_outlook(
+    const TrainedGame& tg, const CandidateKey& key) {
+  auto it = candidate_memo_.find(key);
+  if (it != candidate_memo_.end()) {
+    obs_candidate_hits_.add();
+    return it->second;
+  }
+  obs_candidate_misses_.add();
+  return candidate_memo_
+      .emplace(key, candidate_outlook(tg, std::get<1>(key), std::get<2>(key)))
+      .first->second;
+}
+
 std::optional<platform::Placement> CocgScheduler::admit(
     platform::PlatformView& view, const platform::GameRequest& req) {
   const TimeMs now = view.now();
-  auto log_decision = [&](bool admitted, std::string reason,
+  auto log_decision = [&](bool admitted, std::string_view reason,
                           ServerId server = ServerId{}, int gpu = -1) {
     (admitted ? obs_accepted_ : obs_rejected_).add();
     if (!obs::enabled()) return;
@@ -153,7 +176,7 @@ std::optional<platform::Placement> CocgScheduler::admit(
     ev.request = req.id.value;
     ev.game = req.spec->name;
     ev.admitted = admitted;
-    ev.reason = std::move(reason);
+    ev.reason = std::string(reason);
     ev.server = server.value;
     ev.gpu = gpu;
     ev.waited_ms = now - req.arrival;
@@ -166,10 +189,11 @@ std::optional<platform::Placement> CocgScheduler::admit(
     return std::nullopt;
   }
   const TrainedGame& tg = mit->second;
-  CandidateOutlook cand;
+  const CandidateKey key{mit->first, req.player_id, req.script_idx};
+  const CandidateOutlook* cand = nullptr;
   {
     obs::StageScope predictor_scope(prof_predictor_);
-    cand = candidate_outlook(tg, req.player_id, req.script_idx);
+    cand = &memo_candidate_outlook(tg, key);
   }
 
   // Best-fit complementary placement: among all views the distributor
@@ -178,11 +202,11 @@ std::optional<platform::Placement> CocgScheduler::admit(
   struct Choice {
     ServerId server;
     int gpu = 0;
-    double score = 0.0;  // resulting max-dim expected utilization
-    std::string reason;  // distributor verdict for the winning view
+    double score = 0.0;       // resulting max-dim expected utilization
+    std::string_view reason;  // distributor verdict for the winning view
   };
   std::optional<Choice> best;
-  std::string last_reject;
+  std::string_view last_reject;
 
   {
     obs::StageScope distributor_scope(prof_distributor_);
@@ -196,20 +220,22 @@ std::optional<platform::Placement> CocgScheduler::admit(
           continue;
         }
         const ResourceVector cap = view_capacity(view, server, g);
-        std::vector<SessionOutlook> hosted;
-        for (SessionId sid : srv.sessions_on_gpu(g)) {
-          auto it = state_.find(sid);
+        hosted_scratch_.clear();
+        for (const auto& h : srv.hosted()) {
+          if (h.placement.gpu_index != g) continue;
+          auto it = state_.find(h.sid);
           if (it == state_.end()) continue;
-          hosted.push_back(outlook_for(it->second, now));
+          hosted_scratch_.push_back(hosted_outlook(it->second));
         }
-        const AdmitDecision d = distributor_.decide(cap, hosted, cand);
+        const AdmitDecision d =
+            distributor_.decide(cap, hosted_scratch_, *cand);
         if (!d.admit) {
           last_reject = d.reason;
           continue;
         }
 
-        ResourceVector expected_total = cand.expected;
-        for (const auto& h : hosted) expected_total += h.expected;
+        ResourceVector expected_total = cand->expected;
+        for (const auto& h : hosted_scratch_) expected_total += h.expected;
         double score = 0.0;
         for (std::size_t dim = 0; dim < kNumDims; ++dim) {
           if (cap.at(dim) > 0.0) {
@@ -235,7 +261,7 @@ std::optional<platform::Placement> CocgScheduler::admit(
   // detected as loading, reassign resources to accommodate its next
   // execution stage"), clamped to the hardware actually free. The control
   // loop re-provisions within 5 s.
-  ResourceVector alloc = cand.opening;
+  ResourceVector alloc = cand->opening;
   if (tg.predictor->trained()) {
     const int first =
         tg.predictor->predict_next({}, req.player_id, req.script_idx);
@@ -246,6 +272,8 @@ std::optional<platform::Placement> CocgScheduler::admit(
     }
   }
   alloc = ResourceVector::min(alloc, srv.free_on_gpu(best->gpu));
+  // The admitted request leaves the queue; its key's entry goes with it.
+  candidate_memo_.erase(key);
   platform::Placement placement;
   placement.server = best->server;
   placement.gpu_index = best->gpu;
@@ -323,6 +351,10 @@ void CocgScheduler::update_monitor(platform::PlatformView& view,
 }
 
 void CocgScheduler::control(platform::PlatformView& view) {
+  // Monitors observe, outcomes are recorded and models are replaced only
+  // here: every hosted outlook memo is stale from this point on.
+  for (auto& [sid, st] : state_) st.outlook.reset();
+
   // Step 1-3 of Fig. 8: collect, judge, predict — per session. A view is
   // saturated when the allocations pinned to it oversubscribe it; judged
   // stages on such views must not drift downward (squeezed supply mimics
@@ -373,6 +405,8 @@ void CocgScheduler::control(platform::PlatformView& view) {
       continue;
     }
     tg.predictor->replace_model(rng_);
+    // The new model changes every candidate prediction.
+    candidate_memo_.clear();
     ++model_replacements_;
     obs_replacements_.add();
     COCG_INFO("CoCG replaced model for " << game << " -> "

@@ -8,11 +8,21 @@
 //    loading time when a view is over the limit;
 //  * replacing-model fallback — persistent prediction errors rotate the
 //    game's model DTC → RF → GBDT (§IV-B2).
+//
+// Admission memos: no monitor or model changes between two admit() calls
+// of one admission pass, so each hosted session's outlook is computed at
+// most once per control period (control() clears it) and each candidate
+// key's outlook at most once per model (replace_model clears the memo; an
+// admitted key's entry is erased).
 #pragma once
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <tuple>
+#include <vector>
 
 #include "core/distributor.h"
 #include "core/offline.h"
@@ -65,16 +75,26 @@ class CocgScheduler final : public platform::Scheduler {
     DurationMs stolen_ms = 0;
     bool held = false;
     int outcomes_reported = 0;  ///< hits+misses already fed to the predictor
+    /// Memo of outlook_for(*this); filled by the admission scan, cleared by
+    /// control().
+    std::optional<SessionOutlook> outlook;
   };
+  /// Candidate memo key: (game, player_id, script_idx). The game name
+  /// views the models_ key, which lives as long as the scheduler.
+  using CandidateKey =
+      std::tuple<std::string_view, std::uint64_t, std::size_t>;
 
   /// Capacity of one GPU view with the CPU/RAM pools reduced by sessions
   /// pinned to the server's other GPUs.
   ResourceVector view_capacity(const platform::PlatformView& view,
                                ServerId server, int gpu) const;
-  SessionOutlook outlook_for(const SessionState& st, TimeMs now) const;
+  SessionOutlook outlook_for(const SessionState& st) const;
+  const SessionOutlook& hosted_outlook(SessionState& st);
   CandidateOutlook candidate_outlook(const TrainedGame& tg,
                                      std::uint64_t player_id,
                                      std::size_t script_idx) const;
+  const CandidateOutlook& memo_candidate_outlook(const TrainedGame& tg,
+                                                 const CandidateKey& key);
   void update_monitor(platform::PlatformView& view, SessionId sid,
                       SessionState& st, bool view_saturated);
 
@@ -83,6 +103,8 @@ class CocgScheduler final : public platform::Scheduler {
   Distributor distributor_;
   Regulator regulator_;
   std::map<SessionId, SessionState> state_;
+  std::map<CandidateKey, CandidateOutlook> candidate_memo_;
+  std::vector<SessionOutlook> hosted_scratch_;  ///< one view's outlooks
   Rng rng_;
   int model_replacements_ = 0;
 
@@ -92,6 +114,10 @@ class CocgScheduler final : public platform::Scheduler {
   obs::Counter obs_rejected_;
   obs::Counter obs_holds_;
   obs::Counter obs_replacements_;
+  obs::Counter obs_outlook_hits_;
+  obs::Counter obs_outlook_misses_;
+  obs::Counter obs_candidate_hits_;
+  obs::Counter obs_candidate_misses_;
   // Stage-profiler scopes for the three decision stages of the pipeline:
   // predictor (candidate outlook + monitor collect/judge/predict),
   // distributor (Algorithm 1 view scan), regulator (loading-steal pass).

@@ -23,7 +23,7 @@
 //    bounded, compensated degradation.
 #pragma once
 
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/resources.h"
@@ -37,8 +37,6 @@ struct SessionOutlook {
   ResourceVector current_peak;  ///< current stage's peak demand
   ResourceVector expected;      ///< time-weighted expected demand (horizon)
   bool in_loading = false;
-  /// Expected time until the current stage ends (catalog mean − elapsed).
-  DurationMs expected_remaining_ms = 0;
 };
 
 /// Forward view of the admission candidate.
@@ -65,7 +63,7 @@ struct DistributorConfig {
 
 struct AdmitDecision {
   bool admit = false;
-  std::string reason;
+  std::string_view reason;  ///< one of decide()'s static literals
 };
 
 class Distributor {

@@ -283,13 +283,6 @@ DurationMs OnlineMonitor::stage_elapsed_ms(TimeMs now) const {
   return now - stage_entered_;
 }
 
-DurationMs OnlineMonitor::expected_remaining_ms(TimeMs now) const {
-  COCG_EXPECTS(current_stage_ >= 0);
-  const auto& st = profile_->stage_type(current_stage_);
-  return std::max<DurationMs>(0, st.mean_duration_ms -
-                                     stage_elapsed_ms(now));
-}
-
 ResourceVector OnlineMonitor::recommended_allocation() const {
   if (current_stage_ < 0) {
     // Nothing judged yet: provision for the worst case.

@@ -66,9 +66,6 @@ class OnlineMonitor {
   int predicted_next() const { return predicted_next_; }
   /// Time spent in the currently judged stage.
   DurationMs stage_elapsed_ms(TimeMs now) const;
-  /// Expected remaining time in the current stage from catalog statistics
-  /// (>= 0; 0 when already past the mean duration).
-  DurationMs expected_remaining_ms(TimeMs now) const;
 
   // --- resource recommendation (Fig. 8 step 4) ---
   /// Allocation for right now: execution → stage peak + S; loading →

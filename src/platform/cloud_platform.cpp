@@ -70,6 +70,7 @@ CloudPlatform::~CloudPlatform() = default;
 ServerId CloudPlatform::add_server(const hw::ServerSpec& spec) {
   const ServerId id{servers_.size()};
   servers_.emplace_back(id, spec);
+  server_ids_.push_back(id);
   auto& gauges = obs_util_.emplace_back();
   const std::string base = "platform.util.s" + std::to_string(id.value);
   for (int g = 0; g < spec.num_gpus; ++g) {
@@ -598,13 +599,6 @@ void CloudPlatform::finish() {
 // --- PlatformView ---
 
 TimeMs CloudPlatform::now() const { return engine_.now(); }
-
-std::vector<ServerId> CloudPlatform::server_ids() const {
-  std::vector<ServerId> out;
-  out.reserve(servers_.size());
-  for (const auto& s : servers_) out.push_back(s.id());
-  return out;
-}
 
 const hw::Server& CloudPlatform::server(ServerId id) const {
   COCG_EXPECTS(id.value < servers_.size());

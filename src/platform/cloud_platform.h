@@ -170,7 +170,9 @@ class CloudPlatform final : public PlatformView {
 
   // --- PlatformView ---
   TimeMs now() const override;
-  std::vector<ServerId> server_ids() const override;
+  const std::vector<ServerId>& server_ids() const override {
+    return server_ids_;
+  }
   const hw::Server& server(ServerId id) const override;
   std::vector<SessionId> session_ids() const override;
   SessionInfo session_info(SessionId sid) const override;
@@ -179,7 +181,7 @@ class CloudPlatform final : public PlatformView {
                   bool allow_oversubscribe = false) override;
   void hold_loading(SessionId sid, bool hold) override;
 
-  /// Allocation-free alternative to server_ids(): ids are dense [0, n).
+  /// Number of servers; ids are dense [0, n).
   std::size_t num_servers() const { return servers_.size(); }
 
   // --- results ---
@@ -272,6 +274,7 @@ class CloudPlatform final : public PlatformView {
   StreamingModel streaming_;
 
   std::vector<hw::Server> servers_;
+  std::vector<ServerId> server_ids_;  ///< servers_[i].id(), kept by add_server
   /// Dense slot store; deterministic id order is recovered where it matters
   /// (reaping, session_ids) via collect-and-sort.
   SessionTable<ActiveSession> sessions_;

@@ -32,7 +32,7 @@ class PlatformView {
 
   virtual TimeMs now() const = 0;
 
-  virtual std::vector<ServerId> server_ids() const = 0;
+  virtual const std::vector<ServerId>& server_ids() const = 0;
   virtual const hw::Server& server(ServerId id) const = 0;
 
   /// All running sessions, ordered by id for determinism.

@@ -14,13 +14,11 @@ ResourceVector rv(double gpu, double cpu = 30) {
 }
 
 SessionOutlook hosted(double current_gpu, double expected_gpu,
-                      bool loading = false, DurationMs remaining = 60000,
-                      double cpu = 30) {
+                      bool loading = false, double cpu = 30) {
   SessionOutlook o;
   o.current_peak = rv(current_gpu, cpu);
   o.expected = rv(expected_gpu, cpu);
   o.in_loading = loading;
-  o.expected_remaining_ms = remaining;
   return o;
 }
 
@@ -137,7 +135,7 @@ TEST(Distributor, PaperPairDota2PlusDmc) {
   // Fig. 11's hard pair: expected ≈ 30 (DOTA2) + 58 (DMC) = 88 ≤ 95 —
   // CoCG admits although the peak sum (43 + 76) exceeds the server.
   Distributor d;
-  const auto dec = d.decide(kCap, {hosted(43, 30, false, 60000, 40)},
+  const auto dec = d.decide(kCap, {hosted(43, 30, false, 40)},
                             candidate(76, 58));
   EXPECT_TRUE(dec.admit);
 }

@@ -245,9 +245,6 @@ TEST(OnlineMonitor, StageElapsedTracksTime) {
   Fixture f;
   f.monitor.observe(0, usage_of(f.profile, 1));
   EXPECT_EQ(f.monitor.stage_elapsed_ms(15000), 15000);
-  // mean_duration 100 s → 85 s expected remaining.
-  EXPECT_EQ(f.monitor.expected_remaining_ms(15000), 85000);
-  EXPECT_EQ(f.monitor.expected_remaining_ms(500000), 0);
 }
 
 TEST(OnlineMonitor, ErrorStreakResets) {

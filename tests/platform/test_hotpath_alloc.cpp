@@ -4,7 +4,8 @@
 // asserts that hardware_tick() performs zero heap allocation at steady
 // state: dense SessionTable lookups, scratch-arena reuse, SeqSet event
 // bookkeeping and pre-reserved telemetry buffers must keep the tick loop
-// off the allocator entirely once warmed up.
+// off the allocator entirely once warmed up. The same holds for the CoCG
+// scheduler re-rejecting a queued request within one admission pass.
 //
 // Sanitizer builds provide their own operator new and need the default
 // one for poisoning/interception, so the hook (and the strict zero
@@ -17,7 +18,10 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <vector>
 
+#include "core/cocg_scheduler.h"
+#include "core/offline.h"
 #include "game/library.h"
 #include "obs/obs.h"
 #include "platform/cloud_platform.h"
@@ -213,6 +217,58 @@ TEST(HotPathAlloc, SteadyStateTicksDoNotAllocateWithProfilingEnabled) {
 #if COCG_ALLOC_HOOK
   EXPECT_EQ(n, 0u) << "profiling-enabled hardware_tick allocated on the"
                       " steady-state path";
+#else
+  (void)n;
+  GTEST_SKIP() << "allocation hook disabled under sanitizers";
+#endif
+}
+
+/// Under overload most admit() calls re-reject a queued request. Within
+/// one admission pass that path reads only memoized outlooks, a scratch
+/// vector and static verdict strings: no heap allocation per call.
+TEST(HotPathAlloc, ReRejectingAdmitDoesNotAllocate) {
+  // train_suite's specs point into the suite, which must outlive them.
+  static const std::vector<game::GameSpec> suite = {game::make_genshin()};
+  const game::GameSpec& genshin = suite.front();
+  core::OfflineConfig ocfg;
+  ocfg.profiling_runs = 5;
+  ocfg.corpus_runs = 8;
+  ocfg.seed = 7;
+  auto sched =
+      std::make_unique<core::CocgScheduler>(core::train_suite(suite, ocfg));
+  core::CocgScheduler* cocg = sched.get();
+  PlatformConfig cfg;
+  cfg.seed = 2026;
+  CloudPlatform cloud(cfg, std::move(sched));
+  cloud.add_server(hw::ServerSpec{});
+  for (int i = 0; i < 12; ++i) cloud.submit(&genshin, 0, 100 + i);
+
+  cloud.begin(2LL * 3600 * 1000);
+  cloud.advance_until(60 * 1000);  // the server fills, the rest queue
+  ASSERT_GT(cloud.running_sessions(), 0u);
+  ASSERT_GT(cloud.queued_requests(), 0u);
+
+  GameRequest req;
+  req.id = RequestId{999};
+  req.spec = &genshin;
+  req.player_id = 100;
+  req.arrival = 0;
+  // The first call fills the hosted and candidate memos.
+  ASSERT_FALSE(cocg->admit(cloud, req).has_value());
+
+  constexpr int kCalls = 200;
+  int admitted = 0;
+  arm_alloc_counter();
+  for (int i = 0; i < kCalls; ++i) {
+    if (cocg->admit(cloud, req).has_value()) ++admitted;
+  }
+  disarm_alloc_counter();
+  const std::uint64_t n = allocations_observed();
+  cloud.finish();
+
+  EXPECT_EQ(admitted, 0);
+#if COCG_ALLOC_HOOK
+  EXPECT_EQ(n, 0u) << "re-rejecting admit() allocated";
 #else
   (void)n;
   GTEST_SKIP() << "allocation hook disabled under sanitizers";
