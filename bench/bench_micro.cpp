@@ -256,7 +256,7 @@ int run_compiled_inference_harness() {
   ml::RandomForestClassifier rf;
   rf.fit(train, fit_rng);
   ml::GbdtClassifier gbdt;
-  gbdt.fit(train, fit_rng);
+  gbdt.fit(train);
 
   std::vector<InferenceResult> results;
   results.push_back(run_inference_bench(

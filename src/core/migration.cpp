@@ -53,9 +53,12 @@ TrainedGame migrate_trained_game(TrainedGame&& tg,
   COCG_EXPECTS(tg.profile != nullptr && tg.predictor != nullptr);
   COCG_EXPECTS(scaled != nullptr);
   TrainedGame out = std::move(tg);
-  out.profile =
+  // rebind_profile compares against the old profile, so it must still be
+  // alive when the predictor is re-pointed.
+  auto migrated =
       std::make_shared<GameProfile>(migrate_profile(*out.profile, from, to));
-  out.predictor->rebind_profile(out.profile.get());
+  out.predictor->rebind_profile(migrated.get());
+  out.profile = std::move(migrated);
   out.spec = scaled;
   return out;
 }

@@ -200,19 +200,33 @@ PredictorArtifact StagePredictor::to_artifact() const {
 
 namespace {
 
-/// Every forest a predictor adopts must be trained and of the kind its
-/// `model` line names.
+/// Every forest a predictor adopts must be trained, of the kind its
+/// `model` line names, and fit the encoder's rows and the profile's
+/// stage-type catalog, so no loaded forest can fail a predict precondition.
 void check_forest(const std::shared_ptr<const ml::CompiledForest>& forest,
-                  ml::ModelKind kind, const char* what) {
+                  ml::ModelKind kind, int width, int num_types,
+                  const std::string& what) {
   if (forest == nullptr || !forest->trained()) {
-    throw std::runtime_error(std::string("predictor artifact has no trained ") +
-                             what + " model");
+    throw std::runtime_error("predictor artifact has no trained " + what +
+                             " model");
   }
   if (forest->kind() != kind) {
     throw std::runtime_error(
-        std::string("predictor artifact model kind mismatch: ") + what +
-        " forest is " + ml::model_kind_name(forest->kind()) +
-        ", model line says " + ml::model_kind_name(kind));
+        "predictor artifact model kind mismatch: " + what + " forest is " +
+        ml::model_kind_name(forest->kind()) + ", model line says " +
+        ml::model_kind_name(kind));
+  }
+  if (forest->num_features() > width) {
+    throw std::runtime_error(
+        "predictor artifact does not match the profile's stage-type "
+        "catalog (" + what + " model expects more features than the "
+        "encoder emits)");
+  }
+  if (forest->num_classes() > num_types) {
+    throw std::runtime_error(
+        "predictor artifact does not match the profile's stage-type "
+        "catalog (" + what + " model predicts stage types the profile "
+        "lacks)");
   }
 }
 
@@ -220,23 +234,14 @@ void check_forest(const std::shared_ptr<const ml::CompiledForest>& forest,
 
 std::unique_ptr<StagePredictor> StagePredictor::from_artifact(
     const PredictorArtifact& artifact, const GameProfile* profile) {
-  check_forest(artifact.pooled, artifact.cfg.model, "pooled");
-  for (const auto& [pid, forest] : artifact.per_player) {
-    check_forest(forest, artifact.cfg.model, "per-player");
-  }
   auto p = std::make_unique<StagePredictor>(profile, artifact.cfg);
-  const auto width =
-      static_cast<int>(p->encoder_.feature_names().size());
-  if (artifact.pooled->num_features() > width) {
-    throw std::runtime_error(
-        "predictor artifact does not match the profile's stage-type "
-        "catalog (model expects more features than the encoder emits)");
-  }
-  if (artifact.pooled->num_classes() >
-      static_cast<int>(profile->num_stage_types())) {
-    throw std::runtime_error(
-        "predictor artifact does not match the profile's stage-type "
-        "catalog (model predicts stage types the profile lacks)");
+  const auto width = static_cast<int>(p->encoder_.feature_names().size());
+  const auto num_types = static_cast<int>(profile->num_stage_types());
+  check_forest(artifact.pooled, artifact.cfg.model, width, num_types,
+               "pooled");
+  for (const auto& [pid, forest] : artifact.per_player) {
+    check_forest(forest, artifact.cfg.model, width, num_types,
+                 "player " + std::to_string(pid));
   }
   p->corpus_ = artifact.corpus;
   p->accuracy_ = artifact.accuracy;

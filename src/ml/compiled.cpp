@@ -138,54 +138,28 @@ CompiledForest::CompiledForest(Data data) : d_(std::move(data)) {
 
 namespace {
 
-/// Append one classifier tree; leaf probability rows are padded to
-/// `num_classes` with zeros (bootstrap subsets can miss trailing classes —
-/// adding 0.0 to the running sums is bit-identical to skipping them).
-void append_classifier_tree(CompiledForest::Data& d,
-                            const std::vector<TreeNode>& nodes,
-                            const std::vector<std::vector<double>>& proba,
-                            int num_classes) {
+/// Append one fitted tree. Its leaves are numbered in node order and its
+/// leaf table already has the forest's width (RF trees fit on bootstrap
+/// row indices of the full dataset, so none lacks a class column).
+void append_tree(CompiledForest::Data& d, const Tree& tree) {
+  COCG_CHECK(tree.leaf_width == d.leaf_width);
   const auto base = static_cast<std::int32_t>(d.feature.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const TreeNode& nd = nodes[i];
+  const auto leaf_base = static_cast<std::int32_t>(d.leaf_label.size());
+  for (const TreeNode& nd : tree.nodes) {
+    d.feature.push_back(nd.feature);
     d.threshold.push_back(nd.threshold);
     if (nd.feature >= 0) {
-      d.feature.push_back(nd.feature);
       d.left.push_back(base + nd.left);
       d.right.push_back(base + nd.right);
       d.num_features = std::max(d.num_features, nd.feature + 1);
     } else {
-      d.feature.push_back(-1);
-      d.left.push_back(static_cast<std::int32_t>(d.leaf_label.size()));
+      d.left.push_back(leaf_base + nd.left);
       d.right.push_back(-1);
       d.leaf_label.push_back(nd.label);
-      for (int c = 0; c < num_classes; ++c) {
-        const auto uc = static_cast<std::size_t>(c);
-        d.leaf_data.push_back(uc < proba[i].size() ? proba[i][uc] : 0.0);
-      }
     }
   }
-  d.tree_first.push_back(static_cast<std::int32_t>(d.feature.size()));
-}
-
-void append_regression_tree(CompiledForest::Data& d,
-                            const std::vector<TreeNode>& nodes) {
-  const auto base = static_cast<std::int32_t>(d.feature.size());
-  for (const TreeNode& nd : nodes) {
-    d.threshold.push_back(nd.threshold);
-    if (nd.feature >= 0) {
-      d.feature.push_back(nd.feature);
-      d.left.push_back(base + nd.left);
-      d.right.push_back(base + nd.right);
-      d.num_features = std::max(d.num_features, nd.feature + 1);
-    } else {
-      d.feature.push_back(-1);
-      d.left.push_back(static_cast<std::int32_t>(d.leaf_label.size()));
-      d.right.push_back(-1);
-      d.leaf_label.push_back(0);
-      d.leaf_data.push_back(nd.value);
-    }
-  }
+  d.leaf_data.insert(d.leaf_data.end(), tree.leaf_values.begin(),
+                     tree.leaf_values.end());
   d.tree_first.push_back(static_cast<std::int32_t>(d.feature.size()));
 }
 
@@ -199,8 +173,7 @@ CompiledForest CompiledForest::compile(const DecisionTreeClassifier& tree) {
   d.leaf_width = d.num_classes;
   d.num_features = 1;
   d.tree_first.push_back(0);
-  append_classifier_tree(d, tree.nodes(), tree.leaf_probabilities(),
-                         d.num_classes);
+  append_tree(d, tree.tree());
   return CompiledForest(std::move(d));
 }
 
@@ -212,10 +185,7 @@ CompiledForest CompiledForest::compile(const RandomForestClassifier& forest) {
   d.leaf_width = d.num_classes;
   d.num_features = 1;
   d.tree_first.push_back(0);
-  for (const auto& tree : forest.trees()) {
-    append_classifier_tree(d, tree.nodes(), tree.leaf_probabilities(),
-                           d.num_classes);
-  }
+  for (const auto& tree : forest.trees()) append_tree(d, tree.tree());
   return CompiledForest(std::move(d));
 }
 
@@ -232,19 +202,15 @@ CompiledForest CompiledForest::compile(const GbdtClassifier& gbdt) {
   // Round-major, class-minor: tree t corrects class t % K, in exactly the
   // accumulation order of GbdtClassifier::raw_scores.
   for (const auto& round : gbdt.trees()) {
-    for (const auto& tree : round) append_regression_tree(d, tree.nodes());
+    for (const auto& tree : round) append_tree(d, tree.tree());
   }
   return CompiledForest(std::move(d));
 }
 
 namespace {
 
-template <typename Learner, typename Config>
-std::shared_ptr<const CompiledForest> fit_and_compile(Config cfg,
-                                                      const Dataset& data,
-                                                      Rng& rng) {
-  Learner learner(cfg);
-  learner.fit(data, rng);
+template <typename Learner>
+std::shared_ptr<const CompiledForest> share(const Learner& learner) {
   return std::make_shared<const CompiledForest>(
       CompiledForest::compile(learner));
 }
@@ -260,18 +226,24 @@ std::shared_ptr<const CompiledForest> fit_model(ModelKind kind,
       // not enough to memorize every player's personal task order.
       TreeConfig cfg;
       cfg.max_depth = 8;
-      return fit_and_compile<DecisionTreeClassifier>(cfg, data, rng);
+      DecisionTreeClassifier dtc(cfg);
+      dtc.fit(data, rng);
+      return share(dtc);
     }
-    case ModelKind::kRf:
-      return fit_and_compile<RandomForestClassifier>(RandomForestConfig{},
-                                                     data, rng);
+    case ModelKind::kRf: {
+      RandomForestClassifier rf;
+      rf.fit(data, rng);
+      return share(rf);
+    }
     case ModelKind::kGbdt: {
       // Deeper iteration: the paper notes GBDT "requires more in-depth
       // iteration" and stays accurate on complex titles.
       GbdtConfig cfg;
       cfg.n_rounds = 80;
       cfg.tree.max_depth = 6;
-      return fit_and_compile<GbdtClassifier>(cfg, data, rng);
+      GbdtClassifier gbdt(cfg);
+      gbdt.fit(data);
+      return share(gbdt);
     }
   }
   COCG_CHECK_MSG(false, "unknown model kind");

@@ -37,15 +37,6 @@ std::pair<Dataset, Dataset> Dataset::split(double train_fraction,
   return {std::move(train), std::move(test)};
 }
 
-Dataset Dataset::subset(const std::vector<std::size_t>& indices) const {
-  Dataset out(feature_names_);
-  for (std::size_t i : indices) {
-    COCG_EXPECTS(i < size());
-    out.add(x_[i], y_[i]);
-  }
-  return out;
-}
-
 void Dataset::append(const Dataset& other) {
   COCG_EXPECTS_MSG(
       empty() || other.empty() || num_features() == other.num_features(),

@@ -40,9 +40,6 @@ class Dataset {
   /// train part — the paper uses 75/25 (§V-D2).
   std::pair<Dataset, Dataset> split(double train_fraction, Rng& rng) const;
 
-  /// Subset by row indices (repeats allowed — used for bootstrap bagging).
-  Dataset subset(const std::vector<std::size_t>& indices) const;
-
   /// Concatenate another dataset with the same width.
   void append(const Dataset& other);
 

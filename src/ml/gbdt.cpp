@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/check.h"
 
@@ -22,11 +21,10 @@ void softmax_inplace(std::vector<double>& scores) {
 
 }  // namespace
 
-void GbdtClassifier::fit(const Dataset& data, Rng& rng) {
+void GbdtClassifier::fit(const Dataset& data) {
   COCG_EXPECTS(!data.empty());
   COCG_EXPECTS(cfg_.n_rounds >= 1);
   COCG_EXPECTS(cfg_.learning_rate > 0.0 && cfg_.learning_rate <= 1.0);
-  COCG_EXPECTS(cfg_.subsample > 0.0 && cfg_.subsample <= 1.0);
 
   num_classes_ = data.num_classes();
   const auto k = static_cast<std::size_t>(num_classes_);
@@ -44,36 +42,21 @@ void GbdtClassifier::fit(const Dataset& data, Rng& rng) {
     base_score_[c] = std::log(prior[c] / total);
   }
 
-  // Current raw scores per row per class.
+  // Current raw scores per row per class, and the gradient targets.
   std::vector<std::vector<double>> score(n, base_score_);
+  std::vector<std::vector<double>> residuals(k, std::vector<double>(n));
+  std::vector<double> p(k);
 
   for (int round = 0; round < cfg_.n_rounds; ++round) {
-    // Row subsample for this round.
-    std::vector<std::size_t> rows(n);
-    std::iota(rows.begin(), rows.end(), std::size_t{0});
-    if (cfg_.subsample < 1.0) {
-      rng.shuffle(rows.begin(), rows.end());
-      rows.resize(std::max<std::size_t>(
-          1, static_cast<std::size_t>(cfg_.subsample *
-                                      static_cast<double>(n))));
-      std::sort(rows.begin(), rows.end());
-    }
-
     // Gradient targets: one-hot − softmax probability.
-    std::vector<FeatureRow> xs;
-    xs.reserve(rows.size());
-    std::vector<std::vector<double>> residuals(
-        k, std::vector<double>(rows.size()));
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      const std::size_t i = rows[r];
-      xs.push_back(data.x(i));
-      std::vector<double> p = score[i];
+    for (std::size_t i = 0; i < n; ++i) {
+      p = score[i];
       softmax_inplace(p);
       for (std::size_t c = 0; c < k; ++c) {
         const double target = (static_cast<std::size_t>(data.y(i)) == c)
                                   ? 1.0
                                   : 0.0;
-        residuals[c][r] = target - p[c];
+        residuals[c][i] = target - p[c];
       }
     }
 
@@ -81,12 +64,10 @@ void GbdtClassifier::fit(const Dataset& data, Rng& rng) {
     round_trees.reserve(k);
     for (std::size_t c = 0; c < k; ++c) {
       RegressionTree tree(cfg_.tree);
-      tree.fit(xs, residuals[c]);
+      tree.fit(data.features(), residuals[c]);
       round_trees.push_back(std::move(tree));
     }
 
-    // Update every row's score (not just the subsample) so later gradients
-    // see the full model.
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t c = 0; c < k; ++c) {
         score[i][c] += cfg_.learning_rate * round_trees[c].predict(data.x(i));

@@ -8,7 +8,6 @@
 
 #include <vector>
 
-#include "common/rng.h"
 #include "ml/dataset.h"
 #include "ml/tree.h"
 
@@ -19,14 +18,14 @@ struct GbdtConfig {
   double learning_rate = 0.2;
   TreeConfig tree{/*max_depth=*/4, /*min_samples_split=*/4,
                   /*min_samples_leaf=*/2, /*max_features=*/0};
-  double subsample = 1.0;  ///< row fraction per round (stochastic GB)
 };
 
 class GbdtClassifier {
  public:
   explicit GbdtClassifier(GbdtConfig cfg = {}) : cfg_(cfg) {}
 
-  void fit(const Dataset& data, Rng& rng);
+  /// Deterministic: every round fits every row on every feature.
+  void fit(const Dataset& data);
 
   bool trained() const { return num_classes_ > 0; }
   int predict(const FeatureRow& x) const;

@@ -12,8 +12,7 @@ namespace cocg::ml {
 
 struct RandomForestConfig {
   int n_trees = 25;
-  TreeConfig tree;               ///< tree.max_features==0 → sqrt(#features)
-  double bootstrap_fraction = 1.0;
+  TreeConfig tree;  ///< tree.max_features==0 → sqrt(#features)
 };
 
 class RandomForestClassifier {

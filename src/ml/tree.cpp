@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <span>
 
 #include "common/check.h"
 
@@ -25,182 +26,279 @@ std::vector<std::size_t> candidate_features(std::size_t n_features,
   return feats;
 }
 
+/// Gini impurity over class labels; a side's statistic is its class counts.
+struct Gini {
+  using Stats = std::vector<std::size_t>;
+
+  const std::vector<int>& y;
+  int num_classes;
+
+  int leaf_width() const { return num_classes; }
+  Stats zero() const { return Stats(static_cast<std::size_t>(num_classes), 0); }
+  void add(Stats& s, std::size_t row) const {
+    ++s[static_cast<std::size_t>(y[row])];
+  }
+  void remove(Stats& s, std::size_t row) const {
+    --s[static_cast<std::size_t>(y[row])];
+  }
+
+  bool pure(const Stats& node, std::size_t n) const {
+    return *std::max_element(node.begin(), node.end()) == n;
+  }
+  /// Any valid split beats no split.
+  double gate(const Stats&, std::size_t) const {
+    return std::numeric_limits<double>::max();
+  }
+  double score(const Stats& left, const Stats& right, std::size_t nl,
+               std::size_t n) const {
+    return (static_cast<double>(nl) * gini(left, nl) +
+            static_cast<double>(n - nl) * gini(right, n - nl)) /
+           static_cast<double>(n);
+  }
+
+  /// Appends the class probabilities; returns the majority class.
+  int leaf(const Stats& node, std::size_t n, std::vector<double>& out) const {
+    for (std::size_t c : node) {
+      out.push_back(static_cast<double>(c) / static_cast<double>(n));
+    }
+    return static_cast<int>(std::max_element(node.begin(), node.end()) -
+                            node.begin());
+  }
+
+  static double gini(const Stats& counts, std::size_t total) {
+    double acc = 1.0;
+    for (std::size_t c : counts) {
+      const double p = static_cast<double>(c) / static_cast<double>(total);
+      acc -= p * p;
+    }
+    return acc;
+  }
+};
+
+/// Squared error; a side's statistic is Σy and Σy² (its n is the scan
+/// position).
+struct SquaredError {
+  struct Stats {
+    double sum = 0.0;
+    double sum2 = 0.0;
+  };
+
+  const std::vector<double>& y;
+
+  int leaf_width() const { return 1; }
+  Stats zero() const { return {}; }
+  void add(Stats& s, std::size_t row) const {
+    const double v = y[row];
+    s.sum += v;
+    s.sum2 += v * v;
+  }
+  void remove(Stats& s, std::size_t row) const {
+    const double v = y[row];
+    s.sum -= v;
+    s.sum2 -= v * v;
+  }
+
+  /// Only the gate ends a squared-error node; constant targets fail it.
+  bool pure(const Stats&, std::size_t) const { return false; }
+  /// A split must actually reduce the node's squared error; otherwise
+  /// constant targets would "split" at error 0 == 0.
+  double gate(const Stats& node, std::size_t n) const {
+    return error(node, n) - 1e-12;
+  }
+  double score(const Stats& left, const Stats& right, std::size_t nl,
+               std::size_t n) const {
+    return error(left, nl) + error(right, n - nl);
+  }
+
+  /// Appends the mean target; regression leaves carry no class.
+  int leaf(const Stats& node, std::size_t n, std::vector<double>& out) const {
+    out.push_back(node.sum / static_cast<double>(n));
+    return 0;
+  }
+
+  /// Within-side squared error Σy² − (Σy)²/n.
+  static double error(const Stats& s, std::size_t n) {
+    return s.sum2 - s.sum * s.sum / static_cast<double>(n);
+  }
+};
+
 struct SplitChoice {
   bool found = false;
   std::size_t feature = 0;
   double threshold = 0.0;
-  double score = std::numeric_limits<double>::max();  // lower is better
+  double score = 0.0;  // lower is better
 };
 
-}  // namespace
+/// Grows one tree in pre-order. The scan order is part of the fitted bits:
+/// each node sorts one copy of its rows feature after feature without
+/// resetting it, so tied rows keep the order the previous feature's sort
+/// left, and the squared-error sums are accumulated in that order.
+template <typename Criterion>
+class Grower {
+ public:
+  using Stats = typename Criterion::Stats;
 
-// ---------------------------------------------------------------------------
-// DecisionTreeClassifier
-// ---------------------------------------------------------------------------
+  Grower(const std::vector<FeatureRow>& x, Criterion crit,
+         const TreeConfig& cfg, Rng* rng, Tree& out)
+      : x_(x), crit_(crit), cfg_(cfg), rng_(rng), out_(out) {}
 
-struct DecisionTreeClassifier::BuildCtx {
-  const Dataset* data = nullptr;
-  Rng* rng = nullptr;
-  int num_classes = 0;
-};
-
-namespace {
-
-double gini_from_counts(const std::vector<std::size_t>& counts,
-                        std::size_t total) {
-  if (total == 0) return 0.0;
-  double acc = 1.0;
-  for (std::size_t c : counts) {
-    const double p = static_cast<double>(c) / static_cast<double>(total);
-    acc -= p * p;
+  void fit(std::vector<std::size_t> rows) {
+    COCG_EXPECTS_MSG(!rows.empty(), "cannot fit an empty dataset");
+    out_ = Tree{};
+    out_.leaf_width = crit_.leaf_width();
+    order_.resize(rows.size());
+    grow(std::span<std::size_t>(rows), 0);
   }
-  return acc;
-}
 
-/// Best Gini split over the given rows/features. Sorted-scan per feature.
-SplitChoice best_gini_split(const Dataset& data,
-                            const std::vector<std::size_t>& idx,
-                            const std::vector<std::size_t>& feats,
-                            int num_classes, std::size_t min_leaf) {
-  SplitChoice best;
-  const std::size_t n = idx.size();
-  std::vector<std::size_t> order(idx);
+ private:
+  int grow(std::span<std::size_t> idx, int depth) {
+    const std::size_t n = idx.size();
+    Stats node = crit_.zero();
+    for (std::size_t i : idx) crit_.add(node, i);
 
-  for (std::size_t f : feats) {
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return data.x(a)[f] < data.x(b)[f];
-    });
-    std::vector<std::size_t> left_counts(
-        static_cast<std::size_t>(num_classes), 0);
-    std::vector<std::size_t> right_counts(
-        static_cast<std::size_t>(num_classes), 0);
-    for (std::size_t i : order) {
-      ++right_counts[static_cast<std::size_t>(data.y(i))];
-    }
-    // Move rows one by one from right to left; a split between position i-1
-    // and i is valid when the feature value strictly increases there.
-    for (std::size_t i = 1; i < n; ++i) {
-      const std::size_t moved = order[i - 1];
-      const auto cls = static_cast<std::size_t>(data.y(moved));
-      ++left_counts[cls];
-      --right_counts[cls];
-      const double lo = data.x(order[i - 1])[f];
-      const double hi = data.x(order[i])[f];
-      if (lo >= hi) continue;  // tied values cannot be separated
-      if (i < min_leaf || n - i < min_leaf) continue;
-      const double gini =
-          (static_cast<double>(i) * gini_from_counts(left_counts, i) +
-           static_cast<double>(n - i) * gini_from_counts(right_counts, n - i)) /
-          static_cast<double>(n);
-      if (gini < best.score) {
-        best.found = true;
-        best.feature = f;
-        best.threshold = lo + (hi - lo) / 2.0;
-        best.score = gini;
+    const int me = static_cast<int>(out_.nodes.size());
+    out_.nodes.emplace_back();
+    if (!crit_.pure(node, n) && depth < cfg_.max_depth &&
+        n >= cfg_.min_samples_split) {
+      const SplitChoice split = best_split(idx, node);
+      if (split.found) {
+        const std::size_t nl = partition(idx, split);
+        const int l = grow(idx.first(nl), depth + 1);
+        const int r = grow(idx.subspan(nl), depth + 1);
+        TreeNode& nd = out_.nodes[static_cast<std::size_t>(me)];
+        nd.feature = static_cast<int>(split.feature);
+        nd.threshold = split.threshold;
+        nd.left = l;
+        nd.right = r;
+        return me;
       }
     }
+    TreeNode& nd = out_.nodes[static_cast<std::size_t>(me)];
+    nd.left = static_cast<int>(out_.leaf_values.size()) / out_.leaf_width;
+    nd.label = crit_.leaf(node, n, out_.leaf_values);
+    return me;
   }
-  return best;
+
+  SplitChoice best_split(std::span<const std::size_t> idx, const Stats& node) {
+    const std::size_t n = idx.size();
+    // Drawn only here, so pure nodes and depth-capped nodes draw nothing.
+    const auto feats =
+        candidate_features(x_[0].size(), cfg_.max_features, rng_);
+    SplitChoice best;
+    best.score = crit_.gate(node, n);
+    const std::span<std::size_t> order = std::span(order_).first(n);
+    std::copy(idx.begin(), idx.end(), order.begin());
+    for (std::size_t f : feats) {
+      std::sort(order.begin(), order.end(),
+                [&](std::size_t a, std::size_t b) {
+                  return x_[a][f] < x_[b][f];
+                });
+      Stats left = crit_.zero();
+      Stats right = crit_.zero();
+      for (std::size_t i : order) crit_.add(right, i);
+      // Move rows one by one from right to left; a split between position
+      // i-1 and i is valid when the feature value strictly increases there.
+      for (std::size_t i = 1; i < n; ++i) {
+        crit_.add(left, order[i - 1]);
+        crit_.remove(right, order[i - 1]);
+        const double lo = x_[order[i - 1]][f];
+        const double hi = x_[order[i]][f];
+        if (lo >= hi) continue;  // tied values cannot be separated
+        if (i < cfg_.min_samples_leaf || n - i < cfg_.min_samples_leaf) {
+          continue;
+        }
+        const double score = crit_.score(left, right, i, n);
+        if (score < best.score) {
+          best.found = true;
+          best.feature = f;
+          best.threshold = lo + (hi - lo) / 2.0;
+          best.score = score;
+        }
+      }
+    }
+    return best;
+  }
+
+  /// Stable partition of `idx` by the split, using order_ as scratch;
+  /// returns the size of the left part.
+  std::size_t partition(std::span<std::size_t> idx, const SplitChoice& split) {
+    std::size_t nl = 0, nr = 0;
+    for (std::size_t i : idx) {
+      if (x_[i][split.feature] <= split.threshold) {
+        idx[nl++] = i;
+      } else {
+        order_[nr++] = i;
+      }
+    }
+    COCG_CHECK(nl > 0 && nr > 0);
+    std::copy_n(order_.begin(), nr, idx.subspan(nl).begin());
+    return nl;
+  }
+
+  const std::vector<FeatureRow>& x_;
+  const Criterion crit_;
+  const TreeConfig& cfg_;
+  Rng* rng_;  ///< nullptr: every split examines every feature
+  Tree& out_;
+  /// One node's rows, re-sorted per feature; nodes use it one at a time.
+  std::vector<std::size_t> order_;
+};
+
+std::vector<std::size_t> all_rows(std::size_t n) {
+  std::vector<std::size_t> rows(n);
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
+  return rows;
+}
+
+int depth_below(const std::vector<TreeNode>& nodes, int node) {
+  const TreeNode& nd = nodes[static_cast<std::size_t>(node)];
+  if (nd.feature < 0) return 1;
+  return 1 + std::max(depth_below(nodes, nd.left),
+                      depth_below(nodes, nd.right));
 }
 
 }  // namespace
 
-void DecisionTreeClassifier::fit(const Dataset& data) {
-  Rng unused(0);
-  TreeConfig saved = cfg_;
-  cfg_.max_features = 0;
-  fit(data, unused);
-  cfg_ = saved;
-}
-
-void DecisionTreeClassifier::fit(const Dataset& data, Rng& rng) {
-  COCG_EXPECTS_MSG(!data.empty(), "cannot fit an empty dataset");
-  nodes_.clear();
-  leaf_proba_.clear();
-  num_classes_ = data.num_classes();
-
-  BuildCtx ctx;
-  ctx.data = &data;
-  ctx.rng = &rng;
-  ctx.num_classes = num_classes_;
-
-  std::vector<std::size_t> idx(data.size());
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
-  build(ctx, idx, 0);
-}
-
-int DecisionTreeClassifier::build(BuildCtx& ctx, std::vector<std::size_t>& idx,
-                                  int depth) {
-  const Dataset& data = *ctx.data;
-  const std::size_t n = idx.size();
-  COCG_CHECK(n > 0);
-
-  // Class histogram of this node.
-  std::vector<std::size_t> counts(static_cast<std::size_t>(ctx.num_classes),
-                                  0);
-  for (std::size_t i : idx) ++counts[static_cast<std::size_t>(data.y(i))];
-  const auto majority = static_cast<int>(
-      std::max_element(counts.begin(), counts.end()) - counts.begin());
-  const bool pure =
-      counts[static_cast<std::size_t>(majority)] == n;
-
-  const int me = static_cast<int>(nodes_.size());
-  nodes_.emplace_back();
-  leaf_proba_.emplace_back();
-  nodes_[static_cast<std::size_t>(me)].label = majority;
-  nodes_[static_cast<std::size_t>(me)].n_samples = n;
-
-  auto make_leaf = [&] {
-    auto& proba = leaf_proba_[static_cast<std::size_t>(me)];
-    proba.resize(static_cast<std::size_t>(ctx.num_classes));
-    for (std::size_t c = 0; c < counts.size(); ++c) {
-      proba[c] = static_cast<double>(counts[c]) / static_cast<double>(n);
-    }
-    return me;
-  };
-
-  if (pure || depth >= cfg_.max_depth || n < cfg_.min_samples_split) {
-    return make_leaf();
-  }
-
-  const auto feats = candidate_features(data.num_features(),
-                                        cfg_.max_features, ctx.rng);
-  const SplitChoice split = best_gini_split(data, idx, feats, ctx.num_classes,
-                                            cfg_.min_samples_leaf);
-  if (!split.found) return make_leaf();
-
-  std::vector<std::size_t> left_idx, right_idx;
-  left_idx.reserve(n);
-  right_idx.reserve(n);
-  for (std::size_t i : idx) {
-    (data.x(i)[split.feature] <= split.threshold ? left_idx : right_idx)
-        .push_back(i);
-  }
-  COCG_CHECK(!left_idx.empty() && !right_idx.empty());
-  idx.clear();
-  idx.shrink_to_fit();
-
-  nodes_[static_cast<std::size_t>(me)].feature =
-      static_cast<int>(split.feature);
-  nodes_[static_cast<std::size_t>(me)].threshold = split.threshold;
-  const int l = build(ctx, left_idx, depth + 1);
-  const int r = build(ctx, right_idx, depth + 1);
-  nodes_[static_cast<std::size_t>(me)].left = l;
-  nodes_[static_cast<std::size_t>(me)].right = r;
-  return me;
-}
-
-int DecisionTreeClassifier::predict(const FeatureRow& x) const {
-  COCG_EXPECTS_MSG(trained(), "predict before fit");
+const TreeNode& Tree::leaf(const FeatureRow& x) const {
+  COCG_EXPECTS_MSG(!nodes.empty(), "predict before fit");
   std::size_t node = 0;
-  while (nodes_[node].feature >= 0) {
-    const auto& nd = nodes_[node];
+  while (nodes[node].feature >= 0) {
+    const auto& nd = nodes[node];
     COCG_EXPECTS(static_cast<std::size_t>(nd.feature) < x.size());
     node = static_cast<std::size_t>(
         x[static_cast<std::size_t>(nd.feature)] <= nd.threshold ? nd.left
                                                                 : nd.right);
   }
-  return nodes_[node].label;
+  return nodes[node];
+}
+
+// ---------------------------------------------------------------------------
+// DecisionTreeClassifier
+// ---------------------------------------------------------------------------
+
+void DecisionTreeClassifier::fit(const Dataset& data) {
+  grow(data, all_rows(data.size()), nullptr);
+}
+
+void DecisionTreeClassifier::fit(const Dataset& data, Rng& rng) {
+  grow(data, all_rows(data.size()), &rng);
+}
+
+void DecisionTreeClassifier::fit(const Dataset& data,
+                                 std::vector<std::size_t> rows, Rng& rng) {
+  for (std::size_t i : rows) COCG_EXPECTS(i < data.size());
+  grow(data, std::move(rows), &rng);
+}
+
+void DecisionTreeClassifier::grow(const Dataset& data,
+                                  std::vector<std::size_t> rows, Rng* rng) {
+  Grower<Gini>(data.features(), Gini{data.labels(), data.num_classes()}, cfg_,
+               rng, tree_)
+      .fit(std::move(rows));
+}
+
+int DecisionTreeClassifier::predict(const FeatureRow& x) const {
+  return tree_.leaf(x).label;
 }
 
 std::vector<int> DecisionTreeClassifier::predict_all(
@@ -213,171 +311,28 @@ std::vector<int> DecisionTreeClassifier::predict_all(
 
 std::vector<double> DecisionTreeClassifier::predict_proba(
     const FeatureRow& x) const {
-  COCG_EXPECTS_MSG(trained(), "predict before fit");
-  std::size_t node = 0;
-  while (nodes_[node].feature >= 0) {
-    const auto& nd = nodes_[node];
-    node = static_cast<std::size_t>(
-        x[static_cast<std::size_t>(nd.feature)] <= nd.threshold ? nd.left
-                                                                : nd.right);
-  }
-  return leaf_proba_[node];
+  const auto first = tree_.leaf_values.begin() +
+                     tree_.leaf(x).left * tree_.leaf_width;
+  return {first, first + tree_.leaf_width};
 }
 
 int DecisionTreeClassifier::depth() const {
-  if (nodes_.empty()) return 0;
-  // Iterative depth computation over the flattened structure.
-  std::vector<std::pair<std::size_t, int>> stack{{0, 1}};
-  int mx = 0;
-  while (!stack.empty()) {
-    auto [node, d] = stack.back();
-    stack.pop_back();
-    mx = std::max(mx, d);
-    if (nodes_[node].feature >= 0) {
-      stack.push_back({static_cast<std::size_t>(nodes_[node].left), d + 1});
-      stack.push_back({static_cast<std::size_t>(nodes_[node].right), d + 1});
-    }
-  }
-  return mx;
+  return trained() ? depth_below(tree_.nodes, 0) : 0;
 }
 
 // ---------------------------------------------------------------------------
 // RegressionTree
 // ---------------------------------------------------------------------------
 
-struct RegressionTree::BuildCtx {
-  const std::vector<FeatureRow>* x = nullptr;
-  const std::vector<double>* y = nullptr;
-};
-
-namespace {
-
-/// Best variance-reduction split using prefix sums over sorted values.
-SplitChoice best_mse_split(const std::vector<FeatureRow>& x,
-                           const std::vector<double>& y,
-                           const std::vector<std::size_t>& idx,
-                           std::size_t min_leaf) {
-  SplitChoice best;
-  const std::size_t n = idx.size();
-  const std::size_t n_features = x[0].size();
-  std::vector<std::size_t> order(idx);
-
-  // A split must actually reduce the node's squared error; otherwise the
-  // node stays a leaf (constant targets would "split" at error 0 == 0).
-  {
-    double sum = 0.0, sum2 = 0.0;
-    for (std::size_t i : idx) {
-      sum += y[i];
-      sum2 += y[i] * y[i];
-    }
-    const double parent_err = sum2 - sum * sum / static_cast<double>(n);
-    best.score = parent_err - 1e-12;
-  }
-
-  for (std::size_t f = 0; f < n_features; ++f) {
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return x[a][f] < x[b][f];
-    });
-    double right_sum = 0.0, right_sum2 = 0.0;
-    for (std::size_t i : order) {
-      right_sum += y[i];
-      right_sum2 += y[i] * y[i];
-    }
-    double left_sum = 0.0, left_sum2 = 0.0;
-    for (std::size_t i = 1; i < n; ++i) {
-      const double yi = y[order[i - 1]];
-      left_sum += yi;
-      left_sum2 += yi * yi;
-      right_sum -= yi;
-      right_sum2 -= yi * yi;
-      const double lo = x[order[i - 1]][f];
-      const double hi = x[order[i]][f];
-      if (lo >= hi) continue;
-      if (i < min_leaf || n - i < min_leaf) continue;
-      const auto nl = static_cast<double>(i);
-      const auto nr = static_cast<double>(n - i);
-      // Total within-node squared error = Σy² − (Σy)²/n on each side.
-      const double err =
-          (left_sum2 - left_sum * left_sum / nl) +
-          (right_sum2 - right_sum * right_sum / nr);
-      if (err < best.score) {
-        best.found = true;
-        best.feature = f;
-        best.threshold = lo + (hi - lo) / 2.0;
-        best.score = err;
-      }
-    }
-  }
-  return best;
-}
-
-}  // namespace
-
 void RegressionTree::fit(const std::vector<FeatureRow>& x,
                          const std::vector<double>& y) {
-  COCG_EXPECTS(!x.empty());
   COCG_EXPECTS(x.size() == y.size());
-  nodes_.clear();
-
-  BuildCtx ctx;
-  ctx.x = &x;
-  ctx.y = &y;
-  std::vector<std::size_t> idx(x.size());
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
-  build(ctx, idx, 0);
-}
-
-int RegressionTree::build(BuildCtx& ctx, std::vector<std::size_t>& idx,
-                          int depth) {
-  const auto& x = *ctx.x;
-  const auto& y = *ctx.y;
-  const std::size_t n = idx.size();
-  COCG_CHECK(n > 0);
-
-  double mean = 0.0;
-  for (std::size_t i : idx) mean += y[i];
-  mean /= static_cast<double>(n);
-
-  const int me = static_cast<int>(nodes_.size());
-  nodes_.emplace_back();
-  nodes_[static_cast<std::size_t>(me)].value = mean;
-  nodes_[static_cast<std::size_t>(me)].n_samples = n;
-
-  if (depth >= cfg_.max_depth || n < cfg_.min_samples_split) return me;
-
-  const SplitChoice split = best_mse_split(x, y, idx, cfg_.min_samples_leaf);
-  if (!split.found) return me;
-
-  std::vector<std::size_t> left_idx, right_idx;
-  for (std::size_t i : idx) {
-    (x[i][split.feature] <= split.threshold ? left_idx : right_idx)
-        .push_back(i);
-  }
-  COCG_CHECK(!left_idx.empty() && !right_idx.empty());
-  idx.clear();
-  idx.shrink_to_fit();
-
-  nodes_[static_cast<std::size_t>(me)].feature =
-      static_cast<int>(split.feature);
-  nodes_[static_cast<std::size_t>(me)].threshold = split.threshold;
-  const int l = build(ctx, left_idx, depth + 1);
-  const int r = build(ctx, right_idx, depth + 1);
-  nodes_[static_cast<std::size_t>(me)].left = l;
-  nodes_[static_cast<std::size_t>(me)].right = r;
-  return me;
+  Grower<SquaredError>(x, SquaredError{y}, cfg_, nullptr, tree_)
+      .fit(all_rows(x.size()));
 }
 
 double RegressionTree::predict(const FeatureRow& x) const {
-  COCG_EXPECTS_MSG(trained(), "predict before fit");
-  std::size_t node = 0;
-  while (nodes_[node].feature >= 0) {
-    const auto& nd = nodes_[node];
-    COCG_EXPECTS(static_cast<std::size_t>(nd.feature) < x.size());
-    node = static_cast<std::size_t>(
-        x[static_cast<std::size_t>(nd.feature)] <= nd.threshold ? nd.left
-                                                                : nd.right);
-  }
-  return nodes_[node].value;
+  return tree_.leaf_values[static_cast<std::size_t>(tree_.leaf(x).left)];
 }
 
 }  // namespace cocg::ml

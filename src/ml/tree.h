@@ -1,5 +1,6 @@
 // CART decision trees: a Gini classifier (the paper's DTC) and a
-// squared-error regression tree (the weak learner inside GBDT).
+// squared-error regression tree (the weak learner inside GBDT). Both grow
+// through one builder in tree.cpp, parameterized by the split criterion.
 #pragma once
 
 #include <cstddef>
@@ -23,11 +24,24 @@ struct TreeConfig {
 struct TreeNode {
   int feature = -1;
   double threshold = 0.0;
-  int left = -1;   ///< child index, samples with x[feature] <= threshold
+  /// Internal node: child index, samples with x[feature] <= threshold.
+  /// Leaf: row of the tree's leaf table.
+  int left = -1;
   int right = -1;
-  int label = 0;           ///< classifier leaf: majority class
-  double value = 0.0;      ///< regression leaf: mean target
-  std::size_t n_samples = 0;
+  int label = 0;  ///< leaf: majority class (0 in a regression tree)
+};
+
+/// A fitted tree. Nodes are in pre-order, so every child index is greater
+/// than its parent's and leaves are numbered in node order. `leaf_values`
+/// holds `leaf_width` doubles per leaf: the class probabilities of a Gini
+/// tree, or the mean target of a squared-error tree.
+struct Tree {
+  std::vector<TreeNode> nodes;
+  std::vector<double> leaf_values;
+  int leaf_width = 0;
+
+  /// The leaf node `x` reaches.
+  const TreeNode& leaf(const FeatureRow& x) const;
 };
 
 /// Multiclass Gini-impurity CART classifier.
@@ -38,32 +52,29 @@ class DecisionTreeClassifier {
   /// `rng` is only consulted when cfg.max_features > 0.
   void fit(const Dataset& data, Rng& rng);
   void fit(const Dataset& data);  ///< deterministic, all features
+  /// Fits on the given rows of `data` only; repeats are allowed, so a
+  /// bootstrap sample needs no copy of the rows.
+  void fit(const Dataset& data, std::vector<std::size_t> rows, Rng& rng);
 
-  bool trained() const { return !nodes_.empty(); }
+  bool trained() const { return !tree_.nodes.empty(); }
   int predict(const FeatureRow& x) const;
   std::vector<int> predict_all(const std::vector<FeatureRow>& xs) const;
 
   /// Class-probability estimate at the reached leaf.
   std::vector<double> predict_proba(const FeatureRow& x) const;
 
-  std::size_t node_count() const { return nodes_.size(); }
+  std::size_t node_count() const { return tree_.nodes.size(); }
   int depth() const;
-  int num_classes() const { return num_classes_; }
+  int num_classes() const { return tree_.leaf_width; }
 
-  // Read-only views for compilation into a CompiledForest (ml/compiled.h).
-  const std::vector<TreeNode>& nodes() const { return nodes_; }
-  const std::vector<std::vector<double>>& leaf_probabilities() const {
-    return leaf_proba_;
-  }
+  /// Read-only view for compilation into a CompiledForest (ml/compiled.h).
+  const Tree& tree() const { return tree_; }
 
  private:
-  struct BuildCtx;
-  int build(BuildCtx& ctx, std::vector<std::size_t>& idx, int depth);
+  void grow(const Dataset& data, std::vector<std::size_t> rows, Rng* rng);
 
   TreeConfig cfg_;
-  std::vector<TreeNode> nodes_;
-  std::vector<std::vector<double>> leaf_proba_;  // parallel to nodes_
-  int num_classes_ = 0;
+  Tree tree_;
 };
 
 /// Squared-error regression tree (for gradient boosting).
@@ -73,18 +84,15 @@ class RegressionTree {
 
   void fit(const std::vector<FeatureRow>& x, const std::vector<double>& y);
 
-  bool trained() const { return !nodes_.empty(); }
+  bool trained() const { return !tree_.nodes.empty(); }
   double predict(const FeatureRow& x) const;
 
-  std::size_t node_count() const { return nodes_.size(); }
-  const std::vector<TreeNode>& nodes() const { return nodes_; }
+  std::size_t node_count() const { return tree_.nodes.size(); }
+  const Tree& tree() const { return tree_; }
 
  private:
-  struct BuildCtx;
-  int build(BuildCtx& ctx, std::vector<std::size_t>& idx, int depth);
-
   TreeConfig cfg_;
-  std::vector<TreeNode> nodes_;
+  Tree tree_;
 };
 
 }  // namespace cocg::ml

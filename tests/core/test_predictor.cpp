@@ -350,6 +350,39 @@ TEST(StagePredictorBundle, ModelKindMismatchRejected) {
   }
 }
 
+TEST(StagePredictorBundle, PerPlayerForestWiderThanEncoderRejected) {
+  const GameProfile p = toy_profile();
+  PredictorConfig cfg;
+  cfg.category = game::GameCategory::kMobile;
+  StagePredictor pred(&p, cfg);
+  Rng rng(46);
+  std::vector<TrainingRun> runs = deterministic_corpus(40);
+  for (int i = 0; i < 6; ++i) {
+    runs.push_back(TrainingRun{{0, 3, 0, 2, 0, 1, 0}, 9, 0});
+  }
+  pred.train(runs, rng);
+  std::stringstream ss;
+  pred.save_bundle(ss);
+  // Player 9's forest claims one feature more than the encoder emits; the
+  // pooled forest is untouched.
+  std::string edited = ss.str();
+  const auto player = edited.find("\nplayer 9\n");
+  ASSERT_NE(player, std::string::npos);
+  const auto at = edited.find("\nfeatures ", player);
+  ASSERT_NE(at, std::string::npos);
+  const auto end = edited.find('\n', at + 1);
+  const auto wider = pred.encoder().feature_names().size() + 1;
+  edited.replace(at, end - at, "\nfeatures " + std::to_string(wider));
+  std::stringstream in(edited);
+  try {
+    StagePredictor::load_bundle(in, &p);
+    FAIL() << "per-player forest wider than the encoder accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("player 9"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(StagePredictorBundle, MismatchedProfileRejected) {
   const GameProfile p = toy_profile();
   StagePredictor pred(&p, PredictorConfig{});

@@ -87,8 +87,7 @@ TEST_P(CompiledParity, GbdtBitIdentical) {
   Rng rng(GetParam());
   const Dataset d = blobs(rng);
   GbdtClassifier gbdt;
-  Rng fit(GetParam() + 1);
-  gbdt.fit(d, fit);
+  gbdt.fit(d);
   const CompiledForest c = CompiledForest::compile(gbdt);
   EXPECT_EQ(c.kind(), ModelKind::kGbdt);
   expect_bit_identical(gbdt, c, probe_rows(rng));

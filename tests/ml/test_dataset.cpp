@@ -78,20 +78,6 @@ TEST(Dataset, SplitExtremes) {
   EXPECT_THROW(d.split(1.5, rng), ContractError);
 }
 
-TEST(Dataset, SubsetWithRepeats) {
-  const Dataset d = small();
-  const Dataset sub = d.subset({0, 0, 3});
-  EXPECT_EQ(sub.size(), 3u);
-  EXPECT_EQ(sub.x(0)[0], 1.0);
-  EXPECT_EQ(sub.x(1)[0], 1.0);
-  EXPECT_EQ(sub.y(2), 1);
-}
-
-TEST(Dataset, SubsetValidatesIndices) {
-  const Dataset d = small();
-  EXPECT_THROW(d.subset({99}), ContractError);
-}
-
 TEST(Dataset, Append) {
   Dataset a = small();
   const Dataset b = small();

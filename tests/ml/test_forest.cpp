@@ -86,22 +86,6 @@ TEST(RandomForest, ConfigValidation) {
   RandomForestClassifier rf(bad);
   Rng fit(9);
   EXPECT_THROW(rf.fit(d, fit), ContractError);
-  bad.n_trees = 1;
-  bad.bootstrap_fraction = 0.0;
-  RandomForestClassifier rf2(bad);
-  EXPECT_THROW(rf2.fit(d, fit), ContractError);
-}
-
-TEST(RandomForest, BootstrapFractionReducesTreeData) {
-  Rng rng(10);
-  const Dataset d = blobs(rng, 40);
-  RandomForestConfig cfg;
-  cfg.bootstrap_fraction = 0.3;
-  RandomForestClassifier rf(cfg);
-  Rng fit(11);
-  rf.fit(d, fit);
-  // Still learns the easy problem.
-  EXPECT_GE(accuracy(d.labels(), rf.predict_all(d.features())), 0.9);
 }
 
 // Property: more trees → training accuracy does not collapse.

@@ -36,8 +36,7 @@ TEST(Gbdt, LearnsBlobs) {
   Rng rng(1);
   const Dataset d = blobs(rng);
   GbdtClassifier g;
-  Rng fit(2);
-  g.fit(d, fit);
+  g.fit(d);
   EXPECT_TRUE(g.trained());
   EXPECT_EQ(g.num_classes(), 3);
   EXPECT_EQ(g.rounds_trained(), 40);
@@ -48,8 +47,7 @@ TEST(Gbdt, LearnsDiagonal) {
   Rng rng(3);
   const Dataset d = diagonal(rng);
   GbdtClassifier g;
-  Rng fit(4);
-  g.fit(d, fit);
+  g.fit(d);
   EXPECT_GE(accuracy(d.labels(), g.predict_all(d.features())), 0.95);
 }
 
@@ -57,8 +55,7 @@ TEST(Gbdt, ProbaIsSoftmax) {
   Rng rng(5);
   const Dataset d = blobs(rng);
   GbdtClassifier g;
-  Rng fit(6);
-  g.fit(d, fit);
+  g.fit(d);
   const auto p = g.predict_proba({0.0, 0.0});
   ASSERT_EQ(p.size(), 3u);
   double total = 0.0;
@@ -74,8 +71,7 @@ TEST(Gbdt, BinaryProblemWorks) {
   Dataset d({"x"});
   for (int i = 0; i < 30; ++i) d.add({double(i)}, i < 15 ? 0 : 1);
   GbdtClassifier g;
-  Rng fit(7);
-  g.fit(d, fit);
+  g.fit(d);
   EXPECT_EQ(g.predict({3.0}), 0);
   EXPECT_EQ(g.predict({25.0}), 1);
 }
@@ -88,23 +84,11 @@ TEST(Gbdt, MoreRoundsImproveTrainFit) {
   GbdtConfig many;
   many.n_rounds = 60;
   GbdtClassifier g1(few), g2(many);
-  Rng f1(9), f2(9);
-  g1.fit(d, f1);
-  g2.fit(d, f2);
+  g1.fit(d);
+  g2.fit(d);
   const double a1 = accuracy(d.labels(), g1.predict_all(d.features()));
   const double a2 = accuracy(d.labels(), g2.predict_all(d.features()));
   EXPECT_GE(a2 + 1e-12, a1);
-}
-
-TEST(Gbdt, SubsamplingStillLearns) {
-  Rng rng(10);
-  const Dataset d = blobs(rng);
-  GbdtConfig cfg;
-  cfg.subsample = 0.5;
-  GbdtClassifier g(cfg);
-  Rng fit(11);
-  g.fit(d, fit);
-  EXPECT_GE(accuracy(d.labels(), g.predict_all(d.features())), 0.95);
 }
 
 TEST(Gbdt, PredictBeforeFitThrows) {
@@ -115,15 +99,14 @@ TEST(Gbdt, PredictBeforeFitThrows) {
 TEST(Gbdt, ConfigValidation) {
   Dataset d({"x"});
   d.add({1.0}, 0);
-  Rng fit(12);
   GbdtConfig bad;
   bad.learning_rate = 0.0;
   GbdtClassifier g(bad);
-  EXPECT_THROW(g.fit(d, fit), ContractError);
+  EXPECT_THROW(g.fit(d), ContractError);
   bad.learning_rate = 0.1;
   bad.n_rounds = 0;
   GbdtClassifier g2(bad);
-  EXPECT_THROW(g2.fit(d, fit), ContractError);
+  EXPECT_THROW(g2.fit(d), ContractError);
 }
 
 // --- fit_model: the one entry point over all three learners ---

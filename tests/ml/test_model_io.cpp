@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
+#include "core/offline.h"
+#include "game/library.h"
 #include "ml/gbdt.h"
 #include "ml/random_forest.h"
 #include "ml/tree.h"
@@ -48,7 +51,7 @@ CompiledForest sample_model(ModelKind kind) {
       GbdtConfig cfg;
       cfg.n_rounds = 10;
       GbdtClassifier m(cfg);
-      m.fit(d, fit);
+      m.fit(d);
       return CompiledForest::compile(m);
     }
   }
@@ -188,6 +191,64 @@ TEST(ModelIo, UnknownKindRejected) {
   text.replace(pos, text.find('\n', pos) - pos, "kind svm");
   std::stringstream corrupt(text);
   EXPECT_THROW(read_model(corrupt), std::runtime_error);
+}
+
+// --- fit_model pinned to fixed bytes ---
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// The (execution-stage history -> next stage) pairs a trained predictor
+/// learns from, rebuilt from its corpus the way StagePredictor does.
+Dataset predictor_corpus(const core::TrainedGame& tg) {
+  const auto& enc = tg.predictor->encoder();
+  Dataset d(enc.feature_names());
+  for (const auto& run : tg.predictor->to_artifact().corpus) {
+    std::vector<int> exec;
+    for (int st : run.stage_seq) {
+      if (!tg.profile->stage_type(st).loading) exec.push_back(st);
+    }
+    for (std::size_t i = 0; i < exec.size(); ++i) {
+      const std::vector<int> hist(
+          exec.begin(), exec.begin() + static_cast<std::ptrdiff_t>(i));
+      d.add(enc.encode(hist, run.player_id, run.script_idx), exec[i]);
+    }
+  }
+  return d;
+}
+
+// Determinism tests compare a binary with itself, so they cannot see a
+// tree grower that moves a fitted bit (a split, a tie order, a leaf sum).
+// These digests of write_model output pin all three learners on a real
+// predictor corpus. A grower change that moves one also changes every
+// trained bundle and fleet report, so re-pin only on purpose.
+TEST(ModelFit, ForestsMatchParentDigest) {
+  const game::GameSpec spec = game::make_dota2();
+  core::OfflineConfig cfg;
+  cfg.profiling_runs = 6;
+  cfg.corpus_runs = 60;
+  cfg.seed = 5;
+  const core::TrainedGame tg = core::train_game(spec, cfg);
+  const Dataset data = predictor_corpus(tg);
+  ASSERT_GT(data.size(), 150u);
+  const std::pair<ModelKind, std::uint64_t> pinned[] = {
+      {ModelKind::kDtc, 9835874197575514668ull},
+      {ModelKind::kRf, 18237719738830591405ull},
+      {ModelKind::kGbdt, 1031950686976799344ull},
+  };
+  for (const auto& [kind, digest] : pinned) {
+    Rng rng(17);
+    std::stringstream ss;
+    write_model(*fit_model(kind, data, rng), ss);
+    EXPECT_EQ(fnv1a(ss.str()), digest)
+        << model_kind_name(kind) << " over " << data.size() << " rows";
+  }
 }
 
 }  // namespace

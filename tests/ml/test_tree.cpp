@@ -133,6 +133,27 @@ TEST(DecisionTree, FeatureSubsamplingStillLearns) {
   EXPECT_GE(accuracy(d.labels(), pred), 0.9);
 }
 
+// Fitting on row indices (repeats allowed, as in a bootstrap sample) grows
+// exactly the tree a copy of those rows grows.
+TEST(DecisionTree, RowIndicesMatchCopiedRows) {
+  Rng rng(7);
+  const Dataset d = three_class_blobs(rng);
+  const std::vector<std::size_t> rows = {0, 0, 5, 41, 41, 41, 90, 119, 3, 60};
+  Dataset copy({"x", "y"});
+  for (std::size_t r : rows) copy.add(d.x(r), d.y(r));
+  TreeConfig cfg;
+  cfg.max_features = 1;
+  DecisionTreeClassifier on_rows(cfg), on_copy(cfg);
+  Rng r1(8), r2(8);
+  on_rows.fit(d, rows, r1);
+  on_copy.fit(copy, r2);
+  EXPECT_EQ(on_rows.node_count(), on_copy.node_count());
+  for (const auto& x : d.features()) {
+    EXPECT_EQ(on_rows.predict_proba(x), on_copy.predict_proba(x));
+  }
+  EXPECT_THROW(on_rows.fit(d, {0, d.size()}, r1), ContractError);
+}
+
 // --- RegressionTree ---
 
 TEST(RegressionTree, FitsStepFunction) {
