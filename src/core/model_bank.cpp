@@ -124,6 +124,10 @@ void ModelBank::add(GameBundle bundle) {
   if (bundle.profile == nullptr) {
     throw std::runtime_error("ModelBank::add: bundle has no profile");
   }
+  // Every predictor instantiated from this bundle shares one refit memo.
+  if (bundle.predictor.refits == nullptr) {
+    bundle.predictor.refits = std::make_shared<RefitMemo>();
+  }
   const std::string name = bundle.game_name();
   bundles_.insert_or_assign(name, std::move(bundle));
 }

@@ -11,13 +11,16 @@
 //     per-shard copy keeps any future profile mutation from leaking
 //     across shards);
 //   * the training corpus rides along, so a restored predictor's
-//     replace_model retrains exactly like the original's.
+//     replace_model retrains exactly like the original's;
+//   * the refit memo is SHARED too, so a model replacement's rng-free
+//     full-corpus fit (DTC, GBDT) is made once per bundle, not per shard.
 //
 // Lifetime rules: a bundle handed out by the bank stays valid as long as
 // any instantiated TrainedGame holds its forests — the shared_ptrs keep
 // the arrays alive even if the bank itself is destroyed. The bank is
-// immutable after loading; concurrent instantiate() calls from fleet
-// shard threads are safe.
+// immutable after loading (the refit memo is internally locked);
+// concurrent instantiate() calls and replacements from fleet shard threads
+// are safe.
 #pragma once
 
 #include <iosfwd>
@@ -58,6 +61,7 @@ class ModelBank {
   static GameBundle bundle_from(const TrainedGame& tg);
 
   /// Register a bundle under its game name, replacing any previous one.
+  /// A bundle without a refit memo gets a fresh one.
   void add(GameBundle bundle);
   void add_trained(const TrainedGame& tg);
 

@@ -8,6 +8,7 @@
 #include "common/check.h"
 #include "ml/metrics.h"
 #include "ml/model_io.h"
+#include "obs/obs.h"
 
 namespace cocg::core {
 
@@ -52,6 +53,7 @@ ml::Dataset StagePredictor::build_dataset(
 void StagePredictor::train(const std::vector<TrainingRun>& runs, Rng& rng) {
   COCG_EXPECTS_MSG(!runs.empty(), "training needs at least one run");
   corpus_ = runs;
+  refits_ = std::make_shared<RefitMemo>();
   fit_active(rng);
 }
 
@@ -65,20 +67,45 @@ void StagePredictor::fit_active(Rng& rng) {
     train = all;
     test = all;
   }
-  pooled_ = ml::fit_model(cfg_.model, train, rng);
+  const auto held_out = ml::fit_model(cfg_.model, train, rng);
   std::vector<int> pred;
   pred.reserve(test.size());
   for (std::size_t i = 0; i < test.size(); ++i) {
-    pred.push_back(pooled_->predict(test.x(i)));
+    pred.push_back(held_out->predict(test.x(i)));
   }
   accuracy_ = ml::accuracy(test.labels(), pred);
 
-  // Refit the pooled model on everything for online use.
-  pooled_ = ml::fit_model(cfg_.model, all, rng);
+  // Refit on everything for online use. RF draws from `rng`, so it refits
+  // here every time. DTC and GBDT draw nothing (fit_model passes their
+  // Rng through untouched), so their fits are shared through the memo and
+  // made from a local Rng that no caller's stream can reach.
+  RefitMemo::Fits fits;
+  if (cfg_.model == ml::ModelKind::kRf) {
+    fits = fit_full(all, rng);
+  } else {
+    bool hit = false;
+    fits = refits_->get(
+        cfg_.model,
+        [&] {
+          Rng unused;
+          return fit_full(all, unused);
+        },
+        hit);
+    obs::metrics()
+        .counter(hit ? "predictor.refit_memo.hits"
+                     : "predictor.refit_memo.misses")
+        .add();
+  }
+  pooled_ = std::move(fits.pooled);
+  per_player_ = std::move(fits.per_player);
+}
 
+RefitMemo::Fits StagePredictor::fit_full(const ml::Dataset& all,
+                                         Rng& rng) const {
+  RefitMemo::Fits fits;
+  fits.pooled = ml::fit_model(cfg_.model, all, rng);
   // Mobile quadrant: personal models for players with enough history
   // (§IV-B1 "finely establish a training set for each individual player").
-  per_player_.clear();
   if (cfg_.category == game::GameCategory::kMobile) {
     std::map<std::uint64_t, std::vector<TrainingRun>> by_player;
     for (const auto& run : corpus_) by_player[run.player_id].push_back(run);
@@ -86,9 +113,10 @@ void StagePredictor::fit_active(Rng& rng) {
       if (runs.size() < cfg_.min_player_runs) continue;
       const ml::Dataset pd = build_dataset(runs);
       if (pd.empty()) continue;
-      per_player_[pid] = ml::fit_model(cfg_.model, pd, rng);
+      fits.per_player[pid] = ml::fit_model(cfg_.model, pd, rng);
     }
   }
+  return fits;
 }
 
 int StagePredictor::predict_next(const std::vector<int>& exec_history,
@@ -155,6 +183,8 @@ void StagePredictor::rebind_profile(const GameProfile* profile) {
       profile->num_stage_types() == profile_->num_stage_types(),
       "rebind requires an identical stage-type catalog");
   profile_ = profile;
+  // The memo's fits were made against the old profile.
+  refits_ = std::make_shared<RefitMemo>();
 }
 
 double StagePredictor::evaluate_model(ml::ModelKind kind, Rng& rng) const {
@@ -195,6 +225,7 @@ PredictorArtifact StagePredictor::to_artifact() const {
   art.pooled = pooled_;
   art.per_player = per_player_;
   art.corpus = corpus_;
+  art.refits = refits_;
   return art;
 }
 
@@ -243,7 +274,22 @@ std::unique_ptr<StagePredictor> StagePredictor::from_artifact(
     check_forest(forest, artifact.cfg.model, width, num_types,
                  "player " + std::to_string(pid));
   }
+  // A corpus is either absent (no retraining) or able to retrain, so the
+  // §IV-B2 fallback cannot fail mid-run.
+  if (!artifact.corpus.empty() &&
+      std::none_of(artifact.corpus.begin(), artifact.corpus.end(),
+                   [&](const TrainingRun& run) {
+                     return !p->exec_only(run.stage_seq).empty();
+                   })) {
+    throw std::runtime_error(
+        "predictor artifact corpus of " +
+        std::to_string(artifact.corpus.size()) +
+        " run(s) yields no training pair (no run has an execution stage "
+        "of the profile's catalog)");
+  }
   p->corpus_ = artifact.corpus;
+  p->refits_ = artifact.refits != nullptr ? artifact.refits
+                                          : std::make_shared<RefitMemo>();
   p->accuracy_ = artifact.accuracy;
   p->pooled_ = artifact.pooled;
   p->per_player_ = artifact.per_player;
@@ -308,6 +354,7 @@ PredictorArtifact StagePredictor::read_artifact(LineReader& r) {
   {
     auto ls = r.expect("history_len ");
     art.cfg.encoder.history_len = r.field<int>(ls, "history_len");
+    if (art.cfg.encoder.history_len < 1) r.fail("history_len must be >= 1");
   }
   {
     auto ls = r.expect("player_features ");

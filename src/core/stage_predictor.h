@@ -12,9 +12,12 @@
 // errors persist (the "replacing model" fallback, §IV-B2).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/resources.h"
@@ -45,6 +48,44 @@ struct TrainingRun {
   std::size_t script_idx = 0;  ///< launched mode (Table I script)
 };
 
+/// The full-corpus fits of one predictor lineage, memoized by model kind.
+/// Only DTC and GBDT go through it: their fits draw nothing from the Rng,
+/// so each is a pure function of (corpus, config, kind) and every
+/// predictor with that corpus, config and stage catalog may share the
+/// forests; whichever caller fills an entry first cannot change a bit.
+/// Thread-safe; each kind is fitted at most once.
+class RefitMemo {
+ public:
+  struct Fits {
+    std::shared_ptr<const ml::CompiledForest> pooled;
+    std::map<std::uint64_t, std::shared_ptr<const ml::CompiledForest>>
+        per_player;
+  };
+
+  /// `kind`'s fits, made by `fit()` on the first request (other callers
+  /// for the same kind wait for it). `hit` says whether they were already
+  /// there.
+  template <typename Fit>
+  Fits get(ml::ModelKind kind, Fit&& fit, bool& hit) {
+    Slot& slot = slots_[static_cast<std::size_t>(kind)];
+    std::lock_guard lock(slot.mu);
+    hit = slot.filled;
+    if (!slot.filled) {
+      slot.fits = fit();
+      slot.filled = true;
+    }
+    return slot.fits;
+  }
+
+ private:
+  struct Slot {
+    std::mutex mu;
+    bool filled = false;  ///< guarded by mu
+    Fits fits;            ///< guarded by mu
+  };
+  std::array<Slot, 3> slots_;  ///< indexed by ml::ModelKind
+};
+
 /// Everything a trained predictor is, minus the profile pointer: the
 /// immutable compiled models plus config and held-out accuracy P, and the
 /// training corpus so replace_model can still retrain. This is the
@@ -58,6 +99,10 @@ struct PredictorArtifact {
   std::map<std::uint64_t, std::shared_ptr<const ml::CompiledForest>>
       per_player;
   std::vector<TrainingRun> corpus;  ///< empty → retraining unavailable
+  /// Shared by every predictor made from this artifact. It holds fits of
+  /// this corpus, config and stage catalog only: code that changes one of
+  /// those on a copy must reset it. Null → from_artifact starts a new one.
+  std::shared_ptr<RefitMemo> refits;
 };
 
 class StagePredictor {
@@ -104,6 +149,8 @@ class StagePredictor {
   bool can_retrain() const { return !corpus_.empty(); }
 
   /// Swap to the next algorithm in {DTC, RF, GBDT} and retrain (§IV-B2).
+  /// Draws the 75/25 split and fits the held-out model every time; the
+  /// full-corpus fits of DTC and GBDT come from the refit memo.
   /// Throws std::runtime_error — without changing the active model — when
   /// !can_retrain().
   void replace_model(Rng& rng);
@@ -113,15 +160,16 @@ class StagePredictor {
   /// std::runtime_error when !can_retrain().
   double evaluate_model(ml::ModelKind kind, Rng& rng) const;
 
-  /// Snapshot the trained state. Compiled models are shared, not copied;
-  /// the corpus is copied.
+  /// Snapshot the trained state. Compiled models and the refit memo are
+  /// shared, not copied; the corpus is copied.
   PredictorArtifact to_artifact() const;
 
   /// Reconstruct a trained predictor from an artifact. `profile` must
   /// outlive the predictor, exactly as for the training constructor.
   /// Throws std::runtime_error if the artifact is untrained, holds a
-  /// forest of another kind than its `cfg.model`, or does not match the
-  /// profile's stage-type catalog.
+  /// forest of another kind than its `cfg.model`, does not match the
+  /// profile's stage-type catalog, or has a corpus that yields no training
+  /// pair.
   static std::unique_ptr<StagePredictor> from_artifact(
       const PredictorArtifact& artifact, const GameProfile* profile);
 
@@ -145,6 +193,7 @@ class StagePredictor {
   /// Re-point the predictor at a migrated profile (§IV-D): the catalog
   /// (stage-type ids and count) must be identical — only the resource
   /// amounts may differ. Used when a trained bundle moves to another SKU.
+  /// The predictor takes a fresh refit memo.
   void rebind_profile(const GameProfile* profile);
 
  private:
@@ -152,11 +201,14 @@ class StagePredictor {
   std::vector<int> exec_only(const std::vector<int>& seq) const;
   ml::Dataset build_dataset(const std::vector<TrainingRun>& runs) const;
   void fit_active(Rng& rng);
+  /// The active kind's full-corpus pooled and per-player fits.
+  RefitMemo::Fits fit_full(const ml::Dataset& all, Rng& rng) const;
 
   const GameProfile* profile_;
   PredictorConfig cfg_;
   FeatureEncoder encoder_;
   std::vector<TrainingRun> corpus_;
+  std::shared_ptr<RefitMemo> refits_;
 
   std::shared_ptr<const ml::CompiledForest> pooled_;
   std::map<std::uint64_t, std::shared_ptr<const ml::CompiledForest>>

@@ -46,6 +46,9 @@ void GbdtClassifier::fit(const Dataset& data) {
   std::vector<std::vector<double>> score(n, base_score_);
   std::vector<std::vector<double>> residuals(k, std::vector<double>(n));
   std::vector<double> p(k);
+  // Every tree fits all rows on every feature, so the nodes near the root
+  // repeat across trees and their sorted orders are shared.
+  SplitOrderTrie orders;
 
   for (int round = 0; round < cfg_.n_rounds; ++round) {
     // Gradient targets: one-hot − softmax probability.
@@ -64,7 +67,7 @@ void GbdtClassifier::fit(const Dataset& data) {
     round_trees.reserve(k);
     for (std::size_t c = 0; c < k; ++c) {
       RegressionTree tree(cfg_.tree);
-      tree.fit(data.features(), residuals[c]);
+      tree.fit(data.features(), residuals[c], &orders);
       round_trees.push_back(std::move(tree));
     }
 

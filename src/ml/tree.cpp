@@ -1,7 +1,9 @@
 #include "ml/tree.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <span>
 
@@ -10,6 +12,12 @@
 namespace cocg::ml {
 
 namespace {
+
+/// Split-order trie nodes kept: depths 0-3. GBDT splits at depths up to
+/// max_depth - 1 = 5, but the deeper nodes hold few rows and repeat less
+/// often across trees, so caching them would cost most of the trie's memory
+/// for little of its saving.
+constexpr int kCachedDepths = 4;
 
 /// Choose which feature columns to examine at a node.
 std::vector<std::size_t> candidate_features(std::size_t n_features,
@@ -139,19 +147,23 @@ class Grower {
   using Stats = typename Criterion::Stats;
 
   Grower(const std::vector<FeatureRow>& x, Criterion crit,
-         const TreeConfig& cfg, Rng* rng, Tree& out)
-      : x_(x), crit_(crit), cfg_(cfg), rng_(rng), out_(out) {}
+         const TreeConfig& cfg, Rng* rng, SplitOrderTrie* trie, Tree& out)
+      : x_(x), crit_(crit), cfg_(cfg), rng_(rng), trie_(trie), out_(out) {}
 
   void fit(std::vector<std::size_t> rows) {
     COCG_EXPECTS_MSG(!rows.empty(), "cannot fit an empty dataset");
+    COCG_EXPECTS(trie_ == nullptr ||
+                 x_.size() <= std::numeric_limits<std::uint32_t>::max());
     out_ = Tree{};
     out_.leaf_width = crit_.leaf_width();
     order_.resize(rows.size());
-    grow(std::span<std::size_t>(rows), 0);
+    grow(std::span<std::size_t>(rows), 0,
+         trie_ != nullptr ? &trie_->root : nullptr);
   }
 
  private:
-  int grow(std::span<std::size_t> idx, int depth) {
+  /// `memo` is this node's trie entry, or nullptr when it is not cached.
+  int grow(std::span<std::size_t> idx, int depth, SplitOrderTrie::Node* memo) {
     const std::size_t n = idx.size();
     Stats node = crit_.zero();
     for (std::size_t i : idx) crit_.add(node, i);
@@ -160,11 +172,13 @@ class Grower {
     out_.nodes.emplace_back();
     if (!crit_.pure(node, n) && depth < cfg_.max_depth &&
         n >= cfg_.min_samples_split) {
-      const SplitChoice split = best_split(idx, node);
+      const SplitChoice split = best_split(idx, node, memo);
       if (split.found) {
         const std::size_t nl = partition(idx, split);
-        const int l = grow(idx.first(nl), depth + 1);
-        const int r = grow(idx.subspan(nl), depth + 1);
+        const int l = grow(idx.first(nl), depth + 1,
+                           child(memo, depth, split, 0));
+        const int r = grow(idx.subspan(nl), depth + 1,
+                           child(memo, depth, split, 1));
         TreeNode& nd = out_.nodes[static_cast<std::size_t>(me)];
         nd.feature = static_cast<int>(split.feature);
         nd.threshold = split.threshold;
@@ -179,7 +193,19 @@ class Grower {
     return me;
   }
 
-  SplitChoice best_split(std::span<const std::size_t> idx, const Stats& node) {
+  /// The trie entry of one side of `split`, or nullptr past the cached
+  /// depths.
+  static SplitOrderTrie::Node* child(SplitOrderTrie::Node* memo, int depth,
+                                     const SplitChoice& split, int side) {
+    if (memo == nullptr || depth + 1 >= kCachedDepths) return nullptr;
+    auto& slot = memo->children[{static_cast<int>(split.feature),
+                                 split.threshold, side}];
+    if (slot == nullptr) slot = std::make_unique<SplitOrderTrie::Node>();
+    return slot.get();
+  }
+
+  SplitChoice best_split(std::span<const std::size_t> idx, const Stats& node,
+                         SplitOrderTrie::Node* memo) {
     const std::size_t n = idx.size();
     // Drawn only here, so pure nodes and depth-capped nodes draw nothing.
     const auto feats =
@@ -187,12 +213,32 @@ class Grower {
     SplitChoice best;
     best.score = crit_.gate(node, n);
     const std::span<std::size_t> order = std::span(order_).first(n);
-    std::copy(idx.begin(), idx.end(), order.begin());
-    for (std::size_t f : feats) {
-      std::sort(order.begin(), order.end(),
-                [&](std::size_t a, std::size_t b) {
-                  return x_[a][f] < x_[b][f];
-                });
+    // A cached node replays its sorted orders; the first fit to reach it
+    // records them.
+    const bool replay = memo != nullptr && !memo->orders.empty();
+    if (replay) {
+      COCG_CHECK_MSG(memo->orders.size() == feats.size() * n,
+                     "split-order trie shared across different rows");
+    } else {
+      std::copy(idx.begin(), idx.end(), order.begin());
+      if (memo != nullptr) memo->orders.reserve(feats.size() * n);
+    }
+    for (std::size_t j = 0; j < feats.size(); ++j) {
+      const std::size_t f = feats[j];
+      if (replay) {
+        std::copy_n(memo->orders.begin() + static_cast<std::ptrdiff_t>(j * n),
+                    n, order.begin());
+      } else {
+        std::sort(order.begin(), order.end(),
+                  [&](std::size_t a, std::size_t b) {
+                    return x_[a][f] < x_[b][f];
+                  });
+        if (memo != nullptr) {
+          for (std::size_t i : order) {
+            memo->orders.push_back(static_cast<std::uint32_t>(i));
+          }
+        }
+      }
       Stats left = crit_.zero();
       Stats right = crit_.zero();
       for (std::size_t i : order) crit_.add(right, i);
@@ -239,6 +285,7 @@ class Grower {
   const Criterion crit_;
   const TreeConfig& cfg_;
   Rng* rng_;  ///< nullptr: every split examines every feature
+  SplitOrderTrie* trie_;  ///< nullptr: nothing cached
   Tree& out_;
   /// One node's rows, re-sorted per feature; nodes use it one at a time.
   std::vector<std::size_t> order_;
@@ -293,7 +340,7 @@ void DecisionTreeClassifier::fit(const Dataset& data,
 void DecisionTreeClassifier::grow(const Dataset& data,
                                   std::vector<std::size_t> rows, Rng* rng) {
   Grower<Gini>(data.features(), Gini{data.labels(), data.num_classes()}, cfg_,
-               rng, tree_)
+               rng, nullptr, tree_)
       .fit(std::move(rows));
 }
 
@@ -325,9 +372,9 @@ int DecisionTreeClassifier::depth() const {
 // ---------------------------------------------------------------------------
 
 void RegressionTree::fit(const std::vector<FeatureRow>& x,
-                         const std::vector<double>& y) {
+                         const std::vector<double>& y, SplitOrderTrie* trie) {
   COCG_EXPECTS(x.size() == y.size());
-  Grower<SquaredError>(x, SquaredError{y}, cfg_, nullptr, tree_)
+  Grower<SquaredError>(x, SquaredError{y}, cfg_, nullptr, trie, tree_)
       .fit(all_rows(x.size()));
 }
 

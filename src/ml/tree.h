@@ -4,6 +4,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -44,6 +48,25 @@ struct Tree {
   const TreeNode& leaf(const FeatureRow& x) const;
 };
 
+/// Sorted row orders shared by regression-tree fits that use the same
+/// feature rows, start from all rows and examine every feature, as GBDT's
+/// trees do. The stable partition fixes a node's rows by the splits on its
+/// path from the root, and the node's chained per-feature sorts depend only
+/// on those rows, so the orders are keyed by that path and a later fit that
+/// reaches the node skips its sorts. Only the nodes nearest the root are
+/// kept, which bounds the memory.
+struct SplitOrderTrie {
+  struct Node {
+    /// The node's rows after each feature's sort, feature after feature;
+    /// empty until a fit scans the node.
+    std::vector<std::uint32_t> orders;
+    /// Keyed by (split feature, threshold, side: 0 left, 1 right).
+    std::map<std::tuple<int, double, int>, std::unique_ptr<Node>> children;
+  };
+
+  Node root;
+};
+
 /// Multiclass Gini-impurity CART classifier.
 class DecisionTreeClassifier {
  public:
@@ -82,7 +105,10 @@ class RegressionTree {
  public:
   explicit RegressionTree(TreeConfig cfg = {}) : cfg_(cfg) {}
 
-  void fit(const std::vector<FeatureRow>& x, const std::vector<double>& y);
+  /// With a `trie`, reuses and records the sorted orders of the cached
+  /// nodes; the fitted tree is the same either way.
+  void fit(const std::vector<FeatureRow>& x, const std::vector<double>& y,
+           SplitOrderTrie* trie = nullptr);
 
   bool trained() const { return !tree_.nodes.empty(); }
   double predict(const FeatureRow& x) const;

@@ -152,6 +152,60 @@ TEST(GameBundle, TruncatedAndSkewedInputsRejected) {
   }
 }
 
+/// `text` with the first line that starts with `prefix` replaced by
+/// `replacement`.
+std::string replace_line(std::string text, const std::string& prefix,
+                         const std::string& replacement) {
+  const auto begin = text.find("\n" + prefix);
+  EXPECT_NE(begin, std::string::npos) << prefix;
+  const auto end = text.find('\n', begin + 1);
+  text.replace(begin + 1, end - begin - 1, replacement);
+  return text;
+}
+
+TEST(GameBundle, HistoryLenBelowOneRejectedAtLoad) {
+  static const game::GameSpec g = game::make_contra();
+  const TrainedGame tg = train_game(g, small_cfg());
+  std::stringstream saved;
+  write_bundle(ModelBank::bundle_from(tg), saved);
+  std::stringstream ss(replace_line(saved.str(), "history_len ",
+                                    "history_len 0"));
+  try {
+    read_bundle(ss);
+    FAIL() << "history_len 0 accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line "), std::string::npos) << what;
+    EXPECT_NE(what.find("history_len"), std::string::npos) << what;
+  }
+}
+
+TEST(GameBundle, CorpusWithoutTrainingPairRejected) {
+  static const game::GameSpec g = game::make_contra();
+  const TrainedGame tg = train_game(g, small_cfg());
+  std::stringstream saved;
+  write_bundle(ModelBank::bundle_from(tg), saved);
+  // One run with no stages: nothing to learn, yet not an empty corpus.
+  std::string text = saved.str();
+  const auto begin = text.find("\ncorpus ");
+  const auto end = text.find("\npooled\n", begin);
+  ASSERT_NE(begin, std::string::npos);
+  ASSERT_NE(end, std::string::npos);
+  text.replace(begin, end - begin, "\ncorpus 1\nrun 1 0 0");
+  std::stringstream ss(text);
+  const GameBundle back = read_bundle(ss);
+  try {
+    StagePredictor::from_artifact(back.predictor, back.profile.get());
+    FAIL() << "corpus without a training pair accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("corpus"), std::string::npos)
+        << e.what();
+  }
+  ModelBank bank;
+  bank.add(back);
+  EXPECT_THROW(bank.instantiate("Contra", &g), std::runtime_error);
+}
+
 TEST(ModelBank, InstantiateSharesForestsCopiesProfile) {
   static const game::GameSpec g = game::make_genshin();
   const TrainedGame tg = train_game(g, small_cfg());

@@ -160,6 +160,52 @@ TEST(StagePredictor, ReplaceModelRotates) {
   EXPECT_EQ(pred.model_kind(), ml::ModelKind::kDtc);
 }
 
+// A replacement whose full-corpus fits come from the shared refit memo must
+// write the same bundle, and leave its Rng in the same state, as one that
+// fits them afresh.
+TEST(StagePredictor, RefitMemoHitMatchesFreshFit) {
+  const GameProfile p = toy_profile();
+  PredictorConfig cfg;
+  cfg.model = ml::ModelKind::kRf;  // the next kind, GBDT, is memoized
+  cfg.category = game::GameCategory::kMobile;  // per-player fits too
+  StagePredictor trained(&p, cfg);
+  Rng train_rng(6);
+  std::vector<TrainingRun> corpus = deterministic_corpus(40);
+  for (std::size_t i = 0; i < corpus.size(); i += 3) {
+    corpus[i].stage_seq = {0, 1, 0, 3, 0, 2, 0};
+  }
+  trained.train(corpus, train_rng);
+
+  const PredictorArtifact shared = trained.to_artifact();
+  PredictorArtifact unshared = shared;
+  unshared.refits = nullptr;
+
+  const auto filler = StagePredictor::from_artifact(shared, &p);
+  const auto hitter = StagePredictor::from_artifact(shared, &p);
+  const auto fresh = StagePredictor::from_artifact(unshared, &p);
+  Rng fill_rng(9), hit_rng(9), fresh_rng(9);
+  filler->replace_model(fill_rng);
+  hitter->replace_model(hit_rng);
+  fresh->replace_model(fresh_rng);
+  ASSERT_EQ(hitter->model_kind(), ml::ModelKind::kGbdt);
+
+  // The hitter took the filler's forests; the fresh predictor fitted its
+  // own.
+  const PredictorArtifact hit_art = hitter->to_artifact();
+  const PredictorArtifact fresh_art = fresh->to_artifact();
+  EXPECT_EQ(hit_art.pooled, filler->to_artifact().pooled);
+  EXPECT_NE(hit_art.pooled, fresh_art.pooled);
+  EXPECT_FALSE(hit_art.per_player.empty());
+
+  std::ostringstream hit_bytes, fresh_bytes;
+  hitter->save_bundle(hit_bytes);
+  fresh->save_bundle(fresh_bytes);
+  EXPECT_EQ(hit_bytes.str(), fresh_bytes.str());
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(hit_rng.next_u64(), fresh_rng.next_u64());
+  }
+}
+
 TEST(StagePredictor, EvaluateModelAllKinds) {
   const GameProfile p = toy_profile();
   StagePredictor pred(&p, PredictorConfig{});

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/cocg_scheduler.h"
 #include "core/model_bank.h"
 #include "core/offline.h"
 #include "core/scheduler_factory.h"
@@ -506,6 +507,63 @@ TEST(FleetModelBank, SharedBankMatchesRetrainPerShard) {
   EXPECT_EQ(shared_1.report, retrain.report);
   EXPECT_EQ(shared_1.events, retrain.events);
   ASSERT_FALSE(shared_1.events.empty());
+}
+
+// Every shard instantiated from one bank shares the bundle's refit memo.
+// Under the steal runner, with more shards than threads, a game's rng-free
+// full-corpus fit is made once per kind however many shards replace its
+// model.
+TEST(FleetModelBank, RefitMemoFitsEachKindOncePerGame) {
+  ObsGuard guard;
+  const std::vector<game::GameSpec> suite = {game::make_contra()};
+  core::OfflineConfig ocfg;
+  ocfg.profiling_runs = 5;
+  ocfg.corpus_runs = 8;
+  ocfg.seed = 7;
+  core::ModelBank bank;
+  obs::Domain training;
+  {
+    obs::ScopedDomain sd(training);
+    for (const auto& [name, tg] : core::train_suite(suite, ocfg)) {
+      bank.add_trained(tg);
+    }
+  }
+  // Training fills the memo for its initial kind.
+  ASSERT_TRUE(training.metrics.has_counter("predictor.refit_memo.misses"));
+  const std::uint64_t trained_fits =
+      training.metrics.counter_value("predictor.refit_memo.misses");
+
+  FleetConfig cfg = small_config(4, 2);
+  cfg.runner = RunnerKind::kSteal;
+  core::CocgConfig ccfg;
+  ccfg.replace_model_after = 1;  // hair trigger: replace on every miss
+  Fleet f(cfg, [&](int) {
+    return std::make_unique<core::CocgScheduler>(
+        bank.instantiate_suite(suite), ccfg);
+  });
+  for (int i = 0; i < 8; ++i) f.add_server(hw::ServerSpec{});
+  f.add_global_source({&suite[0], 600.0, 32});
+  f.run(15 * 60 * 1000);
+
+  int replacing_shards = 0;
+  for (int i = 0; i < cfg.shards; ++i) {
+    const auto& reg = f.shard_domain(i).metrics;
+    if (reg.has_counter("scheduler.model_replacements") &&
+        reg.counter_value("scheduler.model_replacements") > 0) {
+      ++replacing_shards;
+    }
+  }
+  ASSERT_GE(replacing_shards, 2);
+
+  obs::MetricsRegistry merged;
+  f.merge_metrics(merged);
+  ASSERT_TRUE(merged.has_counter("predictor.refit_memo.misses"));
+  ASSERT_TRUE(merged.has_counter("predictor.refit_memo.hits"));
+  // At most one fit per memoized kind (DTC, GBDT) over training and run
+  // together, and at least one shard reused another's.
+  EXPECT_LE(trained_fits + merged.counter_value("predictor.refit_memo.misses"),
+            2u);
+  EXPECT_GT(merged.counter_value("predictor.refit_memo.hits"), 0u);
 }
 
 }  // namespace

@@ -251,5 +251,23 @@ TEST(ModelFit, ForestsMatchParentDigest) {
   }
 }
 
+// The stage predictor shares DTC and GBDT full-corpus fits through its
+// refit memo because those fits draw nothing from their Rng; RF draws, so
+// it refits every time.
+TEST(ModelFit, RngFreeKindsDrawNothing) {
+  Rng data_rng(3);
+  const Dataset data = blobs(data_rng);
+  for (ModelKind kind : {ModelKind::kDtc, ModelKind::kRf, ModelKind::kGbdt}) {
+    Rng rng(23);
+    Rng untouched = rng;
+    fit_model(kind, data, rng);
+    bool same = true;
+    for (int i = 0; i < 8; ++i) {
+      same = same && rng.next_u64() == untouched.next_u64();
+    }
+    EXPECT_EQ(same, kind != ModelKind::kRf) << model_kind_name(kind);
+  }
+}
+
 }  // namespace
 }  // namespace cocg::ml

@@ -193,6 +193,45 @@ TEST(RegressionTree, ApproximatesLinear) {
   EXPECT_NEAR(tree.predict({50.0}), 100.0, 5.0);
 }
 
+// GBDT fits its trees through one SplitOrderTrie; a node that replays its
+// cached sorted orders must grow exactly the tree a fresh sort grows.
+TEST(RegressionTree, SplitOrderTrieLeavesFitsUnchanged) {
+  Rng rng(8);
+  std::vector<FeatureRow> x;
+  for (int i = 0; i < 300; ++i) {
+    // Coarse values, so sorts meet many ties.
+    x.push_back({double(rng.uniform_int(0, 6)), double(rng.uniform_int(0, 3)),
+                 rng.normal(0, 1)});
+  }
+  TreeConfig cfg;
+  cfg.max_depth = 6;
+  cfg.min_samples_split = 4;
+  cfg.min_samples_leaf = 2;
+  SplitOrderTrie trie;
+  for (int t = 0; t < 12; ++t) {
+    std::vector<double> y;
+    for (const auto& row : x) {
+      y.push_back(row[static_cast<std::size_t>(t % 3)] * (t + 1) +
+                  rng.normal(0, 0.5));
+    }
+    RegressionTree plain(cfg), cached(cfg);
+    plain.fit(x, y);
+    cached.fit(x, y, &trie);
+    ASSERT_EQ(plain.node_count(), cached.node_count()) << "tree " << t;
+    for (std::size_t i = 0; i < plain.node_count(); ++i) {
+      const TreeNode& a = plain.tree().nodes[i];
+      const TreeNode& b = cached.tree().nodes[i];
+      EXPECT_EQ(a.feature, b.feature);
+      EXPECT_EQ(a.threshold, b.threshold);
+      EXPECT_EQ(a.left, b.left);
+      EXPECT_EQ(a.right, b.right);
+    }
+    EXPECT_EQ(plain.tree().leaf_values, cached.tree().leaf_values);
+  }
+  EXPECT_FALSE(trie.root.orders.empty());
+  EXPECT_FALSE(trie.root.children.empty());
+}
+
 TEST(RegressionTree, Preconditions) {
   RegressionTree tree;
   EXPECT_THROW(tree.predict({1.0}), ContractError);
