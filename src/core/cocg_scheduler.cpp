@@ -29,6 +29,8 @@ CocgScheduler::CocgScheduler(std::map<std::string, TrainedGame> models,
   obs_outlook_misses_ = reg.counter("scheduler.outlook_memo.misses");
   obs_candidate_hits_ = reg.counter("scheduler.candidate_memo.hits");
   obs_candidate_misses_ = reg.counter("scheduler.candidate_memo.misses");
+  obs_reject_hits_ = reg.counter("scheduler.reject_memo.hits");
+  obs_reject_misses_ = reg.counter("scheduler.reject_memo.misses");
   prof_predictor_ = obs::stage_timer(obs::Stage::kPredictorDecide);
   prof_distributor_ = obs::stage_timer(obs::Stage::kDistributorDecide);
   prof_regulator_ = obs::stage_timer(obs::Stage::kRegulator);
@@ -90,7 +92,8 @@ ResourceVector expected_demand(const GameProfile& profile,
 }  // namespace
 
 SessionOutlook CocgScheduler::outlook_for(const SessionState& st) const {
-  const auto& profile = *model(st.game).profile;
+  const TrainedGame& tg = *st.model;
+  const auto& profile = *tg.profile;
   SessionOutlook o;
   o.in_loading = st.monitor->in_loading();
   const int cur = st.monitor->current_stage();
@@ -103,8 +106,8 @@ SessionOutlook CocgScheduler::outlook_for(const SessionState& st) const {
   // Forward sequence: current stage (if execution) plus predictions.
   std::vector<int> seq;
   if (cur >= 0 && !profile.stage_type(cur).loading) seq.push_back(cur);
-  if (model(st.game).predictor->trained()) {
-    const auto pred = model(st.game).predictor->predict_sequence(
+  if (tg.predictor->trained()) {
+    const auto pred = tg.predictor->predict_sequence(
         st.monitor->exec_history(), st.player_id, st.script_idx,
         cfg_.distributor.horizon);
     seq.insert(seq.end(), pred.begin(), pred.end());
@@ -114,11 +117,18 @@ SessionOutlook CocgScheduler::outlook_for(const SessionState& st) const {
 }
 
 const SessionOutlook& CocgScheduler::hosted_outlook(SessionState& st) {
-  if (st.outlook) {
+  // outlook_for reads the monitor's judged state and the predictor's
+  // model; the profile, player and script never change.
+  const std::uint64_t version = st.monitor->version();
+  const std::uint64_t generation = st.model->predictor->generation();
+  if (st.outlook && st.outlook_version == version &&
+      st.outlook_generation == generation) {
     obs_outlook_hits_.add();
     return *st.outlook;
   }
   obs_outlook_misses_.add();
+  st.outlook_version = version;
+  st.outlook_generation = generation;
   return st.outlook.emplace(outlook_for(st));
 }
 
@@ -196,6 +206,18 @@ std::optional<platform::Placement> CocgScheduler::admit(
     cand = &memo_candidate_outlook(tg, key);
   }
 
+  // Rejection replay: within one epoch nothing the view scan reads
+  // changes, so an equal candidate meets the same verdict from every view.
+  for (const Rejection& r : rejections_) {
+    if (decides_alike(r.candidate, *cand)) {
+      obs_reject_hits_.add();
+      distributor_.replay_rejects(r.views);
+      log_decision(false, r.reason);
+      return std::nullopt;
+    }
+  }
+  obs_reject_misses_.add();
+
   // Best-fit complementary placement: among all views the distributor
   // admits, pick the one whose resulting expected utilization is lowest —
   // spreading expected load evens out peak-collision odds across views.
@@ -207,6 +229,7 @@ std::optional<platform::Placement> CocgScheduler::admit(
   };
   std::optional<Choice> best;
   std::string_view last_reject;
+  RejectCounts rejected_views{};
 
   {
     obs::StageScope distributor_scope(prof_distributor_);
@@ -231,6 +254,7 @@ std::optional<platform::Placement> CocgScheduler::admit(
             distributor_.decide(cap, hosted_scratch_, *cand);
         if (!d.admit) {
           last_reject = d.reason;
+          ++rejected_views[static_cast<std::size_t>(d.rejected)];
           continue;
         }
 
@@ -249,8 +273,10 @@ std::optional<platform::Placement> CocgScheduler::admit(
     }
   }
   if (!best) {
-    log_decision(false, last_reject.empty() ? "no capacity view available"
-                                            : last_reject);
+    const std::string_view reason =
+        last_reject.empty() ? "no capacity view available" : last_reject;
+    rejections_.push_back({*cand, reason, rejected_views});
+    log_decision(false, reason);
     return std::nullopt;
   }
   log_decision(true, best->reason, best->server, best->gpu);
@@ -286,6 +312,7 @@ void CocgScheduler::on_session_start(platform::PlatformView& view,
   const auto info = view.session_info(sid);
   const TrainedGame& tg = model(info.spec->name);
   SessionState st;
+  st.model = &tg;
   st.monitor = std::make_unique<OnlineMonitor>(
       tg.profile.get(), tg.predictor.get(), info.player_id, info.script_idx,
       cfg_.monitor);
@@ -294,12 +321,14 @@ void CocgScheduler::on_session_start(platform::PlatformView& view,
   st.player_id = info.player_id;
   st.script_idx = info.script_idx;
   state_.emplace(sid, std::move(st));
+  new_epoch();
 }
 
 void CocgScheduler::on_session_end(platform::PlatformView& view,
                                    SessionId sid) {
   (void)view;
   state_.erase(sid);
+  new_epoch();
 }
 
 void CocgScheduler::update_monitor(platform::PlatformView& view,
@@ -334,7 +363,7 @@ void CocgScheduler::update_monitor(platform::PlatformView& view,
       st.monitor->prediction_hits() + st.monitor->prediction_misses();
   if (total_now > st.outcomes_reported) {
     const bool hit = st.monitor->prediction_hits() > hits_before;
-    models_.at(st.game).predictor->record_outcome(hit);
+    st.model->predictor->record_outcome(hit);
     st.outcomes_reported = total_now;
   }
   if (was_loading &&
@@ -351,9 +380,12 @@ void CocgScheduler::update_monitor(platform::PlatformView& view,
 }
 
 void CocgScheduler::control(platform::PlatformView& view) {
-  // Monitors observe, outcomes are recorded and models are replaced only
-  // here: every hosted outlook memo is stale from this point on.
-  for (auto& [sid, st] : state_) st.outlook.reset();
+  // What admit() reads changes at three points only: a placement appears
+  // in on_session_start, one goes in on_session_end, and allocations,
+  // monitors and models change here (reallocate and hold_loading run only
+  // inside control()). Each starts a new epoch, so a rejection replayed
+  // within one is the verdict its view scan would give.
+  new_epoch();
 
   // Step 1-3 of Fig. 8: collect, judge, predict — per session. A view is
   // saturated when the allocations pinned to it oversubscribe it; judged
@@ -446,8 +478,8 @@ void CocgScheduler::control(platform::PlatformView& view) {
                 srv.placement(sid).allocation;
             const std::size_t first = samples.size() - cfg_.detection_window;
             const ResourceVector ceiling =
-                model(st.game).profile->peak_demand +
-                model(st.game).predictor->redundancy();
+                st.model->profile->peak_demand +
+                st.model->predictor->redundancy();
             for (std::size_t dim = 0; dim < kNumDims; ++dim) {
               if (cur_alloc.at(dim) <= 0.0) continue;
               bool pinned = true;
@@ -466,7 +498,7 @@ void CocgScheduler::control(platform::PlatformView& view) {
             }
           }
         }
-        const auto& profile = *model(st.game).profile;
+        const auto& profile = *st.model->profile;
         p.loading_demand =
             profile.loading_stage_type >= 0
                 ? profile.stage_type(profile.loading_stage_type).peak_demand

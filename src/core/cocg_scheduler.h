@@ -9,13 +9,19 @@
 //  * replacing-model fallback — persistent prediction errors rotate the
 //    game's model DTC → RF → GBDT (§IV-B2).
 //
-// Admission memos: no monitor or model changes between two admit() calls
-// of one admission pass, so each hosted session's outlook is computed at
-// most once per control period (control() clears it) and each candidate
-// key's outlook at most once per model (replace_model clears the memo; an
-// admitted key's entry is erased).
+// Admission memos: work in the admission pass is proportional to what
+// changed since it last ran.
+//  * A hosted session's outlook is kept with the monitor version() and
+//    predictor generation() it was computed from, and reused while both
+//    are unchanged.
+//  * A candidate key's outlook is kept until the next model replacement
+//    (replace_model clears the memo; an admitted key's entry is erased).
+//  * A rejection is replayed, without a view scan, for every equal
+//    candidate until the shard's placements may have changed: session
+//    start, session end or control().
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
@@ -67,6 +73,7 @@ class CocgScheduler final : public platform::Scheduler {
 
  private:
   struct SessionState {
+    const TrainedGame* model = nullptr;  ///< a node of models_; never moves
     std::unique_ptr<OnlineMonitor> monitor;
     std::string game;
     std::uint64_t player_id = 0;
@@ -75,9 +82,18 @@ class CocgScheduler final : public platform::Scheduler {
     DurationMs stolen_ms = 0;
     bool held = false;
     int outcomes_reported = 0;  ///< hits+misses already fed to the predictor
-    /// Memo of outlook_for(*this); filled by the admission scan, cleared by
-    /// control().
+    /// Memo of outlook_for(*this), valid while the monitor's version and
+    /// the predictor's generation equal the ones it was computed at.
     std::optional<SessionOutlook> outlook;
+    std::uint64_t outlook_version = 0;
+    std::uint64_t outlook_generation = 0;
+  };
+  /// A candidate the view scan rejected in the current epoch, with the
+  /// scan's verdict: its final reason and the views it rejected per reason.
+  struct Rejection {
+    CandidateOutlook candidate;
+    std::string_view reason;  ///< a static literal
+    RejectCounts views{};
   };
   /// Candidate memo key: (game, player_id, script_idx). The game name
   /// views the models_ key, which lives as long as the scheduler.
@@ -97,6 +113,8 @@ class CocgScheduler final : public platform::Scheduler {
                                                  const CandidateKey& key);
   void update_monitor(platform::PlatformView& view, SessionId sid,
                       SessionState& st, bool view_saturated);
+  /// Start a new placement epoch: forget this epoch's rejections.
+  void new_epoch() { rejections_.clear(); }
 
   std::map<std::string, TrainedGame> models_;
   CocgConfig cfg_;
@@ -104,6 +122,7 @@ class CocgScheduler final : public platform::Scheduler {
   Regulator regulator_;
   std::map<SessionId, SessionState> state_;
   std::map<CandidateKey, CandidateOutlook> candidate_memo_;
+  std::vector<Rejection> rejections_;  ///< this epoch's; a few entries
   std::vector<SessionOutlook> hosted_scratch_;  ///< one view's outlooks
   Rng rng_;
   int model_replacements_ = 0;
@@ -118,6 +137,8 @@ class CocgScheduler final : public platform::Scheduler {
   obs::Counter obs_outlook_misses_;
   obs::Counter obs_candidate_hits_;
   obs::Counter obs_candidate_misses_;
+  obs::Counter obs_reject_hits_;
+  obs::Counter obs_reject_misses_;
   // Stage-profiler scopes for the three decision stages of the pipeline:
   // predictor (candidate outlook + monitor collect/judge/predict),
   // distributor (Algorithm 1 view scan), regulator (loading-steal pass).

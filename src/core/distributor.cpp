@@ -11,12 +11,22 @@ Distributor::Distributor(DistributorConfig cfg) : cfg_(cfg) {
   obs_admit_empty_ = reg.counter("distributor.admit.empty_server");
   obs_admit_short_ = reg.counter("distributor.admit.short_game_gap");
   obs_admit_fit_ = reg.counter("distributor.admit.complementary_fit");
-  obs_reject_alone_ =
-      reg.counter("distributor.reject.candidate_exceeds_capacity");
-  obs_reject_now_ =
-      reg.counter("distributor.reject.current_exceeds_limit");
-  obs_reject_expected_ =
-      reg.counter("distributor.reject.expected_exceeds_limit");
+  obs_reject_ = {
+      reg.counter("distributor.reject.candidate_exceeds_capacity"),
+      reg.counter("distributor.reject.current_exceeds_limit"),
+      reg.counter("distributor.reject.expected_exceeds_limit")};
+}
+
+AdmitDecision Distributor::reject(RejectReason why,
+                                  std::string_view reason) const {
+  obs_reject_[static_cast<std::size_t>(why)].add();
+  return {false, reason, why};
+}
+
+void Distributor::replay_rejects(const RejectCounts& counts) const {
+  for (std::size_t i = 0; i < kNumRejectReasons; ++i) {
+    obs_reject_[i].add(counts[i]);
+  }
 }
 
 AdmitDecision Distributor::decide(
@@ -31,8 +41,8 @@ AdmitDecision Distributor::decide(
       obs_admit_empty_.add();
       return {true, "empty server"};
     }
-    obs_reject_alone_.add();
-    return {false, "candidate alone exceeds capacity"};
+    return reject(RejectReason::kCandidateExceedsCapacity,
+                  "candidate alone exceeds capacity");
   }
 
   // Instantaneous feasibility at the moment of admission: hosted sessions
@@ -64,8 +74,8 @@ AdmitDecision Distributor::decide(
   }
 
   if (!now_ok) {
-    obs_reject_now_.add();
-    return {false, "current combined consumption exceeds limit"};
+    return reject(RejectReason::kCurrentExceedsLimit,
+                  "current combined consumption exceeds limit");
   }
 
   // Algorithm 1's forward scan, reduced: combined time-weighted expected
@@ -75,8 +85,8 @@ AdmitDecision Distributor::decide(
   ResourceVector expected_total = candidate.expected;
   for (const auto& h : hosted) expected_total += h.expected;
   if (!expected_total.fits_within(limit)) {
-    obs_reject_expected_.add();
-    return {false, "expected combined consumption exceeds limit"};
+    return reject(RejectReason::kExpectedExceedsLimit,
+                  "expected combined consumption exceeds limit");
   }
   obs_admit_fit_.add();
   return {true, "complementary fit"};

@@ -23,6 +23,9 @@
 //    bounded, compensated degradation.
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <string_view>
 #include <vector>
 
@@ -48,6 +51,14 @@ struct CandidateOutlook {
   DurationMs expected_duration_ms = 0;
 };
 
+/// Whether Distributor::decide() treats `a` and `b` alike on any view:
+/// they agree on every candidate field it reads.
+inline bool decides_alike(const CandidateOutlook& a,
+                          const CandidateOutlook& b) {
+  return a.opening == b.opening && a.peak == b.peak &&
+         a.expected == b.expected && a.short_game == b.short_game;
+}
+
 struct DistributorConfig {
   int horizon = 4;               ///< Algorithm 1's Total.iteration
   /// Admission headroom: expected combined demand must stay under this
@@ -61,9 +72,20 @@ struct DistributorConfig {
   bool short_game_fastpath = true;  ///< §IV-C2 gap insertion
 };
 
+/// Why decide() turned a view down.
+enum class RejectReason : std::uint8_t {
+  kCandidateExceedsCapacity,
+  kCurrentExceedsLimit,
+  kExpectedExceedsLimit,
+};
+inline constexpr std::size_t kNumRejectReasons = 3;
+/// Views rejected per RejectReason (indexed by it) during one scan.
+using RejectCounts = std::array<std::uint32_t, kNumRejectReasons>;
+
 struct AdmitDecision {
   bool admit = false;
   std::string_view reason;  ///< one of decide()'s static literals
+  RejectReason rejected{};  ///< meaningful only when !admit
 };
 
 class Distributor {
@@ -75,18 +97,23 @@ class Distributor {
                        const std::vector<SessionOutlook>& hosted,
                        const CandidateOutlook& candidate) const;
 
+  /// Add `counts` to the distributor.reject.* counters, as the scan that
+  /// rejected that many views per reason did.
+  void replay_rejects(const RejectCounts& counts) const;
+
   const DistributorConfig& config() const { return cfg_; }
 
  private:
+  /// Count a rejection for `why` and return it.
+  AdmitDecision reject(RejectReason why, std::string_view reason) const;
+
   DistributorConfig cfg_;
   // Per-verdict counters for Algorithm 1's capacity check (one per fixed
   // reason string; incremented per view examined).
   obs::Counter obs_admit_empty_;
   obs::Counter obs_admit_short_;
   obs::Counter obs_admit_fit_;
-  obs::Counter obs_reject_alone_;
-  obs::Counter obs_reject_now_;
-  obs::Counter obs_reject_expected_;
+  std::array<obs::Counter, kNumRejectReasons> obs_reject_;  ///< by reason
 };
 
 }  // namespace cocg::core

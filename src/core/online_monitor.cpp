@@ -51,6 +51,18 @@ void OnlineMonitor::enter_stage(int stage, TimeMs t) {
   current_stage_ = stage;
   stage_entered_ = t;
   pending_jump_stage_ = -1;
+  ++version_;
+}
+
+void OnlineMonitor::append_history(int stage) {
+  exec_history_.push_back(stage);
+  ++version_;
+}
+
+void OnlineMonitor::relabel_last(int stage) {
+  if (exec_history_.empty()) return;
+  exec_history_.back() = stage;
+  ++version_;
 }
 
 int OnlineMonitor::resolve_stage_from_window() const {
@@ -79,7 +91,7 @@ int OnlineMonitor::resolve_stage_from_window() const {
 void OnlineMonitor::finalize_execution_stage(TimeMs t) {
   const int resolved = resolve_stage_from_window();
   if (resolved >= 0) {
-    if (!exec_history_.empty()) exec_history_.back() = resolved;
+    relabel_last(resolved);
     previous_stage_ = resolved;
   }
   if (pending_prediction_ >= 0 && resolved >= 0) {
@@ -138,7 +150,7 @@ MonitorEvent OnlineMonitor::observe_impl(TimeMs t, const ResourceVector& usage,
     }
     const int st = match_execution_stage(cluster);
     enter_stage(st >= 0 ? st : 0, t);
-    exec_history_.push_back(current_stage_);
+    append_history(current_stage_);
     window_clusters_.clear();
     window_clusters_[cluster] = 1;
     pending_prediction_ = -1;  // nothing was predicted for this stage
@@ -197,7 +209,7 @@ MonitorEvent OnlineMonitor::observe_impl(TimeMs t, const ResourceVector& usage,
     }
     int next = matched;
     if (next < 0) next = predicted_next_ >= 0 ? predicted_next_ : 0;
-    exec_history_.push_back(next);
+    append_history(next);
     enter_stage(next, t);
     window_clusters_.clear();
     window_clusters_[cluster] = 1;
@@ -237,7 +249,7 @@ MonitorEvent OnlineMonitor::observe_impl(TimeMs t, const ResourceVector& usage,
                                        cur_sig.begin(), cur_sig.end());
     if (upgrade) {
       enter_stage(resolved, t);
-      if (!exec_history_.empty()) exec_history_.back() = resolved;
+      relabel_last(resolved);
       return MonitorEvent::kStageRefined;
     }
   }
@@ -268,7 +280,7 @@ MonitorEvent OnlineMonitor::observe_impl(TimeMs t, const ResourceVector& usage,
     ++consecutive_errors_;
     // The history's last entry was the mis-judged stage: fix it and let
     // the window restart from the jump target's evidence.
-    if (!exec_history_.empty()) exec_history_.back() = matched;
+    relabel_last(matched);
     enter_stage(matched, t);
     window_clusters_.clear();
     window_clusters_[cluster] = 2;  // the two confirming detections

@@ -62,6 +62,9 @@ class OnlineMonitor {
   bool in_loading() const;
   int current_stage() const { return current_stage_; }  ///< -1 before first obs
   const std::vector<int>& exec_history() const { return exec_history_; }
+  /// Bumped by every write to the judged stage or the execution history,
+  /// so a value derived from both stays valid while the version does.
+  std::uint64_t version() const { return version_; }
   /// Valid while in loading: the predicted next execution stage.
   int predicted_next() const { return predicted_next_; }
   /// Time spent in the currently judged stage.
@@ -88,7 +91,12 @@ class OnlineMonitor {
   MonitorEvent observe_impl(TimeMs t, const ResourceVector& usage,
                             bool view_saturated);
   int match_execution_stage(int cluster) const;
+  // The only writers of current_stage_ and exec_history_; each bumps
+  // version_.
   void enter_stage(int stage, TimeMs t);
+  void append_history(int stage);
+  /// Relabel the last history entry (no-op on an empty history).
+  void relabel_last(int stage);
   /// Best stage type for the clusters observed during the current
   /// execution stage (frequency-filtered signature match; falls back to
   /// the most specific type containing the majority cluster).
@@ -109,6 +117,7 @@ class OnlineMonitor {
   TimeMs loading_entered_ = 0;
   bool first_loading_detection_ = false;  ///< just one loading observation?
   std::vector<int> exec_history_;
+  std::uint64_t version_ = 0;
   int predicted_next_ = -1;
   /// Prediction awaiting scoring: set when an execution stage begins,
   /// resolved against the window-judged stage when it ends (§IV-A's

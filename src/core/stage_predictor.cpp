@@ -58,6 +58,7 @@ void StagePredictor::train(const std::vector<TrainingRun>& runs, Rng& rng) {
 }
 
 void StagePredictor::fit_active(Rng& rng) {
+  ++generation_;
   const ml::Dataset all = build_dataset(corpus_);
   COCG_CHECK_MSG(!all.empty(), "corpus produced no training pairs");
 
@@ -183,6 +184,7 @@ void StagePredictor::rebind_profile(const GameProfile* profile) {
       profile->num_stage_types() == profile_->num_stage_types(),
       "rebind requires an identical stage-type catalog");
   profile_ = profile;
+  ++generation_;
   // The memo's fits were made against the old profile.
   refits_ = std::make_shared<RefitMemo>();
 }
@@ -379,6 +381,10 @@ PredictorArtifact StagePredictor::read_artifact(LineReader& r) {
   {
     auto ls = r.expect("accuracy ");
     art.accuracy = r.field<double>(ls, "accuracy");
+    // Eq. 1's S = (1 - P) x M must stay within [0, M].
+    if (!(art.accuracy >= 0.0 && art.accuracy <= 1.0)) {
+      r.fail("accuracy must be in [0, 1]");
+    }
   }
   std::size_t n_runs = 0;
   {

@@ -14,6 +14,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -115,6 +116,10 @@ class StagePredictor {
 
   bool trained() const { return pooled_ != nullptr; }
 
+  /// Bumped by every fit (train, replace_model) and by rebind_profile, so
+  /// a prediction cached at one generation stays valid while it lasts.
+  std::uint64_t generation() const { return generation_; }
+
   /// Predict the next execution stage type given the execution-stage
   /// history of a running session.
   int predict_next(const std::vector<int>& exec_history,
@@ -214,6 +219,7 @@ class StagePredictor {
   std::map<std::uint64_t, std::shared_ptr<const ml::CompiledForest>>
       per_player_;
   double accuracy_ = 0.0;
+  std::uint64_t generation_ = 0;
   double online_acc_ = 0.0;
   std::size_t online_n_ = 0;
 };

@@ -180,6 +180,26 @@ TEST(GameBundle, HistoryLenBelowOneRejectedAtLoad) {
   }
 }
 
+// Eq. 1's S = (1 - P) x M turns negative for P > 1 and exceeds M for
+// P < 0, so a bundle with such an accuracy must not load.
+TEST(GameBundle, AccuracyOutsideUnitIntervalRejectedAtLoad) {
+  static const game::GameSpec g = game::make_contra();
+  const TrainedGame tg = train_game(g, small_cfg());
+  std::stringstream saved;
+  write_bundle(ModelBank::bundle_from(tg), saved);
+  for (const char* bad : {"accuracy 1.5", "accuracy -0.1"}) {
+    std::stringstream ss(replace_line(saved.str(), "accuracy ", bad));
+    try {
+      read_bundle(ss);
+      FAIL() << bad << " accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line "), std::string::npos) << what;
+      EXPECT_NE(what.find("accuracy"), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(GameBundle, CorpusWithoutTrainingPairRejected) {
   static const game::GameSpec g = game::make_contra();
   const TrainedGame tg = train_game(g, small_cfg());

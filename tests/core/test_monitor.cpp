@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "common/check.h"
 #include "core/stage_predictor.h"
 
@@ -180,6 +183,68 @@ TEST(OnlineMonitor, RealLoadingAfterTwoDetectionsNotWithdrawn) {
   EXPECT_EQ(f.monitor.observe(t, usage_of(f.profile, 1)),
             MonitorEvent::kEnteredExecution);
   EXPECT_EQ(f.monitor.exec_history(), (std::vector<int>{1, 1}));
+}
+
+// Cached outlooks are keyed on version(): whenever the judged stage or the
+// execution history changes, the version must change too. The drive covers
+// loading and execution entry, a stage jump, a loading jump-back, a
+// signature refinement, and a loading confirmation that relabels the last
+// history entry while the judged stage stays put.
+TEST(OnlineMonitor, VersionChangesWheneverJudgedStateChanges) {
+  GameProfile profile = toy_profile();
+  {
+    // A two-cluster type {2, 3} that a window of 2s and 3s resolves to.
+    StageTypeInfo st = profile.stage_types[2];
+    st.id = 4;
+    st.clusters = {2, 3};
+    profile.stage_types.push_back(st);
+  }
+  const StagePredictor predictor = trained_predictor(profile);
+  OnlineMonitor monitor(&profile, &predictor, 1, 0);
+
+  std::set<MonitorEvent> seen;
+  int relabels_in_loading = 0;
+  TimeMs t = 0;
+  auto step = [&](int cluster) {
+    const int stage = monitor.current_stage();
+    const std::vector<int> history = monitor.exec_history();
+    const std::uint64_t version = monitor.version();
+    const auto ev = monitor.observe(t, usage_of(profile, cluster));
+    t += 5000;
+    seen.insert(ev);
+    const bool changed = monitor.current_stage() != stage ||
+                         monitor.exec_history() != history;
+    if (changed) {
+      EXPECT_NE(monitor.version(), version)
+          << "t=" << t << " " << monitor_event_name(ev);
+    }
+    if (monitor.current_stage() == stage &&
+        monitor.exec_history() != history) {
+      ++relabels_in_loading;
+    }
+    return ev;
+  };
+  EXPECT_EQ(step(0), MonitorEvent::kEnteredLoading);
+  step(0);
+  EXPECT_EQ(step(1), MonitorEvent::kEnteredExecution);
+  EXPECT_EQ(step(0), MonitorEvent::kEnteredLoading);
+  EXPECT_EQ(step(1), MonitorEvent::kRehearsalCallback);  // jump-back
+  EXPECT_EQ(step(2), MonitorEvent::kPendingJump);
+  EXPECT_EQ(step(2), MonitorEvent::kRehearsalCallback);  // stage jump
+  EXPECT_EQ(step(3), MonitorEvent::kStageRefined);
+  EXPECT_EQ(monitor.current_stage(), 4);
+  EXPECT_EQ(step(0), MonitorEvent::kEnteredLoading);
+  step(0);
+  EXPECT_EQ(step(1), MonitorEvent::kEnteredExecution);
+  // Alternating strays never confirm a jump, but leave the window
+  // resolving to type 4; the confirmed loading relabels the entry.
+  for (int c : {2, 3, 2, 3, 2}) step(c);
+  EXPECT_EQ(monitor.exec_history(), (std::vector<int>{4, 1}));
+  EXPECT_EQ(step(0), MonitorEvent::kEnteredLoading);
+  step(0);
+  EXPECT_EQ(monitor.exec_history(), (std::vector<int>{4, 4}));
+  EXPECT_EQ(relabels_in_loading, 1);
+  EXPECT_EQ(seen.size(), 6u);  // every MonitorEvent
 }
 
 TEST(OnlineMonitor, RecommendedAllocationExecution) {

@@ -160,6 +160,32 @@ TEST(StagePredictor, ReplaceModelRotates) {
   EXPECT_EQ(pred.model_kind(), ml::ModelKind::kDtc);
 }
 
+// Cached predictions are keyed on generation(): every change of the model
+// (train, each replace_model rotation, rebind_profile) must move it, and
+// inference or outcome feedback must not.
+TEST(StagePredictor, GenerationBumpsOnEveryFit) {
+  const GameProfile p = toy_profile();
+  StagePredictor pred(&p, PredictorConfig{});
+  Rng rng(4);
+  std::uint64_t last = pred.generation();
+  auto expect_bumped = [&](const char* what) {
+    EXPECT_NE(pred.generation(), last) << what;
+    last = pred.generation();
+  };
+  pred.train(deterministic_corpus(40), rng);
+  expect_bumped("train");
+  (void)pred.predict_sequence({1}, 1, 0, 3);
+  pred.record_outcome(false);
+  EXPECT_EQ(pred.generation(), last) << "inference and feedback";
+  for (int i = 0; i < 3; ++i) {
+    pred.replace_model(rng);
+    expect_bumped(ml::model_kind_name(pred.model_kind()));
+  }
+  const GameProfile migrated = toy_profile();
+  pred.rebind_profile(&migrated);
+  expect_bumped("rebind_profile");
+}
+
 // A replacement whose full-corpus fits come from the shared refit memo must
 // write the same bundle, and leave its Rng in the same state, as one that
 // fits them afresh.

@@ -1,21 +1,28 @@
 // Oracle for the CoCG scheduler's admission-pass memos.
 //
-// The scheduler memoizes hosted-session outlooks until its next control()
-// and candidate outlooks until the next model replacement. A stale memo is
-// deterministic, so comparing two runs of one binary (Determinism.*) cannot
-// catch it. This test instead pins a digest of an overloaded fleet's report
-// and admission counters that was computed before the memos existed. Every
-// invalidation event (control ticks, model replacement, session start and
-// end, admission) happens in the run, and a hosted memo kept past control()
-// or a candidate memo kept past a model replacement moves a decision here,
-// and so the digest.
+// The scheduler keeps a hosted session's outlook while its monitor version
+// and predictor generation are unchanged, a candidate key's outlook until
+// the next model replacement, and a rejected candidate's verdict until the
+// next session start, session end or control(). A stale memo is
+// deterministic, so comparing two runs of one binary (Determinism.*)
+// cannot catch it. This test instead pins a digest of an overloaded
+// fleet's report and admission counters that was computed before the memos
+// existed. Every invalidation event (monitor judgements, model
+// replacement, session start and end, control ticks, admission) happens in
+// the run, and an outlook kept past a judgement or a model replacement, or
+// a rejection replayed past a placement change, moves a decision here, and
+// so the digest. RejectReplayMatchesScan checks the replay itself: the
+// same verdict and distributor counts as the scan it stands in for.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/cocg_scheduler.h"
 #include "core/model_bank.h"
 #include "core/offline.h"
 #include "core/scheduler_factory.h"
@@ -23,6 +30,7 @@
 #include "game/library.h"
 #include "obs/json.h"
 #include "obs/obs.h"
+#include "platform/cloud_platform.h"
 
 namespace cocg::fleet {
 namespace {
@@ -44,6 +52,7 @@ struct OverloadedRun {
   std::size_t completed = 0;
   std::uint64_t outlook_hits = 0, outlook_misses = 0;
   std::uint64_t candidate_hits = 0, candidate_misses = 0;
+  std::uint64_t reject_hits = 0, reject_misses = 0;
 };
 
 /// 8 servers in 2 shards under 3000 arrivals/h of three titles for 15
@@ -98,6 +107,8 @@ OverloadedRun run_overloaded_fleet() {
   out.outlook_misses = counter("scheduler.outlook_memo.misses");
   out.candidate_hits = counter("scheduler.candidate_memo.hits");
   out.candidate_misses = counter("scheduler.candidate_memo.misses");
+  out.reject_hits = counter("scheduler.reject_memo.hits");
+  out.reject_misses = counter("scheduler.reject_memo.misses");
 
   // A request is considered at the first control tick after it arrives,
   // so an admission that waited longer than one control period was
@@ -145,6 +156,152 @@ TEST(AdmissionMemo, HitsOutnumberMissesUnderOverload) {
   EXPECT_GT(run.outlook_hits, run.outlook_misses);
   EXPECT_GT(run.candidate_misses, 0u);
   EXPECT_GT(run.candidate_hits, run.candidate_misses);
+}
+
+// Within one admission pass many queued requests share a candidate
+// outlook, and the shard's placements do not change between them.
+TEST(AdmissionMemo, RejectMemoHitsUnderOverload) {
+  const OverloadedRun& run = overloaded_run();
+  EXPECT_GT(run.reject_misses, 0u);
+  EXPECT_GT(run.reject_hits, run.reject_misses);
+}
+
+std::uint64_t counter(const std::string& name) {
+  return obs::metrics().counter_value(name);
+}
+
+/// A one-title CoCG platform a minute into a run: its two servers are
+/// full and requests are queued. Observability is on for its lifetime.
+struct FullPlatform {
+  std::vector<game::GameSpec> suite = {game::make_genshin()};
+  core::CocgScheduler* cocg = nullptr;
+  std::unique_ptr<platform::CloudPlatform> cloud;
+  platform::GameRequest req;  ///< an extra request, admitted by hand
+
+  FullPlatform() {
+    obs::reset();
+    obs::set_enabled(true);
+    core::OfflineConfig ocfg;
+    ocfg.profiling_runs = 5;
+    ocfg.corpus_runs = 8;
+    ocfg.seed = 7;
+    auto sched =
+        std::make_unique<core::CocgScheduler>(core::train_suite(suite, ocfg));
+    cocg = sched.get();
+    platform::PlatformConfig pcfg;
+    pcfg.seed = 2026;
+    cloud = std::make_unique<platform::CloudPlatform>(pcfg, std::move(sched));
+    for (int i = 0; i < 2; ++i) cloud->add_server(hw::ServerSpec{});
+    for (int i = 0; i < 24; ++i) cloud->submit(&suite.front(), 0, 100 + i);
+    cloud->begin(2LL * 3600 * 1000);
+    cloud->advance_until(kStart);
+    req.id = RequestId{999};
+    req.spec = &suite.front();
+    req.player_id = 100;
+  }
+  ~FullPlatform() {
+    cloud->finish();
+    obs::set_enabled(false);
+    obs::reset();
+  }
+
+  static constexpr TimeMs kStart = 60 * 1000;
+};
+
+// A replayed rejection logs the scan's verdict and adds the scan's
+// per-reason view counts; a session start or end, and control(), start a
+// new epoch, so the next equal candidate is scanned again.
+TEST(AdmissionMemo, RejectReplayMatchesScan) {
+  FullPlatform fp;
+  ASSERT_GT(fp.cloud->queued_requests(), 0u);
+  const std::vector<std::string> reasons = {
+      "distributor.reject.candidate_exceeds_capacity",
+      "distributor.reject.current_exceeds_limit",
+      "distributor.reject.expected_exceeds_limit"};
+  // One admit() call: whether the replay memo served it, and the
+  // distributor reject counts it added.
+  struct Call {
+    bool admitted = false;
+    bool hit = false;
+    std::vector<std::uint64_t> rejects;
+  };
+  auto call = [&] {
+    std::vector<std::uint64_t> before;
+    for (const auto& name : reasons) before.push_back(counter(name));
+    const std::uint64_t hits = counter("scheduler.reject_memo.hits");
+    const std::uint64_t misses = counter("scheduler.reject_memo.misses");
+    Call c;
+    c.admitted = fp.cocg->admit(*fp.cloud, fp.req).has_value();
+    for (std::size_t i = 0; i < reasons.size(); ++i) {
+      c.rejects.push_back(counter(reasons[i]) - before[i]);
+    }
+    c.hit = counter("scheduler.reject_memo.hits") == hits + 1;
+    EXPECT_EQ(counter("scheduler.reject_memo.hits") +
+                  counter("scheduler.reject_memo.misses"),
+              hits + misses + 1);
+    return c;
+  };
+
+  const std::size_t events_before = obs::events().size();
+  const Call scan = call();
+  ASSERT_FALSE(scan.admitted);
+  EXPECT_FALSE(scan.hit);
+  EXPECT_GT(scan.rejects[0] + scan.rejects[1] + scan.rejects[2], 0u);
+  // An equal candidate from another request: replayed, not scanned.
+  fp.req.id = RequestId{1000};
+  const Call replay = call();
+  EXPECT_FALSE(replay.admitted);
+  EXPECT_TRUE(replay.hit);
+  EXPECT_EQ(replay.rejects, scan.rejects);
+  // Both calls logged the same verdict.
+  ASSERT_EQ(obs::events().size(), events_before + 2);
+  const auto& logged = obs::events().events();
+  const auto& first =
+      std::get<obs::AdmissionEvent>(logged[events_before].payload);
+  const auto& second =
+      std::get<obs::AdmissionEvent>(logged[events_before + 1].payload);
+  EXPECT_EQ(first.reason, second.reason);
+  EXPECT_EQ(second.request, 1000u);
+
+  // The scheduler forgets one hosted session and learns it again, as the
+  // platform's session hooks would report an end and a start.
+  const SessionId sid = fp.cloud->session_ids().front();
+  fp.cocg->on_session_end(*fp.cloud, sid);
+  EXPECT_FALSE(call().hit) << "after on_session_end";
+  EXPECT_TRUE(call().hit);
+  fp.cocg->on_session_start(*fp.cloud, sid);
+  EXPECT_FALSE(call().hit) << "after on_session_start";
+  EXPECT_TRUE(call().hit);
+  // So does the next control tick.
+  fp.cloud->advance_until(FullPlatform::kStart + 5000);
+  EXPECT_FALSE(call().hit) << "after control()";
+}
+
+// A hosted outlook is reused while its monitor and model are unchanged,
+// and recomputed once the game's predictor is refitted.
+TEST(AdmissionMemo, HostedOutlooksFollowPredictorGeneration) {
+  FullPlatform fp;
+  // One admission scan after a new epoch in which one session was
+  // forgotten and learned again: the (hits, misses) of its outlook memo.
+  // The scan reads the outlooks of sessions on views with headroom.
+  const SessionId sid = fp.cloud->session_ids().front();
+  auto rescan = [&] {
+    fp.cocg->on_session_end(*fp.cloud, sid);
+    fp.cocg->on_session_start(*fp.cloud, sid);
+    const std::uint64_t hits = counter("scheduler.outlook_memo.hits");
+    const std::uint64_t misses = counter("scheduler.outlook_memo.misses");
+    EXPECT_FALSE(fp.cocg->admit(*fp.cloud, fp.req).has_value());
+    return std::pair{counter("scheduler.outlook_memo.hits") - hits,
+                     counter("scheduler.outlook_memo.misses") - misses};
+  };
+  (void)rescan();
+  const auto [hits, misses] = rescan();
+  EXPECT_GT(hits, 0u);
+  EXPECT_LE(misses, 1u);  // at most the re-learned session's
+  // A refit changes every prediction the hosted outlooks were built on.
+  Rng rng(3);
+  fp.cocg->model("Genshin Impact").predictor->replace_model(rng);
+  EXPECT_EQ(rescan(), std::pair(std::uint64_t{0}, hits + misses));
 }
 
 }  // namespace
