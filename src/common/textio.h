@@ -52,8 +52,14 @@ class LineReader {
   }
 
   [[noreturn]] void fail(const std::string& msg) const {
-    throw std::runtime_error(what_ + " line " + std::to_string(line_no_) +
-                             ": " + msg);
+    fail_at(line_no_, msg);
+  }
+
+  /// For a check that can only be made after later lines are read, but
+  /// belongs to an earlier one.
+  [[noreturn]] void fail_at(int line, const std::string& msg) const {
+    throw std::runtime_error(what_ + " line " + std::to_string(line) + ": " +
+                             msg);
   }
 
   int line_no() const { return line_no_; }

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -112,8 +111,10 @@ GameProfile read_profile(LineReader& r) {
     auto ls = r.expect("peak_demand ");
     p.peak_demand = read_demand(r, ls, "peak_demand");
   }
+  int loading_line = 0;
   {
     auto ls = r.expect("loading_stage_type ");
+    loading_line = r.line_no();
     p.loading_stage_type = r.field<int>(ls, "loading_stage_type");
   }
   std::size_t n_clusters = 0;
@@ -121,12 +122,16 @@ GameProfile read_profile(LineReader& r) {
     auto ls = r.expect("clusters ");
     n_clusters = r.field<std::size_t>(ls, "clusters");
   }
-  std::set<int> cluster_ids;
+  // GameProfile::cluster(id) and stage_type(id) index by id, so every id
+  // must equal its position.
   for (std::size_t i = 0; i < n_clusters; ++i) {
     auto ls = r.expect("cluster ");
     ClusterInfo c;
     c.id = r.field<int>(ls, "cluster id");
-    cluster_ids.insert(c.id);
+    if (c.id != static_cast<int>(i)) {
+      r.fail("cluster id " + std::to_string(c.id) + " must equal its index " +
+             std::to_string(i));
+    }
     c.frames = r.field<std::size_t>(ls, "cluster frames");
     c.loading = r.field<int>(ls, "cluster loading") != 0;
     c.centroid = read_vector(r, ls, "cluster centroid");
@@ -141,6 +146,10 @@ GameProfile read_profile(LineReader& r) {
     auto ls = r.expect("stage ");
     StageTypeInfo st;
     st.id = r.field<int>(ls, "stage id");
+    if (st.id != static_cast<int>(i)) {
+      r.fail("stage id " + std::to_string(st.id) + " must equal its index " +
+             std::to_string(i));
+    }
     st.loading = r.field<int>(ls, "stage loading") != 0;
     st.mean_duration_ms = r.field<DurationMs>(ls, "stage mean duration");
     st.max_duration_ms = r.field<DurationMs>(ls, "stage max duration");
@@ -155,7 +164,7 @@ GameProfile read_profile(LineReader& r) {
     const auto n_members = r.field<std::size_t>(ls, "stage member count");
     for (std::size_t m = 0; m < n_members; ++m) {
       const int member = r.field<int>(ls, "stage member");
-      if (cluster_ids.count(member) == 0) {
+      if (member < 0 || member >= static_cast<int>(n_clusters)) {
         r.fail("stage member " + std::to_string(member) +
                " names no declared cluster");
       }
@@ -164,6 +173,14 @@ GameProfile read_profile(LineReader& r) {
     st.peak_demand = read_demand(r, ls, "stage peak");
     st.mean_demand = read_demand(r, ls, "stage mean");
     p.stage_types.push_back(st);
+  }
+  // -1 means the game has no loading stage.
+  const int loading = p.loading_stage_type;
+  if (loading != -1 &&
+      (loading < 0 || loading >= p.num_stage_types() ||
+       !p.stage_types[static_cast<std::size_t>(loading)].loading)) {
+    r.fail_at(loading_line, "loading_stage_type " + std::to_string(loading) +
+                                " names no loading stage");
   }
   return p;
 }

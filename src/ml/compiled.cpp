@@ -63,6 +63,14 @@ void softmax_span(std::span<double> scores) {
 }  // namespace
 
 CompiledForest::CompiledForest(Data data) : d_(std::move(data)) {
+  d_.base_score.shrink_to_fit();
+  d_.tree_first.shrink_to_fit();
+  d_.feature.shrink_to_fit();
+  d_.threshold.shrink_to_fit();
+  d_.left.shrink_to_fit();
+  d_.right.shrink_to_fit();
+  d_.leaf_label.shrink_to_fit();
+  d_.leaf_data.shrink_to_fit();
   const std::size_t n = d_.feature.size();
   if (n == 0) invalid("no nodes");
   if (d_.num_classes < 1) invalid("num_classes must be >= 1");
@@ -136,11 +144,6 @@ CompiledForest::CompiledForest(Data data) : d_(std::move(data)) {
 // Compilation from the trained models
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Append one fitted tree. Its leaves are numbered in node order and its
-/// leaf table already has the forest's width (RF trees fit on bootstrap
-/// row indices of the full dataset, so none lacks a class column).
 void append_tree(CompiledForest::Data& d, const Tree& tree) {
   COCG_CHECK(tree.leaf_width == d.leaf_width);
   const auto base = static_cast<std::int32_t>(d.feature.size());
@@ -163,48 +166,48 @@ void append_tree(CompiledForest::Data& d, const Tree& tree) {
   d.tree_first.push_back(static_cast<std::int32_t>(d.feature.size()));
 }
 
+namespace {
+
+/// A DTC or RF forest of `trees`. Its arrays are reserved at their exact
+/// sizes, so the constructor finds no slack to trim and copies nothing.
+CompiledForest classifier_forest(ModelKind kind, int num_classes,
+                                 std::span<const Tree* const> trees) {
+  CompiledForest::Data d;
+  d.kind = kind;
+  d.num_classes = num_classes;
+  d.leaf_width = num_classes;
+  d.num_features = 1;
+  std::size_t nodes = 0, leaf_values = 0;
+  for (const Tree* t : trees) {
+    nodes += t->nodes.size();
+    leaf_values += t->leaf_values.size();
+  }
+  d.tree_first.reserve(trees.size() + 1);
+  d.feature.reserve(nodes);
+  d.threshold.reserve(nodes);
+  d.left.reserve(nodes);
+  d.right.reserve(nodes);
+  d.leaf_label.reserve(leaf_values / static_cast<std::size_t>(num_classes));
+  d.leaf_data.reserve(leaf_values);
+  d.tree_first.push_back(0);
+  for (const Tree* t : trees) append_tree(d, *t);
+  return CompiledForest(std::move(d));
+}
+
 }  // namespace
 
 CompiledForest CompiledForest::compile(const DecisionTreeClassifier& tree) {
   COCG_EXPECTS_MSG(tree.trained(), "compile before fit");
-  Data d;
-  d.kind = ModelKind::kDtc;
-  d.num_classes = tree.num_classes();
-  d.leaf_width = d.num_classes;
-  d.num_features = 1;
-  d.tree_first.push_back(0);
-  append_tree(d, tree.tree());
-  return CompiledForest(std::move(d));
+  const Tree* t = &tree.tree();
+  return classifier_forest(ModelKind::kDtc, tree.num_classes(), {&t, 1});
 }
 
 CompiledForest CompiledForest::compile(const RandomForestClassifier& forest) {
   COCG_EXPECTS_MSG(forest.trained(), "compile before fit");
-  Data d;
-  d.kind = ModelKind::kRf;
-  d.num_classes = forest.num_classes();
-  d.leaf_width = d.num_classes;
-  d.num_features = 1;
-  d.tree_first.push_back(0);
-  for (const auto& tree : forest.trees()) append_tree(d, tree.tree());
-  return CompiledForest(std::move(d));
-}
-
-CompiledForest CompiledForest::compile(const GbdtClassifier& gbdt) {
-  COCG_EXPECTS_MSG(gbdt.trained(), "compile before fit");
-  Data d;
-  d.kind = ModelKind::kGbdt;
-  d.num_classes = gbdt.num_classes();
-  d.leaf_width = 1;
-  d.num_features = 1;
-  d.learning_rate = gbdt.config().learning_rate;
-  d.base_score = gbdt.base_scores();
-  d.tree_first.push_back(0);
-  // Round-major, class-minor: tree t corrects class t % K, in exactly the
-  // accumulation order of GbdtClassifier::raw_scores.
-  for (const auto& round : gbdt.trees()) {
-    for (const auto& tree : round) append_tree(d, tree.tree());
-  }
-  return CompiledForest(std::move(d));
+  std::vector<const Tree*> trees;
+  trees.reserve(forest.trees().size());
+  for (const auto& tree : forest.trees()) trees.push_back(&tree.tree());
+  return classifier_forest(ModelKind::kRf, forest.num_classes(), trees);
 }
 
 namespace {
@@ -243,7 +246,7 @@ std::shared_ptr<const CompiledForest> fit_model(ModelKind kind,
       cfg.tree.max_depth = 6;
       GbdtClassifier gbdt(cfg);
       gbdt.fit(data);
-      return share(gbdt);
+      return std::make_shared<const CompiledForest>(std::move(gbdt).forest());
     }
   }
   COCG_CHECK_MSG(false, "unknown model kind");

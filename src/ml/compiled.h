@@ -3,9 +3,10 @@
 // CompiledForest is the one model type of the three predictor algorithms
 // (DTC / RF / GBDT) from fit to inference: fit_model trains a learner,
 // flattens every tree into contiguous feature/threshold/child arrays plus a
-// flat leaf-payload table, and frees the learner. The hot path is an index
-// walk over a few vectors instead of pointer chasing through per-model node
-// structures. Predictions are bit-identical to the learners' own tree walks
+// flat leaf-payload table, and frees the learner (GBDT appends each tree
+// to the arrays as it grows it). The hot path is an index walk over a few
+// vectors instead of pointer chasing through per-model node structures.
+// Predictions are bit-identical to tree walks of the same fits
 // (tests/ml/test_compiled.cpp enforces this).
 //
 // The artifact is also the serialization unit (ml/model_io.h) and the
@@ -26,7 +27,7 @@ namespace cocg::ml {
 
 class DecisionTreeClassifier;
 class RandomForestClassifier;
-class GbdtClassifier;
+struct Tree;
 
 enum class ModelKind { kDtc, kRf, kGbdt };
 
@@ -62,12 +63,12 @@ class CompiledForest {
   CompiledForest() = default;
   /// Validates every shape and index invariant; throws std::runtime_error
   /// naming the offending field, so deserialization cannot produce an
-  /// artifact whose walks read out of bounds or fail to terminate.
+  /// artifact whose walks read out of bounds or fail to terminate. Every
+  /// array is trimmed to its size: a forest is kept as long as its model.
   explicit CompiledForest(Data data);
 
   static CompiledForest compile(const DecisionTreeClassifier& tree);
   static CompiledForest compile(const RandomForestClassifier& forest);
-  static CompiledForest compile(const GbdtClassifier& gbdt);
 
   bool trained() const { return !d_.feature.empty(); }
   ModelKind kind() const { return d_.kind; }
@@ -96,6 +97,12 @@ class CompiledForest {
 
   Data d_;
 };
+
+/// Appends one fitted tree to `d`. Its leaves are numbered in node order
+/// and its leaf table already has the forest's width (RF trees fit on
+/// bootstrap row indices of the full dataset, so none lacks a class
+/// column).
+void append_tree(CompiledForest::Data& d, const Tree& tree);
 
 /// Trains the `kind` learner with the configuration tuned for stage
 /// prediction (DTC depth 8; RF defaults; GBDT 80 rounds at depth 6) on

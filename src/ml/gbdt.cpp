@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "common/check.h"
 
@@ -26,74 +27,69 @@ void GbdtClassifier::fit(const Dataset& data) {
   COCG_EXPECTS(cfg_.n_rounds >= 1);
   COCG_EXPECTS(cfg_.learning_rate > 0.0 && cfg_.learning_rate <= 1.0);
 
-  num_classes_ = data.num_classes();
-  const auto k = static_cast<std::size_t>(num_classes_);
+  const auto k = static_cast<std::size_t>(data.num_classes());
   const std::size_t n = data.size();
-  trees_.clear();
+  CompiledForest::Data d;
+  d.kind = ModelKind::kGbdt;
+  d.num_classes = data.num_classes();
+  d.num_features = 1;
+  d.leaf_width = 1;
+  d.learning_rate = cfg_.learning_rate;
+  d.tree_first.push_back(0);
 
   // Base score = log class prior (with Laplace smoothing).
   std::vector<double> prior(k, 1.0);
   for (std::size_t i = 0; i < n; ++i) {
     prior[static_cast<std::size_t>(data.y(i))] += 1.0;
   }
-  base_score_.assign(k, 0.0);
+  d.base_score.assign(k, 0.0);
   const double total = static_cast<double>(n) + static_cast<double>(k);
   for (std::size_t c = 0; c < k; ++c) {
-    base_score_[c] = std::log(prior[c] / total);
+    d.base_score[c] = std::log(prior[c] / total);
   }
 
-  // Current raw scores per row per class, and the gradient targets.
-  std::vector<std::vector<double>> score(n, base_score_);
-  std::vector<std::vector<double>> residuals(k, std::vector<double>(n));
-  std::vector<double> p(k);
-  // Every tree fits all rows on every feature, so the nodes near the root
-  // repeat across trees and their sorted orders are shared.
-  SplitOrderTrie orders;
+  {
+    // Current raw scores per row per class, and the gradient targets.
+    std::vector<std::vector<double>> score(n, d.base_score);
+    std::vector<std::vector<double>> residuals(k, std::vector<double>(n));
+    std::vector<double> p(k);
+    std::vector<double> fitted(n);
+    // Every tree fits all rows on every feature, so nodes repeat across
+    // trees and their sorted orders are shared.
+    std::optional<SplitOrderTrie> orders;
+    if (n <= SplitOrderTrie::kMaxRows) orders.emplace(n, data.num_features());
+    // One tree regrown in place; each is appended to the forest as it is
+    // grown.
+    RegressionTree tree(cfg_.tree);
 
-  for (int round = 0; round < cfg_.n_rounds; ++round) {
-    // Gradient targets: one-hot − softmax probability.
-    for (std::size_t i = 0; i < n; ++i) {
-      p = score[i];
-      softmax_inplace(p);
+    for (int round = 0; round < cfg_.n_rounds; ++round) {
+      // Gradient targets: one-hot − softmax probability.
+      for (std::size_t i = 0; i < n; ++i) {
+        p = score[i];
+        softmax_inplace(p);
+        for (std::size_t c = 0; c < k; ++c) {
+          const double target = (static_cast<std::size_t>(data.y(i)) == c)
+                                    ? 1.0
+                                    : 0.0;
+          residuals[c][i] = target - p[c];
+        }
+      }
+      // Round-major, class-minor: tree t corrects class t % k.
       for (std::size_t c = 0; c < k; ++c) {
-        const double target = (static_cast<std::size_t>(data.y(i)) == c)
-                                  ? 1.0
-                                  : 0.0;
-        residuals[c][i] = target - p[c];
+        tree.fit(data.features(), residuals[c],
+                 orders ? &*orders : nullptr, fitted);
+        append_tree(d, tree.tree());
+        for (std::size_t i = 0; i < n; ++i) {
+          score[i][c] += cfg_.learning_rate * fitted[i];
+        }
       }
     }
-
-    std::vector<RegressionTree> round_trees;
-    round_trees.reserve(k);
-    for (std::size_t c = 0; c < k; ++c) {
-      RegressionTree tree(cfg_.tree);
-      tree.fit(data.features(), residuals[c], &orders);
-      round_trees.push_back(std::move(tree));
-    }
-
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t c = 0; c < k; ++c) {
-        score[i][c] += cfg_.learning_rate * round_trees[c].predict(data.x(i));
-      }
-    }
-    trees_.push_back(std::move(round_trees));
   }
-}
-
-std::vector<double> GbdtClassifier::raw_scores(const FeatureRow& x) const {
-  COCG_EXPECTS_MSG(trained(), "predict before fit");
-  std::vector<double> s = base_score_;
-  for (const auto& round : trees_) {
-    for (std::size_t c = 0; c < s.size(); ++c) {
-      s[c] += cfg_.learning_rate * round[c].predict(x);
-    }
-  }
-  return s;
+  forest_ = CompiledForest(std::move(d));
 }
 
 int GbdtClassifier::predict(const FeatureRow& x) const {
-  const auto s = raw_scores(x);
-  return static_cast<int>(std::max_element(s.begin(), s.end()) - s.begin());
+  return forest_.predict(x);
 }
 
 std::vector<int> GbdtClassifier::predict_all(
@@ -105,13 +101,12 @@ std::vector<int> GbdtClassifier::predict_all(
 }
 
 std::vector<double> GbdtClassifier::predict_proba(const FeatureRow& x) const {
-  auto s = raw_scores(x);
-  softmax_inplace(s);
-  return s;
+  return forest_.predict_proba(x);
 }
 
 int GbdtClassifier::rounds_trained() const {
-  return static_cast<int>(trees_.size());
+  return trained() ? static_cast<int>(forest_.num_trees()) / num_classes()
+                   : 0;
 }
 
 }  // namespace cocg::ml

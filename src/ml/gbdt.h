@@ -6,8 +6,10 @@
 // shrinkage. Predictions are argmax over accumulated raw scores.
 #pragma once
 
+#include <utility>
 #include <vector>
 
+#include "ml/compiled.h"
 #include "ml/dataset.h"
 #include "ml/tree.h"
 
@@ -20,6 +22,8 @@ struct GbdtConfig {
                   /*min_samples_leaf=*/2, /*max_features=*/0};
 };
 
+/// Fits straight into a CompiledForest: each grown tree is appended to the
+/// forest's arrays and freed, so a fit holds one copy of the forest.
 class GbdtClassifier {
  public:
   explicit GbdtClassifier(GbdtConfig cfg = {}) : cfg_(cfg) {}
@@ -27,28 +31,21 @@ class GbdtClassifier {
   /// Deterministic: every round fits every row on every feature.
   void fit(const Dataset& data);
 
-  bool trained() const { return num_classes_ > 0; }
+  bool trained() const { return forest_.trained(); }
   int predict(const FeatureRow& x) const;
   std::vector<int> predict_all(const std::vector<FeatureRow>& xs) const;
   std::vector<double> predict_proba(const FeatureRow& x) const;
 
-  int num_classes() const { return num_classes_; }
+  int num_classes() const { return forest_.num_classes(); }
   int rounds_trained() const;
 
-  // Read-only views for compilation into a CompiledForest (ml/compiled.h).
-  const GbdtConfig& config() const { return cfg_; }
-  const std::vector<double>& base_scores() const { return base_score_; }
-  const std::vector<std::vector<RegressionTree>>& trees() const {
-    return trees_;
-  }
+  /// The fitted forest; fit_model moves it out instead of copying it.
+  const CompiledForest& forest() const& { return forest_; }
+  CompiledForest forest() && { return std::move(forest_); }
 
  private:
-  std::vector<double> raw_scores(const FeatureRow& x) const;
-
   GbdtConfig cfg_;
-  int num_classes_ = 0;
-  std::vector<double> base_score_;                 ///< per class (log prior)
-  std::vector<std::vector<RegressionTree>> trees_; ///< [round][class]
+  CompiledForest forest_;
 };
 
 }  // namespace cocg::ml

@@ -13,12 +13,6 @@ namespace cocg::ml {
 
 namespace {
 
-/// Split-order trie nodes kept: depths 0-3. GBDT splits at depths up to
-/// max_depth - 1 = 5, but the deeper nodes hold few rows and repeat less
-/// often across trees, so caching them would cost most of the trie's memory
-/// for little of its saving.
-constexpr int kCachedDepths = 4;
-
 /// Choose which feature columns to examine at a node.
 std::vector<std::size_t> candidate_features(std::size_t n_features,
                                             std::size_t max_features,
@@ -147,23 +141,34 @@ class Grower {
   using Stats = typename Criterion::Stats;
 
   Grower(const std::vector<FeatureRow>& x, Criterion crit,
-         const TreeConfig& cfg, Rng* rng, SplitOrderTrie* trie, Tree& out)
-      : x_(x), crit_(crit), cfg_(cfg), rng_(rng), trie_(trie), out_(out) {}
+         const TreeConfig& cfg, Rng* rng, SplitOrderTrie* trie,
+         std::span<double> fitted, Tree& out)
+      : x_(x),
+        crit_(crit),
+        cfg_(cfg),
+        rng_(rng),
+        trie_(trie),
+        fitted_(fitted),
+        out_(out) {}
 
   void fit(std::vector<std::size_t> rows) {
     COCG_EXPECTS_MSG(!rows.empty(), "cannot fit an empty dataset");
-    COCG_EXPECTS(trie_ == nullptr ||
-                 x_.size() <= std::numeric_limits<std::uint32_t>::max());
-    out_ = Tree{};
+    COCG_EXPECTS(trie_ == nullptr || x_.size() <= SplitOrderTrie::kMaxRows);
+    COCG_EXPECTS(fitted_.empty() ||
+                 (fitted_.size() == x_.size() && crit_.leaf_width() == 1));
+    // Cleared, not replaced, so a reused tree keeps its capacity.
+    out_.nodes.clear();
+    out_.leaf_values.clear();
     out_.leaf_width = crit_.leaf_width();
     order_.resize(rows.size());
-    grow(std::span<std::size_t>(rows), 0,
-         trie_ != nullptr ? &trie_->root : nullptr);
+    grow(std::span<std::size_t>(rows), 0, trie_ != nullptr ? 0 : kNoMemo);
   }
 
  private:
-  /// `memo` is this node's trie entry, or nullptr when it is not cached.
-  int grow(std::span<std::size_t> idx, int depth, SplitOrderTrie::Node* memo) {
+  static constexpr std::int32_t kNoMemo = -1;
+
+  /// `memo` is this node's trie index, or kNoMemo.
+  int grow(std::span<std::size_t> idx, int depth, std::int32_t memo) {
     const std::size_t n = idx.size();
     Stats node = crit_.zero();
     for (std::size_t i : idx) crit_.add(node, i);
@@ -176,9 +181,9 @@ class Grower {
       if (split.found) {
         const std::size_t nl = partition(idx, split);
         const int l = grow(idx.first(nl), depth + 1,
-                           child(memo, depth, split, 0));
+                           child(memo, depth, split, 0, nl));
         const int r = grow(idx.subspan(nl), depth + 1,
-                           child(memo, depth, split, 1));
+                           child(memo, depth, split, 1, n - nl));
         TreeNode& nd = out_.nodes[static_cast<std::size_t>(me)];
         nd.feature = static_cast<int>(split.feature);
         nd.threshold = split.threshold;
@@ -188,81 +193,100 @@ class Grower {
       }
     }
     TreeNode& nd = out_.nodes[static_cast<std::size_t>(me)];
-    nd.left = static_cast<int>(out_.leaf_values.size()) / out_.leaf_width;
+    const std::size_t leaf = out_.leaf_values.size();
+    nd.left = static_cast<int>(leaf) / out_.leaf_width;
     nd.label = crit_.leaf(node, n, out_.leaf_values);
+    if (!fitted_.empty()) {
+      // partition() sent these rows here by the walk's own test.
+      for (std::size_t i : idx) fitted_[i] = out_.leaf_values[leaf];
+    }
     return me;
   }
 
-  /// The trie entry of one side of `split`, or nullptr past the cached
-  /// depths.
-  static SplitOrderTrie::Node* child(SplitOrderTrie::Node* memo, int depth,
-                                     const SplitChoice& split, int side) {
-    if (memo == nullptr || depth + 1 >= kCachedDepths) return nullptr;
-    auto& slot = memo->children[{static_cast<int>(split.feature),
-                                 split.threshold, side}];
-    if (slot == nullptr) slot = std::make_unique<SplitOrderTrie::Node>();
-    return slot.get();
+  /// The trie entry of one side of `split`, or kNoMemo when there is no
+  /// trie or the child is too deep or too small ever to scan.
+  std::int32_t child(std::int32_t memo, int depth, const SplitChoice& split,
+                     int side, std::size_t rows) {
+    if (memo == kNoMemo || depth + 1 >= cfg_.max_depth ||
+        rows < cfg_.min_samples_split) {
+      return kNoMemo;
+    }
+    return trie_->child(memo, static_cast<int>(split.feature),
+                        split.threshold, side);
   }
 
   SplitChoice best_split(std::span<const std::size_t> idx, const Stats& node,
-                         SplitOrderTrie::Node* memo) {
+                         std::int32_t memo) {
     const std::size_t n = idx.size();
     // Drawn only here, so pure nodes and depth-capped nodes draw nothing.
     const auto feats =
         candidate_features(x_[0].size(), cfg_.max_features, rng_);
     SplitChoice best;
     best.score = crit_.gate(node, n);
-    const std::span<std::size_t> order = std::span(order_).first(n);
-    // A cached node replays its sorted orders; the first fit to reach it
+    SplitOrderTrie::Node* m =
+        memo == kNoMemo
+            ? nullptr
+            : &trie_->nodes()[static_cast<std::size_t>(memo)];
+    // A trie node replays its sorted orders; the first fit to reach it
     // records them.
-    const bool replay = memo != nullptr && !memo->orders.empty();
-    if (replay) {
-      COCG_CHECK_MSG(memo->orders.size() == feats.size() * n,
+    if (m != nullptr && m->orders != nullptr) {
+      COCG_CHECK_MSG(m->size == feats.size() * n,
                      "split-order trie shared across different rows");
-    } else {
-      std::copy(idx.begin(), idx.end(), order.begin());
-      if (memo != nullptr) memo->orders.reserve(feats.size() * n);
+      for (std::size_t j = 0; j < feats.size(); ++j) {
+        scan(std::span<const std::uint16_t>(m->orders + j * n, n), feats[j],
+             best);
+      }
+      return best;
     }
+    std::uint16_t* record =
+        m != nullptr ? trie_->allocate(feats.size() * n) : nullptr;
+    const std::span<std::size_t> order = std::span(order_).first(n);
+    std::copy(idx.begin(), idx.end(), order.begin());
     for (std::size_t j = 0; j < feats.size(); ++j) {
       const std::size_t f = feats[j];
-      if (replay) {
-        std::copy_n(memo->orders.begin() + static_cast<std::ptrdiff_t>(j * n),
-                    n, order.begin());
-      } else {
-        std::sort(order.begin(), order.end(),
-                  [&](std::size_t a, std::size_t b) {
-                    return x_[a][f] < x_[b][f];
-                  });
-        if (memo != nullptr) {
-          for (std::size_t i : order) {
-            memo->orders.push_back(static_cast<std::uint32_t>(i));
-          }
-        }
+      std::sort(order.begin(), order.end(),
+                [&](std::size_t a, std::size_t b) {
+                  return x_[a][f] < x_[b][f];
+                });
+      if (record != nullptr) {
+        std::copy(order.begin(), order.end(), record + j * n);
       }
-      Stats left = crit_.zero();
-      Stats right = crit_.zero();
-      for (std::size_t i : order) crit_.add(right, i);
-      // Move rows one by one from right to left; a split between position
-      // i-1 and i is valid when the feature value strictly increases there.
-      for (std::size_t i = 1; i < n; ++i) {
-        crit_.add(left, order[i - 1]);
-        crit_.remove(right, order[i - 1]);
-        const double lo = x_[order[i - 1]][f];
-        const double hi = x_[order[i]][f];
-        if (lo >= hi) continue;  // tied values cannot be separated
-        if (i < cfg_.min_samples_leaf || n - i < cfg_.min_samples_leaf) {
-          continue;
-        }
-        const double score = crit_.score(left, right, i, n);
-        if (score < best.score) {
-          best.found = true;
-          best.feature = f;
-          best.threshold = lo + (hi - lo) / 2.0;
-          best.score = score;
-        }
-      }
+      scan(std::span<const std::size_t>(order), f, best);
+    }
+    if (m != nullptr) {
+      m->orders = record;
+      m->size = static_cast<std::uint32_t>(feats.size() * n);
     }
     return best;
+  }
+
+  /// Sweeps one feature's sorted rows, moving them one by one from right
+  /// to left; a split between positions i-1 and i is valid when the
+  /// feature value strictly increases there.
+  template <typename Row>
+  void scan(std::span<const Row> order, std::size_t f,
+            SplitChoice& best) const {
+    const std::size_t n = order.size();
+    Stats left = crit_.zero();
+    Stats right = crit_.zero();
+    for (std::size_t i : order) crit_.add(right, i);
+    for (std::size_t i = 1; i < n; ++i) {
+      crit_.add(left, order[i - 1]);
+      crit_.remove(right, order[i - 1]);
+      const double lo = x_[order[i - 1]][f];
+      const double hi = x_[order[i]][f];
+      if (lo >= hi) continue;  // tied values cannot be separated
+      if (i < cfg_.min_samples_leaf || n - i < cfg_.min_samples_leaf) {
+        continue;
+      }
+      const double score = crit_.score(left, right, i, n);
+      if (score < best.score) {
+        best.found = true;
+        best.feature = f;
+        best.threshold = lo + (hi - lo) / 2.0;
+        best.score = score;
+      }
+    }
   }
 
   /// Stable partition of `idx` by the split, using order_ as scratch;
@@ -285,7 +309,8 @@ class Grower {
   const Criterion crit_;
   const TreeConfig& cfg_;
   Rng* rng_;  ///< nullptr: every split examines every feature
-  SplitOrderTrie* trie_;  ///< nullptr: nothing cached
+  SplitOrderTrie* trie_;  ///< nullptr: nothing replayed or recorded
+  std::span<double> fitted_;  ///< empty: leaf values not wanted
   Tree& out_;
   /// One node's rows, re-sorted per feature; nodes use it one at a time.
   std::vector<std::size_t> order_;
@@ -305,6 +330,40 @@ int depth_below(const std::vector<TreeNode>& nodes, int node) {
 }
 
 }  // namespace
+
+SplitOrderTrie::SplitOrderTrie(std::size_t rows, std::size_t features)
+    : nodes_(1),
+      block_size_(std::max(kMinBlock, kBlockRoots * rows * features)) {
+  COCG_EXPECTS(rows <= kMaxRows);
+}
+
+std::int32_t SplitOrderTrie::child(std::int32_t parent, int feature,
+                                   double threshold, int side) {
+  std::int32_t* link = &nodes_[static_cast<std::size_t>(parent)].first_child;
+  while (*link >= 0) {
+    const Node& c = nodes_[static_cast<std::size_t>(*link)];
+    if (c.feature == feature && c.threshold == threshold && c.side == side) {
+      return *link;
+    }
+    link = &nodes_[static_cast<std::size_t>(*link)].next_sibling;
+  }
+  const auto id = static_cast<std::int32_t>(nodes_.size());
+  *link = id;  // before push_back, which may move the node `link` is in
+  nodes_.push_back(Node{feature, threshold, side});
+  return id;
+}
+
+std::uint16_t* SplitOrderTrie::allocate(std::size_t count) {
+  if (static_cast<std::size_t>(block_end_ - block_next_) < count) {
+    const std::size_t size = std::max(block_size_, count);
+    blocks_.emplace_back(new std::uint16_t[size]);
+    block_next_ = blocks_.back().get();
+    block_end_ = block_next_ + size;
+  }
+  std::uint16_t* out = block_next_;
+  block_next_ += count;
+  return out;
+}
 
 const TreeNode& Tree::leaf(const FeatureRow& x) const {
   COCG_EXPECTS_MSG(!nodes.empty(), "predict before fit");
@@ -340,7 +399,7 @@ void DecisionTreeClassifier::fit(const Dataset& data,
 void DecisionTreeClassifier::grow(const Dataset& data,
                                   std::vector<std::size_t> rows, Rng* rng) {
   Grower<Gini>(data.features(), Gini{data.labels(), data.num_classes()}, cfg_,
-               rng, nullptr, tree_)
+               rng, nullptr, {}, tree_)
       .fit(std::move(rows));
 }
 
@@ -372,9 +431,10 @@ int DecisionTreeClassifier::depth() const {
 // ---------------------------------------------------------------------------
 
 void RegressionTree::fit(const std::vector<FeatureRow>& x,
-                         const std::vector<double>& y, SplitOrderTrie* trie) {
+                         const std::vector<double>& y, SplitOrderTrie* trie,
+                         std::span<double> fitted) {
   COCG_EXPECTS(x.size() == y.size());
-  Grower<SquaredError>(x, SquaredError{y}, cfg_, nullptr, trie, tree_)
+  Grower<SquaredError>(x, SquaredError{y}, cfg_, nullptr, trie, fitted, tree_)
       .fit(all_rows(x.size()));
 }
 

@@ -5,9 +5,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <tuple>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -50,21 +49,57 @@ struct Tree {
 
 /// Sorted row orders shared by regression-tree fits that use the same
 /// feature rows, start from all rows and examine every feature, as GBDT's
-/// trees do. The stable partition fixes a node's rows by the splits on its
-/// path from the root, and the node's chained per-feature sorts depend only
-/// on those rows, so the orders are keyed by that path and a later fit that
-/// reaches the node skips its sorts. Only the nodes nearest the root are
-/// kept, which bounds the memory.
-struct SplitOrderTrie {
+/// trees do. The stable partition keeps every node's rows in ascending
+/// order, so a node's rows, and its chained per-feature sorts, are a pure
+/// function of the splits on its path from the root, at any depth. The
+/// orders are keyed by that path, and a later fit that reaches the node
+/// replays them instead of sorting.
+///
+/// The trie is one node array linked first-child/next-sibling. The orders
+/// are uint16_t row indices bump-allocated from fixed blocks, so a fit on
+/// more than kMaxRows rows takes no trie.
+class SplitOrderTrie {
+ public:
+  static constexpr std::size_t kMaxRows = 65535;
+
   struct Node {
+    /// Key within the parent: its split and the side taken (0 left, 1
+    /// right). The root's key is unused.
+    int feature = -1;
+    double threshold = 0.0;
+    int side = 0;
+    std::int32_t first_child = -1;
+    std::int32_t next_sibling = -1;
     /// The node's rows after each feature's sort, feature after feature;
-    /// empty until a fit scans the node.
-    std::vector<std::uint32_t> orders;
-    /// Keyed by (split feature, threshold, side: 0 left, 1 right).
-    std::map<std::tuple<int, double, int>, std::unique_ptr<Node>> children;
+    /// nullptr until a fit scans the node.
+    std::uint16_t* orders = nullptr;
+    std::uint32_t size = 0;  ///< entries at `orders`
   };
 
-  Node root;
+  /// `rows` x `features` is the shape of the fits; it sizes the blocks.
+  SplitOrderTrie(std::size_t rows, std::size_t features);
+
+  /// Node 0 is the root.
+  std::vector<Node>& nodes() { return nodes_; }
+  const std::vector<Node>& nodes() const { return nodes_; }
+
+  /// The child of `parent` on `side` of the split, made on first use.
+  std::int32_t child(std::int32_t parent, int feature, double threshold,
+                     int side);
+  /// Storage for `count` row indices, valid as long as the trie.
+  std::uint16_t* allocate(std::size_t count);
+
+ private:
+  /// Every block holds this many root-sized order sets (rows x features
+  /// entries), and at least kMinBlock entries.
+  static constexpr std::size_t kBlockRoots = 4;
+  static constexpr std::size_t kMinBlock = 4096;
+
+  std::vector<Node> nodes_;
+  std::vector<std::unique_ptr<std::uint16_t[]>> blocks_;
+  std::size_t block_size_;
+  std::uint16_t* block_next_ = nullptr;  ///< free part of blocks_.back()
+  std::uint16_t* block_end_ = nullptr;
 };
 
 /// Multiclass Gini-impurity CART classifier.
@@ -105,10 +140,12 @@ class RegressionTree {
  public:
   explicit RegressionTree(TreeConfig cfg = {}) : cfg_(cfg) {}
 
-  /// With a `trie`, reuses and records the sorted orders of the cached
-  /// nodes; the fitted tree is the same either way.
+  /// With a `trie`, replays and records the sorted orders of the nodes
+  /// it holds; the fitted tree is the same either way. A non-empty
+  /// `fitted` (one slot per row) receives each row's leaf value, the same
+  /// double predict(x[i]) returns.
   void fit(const std::vector<FeatureRow>& x, const std::vector<double>& y,
-           SplitOrderTrie* trie = nullptr);
+           SplitOrderTrie* trie = nullptr, std::span<double> fitted = {});
 
   bool trained() const { return !tree_.nodes.empty(); }
   double predict(const FeatureRow& x) const;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -218,6 +219,61 @@ TEST(ProfileIo, BadStageDurationOrMemberRejected) {
     EXPECT_NE(rejection(p).find("names no declared cluster"),
               std::string::npos);
   }
+}
+
+// GameProfile::cluster(id) indexes by id: a renumbered cluster (with its
+// stage member renumbered to match) used to load and then stop a fleet run
+// on a precondition.
+TEST(ProfileIo, ClusterIdOffItsIndexRejectedNamingTheLine) {
+  const GameProfile good = sample_profile();
+  ASSERT_GE(good.clusters.size(), 2u);
+  GameProfile p = good;
+  p.clusters[1].id = 7;
+  for (auto& st : p.stage_types) {
+    for (int& m : st.clusters) {
+      if (m == 1) m = 7;
+    }
+  }
+  std::stringstream ss;
+  write_profile(p, ss);
+  std::string l;
+  int cluster_line = 0;
+  for (int n = 1; std::getline(ss, l); ++n) {
+    if (l.rfind("cluster 7 ", 0) == 0) cluster_line = n;
+  }
+  ASSERT_GT(cluster_line, 0);
+  const std::string why = rejection(p);
+  EXPECT_NE(why.find("line " + std::to_string(cluster_line) + ":"),
+            std::string::npos)
+      << why;
+  EXPECT_NE(why.find("cluster id 7"), std::string::npos) << why;
+}
+
+// GameProfile::stage_type(id) indexes by id, so loading_stage_type must
+// name a loading stage in range (or be -1: no loading stage).
+TEST(ProfileIo, LoadingStageTypeOutOfRangeRejectedNamingTheLine) {
+  const GameProfile good = sample_profile();
+  {
+    GameProfile p = good;
+    p.loading_stage_type = p.num_stage_types();
+    const std::string why = rejection(p);
+    EXPECT_NE(why.find(line_tag(p, "loading_stage_type ")), std::string::npos)
+        << why;
+  }
+  {
+    const auto execution =
+        std::find_if(good.stage_types.begin(), good.stage_types.end(),
+                     [](const StageTypeInfo& st) { return !st.loading; });
+    ASSERT_NE(execution, good.stage_types.end());
+    GameProfile p = good;
+    p.loading_stage_type = execution->id;
+    EXPECT_NE(rejection(p).find("names no loading stage"), std::string::npos);
+  }
+  GameProfile none = good;
+  none.loading_stage_type = -1;
+  std::stringstream ss;
+  write_profile(none, ss);
+  EXPECT_EQ(read_profile(ss).loading_stage_type, -1);
 }
 
 TEST(ProfileIo, GameNameWithSpacesSurvives) {

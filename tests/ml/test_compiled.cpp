@@ -1,10 +1,13 @@
 // Parity tests for CompiledForest: compiled inference must be bit-identical
-// to the tree walks of all three learners, and the validating constructor
-// must reject every corrupt Data variant a broken serializer could produce.
+// to the tree walks of DTC, RF and a reference GBDT boosting loop, and the
+// validating constructor must reject every corrupt Data variant a broken
+// serializer could produce.
 #include "ml/compiled.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "ml/gbdt.h"
@@ -83,14 +86,90 @@ TEST_P(CompiledParity, RfBitIdentical) {
   expect_bit_identical(rf, c, probe_rows(rng));
 }
 
+/// The boosting loop as a plain reference: one RegressionTree per round
+/// and class, grown without a split-order trie, with scores updated and
+/// predictions made by tree walks. GbdtClassifier fits straight into a
+/// CompiledForest, through a trie and the grower's fitted values; both
+/// must give the same bits.
+class ReferenceGbdt {
+ public:
+  ReferenceGbdt(const Dataset& d, const GbdtConfig& cfg)
+      : lr_(cfg.learning_rate) {
+    const auto k = static_cast<std::size_t>(d.num_classes());
+    std::vector<double> prior(k, 1.0);
+    for (std::size_t i = 0; i < d.size(); ++i) {
+      prior[static_cast<std::size_t>(d.y(i))] += 1.0;
+    }
+    const double total = static_cast<double>(d.size() + k);
+    for (double c : prior) base_.push_back(std::log(c / total));
+    std::vector<std::vector<double>> score(d.size(), base_);
+    for (int round = 0; round < cfg.n_rounds; ++round) {
+      std::vector<std::vector<double>> residual(k);
+      for (std::size_t i = 0; i < d.size(); ++i) {
+        std::vector<double> p = score[i];
+        softmax(p);
+        for (std::size_t c = 0; c < k; ++c) {
+          residual[c].push_back(
+              (static_cast<std::size_t>(d.y(i)) == c ? 1.0 : 0.0) - p[c]);
+        }
+      }
+      for (std::size_t c = 0; c < k; ++c) {
+        trees_.emplace_back(cfg.tree);
+        trees_.back().fit(d.features(), residual[c]);
+      }
+      for (std::size_t i = 0; i < d.size(); ++i) {
+        for (std::size_t c = 0; c < k; ++c) {
+          score[i][c] +=
+              lr_ * trees_[trees_.size() - k + c].predict(d.x(i));
+        }
+      }
+    }
+  }
+
+  std::vector<double> predict_proba(const FeatureRow& x) const {
+    std::vector<double> s = raw(x);
+    softmax(s);
+    return s;
+  }
+  int predict(const FeatureRow& x) const {
+    const std::vector<double> s = raw(x);
+    return static_cast<int>(std::max_element(s.begin(), s.end()) -
+                            s.begin());
+  }
+
+ private:
+  std::vector<double> raw(const FeatureRow& x) const {
+    std::vector<double> s = base_;
+    for (std::size_t t = 0; t < trees_.size(); ++t) {
+      s[t % s.size()] += lr_ * trees_[t].predict(x);
+    }
+    return s;
+  }
+  static void softmax(std::vector<double>& s) {
+    const double mx = *std::max_element(s.begin(), s.end());
+    double total = 0.0;
+    for (double& v : s) {
+      v = std::exp(v - mx);
+      total += v;
+    }
+    for (double& v : s) v /= total;
+  }
+
+  double lr_;
+  std::vector<double> base_;
+  std::vector<RegressionTree> trees_;  ///< round-major, class-minor
+};
+
 TEST_P(CompiledParity, GbdtBitIdentical) {
   Rng rng(GetParam());
   const Dataset d = blobs(rng);
   GbdtClassifier gbdt;
   gbdt.fit(d);
-  const CompiledForest c = CompiledForest::compile(gbdt);
+  const CompiledForest& c = gbdt.forest();
   EXPECT_EQ(c.kind(), ModelKind::kGbdt);
-  expect_bit_identical(gbdt, c, probe_rows(rng));
+  std::vector<FeatureRow> rows = probe_rows(rng);
+  rows.insert(rows.end(), d.features().begin(), d.features().end());
+  expect_bit_identical(ReferenceGbdt(d, GbdtConfig{}), c, rows);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CompiledParity,

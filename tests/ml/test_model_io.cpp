@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "core/offline.h"
 #include "game/library.h"
@@ -52,7 +53,7 @@ CompiledForest sample_model(ModelKind kind) {
       cfg.n_rounds = 10;
       GbdtClassifier m(cfg);
       m.fit(d);
-      return CompiledForest::compile(m);
+      return std::move(m).forest();
     }
   }
   throw std::logic_error("unreachable");
@@ -266,6 +267,27 @@ TEST(ModelFit, RngFreeKindsDrawNothing) {
       same = same && rng.next_u64() == untouched.next_u64();
     }
     EXPECT_EQ(same, kind != ModelKind::kRf) << model_kind_name(kind);
+  }
+}
+
+// A fitted forest lives as long as its model, so its arrays hold no growth
+// slack.
+TEST(ModelFit, CompiledForestHoldsNoSlack) {
+  Rng data_rng(4);
+  const Dataset data = blobs(data_rng);
+  for (ModelKind kind : {ModelKind::kDtc, ModelKind::kRf, ModelKind::kGbdt}) {
+    Rng rng(29);
+    const auto model = fit_model(kind, data, rng);
+    const CompiledForest::Data& d = model->data();
+    const auto tight = [](const auto& v) { return v.capacity() == v.size(); };
+    EXPECT_TRUE(tight(d.base_score)) << model_kind_name(kind);
+    EXPECT_TRUE(tight(d.tree_first)) << model_kind_name(kind);
+    EXPECT_TRUE(tight(d.feature)) << model_kind_name(kind);
+    EXPECT_TRUE(tight(d.threshold)) << model_kind_name(kind);
+    EXPECT_TRUE(tight(d.left)) << model_kind_name(kind);
+    EXPECT_TRUE(tight(d.right)) << model_kind_name(kind);
+    EXPECT_TRUE(tight(d.leaf_label)) << model_kind_name(kind);
+    EXPECT_TRUE(tight(d.leaf_data)) << model_kind_name(kind);
   }
 }
 

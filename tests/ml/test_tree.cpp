@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "common/check.h"
 #include "ml/metrics.h"
 
@@ -194,7 +199,8 @@ TEST(RegressionTree, ApproximatesLinear) {
 }
 
 // GBDT fits its trees through one SplitOrderTrie; a node that replays its
-// cached sorted orders must grow exactly the tree a fresh sort grows.
+// recorded sorted orders must grow exactly the tree a fresh sort grows, at
+// every depth.
 TEST(RegressionTree, SplitOrderTrieLeavesFitsUnchanged) {
   Rng rng(8);
   std::vector<FeatureRow> x;
@@ -207,7 +213,8 @@ TEST(RegressionTree, SplitOrderTrieLeavesFitsUnchanged) {
   cfg.max_depth = 6;
   cfg.min_samples_split = 4;
   cfg.min_samples_leaf = 2;
-  SplitOrderTrie trie;
+  SplitOrderTrie trie(x.size(), x[0].size());
+  std::vector<std::vector<double>> targets;
   for (int t = 0; t < 12; ++t) {
     std::vector<double> y;
     for (const auto& row : x) {
@@ -227,9 +234,83 @@ TEST(RegressionTree, SplitOrderTrieLeavesFitsUnchanged) {
       EXPECT_EQ(a.right, b.right);
     }
     EXPECT_EQ(plain.tree().leaf_values, cached.tree().leaf_values);
+    targets.push_back(std::move(y));
   }
-  EXPECT_FALSE(trie.root.orders.empty());
-  EXPECT_FALSE(trie.root.children.empty());
+  const auto& nodes = trie.nodes();
+  EXPECT_NE(nodes[0].orders, nullptr);
+  EXPECT_GE(nodes[0].first_child, 0);
+
+  // No depth cap: nodes at depth 4 and deeper are recorded and replayed.
+  // Spoil every deep node's record, so a replay of one trips the
+  // trie's shape check.
+  std::vector<int> depth(nodes.size(), 0);
+  std::size_t deep = 0;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    for (auto c = nodes[i].first_child; c >= 0;
+         c = nodes[static_cast<std::size_t>(c)].next_sibling) {
+      depth[static_cast<std::size_t>(c)] = depth[i] + 1;
+    }
+    if (depth[i] >= 4 && nodes[i].orders != nullptr) {
+      ++trie.nodes()[i].size;
+      ++deep;
+    }
+  }
+  ASSERT_GT(deep, 0u);
+  std::size_t replayed = 0;
+  for (const auto& y : targets) {
+    RegressionTree tree(cfg);
+    try {
+      tree.fit(x, y, &trie);
+    } catch (const ContractError&) {
+      ++replayed;
+    }
+  }
+  EXPECT_GT(replayed, 0u);
+}
+
+// GBDT updates its scores from the leaf value the grower records for each
+// training row, so that value must be the very double the tree walk
+// returns, also for rows that sit exactly on a split threshold.
+TEST(RegressionTree, FittedValuesMatchTreeWalk) {
+  Rng rng(9);
+  // Adjacent doubles: the midpoint threshold between them rounds to the
+  // lower one, so those rows sit exactly on it.
+  const double lo = 1.0;
+  const double hi = std::nextafter(lo, 2.0);
+  std::vector<FeatureRow> x;
+  std::vector<double> y;
+  for (int i = 0; i < 200; ++i) {
+    x.push_back({i % 2 == 0 ? lo : hi, double(rng.uniform_int(0, 5)),
+                 rng.normal(0, 1)});
+    y.push_back((i % 2 == 0 ? -3.0 : 3.0) + x.back()[1] + rng.normal(0, 1));
+  }
+  TreeConfig cfg;
+  cfg.max_depth = 6;
+  cfg.min_samples_split = 4;
+  cfg.min_samples_leaf = 2;
+  SplitOrderTrie trie(x.size(), x[0].size());
+  RegressionTree tree(cfg);
+  // The second fit replays the first's orders.
+  for (int fit = 0; fit < 2; ++fit) {
+    std::vector<double> fitted(x.size(),
+                               std::numeric_limits<double>::quiet_NaN());
+    tree.fit(x, y, &trie, fitted);
+    std::size_t on_threshold = 0;
+    for (const TreeNode& nd : tree.tree().nodes) {
+      if (nd.feature < 0) continue;
+      for (const auto& row : x) {
+        if (row[static_cast<std::size_t>(nd.feature)] == nd.threshold) {
+          ++on_threshold;
+        }
+      }
+    }
+    EXPECT_GT(on_threshold, 0u);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(fitted[i]),
+                std::bit_cast<std::uint64_t>(tree.predict(x[i])))
+          << "row " << i << " fit " << fit;
+    }
+  }
 }
 
 TEST(RegressionTree, Preconditions) {
