@@ -7,6 +7,7 @@
 // For each game: cluster the profiled frames with K-means (operator K)
 // and with graph partitioning (no K), and score both against the
 // ground-truth cluster labels using the Adjusted Rand Index.
+#include <array>
 #include <iostream>
 
 #include "bench_util.h"
@@ -26,7 +27,7 @@ int main() {
 
   for (const auto& spec : bench::paper_suite_static()) {
     Rng rng(6100 + spec.id.value);
-    std::vector<ml::Point> points;
+    ml::PointSet points;
     std::vector<int> truth;
     const ResourceVector scale = default_norm_scale();
     for (int r = 0; r < 10; ++r) {
@@ -36,11 +37,11 @@ int main() {
           spec, script, static_cast<std::uint64_t>(r % 4 + 1),
           rng.next_u64());
       for (const auto& fs : trace.to_frame_slices()) {
-        ml::Point p(kNumDims);
+        std::array<double, kNumDims> p{};
         for (std::size_t d = 0; d < kNumDims; ++d) {
           p[d] = fs.mean_usage.at(d) / scale.at(d);
         }
-        points.push_back(std::move(p));
+        points.add(p);
         truth.push_back(fs.true_cluster);
       }
     }

@@ -7,6 +7,7 @@
 //
 // Paper reference points: SSEs change little beyond the inflection; chosen
 // K values are Contra 2, CSGO 4, Genshin Impact 4, DOTA2 5, DMC 6.
+#include <array>
 #include <iostream>
 
 #include "bench_util.h"
@@ -43,15 +44,15 @@ int main() {
           rng.next_u64()));
     }
     // Frame points in normalized space.
-    std::vector<ml::Point> points;
+    ml::PointSet points;
     const ResourceVector scale = default_norm_scale();
     for (const auto& t : traces) {
       for (const auto& fs : t.to_frame_slices()) {
-        ml::Point p(kNumDims);
+        std::array<double, kNumDims> p{};
         for (std::size_t i = 0; i < kNumDims; ++i) {
           p[i] = fs.mean_usage.at(i) / scale.at(i);
         }
-        points.push_back(std::move(p));
+        points.add(p);
       }
     }
     const auto sse = ml::sse_curve(points, 8, rng, 6);

@@ -87,12 +87,11 @@ BENCHMARK(BM_SessionFullRun);
 
 void BM_KMeansFit(benchmark::State& state) {
   Rng rng(7);
-  std::vector<ml::Point> pts;
+  ml::PointSet pts;
   for (int b = 0; b < 5; ++b) {
     for (int i = 0; i < 200; ++i) {
-      pts.push_back({b * 3.0 + rng.normal(0, 0.2),
-                     b * 2.0 + rng.normal(0, 0.2), rng.normal(0, 0.2),
-                     rng.normal(0, 0.2)});
+      pts.add({b * 3.0 + rng.normal(0, 0.2), b * 2.0 + rng.normal(0, 0.2),
+               rng.normal(0, 0.2), rng.normal(0, 0.2)});
     }
   }
   ml::KMeansConfig cfg;

@@ -437,8 +437,11 @@ void CocgScheduler::control(platform::PlatformView& view) {
       continue;
     }
     tg.predictor->replace_model(rng_);
-    // The new model changes every candidate prediction.
-    candidate_memo_.clear();
+    // The new model changes this game's candidate predictions; a candidate
+    // outlook reads only its own game's predictor and profile.
+    std::erase_if(candidate_memo_, [&](const auto& entry) {
+      return std::get<0>(entry.first) == game;
+    });
     ++model_replacements_;
     obs_replacements_.add();
     COCG_INFO("CoCG replaced model for " << game << " -> "

@@ -1,8 +1,10 @@
 #include "core/frame_profiler.h"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <set>
+#include <span>
 
 #include "common/check.h"
 #include "ml/kmeans.h"
@@ -11,13 +13,15 @@ namespace cocg::core {
 
 namespace {
 
-ml::Point to_point(const ResourceVector& v, const ResourceVector& scale) {
-  ml::Point p(kNumDims);
+std::array<double, kNumDims> to_point(const ResourceVector& v,
+                                     const ResourceVector& scale) {
+  std::array<double, kNumDims> p{};
   for (std::size_t i = 0; i < kNumDims; ++i) p[i] = v.at(i) / scale.at(i);
   return p;
 }
 
-ResourceVector from_point(const ml::Point& p, const ResourceVector& scale) {
+ResourceVector from_point(std::span<const double> p,
+                          const ResourceVector& scale) {
   ResourceVector v;
   for (std::size_t i = 0; i < kNumDims; ++i) v.at(i) = p[i] * scale.at(i);
   return v;
@@ -36,12 +40,12 @@ ProfilerOutput FrameProfiler::profile(
 
   // 1. Slice all traces into 5-second frames.
   std::vector<std::vector<telemetry::FrameSlice>> sliced;
-  std::vector<ml::Point> points;
+  ml::PointSet points;
   for (const auto& trace : traces) {
     COCG_EXPECTS(!trace.empty());
     sliced.push_back(trace.to_frame_slices(cfg_.frame_slice_ms));
     for (const auto& fs : sliced.back()) {
-      points.push_back(to_point(fs.mean_usage, out.profile.norm_scale));
+      points.add(to_point(fs.mean_usage, out.profile.norm_scale));
     }
   }
   COCG_CHECK(!points.empty());
@@ -61,9 +65,10 @@ ProfilerOutput FrameProfiler::profile(
   // 3. Build cluster infos; identify the loading signature
   //    (high CPU, near-idle GPU — Observation 3).
   double max_gpu = 0.0;
-  for (const auto& c : km.centroids) {
-    max_gpu = std::max(
-        max_gpu, from_point(c, out.profile.norm_scale)[Dim::kGpuPct]);
+  for (std::size_t c = 0; c < km.centroids.size(); ++c) {
+    const ResourceVector centroid =
+        from_point(km.centroids[c], out.profile.norm_scale);
+    max_gpu = std::max(max_gpu, centroid[Dim::kGpuPct]);
   }
   for (int c = 0; c < out.chosen_k; ++c) {
     ClusterInfo info;

@@ -1,5 +1,6 @@
 #include "core/model_bank.h"
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
@@ -70,9 +71,11 @@ GameBundle read_bundle(std::istream& is) {
            ")");
   }
   GameBundle b;
+  int chosen_k_line = 0;
   {
     auto ls = r.expect("chosen_k ");
     b.chosen_k = r.field<int>(ls, "chosen_k");
+    chosen_k_line = r.line_no();
   }
   {
     auto ls = r.expect("mean_run_duration_ms ");
@@ -80,13 +83,25 @@ GameBundle read_bundle(std::istream& is) {
   }
   {
     auto ls = r.expect("sse_by_k ");
+    // The count sizes nothing: a count beyond the line's values fails at
+    // the first missing one.
     const auto n = r.field<std::size_t>(ls, "sse_by_k count");
-    b.sse_by_k.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      b.sse_by_k.push_back(r.field<double>(ls, "sse_by_k value"));
+      const double v = r.field<double>(ls, "sse_by_k value");
+      if (!std::isfinite(v) || v < 0.0) {
+        r.fail("sse_by_k values must be finite and non-negative");
+      }
+      b.sse_by_k.push_back(v);
     }
   }
   b.profile = std::make_shared<const GameProfile>(read_profile(r));
+  // FrameProfiler makes one cluster per chosen K.
+  if (b.chosen_k != b.profile->num_clusters()) {
+    r.fail_at(chosen_k_line,
+              "chosen_k " + std::to_string(b.chosen_k) +
+                  " does not match the profile's " +
+                  std::to_string(b.profile->num_clusters()) + " clusters");
+  }
   b.predictor = StagePredictor::read_artifact(r);
   {
     const std::string end = r.line("end-bundle");

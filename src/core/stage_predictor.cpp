@@ -386,19 +386,19 @@ PredictorArtifact StagePredictor::read_artifact(LineReader& r) {
       r.fail("accuracy must be in [0, 1]");
     }
   }
+  // Counts size nothing: a count beyond what follows fails at the first
+  // missing line or value.
   std::size_t n_runs = 0;
   {
     auto ls = r.expect("corpus ");
     n_runs = r.field<std::size_t>(ls, "corpus");
   }
-  art.corpus.reserve(n_runs);
   for (std::size_t i = 0; i < n_runs; ++i) {
     auto ls = r.expect("run ");
     TrainingRun run;
     run.player_id = r.field<std::uint64_t>(ls, "run player");
     run.script_idx = r.field<std::size_t>(ls, "run script");
     const auto len = r.field<std::size_t>(ls, "run length");
-    run.stage_seq.reserve(len);
     for (std::size_t s = 0; s < len; ++s) {
       run.stage_seq.push_back(r.field<int>(ls, "run stage"));
     }

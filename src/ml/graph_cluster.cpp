@@ -33,14 +33,11 @@ class DisjointSet {
 
 }  // namespace
 
-GraphClusterResult graph_cluster(const std::vector<Point>& points,
+GraphClusterResult graph_cluster(const PointSet& points,
                                  const GraphClusterConfig& cfg) {
   COCG_EXPECTS(!points.empty());
   const std::size_t n = points.size();
-  for (const auto& p : points) {
-    COCG_EXPECTS_MSG(p.size() == points[0].size(),
-                     "all points must share one width");
-  }
+  const std::size_t dims = points.dims();
 
   GraphClusterResult res;
 
@@ -85,10 +82,9 @@ GraphClusterResult graph_cluster(const std::vector<Point>& points,
   // Merge tiny components into the nearest large one.
   std::vector<std::size_t> sizes(static_cast<std::size_t>(k), 0);
   for (int c : res.assignment) ++sizes[static_cast<std::size_t>(c)];
-  std::vector<Point> centroids(static_cast<std::size_t>(k),
-                               Point(points[0].size(), 0.0));
+  PointSet centroids(static_cast<std::size_t>(k), dims);
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t d = 0; d < points[0].size(); ++d) {
+    for (std::size_t d = 0; d < dims; ++d) {
       centroids[static_cast<std::size_t>(res.assignment[i])][d] +=
           points[i][d];
     }
@@ -140,14 +136,13 @@ GraphClusterResult graph_cluster(const std::vector<Point>& points,
     a = it->second;
   }
   res.num_clusters = static_cast<int>(dense.size());
-  res.centroids.assign(static_cast<std::size_t>(res.num_clusters),
-                       Point(points[0].size(), 0.0));
+  res.centroids = PointSet(static_cast<std::size_t>(res.num_clusters), dims);
   std::vector<std::size_t> counts(
       static_cast<std::size_t>(res.num_clusters), 0);
   for (std::size_t i = 0; i < n; ++i) {
     const auto c = static_cast<std::size_t>(res.assignment[i]);
     ++counts[c];
-    for (std::size_t d = 0; d < points[0].size(); ++d) {
+    for (std::size_t d = 0; d < dims; ++d) {
       res.centroids[c][d] += points[i][d];
     }
   }

@@ -29,13 +29,13 @@ struct GraphClusterConfig {
 
 struct GraphClusterResult {
   std::vector<int> assignment;   ///< per-point component id (0-based, dense)
-  std::vector<Point> centroids;  ///< component means
+  PointSet centroids;            ///< component means
   int num_clusters = 0;
   double epsilon_used = 0.0;
 };
 
 /// Cluster `points` by distance-threshold connectivity.
-GraphClusterResult graph_cluster(const std::vector<Point>& points,
+GraphClusterResult graph_cluster(const PointSet& points,
                                  const GraphClusterConfig& cfg = {});
 
 /// Adjusted Rand Index between two labelings of the same points:

@@ -4,16 +4,52 @@
 // Fig. 14's elbow analysis (SSE vs K) drives the per-game choice of K.
 #pragma once
 
+#include <cstddef>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
 
 namespace cocg::ml {
 
-using Point = std::vector<double>;
+/// Equal-width points held row-major in one flat array.
+class PointSet {
+ public:
+  PointSet() = default;
+  /// `n` all-zero points of width `dims`.
+  PointSet(std::size_t n, std::size_t dims)
+      : values_(n * dims, 0.0), n_(n), dims_(dims) {}
+  PointSet(std::initializer_list<std::initializer_list<double>> rows);
+
+  /// Append one point. An empty set takes its width from its first point;
+  /// every later point must match it.
+  void add(std::span<const double> p);
+  void add(std::initializer_list<double> p) {
+    add(std::span<const double>(p.begin(), p.size()));
+  }
+
+  std::size_t size() const { return n_; }
+  bool empty() const { return n_ == 0; }
+  std::size_t dims() const { return dims_; }
+
+  std::span<const double> operator[](std::size_t i) const {
+    return {values_.data() + i * dims_, dims_};
+  }
+  std::span<double> operator[](std::size_t i) {
+    return {values_.data() + i * dims_, dims_};
+  }
+  const double* data() const { return values_.data(); }
+  double* data() { return values_.data(); }
+
+ private:
+  std::vector<double> values_;
+  std::size_t n_ = 0;
+  std::size_t dims_ = 0;
+};
 
 struct KMeansResult {
-  std::vector<Point> centroids;     ///< k centroids
+  PointSet centroids;               ///< k centroids
   std::vector<int> assignment;      ///< per-input-point cluster index
   double sse = 0.0;                 ///< sum of squared distances to centroid
   int iterations = 0;               ///< Lloyd iterations executed
@@ -29,25 +65,20 @@ struct KMeansConfig {
 
 class KMeans {
  public:
-  /// Cluster `points` (all rows the same width, k <= points.size()).
-  static KMeansResult fit(const std::vector<Point>& points,
-                          const KMeansConfig& cfg, Rng& rng);
+  /// Cluster `points` (k <= points.size()).
+  static KMeansResult fit(const PointSet& points, const KMeansConfig& cfg,
+                          Rng& rng);
 
   /// Nearest-centroid lookup for a new point.
-  static int predict(const std::vector<Point>& centroids, const Point& p);
-
-  /// SSE of a fixed assignment (exposed for tests).
-  static double sse(const std::vector<Point>& points,
-                    const std::vector<Point>& centroids,
-                    const std::vector<int>& assignment);
+  static int predict(const PointSet& centroids, std::span<const double> p);
 
   /// Squared Euclidean distance between equal-width points.
-  static double dist_sq(const Point& a, const Point& b);
+  static double dist_sq(std::span<const double> a, std::span<const double> b);
 };
 
 /// Fig. 14 helper: SSE for each K in [1, k_max], each fit independently.
-std::vector<double> sse_curve(const std::vector<Point>& points, int k_max,
-                              Rng& rng, int restarts = 4);
+std::vector<double> sse_curve(const PointSet& points, int k_max, Rng& rng,
+                              int restarts = 4);
 
 /// Pick the elbow of an SSE curve: the K (1-based) after which the relative
 /// improvement drops below `min_gain` (default 10%).

@@ -99,10 +99,11 @@ CompiledForest read_model(LineReader& r) {
     auto ls = r.expect("learning_rate ");
     d.learning_rate = r.field<double>(ls, "learning_rate");
   }
+  // Counts size nothing: a count beyond what follows fails at the first
+  // missing line or value. CompiledForest trims the arrays' slack.
   {
     auto ls = r.expect("base_score ");
     const auto n = r.field<std::size_t>(ls, "base_score count");
-    d.base_score.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       d.base_score.push_back(r.field<double>(ls, "base_score value"));
     }
@@ -114,7 +115,6 @@ CompiledForest read_model(LineReader& r) {
   }
   {
     auto ls = r.expect("tree_first");
-    d.tree_first.reserve(n_trees + 1);
     for (std::size_t i = 0; i <= n_trees; ++i) {
       d.tree_first.push_back(r.field<std::int32_t>(ls, "tree_first value"));
     }
@@ -124,10 +124,6 @@ CompiledForest read_model(LineReader& r) {
     auto ls = r.expect("nodes ");
     n_nodes = r.field<std::size_t>(ls, "nodes");
   }
-  d.feature.reserve(n_nodes);
-  d.threshold.reserve(n_nodes);
-  d.left.reserve(n_nodes);
-  d.right.reserve(n_nodes);
   for (std::size_t i = 0; i < n_nodes; ++i) {
     auto ls = r.expect("node ");
     d.feature.push_back(r.field<std::int32_t>(ls, "node feature"));
@@ -140,8 +136,6 @@ CompiledForest read_model(LineReader& r) {
     auto ls = r.expect("leaves ");
     n_leaves = r.field<std::size_t>(ls, "leaves");
   }
-  d.leaf_label.reserve(n_leaves);
-  d.leaf_data.reserve(n_leaves * static_cast<std::size_t>(d.leaf_width));
   for (std::size_t i = 0; i < n_leaves; ++i) {
     auto ls = r.expect("leaf ");
     d.leaf_label.push_back(r.field<std::int32_t>(ls, "leaf label"));

@@ -226,6 +226,55 @@ TEST(GameBundle, CorpusWithoutTrainingPairRejected) {
   EXPECT_THROW(bank.instantiate("Contra", &g), std::runtime_error);
 }
 
+/// A saved Contra bundle with its first line starting `prefix` replaced by
+/// `replacement` must fail to load with a runtime_error naming a line and
+/// `field`.
+void expect_line_rejected(const std::string& prefix,
+                          const std::string& replacement,
+                          const std::string& field) {
+  static const game::GameSpec g = game::make_contra();
+  static const std::string saved = [] {
+    std::stringstream ss;
+    write_bundle(ModelBank::bundle_from(train_game(g, small_cfg())), ss);
+    return ss.str();
+  }();
+  std::stringstream ss(replace_line(saved, prefix, replacement));
+  try {
+    read_bundle(ss);
+    ADD_FAILURE() << replacement << " accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line "), std::string::npos) << what;
+    EXPECT_NE(what.find(field), std::string::npos) << what;
+  }
+}
+
+// A count read from a bundle sizes no allocation: a count beyond the
+// values that follow fails naming a line, not with std::bad_alloc.
+TEST(GameBundle, OversizedSseByKCountRejected) {
+  expect_line_rejected("sse_by_k ", "sse_by_k 100000000000000", "sse_by_k");
+}
+
+TEST(GameBundle, OversizedCorpusCountRejected) {
+  expect_line_rejected("corpus ", "corpus 100000000000000", "run");
+}
+
+TEST(GameBundle, OversizedRunLengthRejected) {
+  expect_line_rejected("run ", "run 1 0 100000000000000", "run stage");
+}
+
+// FrameProfiler makes one cluster per chosen K; Contra's profile has two.
+TEST(GameBundle, ChosenKOtherThanClusterCountRejected) {
+  expect_line_rejected("chosen_k ", "chosen_k 7", "chosen_k");
+}
+
+TEST(GameBundle, NegativeOrNonFiniteSseRejected) {
+  for (const char* bad :
+       {"sse_by_k 2 1.5 -0.25", "sse_by_k 2 1.5 1e999", "sse_by_k 1 nan"}) {
+    expect_line_rejected("sse_by_k ", bad, "sse_by_k");
+  }
+}
+
 TEST(ModelBank, InstantiateSharesForestsCopiesProfile) {
   static const game::GameSpec g = game::make_genshin();
   const TrainedGame tg = train_game(g, small_cfg());

@@ -2,8 +2,8 @@
 //
 // The scheduler keeps a hosted session's outlook while its monitor version
 // and predictor generation are unchanged, a candidate key's outlook until
-// the next model replacement, and a rejected candidate's verdict until the
-// next session start, session end or control(). A stale memo is
+// its game's next model replacement, and a rejected candidate's verdict
+// until the next session start, session end or control(). A stale memo is
 // deterministic, so comparing two runs of one binary (Determinism.*)
 // cannot catch it. This test instead pins a digest of an overloaded
 // fleet's report and admission counters that was computed before the memos
@@ -302,6 +302,66 @@ TEST(AdmissionMemo, HostedOutlooksFollowPredictorGeneration) {
   Rng rng(3);
   fp.cocg->model("Genshin Impact").predictor->replace_model(rng);
   EXPECT_EQ(rescan(), std::pair(std::uint64_t{0}, hits + misses));
+}
+
+// A model replacement in control() drops the replaced game's candidate
+// outlooks and keeps every other game's: a candidate outlook reads only
+// its own game's predictor and profile.
+TEST(AdmissionMemo, ReplacementKeepsOtherGamesCandidates) {
+  obs::reset();
+  obs::set_enabled(true);
+  // Genshin Impact fills the servers and is replaced on its first
+  // misprediction; DOTA2 is trained but never hosted, so its model stays.
+  const std::vector<game::GameSpec> suite = {game::make_genshin(),
+                                             game::make_dota2()};
+  core::OfflineConfig ocfg;
+  ocfg.profiling_runs = 5;
+  ocfg.corpus_runs = 8;
+  ocfg.seed = 7;
+  core::CocgConfig ccfg;
+  ccfg.replace_model_after = 1;
+  auto sched = std::make_unique<core::CocgScheduler>(
+      core::train_suite(suite, ocfg), ccfg);
+  core::CocgScheduler* cocg = sched.get();
+  platform::PlatformConfig pcfg;
+  pcfg.seed = 2026;
+  platform::CloudPlatform cloud(pcfg, std::move(sched));
+  for (int i = 0; i < 2; ++i) cloud.add_server(hw::ServerSpec{});
+  for (int i = 0; i < 24; ++i) cloud.submit(&suite[0], 0, 100 + i);
+  cloud.begin(2LL * 3600 * 1000);
+  TimeMs now = 60 * 1000;
+  cloud.advance_until(now);
+
+  // Two requests by hand, from players nobody queued: one per game.
+  platform::GameRequest genshin, dota;
+  genshin.id = RequestId{998};
+  genshin.spec = &suite[0];
+  genshin.player_id = 998;
+  dota.id = RequestId{999};
+  dota.spec = &suite[1];
+  dota.player_id = 999;
+  // Whether one admit() call was served from the candidate memo.
+  auto hit = [&](const platform::GameRequest& req) {
+    const std::uint64_t hits = counter("scheduler.candidate_memo.hits");
+    EXPECT_FALSE(cocg->admit(cloud, req).has_value()) << req.spec->name;
+    return counter("scheduler.candidate_memo.hits") == hits + 1;
+  };
+  EXPECT_FALSE(hit(genshin));
+  EXPECT_FALSE(hit(dota));
+  EXPECT_TRUE(hit(genshin));
+  EXPECT_TRUE(hit(dota));
+
+  while (cocg->model_replacements() == 0 && now < 3600 * 1000) {
+    now += 5000;
+    cloud.advance_until(now);
+  }
+  ASSERT_GT(cocg->model_replacements(), 0);
+  EXPECT_TRUE(hit(dota));
+  EXPECT_FALSE(hit(genshin));
+
+  cloud.finish();
+  obs::set_enabled(false);
+  obs::reset();
 }
 
 }  // namespace

@@ -10,13 +10,12 @@
 namespace cocg::ml {
 namespace {
 
-std::vector<Point> blobs(Rng& rng, int per_blob, double spread) {
-  const std::vector<Point> centers{{0.0, 0.0}, {10.0, 0.0}, {0.0, 10.0}};
-  std::vector<Point> pts;
+PointSet blobs(Rng& rng, int per_blob, double spread) {
+  const double centers[3][2]{{0.0, 0.0}, {10.0, 0.0}, {0.0, 10.0}};
+  PointSet pts;
   for (const auto& c : centers) {
     for (int i = 0; i < per_blob; ++i) {
-      pts.push_back(
-          {c[0] + rng.normal(0, spread), c[1] + rng.normal(0, spread)});
+      pts.add({c[0] + rng.normal(0, spread), c[1] + rng.normal(0, spread)});
     }
   }
   return pts;
@@ -39,7 +38,7 @@ TEST(GraphCluster, SeparatedBlobsFound) {
 }
 
 TEST(GraphCluster, FixedEpsilonRespected) {
-  std::vector<Point> pts{{0, 0}, {1, 0}, {10, 0}, {11, 0}};
+  PointSet pts{{0, 0}, {1, 0}, {10, 0}, {11, 0}};
   GraphClusterConfig cfg;
   cfg.epsilon = 2.0;
   cfg.min_cluster_size = 1;
@@ -54,8 +53,8 @@ TEST(GraphCluster, FixedEpsilonRespected) {
 TEST(GraphCluster, ChainMergesClusters) {
   // The known failure mode vs K-means: a bridge of points chains two
   // blobs into one component.
-  std::vector<Point> pts;
-  for (int i = 0; i < 10; ++i) pts.push_back({i * 1.0, 0.0});  // bridge
+  PointSet pts;
+  for (int i = 0; i < 10; ++i) pts.add({i * 1.0, 0.0});  // bridge
   GraphClusterConfig cfg;
   cfg.epsilon = 1.5;
   cfg.min_cluster_size = 1;
@@ -66,7 +65,7 @@ TEST(GraphCluster, ChainMergesClusters) {
 TEST(GraphCluster, TinyComponentsMerged) {
   Rng rng(2);
   auto pts = blobs(rng, 20, 0.2);
-  pts.push_back({5.0, 5.0});  // lone outlier
+  pts.add({5.0, 5.0});  // lone outlier
   GraphClusterConfig cfg;
   cfg.epsilon = 1.0;
   cfg.min_cluster_size = 3;
@@ -75,14 +74,16 @@ TEST(GraphCluster, TinyComponentsMerged) {
 }
 
 TEST(GraphCluster, CentroidsAreComponentMeans) {
-  std::vector<Point> pts{{0, 0}, {2, 0}, {100, 0}, {102, 0}};
+  PointSet pts{{0, 0}, {2, 0}, {100, 0}, {102, 0}};
   GraphClusterConfig cfg;
   cfg.epsilon = 5.0;
   cfg.min_cluster_size = 1;
   const auto res = graph_cluster(pts, cfg);
   ASSERT_EQ(res.num_clusters, 2);
   std::set<double> xs;
-  for (const auto& c : res.centroids) xs.insert(c[0]);
+  for (std::size_t c = 0; c < res.centroids.size(); ++c) {
+    xs.insert(res.centroids[c][0]);
+  }
   EXPECT_TRUE(xs.count(1.0));
   EXPECT_TRUE(xs.count(101.0));
 }
@@ -124,16 +125,14 @@ TEST(AdjustedRand, KMeansBeatsGraphOnNoisyBlobs) {
   // The §V-D1 claim in miniature: with noisy, slightly-bridged blobs,
   // K-means (given K) tracks ground truth better than graph partitioning.
   Rng rng(3);
-  std::vector<Point> pts;
+  PointSet pts;
   std::vector<int> truth;
   // Blobs close enough that threshold-connectivity chains them.
-  const std::vector<Point> centers{{0, 0}, {3, 0}, {0, 3}};
+  const double centers[3][2]{{0, 0}, {3, 0}, {0, 3}};
   for (int b = 0; b < 3; ++b) {
     for (int i = 0; i < 60; ++i) {
-      pts.push_back({centers[static_cast<std::size_t>(b)][0] +
-                         rng.normal(0, 0.9),
-                     centers[static_cast<std::size_t>(b)][1] +
-                         rng.normal(0, 0.9)});
+      pts.add({centers[b][0] + rng.normal(0, 0.9),
+               centers[b][1] + rng.normal(0, 0.9)});
       truth.push_back(b);
     }
   }

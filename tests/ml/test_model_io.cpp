@@ -164,6 +164,44 @@ TEST(ModelIo, CorruptFieldDiagnosticNamesTheLine) {
   }
 }
 
+/// A saved GBDT with its line starting `prefix` replaced by `replacement`
+/// must fail to load with a runtime_error naming a line.
+void expect_line_rejected(const std::string& prefix,
+                          const std::string& replacement) {
+  std::stringstream ss;
+  write_model(sample_model(ModelKind::kGbdt), ss);
+  std::string text = ss.str();
+  const auto pos = text.find("\n" + prefix);
+  ASSERT_NE(pos, std::string::npos) << prefix;
+  text.replace(pos + 1, text.find('\n', pos + 1) - pos - 1, replacement);
+  std::stringstream corrupt(text);
+  try {
+    read_model(corrupt);
+    ADD_FAILURE() << replacement << " accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line "), std::string::npos)
+        << e.what();
+  }
+}
+
+// A count read from a model sizes no allocation: a count beyond the values
+// or lines that follow fails naming a line, not with std::bad_alloc.
+TEST(ModelIo, OversizedBaseScoreCountRejected) {
+  expect_line_rejected("base_score ", "base_score 100000000000000");
+}
+
+TEST(ModelIo, OversizedTreesCountRejected) {
+  expect_line_rejected("trees ", "trees 100000000000000");
+}
+
+TEST(ModelIo, OversizedNodesCountRejected) {
+  expect_line_rejected("nodes ", "nodes 100000000000000");
+}
+
+TEST(ModelIo, OversizedLeavesCountRejected) {
+  expect_line_rejected("leaves ", "leaves 100000000000000");
+}
+
 TEST(ModelIo, OutOfRangeChildRejected) {
   const CompiledForest model = sample_model(ModelKind::kDtc);
   std::stringstream ss;
