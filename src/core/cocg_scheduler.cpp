@@ -13,8 +13,7 @@ CocgScheduler::CocgScheduler(std::map<std::string, TrainedGame> models,
     : models_(std::move(models)),
       cfg_(cfg),
       distributor_(cfg.distributor),
-      regulator_(cfg.regulator),
-      rng_(cfg.seed) {
+      regulator_(cfg.regulator) {
   COCG_EXPECTS_MSG(!models_.empty(), "CoCG needs at least one trained game");
   for (const auto& [name, tg] : models_) {
     COCG_EXPECTS_MSG(tg.profile != nullptr && tg.predictor != nullptr,
@@ -436,7 +435,7 @@ void CocgScheduler::control(platform::PlatformView& view) {
       }
       continue;
     }
-    tg.predictor->replace_model(rng_);
+    tg.predictor->replace_model();
     // The new model changes this game's candidate predictions; a candidate
     // outlook reads only its own game's predictor and profile.
     std::erase_if(candidate_memo_, [&](const auto& entry) {

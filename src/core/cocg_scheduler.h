@@ -14,8 +14,8 @@
 //  * A hosted session's outlook is kept with the monitor version() and
 //    predictor generation() it was computed from, and reused while both
 //    are unchanged.
-//  * A candidate key's outlook is kept until the next model replacement
-//    (replace_model clears the memo; an admitted key's entry is erased).
+//  * A candidate key's outlook is kept until its game's next model
+//    replacement (an admitted key's entry is erased).
 //  * A rejection is replayed, without a view scan, for every equal
 //    candidate until the shard's placements may have changed: session
 //    start, session end or control().
@@ -47,7 +47,6 @@ struct CocgConfig {
   int replace_model_after = 5;
   /// Telemetry samples aggregated per detection (the paper's 5 s at 1 Hz).
   std::size_t detection_window = 5;
-  std::uint64_t seed = 7;
 };
 
 class CocgScheduler final : public platform::Scheduler {
@@ -124,7 +123,6 @@ class CocgScheduler final : public platform::Scheduler {
   std::map<CandidateKey, CandidateOutlook> candidate_memo_;
   std::vector<Rejection> rejections_;  ///< this epoch's; a few entries
   std::vector<SessionOutlook> hosted_scratch_;  ///< one view's outlooks
-  Rng rng_;
   int model_replacements_ = 0;
 
   // Decision-level observability (the per-view verdicts live in the

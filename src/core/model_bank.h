@@ -12,8 +12,9 @@
 //     across shards);
 //   * the training corpus rides along, so a restored predictor's
 //     replace_model retrains exactly like the original's;
-//   * the refit memo is SHARED too, so a model replacement's rng-free
-//     full-corpus fit (DTC, GBDT) is made once per bundle, not per shard.
+//   * the refit memo is SHARED too, so a model replacement's seeded
+//     rotation fit is made once per (game, kind) per bank, not per shard:
+//     every later replacement to that kind is a pointer swap.
 //
 // Lifetime rules: a bundle handed out by the bank stays valid as long as
 // any instantiated TrainedGame holds its forests — the shared_ptrs keep

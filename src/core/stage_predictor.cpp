@@ -50,17 +50,43 @@ ml::Dataset StagePredictor::build_dataset(
   return data;
 }
 
+namespace {
+
+double accuracy_on(const ml::CompiledForest& model, const ml::Dataset& test) {
+  std::vector<int> pred;
+  pred.reserve(test.size());
+  for (std::size_t i = 0; i < test.size(); ++i) {
+    pred.push_back(model.predict(test.x(i)));
+  }
+  return ml::accuracy(test.labels(), pred);
+}
+
+/// The seed of `game`'s rotation fit of `kind`: SplitMix64 of the FNV-1a
+/// hash of the game name, mixed with the kind. It names no shard, time or
+/// caller, so a rotation entry is the same whichever predictor fills it.
+std::uint64_t rotation_seed(const std::string& game, ml::ModelKind kind) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const unsigned char c : game) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return SplitMix64(h ^ static_cast<std::uint64_t>(kind)).next();
+}
+
+}  // namespace
+
 void StagePredictor::train(const std::vector<TrainingRun>& runs, Rng& rng) {
   COCG_EXPECTS_MSG(!runs.empty(), "training needs at least one run");
   corpus_ = runs;
   refits_ = std::make_shared<RefitMemo>();
-  fit_active(rng);
+  adopt(fit_kind(cfg_.model, rng));
 }
 
-void StagePredictor::fit_active(Rng& rng) {
-  ++generation_;
+RefitMemo::Entry StagePredictor::fit_kind(ml::ModelKind kind,
+                                          Rng& rng) const {
   const ml::Dataset all = build_dataset(corpus_);
   COCG_CHECK_MSG(!all.empty(), "corpus produced no training pairs");
+  RefitMemo::Entry entry;
 
   // Pooled model with held-out accuracy (the paper's 75/25 split).
   auto [train, test] = all.split(cfg_.train_fraction, rng);
@@ -68,43 +94,10 @@ void StagePredictor::fit_active(Rng& rng) {
     train = all;
     test = all;
   }
-  const auto held_out = ml::fit_model(cfg_.model, train, rng);
-  std::vector<int> pred;
-  pred.reserve(test.size());
-  for (std::size_t i = 0; i < test.size(); ++i) {
-    pred.push_back(held_out->predict(test.x(i)));
-  }
-  accuracy_ = ml::accuracy(test.labels(), pred);
+  entry.accuracy = accuracy_on(*ml::fit_model(kind, train, rng), test);
 
-  // Refit on everything for online use. RF draws from `rng`, so it refits
-  // here every time. DTC and GBDT draw nothing (fit_model passes their
-  // Rng through untouched), so their fits are shared through the memo and
-  // made from a local Rng that no caller's stream can reach.
-  RefitMemo::Fits fits;
-  if (cfg_.model == ml::ModelKind::kRf) {
-    fits = fit_full(all, rng);
-  } else {
-    bool hit = false;
-    fits = refits_->get(
-        cfg_.model,
-        [&] {
-          Rng unused;
-          return fit_full(all, unused);
-        },
-        hit);
-    obs::metrics()
-        .counter(hit ? "predictor.refit_memo.hits"
-                     : "predictor.refit_memo.misses")
-        .add();
-  }
-  pooled_ = std::move(fits.pooled);
-  per_player_ = std::move(fits.per_player);
-}
-
-RefitMemo::Fits StagePredictor::fit_full(const ml::Dataset& all,
-                                         Rng& rng) const {
-  RefitMemo::Fits fits;
-  fits.pooled = ml::fit_model(cfg_.model, all, rng);
+  // Refit on everything for online use.
+  entry.pooled = ml::fit_model(kind, all, rng);
   // Mobile quadrant: personal models for players with enough history
   // (§IV-B1 "finely establish a training set for each individual player").
   if (cfg_.category == game::GameCategory::kMobile) {
@@ -114,10 +107,17 @@ RefitMemo::Fits StagePredictor::fit_full(const ml::Dataset& all,
       if (runs.size() < cfg_.min_player_runs) continue;
       const ml::Dataset pd = build_dataset(runs);
       if (pd.empty()) continue;
-      fits.per_player[pid] = ml::fit_model(cfg_.model, pd, rng);
+      entry.per_player[pid] = ml::fit_model(kind, pd, rng);
     }
   }
-  return fits;
+  return entry;
+}
+
+void StagePredictor::adopt(RefitMemo::Entry entry) {
+  ++generation_;
+  accuracy_ = entry.accuracy;
+  pooled_ = std::move(entry.pooled);
+  per_player_ = std::move(entry.per_player);
 }
 
 int StagePredictor::predict_next(const std::vector<int>& exec_history,
@@ -162,7 +162,7 @@ ResourceVector StagePredictor::redundancy() const {
   return (1.0 - online_accuracy()) * profile_->peak_demand;
 }
 
-void StagePredictor::replace_model(Rng& rng) {
+void StagePredictor::replace_model() {
   // Guard *before* rotating the kind: a failed swap must leave the active
   // model and cfg_.model consistent.
   if (!can_retrain()) {
@@ -175,7 +175,18 @@ void StagePredictor::replace_model(Rng& rng) {
     case ml::ModelKind::kRf: cfg_.model = ml::ModelKind::kGbdt; break;
     case ml::ModelKind::kGbdt: cfg_.model = ml::ModelKind::kDtc; break;
   }
-  fit_active(rng);
+  bool hit = false;
+  adopt(refits_->get(
+      cfg_.model,
+      [&] {
+        Rng rng(rotation_seed(profile_->game_name, cfg_.model));
+        return fit_kind(cfg_.model, rng);
+      },
+      hit));
+  obs::metrics()
+      .counter(hit ? "predictor.refit_memo.hits"
+                   : "predictor.refit_memo.misses")
+      .add();
 }
 
 void StagePredictor::rebind_profile(const GameProfile* profile) {
@@ -198,14 +209,7 @@ double StagePredictor::evaluate_model(ml::ModelKind kind, Rng& rng) const {
   const ml::Dataset all = build_dataset(corpus_);
   auto [train, test] = all.split(cfg_.train_fraction, rng);
   if (train.empty() || test.empty()) return 1.0;
-  const auto model = ml::fit_model(kind, train, rng);
-
-  std::vector<int> pred;
-  pred.reserve(test.size());
-  for (std::size_t i = 0; i < test.size(); ++i) {
-    pred.push_back(model->predict(test.x(i)));
-  }
-  return ml::accuracy(test.labels(), pred);
+  return accuracy_on(*ml::fit_model(kind, train, rng), test);
 }
 
 // ---------------------------------------------------------------------------

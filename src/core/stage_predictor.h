@@ -49,40 +49,43 @@ struct TrainingRun {
   std::size_t script_idx = 0;  ///< launched mode (Table I script)
 };
 
-/// The full-corpus fits of one predictor lineage, memoized by model kind.
-/// Only DTC and GBDT go through it: their fits draw nothing from the Rng,
-/// so each is a pure function of (corpus, config, kind) and every
-/// predictor with that corpus, config and stage catalog may share the
-/// forests; whichever caller fills an entry first cannot change a bit.
+/// The rotation fits of one predictor lineage, one entry per model kind.
+/// An entry is everything a replacement adopts: the kind's held-out
+/// accuracy P and its full-corpus pooled and per-player forests. Each is
+/// made by one seeded fit whose seed is a pure function of (game, kind)
+/// (StagePredictor::replace_model), so it depends only on (corpus, config,
+/// stage catalog, game, kind): every predictor with those may share it,
+/// and whichever caller fills an entry first cannot change a bit.
 /// Thread-safe; each kind is fitted at most once.
 class RefitMemo {
  public:
-  struct Fits {
+  struct Entry {
+    double accuracy = 0.0;  ///< the kind's own held-out accuracy P
     std::shared_ptr<const ml::CompiledForest> pooled;
     std::map<std::uint64_t, std::shared_ptr<const ml::CompiledForest>>
         per_player;
   };
 
-  /// `kind`'s fits, made by `fit()` on the first request (other callers
-  /// for the same kind wait for it). `hit` says whether they were already
+  /// `kind`'s entry, made by `fit()` on the first request (other callers
+  /// for the same kind wait for it). `hit` says whether it was already
   /// there.
   template <typename Fit>
-  Fits get(ml::ModelKind kind, Fit&& fit, bool& hit) {
+  Entry get(ml::ModelKind kind, Fit&& fit, bool& hit) {
     Slot& slot = slots_[static_cast<std::size_t>(kind)];
     std::lock_guard lock(slot.mu);
     hit = slot.filled;
     if (!slot.filled) {
-      slot.fits = fit();
+      slot.entry = fit();
       slot.filled = true;
     }
-    return slot.fits;
+    return slot.entry;
   }
 
  private:
   struct Slot {
     std::mutex mu;
     bool filled = false;  ///< guarded by mu
-    Fits fits;            ///< guarded by mu
+    Entry entry;          ///< guarded by mu
   };
   std::array<Slot, 3> slots_;  ///< indexed by ml::ModelKind
 };
@@ -101,8 +104,9 @@ struct PredictorArtifact {
       per_player;
   std::vector<TrainingRun> corpus;  ///< empty → retraining unavailable
   /// Shared by every predictor made from this artifact. It holds fits of
-  /// this corpus, config and stage catalog only: code that changes one of
-  /// those on a copy must reset it. Null → from_artifact starts a new one.
+  /// this corpus, config, stage catalog and game name only: code that
+  /// changes one of those on a copy must reset it. Null → from_artifact
+  /// starts a new one.
   std::shared_ptr<RefitMemo> refits;
 };
 
@@ -112,11 +116,12 @@ class StagePredictor {
   StagePredictor(const GameProfile* profile, PredictorConfig cfg);
 
   /// Train on realized runs; keeps the corpus so replace_model can retrain.
+  /// The split and every fit draw from `rng`; the refit memo is not used.
   void train(const std::vector<TrainingRun>& runs, Rng& rng);
 
   bool trained() const { return pooled_ != nullptr; }
 
-  /// Bumped by every fit (train, replace_model) and by rebind_profile, so
+  /// Bumped by train, every replace_model and rebind_profile, so
   /// a prediction cached at one generation stays valid while it lasts.
   std::uint64_t generation() const { return generation_; }
 
@@ -153,12 +158,14 @@ class StagePredictor {
   /// before asking for a model swap.
   bool can_retrain() const { return !corpus_.empty(); }
 
-  /// Swap to the next algorithm in {DTC, RF, GBDT} and retrain (§IV-B2).
-  /// Draws the 75/25 split and fits the held-out model every time; the
-  /// full-corpus fits of DTC and GBDT come from the refit memo.
-  /// Throws std::runtime_error — without changing the active model — when
-  /// !can_retrain().
-  void replace_model(Rng& rng);
+  /// Swap to the next algorithm in {DTC, RF, GBDT} (§IV-B2) and adopt
+  /// that kind's entry of the refit memo: its held-out accuracy P and its
+  /// full-corpus forests. The first request for a kind fits the entry
+  /// from an Rng seeded by (game name, kind); every later one, in any
+  /// predictor sharing the memo, swaps pointers. The online EMA carries
+  /// over. Throws std::runtime_error — without changing the active model —
+  /// when !can_retrain().
+  void replace_model();
 
   /// Evaluate a specific model kind on this predictor's corpus without
   /// changing the active model (Fig. 15 sweeps). Throws
@@ -205,9 +212,10 @@ class StagePredictor {
   /// Strip loading stages: prediction operates on execution stages.
   std::vector<int> exec_only(const std::vector<int>& seq) const;
   ml::Dataset build_dataset(const std::vector<TrainingRun>& runs) const;
-  void fit_active(Rng& rng);
-  /// The active kind's full-corpus pooled and per-player fits.
-  RefitMemo::Fits fit_full(const ml::Dataset& all, Rng& rng) const;
+  /// `kind`'s 75/25 held-out accuracy and full-corpus pooled and
+  /// per-player fits, in that order, all drawing from `rng`.
+  RefitMemo::Entry fit_kind(ml::ModelKind kind, Rng& rng) const;
+  void adopt(RefitMemo::Entry entry);
 
   const GameProfile* profile_;
   PredictorConfig cfg_;

@@ -108,8 +108,7 @@ void append_tree(CompiledForest::Data& d, const Tree& tree);
 /// prediction (DTC depth 8; RF defaults; GBDT 80 rounds at depth 6) on
 /// `data`, drawing from `rng` exactly as the learner's own fit does, and
 /// returns the compiled result. The learner is freed before returning.
-/// Only RF draws; DTC and GBDT leave `rng` untouched, which the stage
-/// predictor's refit memo relies on.
+/// Only RF draws; DTC and GBDT leave `rng` untouched.
 std::shared_ptr<const CompiledForest> fit_model(ModelKind kind,
                                                 const Dataset& data,
                                                 Rng& rng);

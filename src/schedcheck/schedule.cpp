@@ -185,15 +185,14 @@ Schedule read_schedule(std::istream& is) {
     std::istringstream ls = r.expect("streams ");
     const auto n = r.field<std::size_t>(ls, "stream count");
     if (n == 0) r.fail("a schedule needs at least the coordinator stream");
-    if (n > 100000) r.fail("implausible stream count");
-    sched.streams.resize(n);
+    // Counts size nothing: a count beyond what follows fails at the first
+    // missing line.
     for (std::size_t si = 0; si < n; ++si) {
       std::istringstream sl = r.expect("stream ");
       const auto idx = r.field<std::size_t>(sl, "stream index");
       const auto count = r.field<std::size_t>(sl, "record count");
       if (idx != si) r.fail("stream indices must be dense and in order");
-      auto& recs = sched.streams[si];
-      recs.reserve(count);
+      auto& recs = sched.streams.emplace_back();
       std::uint64_t prev_seq = 0;
       for (std::size_t ri = 0; ri < count; ++ri) {
         std::istringstream rl = r.expect("r ");

@@ -173,6 +173,8 @@ Trace read_trace(std::istream& is) {
     t.meta[rest.substr(0, sp)] = rest.substr(sp + 1);
     line = r.line("meta or regions");
   }
+  // Counts size nothing: a count beyond what follows fails at the first
+  // missing line or value.
   std::size_t n_regions = 0;
   {
     if (line.rfind("regions ", 0) != 0) {
@@ -181,7 +183,6 @@ Trace read_trace(std::istream& is) {
     std::istringstream ls(line.substr(8));
     n_regions = r.field<std::size_t>(ls, "regions count");
   }
-  t.regions.reserve(n_regions);
   for (std::size_t i = 0; i < n_regions; ++i) {
     auto ls = r.expect("region ");
     const auto idx = r.field<std::size_t>(ls, "region index");
@@ -196,7 +197,6 @@ Trace read_trace(std::istream& is) {
     auto ls = r.expect("games ");
     n_games = r.field<std::size_t>(ls, "games count");
   }
-  t.games.reserve(n_games);
   for (std::size_t i = 0; i < n_games; ++i) {
     auto ls = r.expect("game ");
     const auto idx = r.field<std::size_t>(ls, "game index");
@@ -214,7 +214,6 @@ Trace read_trace(std::istream& is) {
     auto ls = r.expect("events ");
     n_events = r.field<std::size_t>(ls, "events count");
   }
-  t.events.reserve(n_events);
   TimeMs prev = 0;
   for (std::size_t i = 0; i < n_events; ++i) {
     auto ls = r.expect("e ");

@@ -85,12 +85,11 @@ TEST(GameBundle, ReplaceModelRetrainsIdentically) {
   const auto restored =
       StagePredictor::from_artifact(back.predictor, back.profile.get());
 
-  // Same corpus + same seed → the §IV-B2 fallback retrains to the exact
-  // same model on both sides.
+  // Same corpus, separate refit memos → the §IV-B2 fallback retrains to
+  // the exact same model on both sides.
   ASSERT_TRUE(restored->can_retrain());
-  Rng rng_a(1234), rng_b(1234);
-  tg.predictor->replace_model(rng_a);
-  restored->replace_model(rng_b);
+  tg.predictor->replace_model();
+  restored->replace_model();
   EXPECT_EQ(restored->model_kind(), tg.predictor->model_kind());
   EXPECT_EQ(restored->accuracy(), tg.predictor->accuracy());
   expect_same_predictions(*tg.predictor, *restored);
@@ -120,8 +119,8 @@ TEST(GameBundle, CorpusFreeBundleDegradesGracefully) {
   // kind is left untouched.
   EXPECT_FALSE(restored->can_retrain());
   const ml::ModelKind kind_before = restored->model_kind();
+  EXPECT_THROW(restored->replace_model(), std::runtime_error);
   Rng rng(5);
-  EXPECT_THROW(restored->replace_model(rng), std::runtime_error);
   EXPECT_EQ(restored->model_kind(), kind_before);
   EXPECT_THROW(restored->evaluate_model(ml::ModelKind::kRf, rng),
                std::runtime_error);

@@ -10,6 +10,7 @@
 #include "core/features.h"
 #include "core/offline.h"
 #include "game/library.h"
+#include "obs/obs.h"
 
 namespace cocg::core {
 namespace {
@@ -151,12 +152,12 @@ TEST(StagePredictor, ReplaceModelRotates) {
   Rng rng(4);
   pred.train(deterministic_corpus(40), rng);
   EXPECT_EQ(pred.model_kind(), ml::ModelKind::kDtc);
-  pred.replace_model(rng);
+  pred.replace_model();
   EXPECT_EQ(pred.model_kind(), ml::ModelKind::kRf);
   EXPECT_EQ(pred.predict_next({1}, 1, 0), 2);  // retrained, still works
-  pred.replace_model(rng);
+  pred.replace_model();
   EXPECT_EQ(pred.model_kind(), ml::ModelKind::kGbdt);
-  pred.replace_model(rng);
+  pred.replace_model();
   EXPECT_EQ(pred.model_kind(), ml::ModelKind::kDtc);
 }
 
@@ -178,7 +179,7 @@ TEST(StagePredictor, GenerationBumpsOnEveryFit) {
   pred.record_outcome(false);
   EXPECT_EQ(pred.generation(), last) << "inference and feedback";
   for (int i = 0; i < 3; ++i) {
-    pred.replace_model(rng);
+    pred.replace_model();
     expect_bumped(ml::model_kind_name(pred.model_kind()));
   }
   const GameProfile migrated = toy_profile();
@@ -186,21 +187,26 @@ TEST(StagePredictor, GenerationBumpsOnEveryFit) {
   expect_bumped("rebind_profile");
 }
 
-// A replacement whose full-corpus fits come from the shared refit memo must
-// write the same bundle, and leave its Rng in the same state, as one that
-// fits them afresh.
-TEST(StagePredictor, RefitMemoHitMatchesFreshFit) {
-  const GameProfile p = toy_profile();
-  PredictorConfig cfg;
-  cfg.model = ml::ModelKind::kRf;  // the next kind, GBDT, is memoized
-  cfg.category = game::GameCategory::kMobile;  // per-player fits too
-  StagePredictor trained(&p, cfg);
-  Rng train_rng(6);
-  std::vector<TrainingRun> corpus = deterministic_corpus(40);
+/// Every third run takes another path, so held-out accuracy depends on
+/// the split.
+std::vector<TrainingRun> noisy_corpus(int n) {
+  std::vector<TrainingRun> corpus = deterministic_corpus(n);
   for (std::size_t i = 0; i < corpus.size(); i += 3) {
     corpus[i].stage_seq = {0, 1, 0, 3, 0, 2, 0};
   }
-  trained.train(corpus, train_rng);
+  return corpus;
+}
+
+// A replacement that takes its entry from the shared refit memo must write
+// the same bundle as one that fits the entry afresh.
+TEST(StagePredictor, RefitMemoHitMatchesFreshFit) {
+  const GameProfile p = toy_profile();
+  PredictorConfig cfg;
+  cfg.model = ml::ModelKind::kRf;  // rotates to GBDT
+  cfg.category = game::GameCategory::kMobile;  // per-player fits too
+  StagePredictor trained(&p, cfg);
+  Rng train_rng(6);
+  trained.train(noisy_corpus(40), train_rng);
 
   const PredictorArtifact shared = trained.to_artifact();
   PredictorArtifact unshared = shared;
@@ -209,10 +215,9 @@ TEST(StagePredictor, RefitMemoHitMatchesFreshFit) {
   const auto filler = StagePredictor::from_artifact(shared, &p);
   const auto hitter = StagePredictor::from_artifact(shared, &p);
   const auto fresh = StagePredictor::from_artifact(unshared, &p);
-  Rng fill_rng(9), hit_rng(9), fresh_rng(9);
-  filler->replace_model(fill_rng);
-  hitter->replace_model(hit_rng);
-  fresh->replace_model(fresh_rng);
+  filler->replace_model();
+  hitter->replace_model();
+  fresh->replace_model();
   ASSERT_EQ(hitter->model_kind(), ml::ModelKind::kGbdt);
 
   // The hitter took the filler's forests; the fresh predictor fitted its
@@ -227,9 +232,148 @@ TEST(StagePredictor, RefitMemoHitMatchesFreshFit) {
   hitter->save_bundle(hit_bytes);
   fresh->save_bundle(fresh_bytes);
   EXPECT_EQ(hit_bytes.str(), fresh_bytes.str());
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(hit_rng.next_u64(), fresh_rng.next_u64());
+}
+
+// --- ModelRotation: replace_model adopts one seeded entry per kind ---
+
+/// The rotation seed as the predictor documents it: SplitMix64 of the
+/// FNV-1a hash of the game name, mixed with the kind.
+std::uint64_t expected_rotation_seed(const std::string& game,
+                                     ml::ModelKind kind) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const unsigned char c : game) {
+    h ^= c;
+    h *= 1099511628211ull;
   }
+  return SplitMix64(h ^ static_cast<std::uint64_t>(kind)).next();
+}
+
+std::string bundle_bytes(const StagePredictor& pred) {
+  std::ostringstream os;
+  pred.save_bundle(os);
+  return os.str();
+}
+
+/// A mobile-quadrant predictor trained on the noisy corpus, so every
+/// entry has per-player forests and a split-dependent accuracy.
+PredictorArtifact mobile_artifact(const GameProfile& p) {
+  PredictorConfig cfg;
+  cfg.category = game::GameCategory::kMobile;
+  StagePredictor trained(&p, cfg);
+  Rng rng(17);
+  trained.train(noisy_corpus(45), rng);
+  return trained.to_artifact();
+}
+
+// Through a whole DTC -> RF -> GBDT -> DTC rotation, an entry another
+// predictor put in the shared memo is bit-identical, bundle bytes and P,
+// to the entry a predictor with a memo of its own fits, RF's bootstrap
+// included; and each kind is fitted once per memo.
+TEST(ModelRotation, CachedEntryMatchesFreshFitFromSeparateCache) {
+  const bool saved = obs::enabled();
+  obs::reset();
+  obs::set_enabled(true);
+  const GameProfile p = toy_profile();
+  const PredictorArtifact shared = mobile_artifact(p);
+  PredictorArtifact unshared = shared;
+  unshared.refits = nullptr;
+  const auto filler = StagePredictor::from_artifact(shared, &p);
+  const auto cached = StagePredictor::from_artifact(shared, &p);
+  const auto fresh = StagePredictor::from_artifact(unshared, &p);
+  for (int i = 0; i < 3; ++i) {
+    filler->replace_model();
+    cached->replace_model();
+    fresh->replace_model();
+    const char* kind = ml::model_kind_name(cached->model_kind());
+    EXPECT_EQ(cached->to_artifact().pooled, filler->to_artifact().pooled)
+        << kind;
+    EXPECT_NE(cached->to_artifact().pooled, fresh->to_artifact().pooled)
+        << kind;
+    EXPECT_FALSE(cached->to_artifact().per_player.empty()) << kind;
+    EXPECT_EQ(cached->accuracy(), fresh->accuracy()) << kind;
+    EXPECT_EQ(bundle_bytes(*cached), bundle_bytes(*fresh)) << kind;
+  }
+  // Three kinds, two memos: six fits; the cached predictor's three
+  // rotations were hits.
+  EXPECT_EQ(obs::metrics().counter_value("predictor.refit_memo.misses"), 6u);
+  EXPECT_EQ(obs::metrics().counter_value("predictor.refit_memo.hits"), 3u);
+  obs::set_enabled(saved);
+}
+
+// Whichever predictor asks first, the memo hands every predictor of one
+// artifact the same forests: two predictors that rotate in different
+// interleavings hold the same pointers at every kind, and those forests
+// are the bytes a separate memo rotated in a third order makes.
+TEST(ModelRotation, InterleavingsShareForests) {
+  const GameProfile p = toy_profile();
+  const PredictorArtifact shared = mobile_artifact(p);
+  const auto a = StagePredictor::from_artifact(shared, &p);
+  const auto b = StagePredictor::from_artifact(shared, &p);
+  // a fills RF; b hits RF and fills GBDT; a hits GBDT and fills DTC; b
+  // hits DTC.
+  a->replace_model();
+  b->replace_model();
+  EXPECT_EQ(a->to_artifact().pooled, b->to_artifact().pooled);
+  const std::string rf_bytes = bundle_bytes(*a);
+  b->replace_model();
+  a->replace_model();
+  EXPECT_EQ(a->to_artifact().pooled, b->to_artifact().pooled);
+  EXPECT_EQ(a->to_artifact().per_player, b->to_artifact().per_player);
+  const std::string gbdt_bytes = bundle_bytes(*a);
+  a->replace_model();
+  b->replace_model();
+  ASSERT_EQ(a->model_kind(), ml::ModelKind::kDtc);
+  ASSERT_EQ(b->model_kind(), ml::ModelKind::kDtc);
+  EXPECT_EQ(a->to_artifact().pooled, b->to_artifact().pooled);
+  EXPECT_EQ(a->to_artifact().per_player, b->to_artifact().per_player);
+  EXPECT_EQ(a->accuracy(), b->accuracy());
+
+  // A separate memo, its first rotation two steps in: the GBDT entry
+  // first, then RF's (after a wrap through DTC's).
+  PredictorArtifact unshared = shared;
+  unshared.refits = nullptr;
+  const auto c = StagePredictor::from_artifact(unshared, &p);
+  c->replace_model();
+  c->replace_model();
+  EXPECT_EQ(bundle_bytes(*c), gbdt_bytes);
+  c->replace_model();
+  c->replace_model();
+  EXPECT_EQ(bundle_bytes(*c), rf_bytes);
+}
+
+// Every rotation entry is the fit that training its kind on the corpus
+// from the (game, kind) seed makes: the rotated predictor writes the bundle
+// bytes of a predictor trained that way, P included. So a rotation back to
+// the trained kind takes that kind's seeded entry, not the trained model:
+// DTC's full-corpus fit draws nothing, so only P can tell them apart.
+TEST(ModelRotation, BackToTrainedKindTakesSeededEntry) {
+  const GameProfile p = toy_profile();
+  const PredictorArtifact art = mobile_artifact(p);
+  ASSERT_EQ(art.cfg.model, ml::ModelKind::kDtc);
+  const auto trained = StagePredictor::from_artifact(art, &p);
+  const auto pred = StagePredictor::from_artifact(art, &p);
+  for (int i = 0; i < 3; ++i) {
+    pred->replace_model();
+    PredictorConfig cfg = art.cfg;
+    cfg.model = pred->model_kind();
+    StagePredictor seeded(&p, cfg);
+    Rng rng(expected_rotation_seed("toy", cfg.model));
+    seeded.train(art.corpus, rng);
+    EXPECT_EQ(bundle_bytes(*pred), bundle_bytes(seeded))
+        << ml::model_kind_name(cfg.model);
+  }
+  ASSERT_EQ(pred->model_kind(), ml::ModelKind::kDtc);
+  EXPECT_NE(pred->accuracy(), trained->accuracy())
+      << "the corpus must make P depend on the split";
+
+  // Every byte but the accuracy line is the trained predictor's.
+  auto without_accuracy = [](std::string bundle) {
+    const auto line = bundle.find("\naccuracy ");
+    EXPECT_NE(line, std::string::npos);
+    return bundle.erase(line, bundle.find('\n', line + 1) - line);
+  };
+  EXPECT_EQ(without_accuracy(bundle_bytes(*pred)),
+            without_accuracy(bundle_bytes(*trained)));
 }
 
 TEST(StagePredictor, EvaluateModelAllKinds) {
@@ -378,7 +522,7 @@ TEST(StagePredictorBundle, CorpusFreeLoadCannotRetrain) {
   const auto back = StagePredictor::load_bundle(ss, &p);
   EXPECT_FALSE(back->can_retrain());
   EXPECT_EQ(back->predict_next({1}, 1, 0), pred.predict_next({1}, 1, 0));
-  EXPECT_THROW(back->replace_model(rng), std::runtime_error);
+  EXPECT_THROW(back->replace_model(), std::runtime_error);
   EXPECT_THROW(back->evaluate_model(ml::ModelKind::kRf, rng),
                std::runtime_error);
 }

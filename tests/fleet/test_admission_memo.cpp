@@ -6,8 +6,8 @@
 // until the next session start, session end or control(). A stale memo is
 // deterministic, so comparing two runs of one binary (Determinism.*)
 // cannot catch it. This test instead pins a digest of an overloaded
-// fleet's report and admission counters that was computed before the memos
-// existed. Every invalidation event (monitor judgements, model
+// fleet's report and admission counters that was computed with the memos
+// bypassed. Every invalidation event (monitor judgements, model
 // replacement, session start and end, control ticks, admission) happens in
 // the run, and an outlook kept past a judgement or a model replacement, or
 // a rejection replayed past a placement change, moves a decision here, and
@@ -140,9 +140,11 @@ TEST(AdmissionMemo, OverloadedFleetMatchesParentDigest) {
   EXPECT_GT(run.model_replacements, 0u);
   EXPECT_GT(run.readmitted, 0u);
   EXPECT_GT(run.completed, 0u);
-  // Digest computed from the scheduler that recomputed every outlook on
-  // every admit() call.
-  EXPECT_EQ(fnv1a(run.report + run.counters), 0xc3c0dd2ebfe14106ULL)
+  // Digest computed from a scheduler with every admission memo bypassed
+  // (each outlook recomputed on every admit() call, no rejection
+  // replayed). It moved when model replacements began adopting seeded
+  // rotation entries instead of refitting from the shard's Rng.
+  EXPECT_EQ(fnv1a(run.report + run.counters), 0xa22297a85fcfe8d7ULL)
       << std::hex << fnv1a(run.report + run.counters) << "\n"
       << run.counters;
 }
@@ -299,8 +301,7 @@ TEST(AdmissionMemo, HostedOutlooksFollowPredictorGeneration) {
   EXPECT_GT(hits, 0u);
   EXPECT_LE(misses, 1u);  // at most the re-learned session's
   // A refit changes every prediction the hosted outlooks were built on.
-  Rng rng(3);
-  fp.cocg->model("Genshin Impact").predictor->replace_model(rng);
+  fp.cocg->model("Genshin Impact").predictor->replace_model();
   EXPECT_EQ(rescan(), std::pair(std::uint64_t{0}, hits + misses));
 }
 

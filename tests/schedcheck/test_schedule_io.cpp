@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 namespace cocg::schedcheck {
 namespace {
@@ -87,6 +88,38 @@ TEST(ScheduleIo, RejectsTruncatedFile) {
   text.resize(text.rfind("end"));
   std::istringstream is(text);
   EXPECT_THROW(read_schedule(is), std::runtime_error);
+}
+
+/// `sample()`'s text with the line `line` replaced by `replacement` must
+/// fail naming the line where the records run out, with a runtime_error,
+/// not std::bad_alloc.
+void expect_oversized_count_rejected(const std::string& line,
+                                     const std::string& replacement,
+                                     const std::string& want) {
+  std::string text = schedule_text(sample());
+  const auto pos = text.find("\n" + line + "\n");
+  ASSERT_NE(pos, std::string::npos) << line;
+  text.replace(pos + 1, line.size(), replacement);
+  std::istringstream is(text);
+  try {
+    read_schedule(is);
+    ADD_FAILURE() << replacement << " accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string err = e.what();
+    EXPECT_NE(err.find("schedule line"), std::string::npos) << err;
+    EXPECT_NE(err.find(want), std::string::npos) << err;
+  }
+}
+
+// A count read from a schedule sizes no allocation.
+TEST(ScheduleIo, OversizedStreamCountRejected) {
+  expect_oversized_count_rejected("streams 3", "streams 100000000000000",
+                                  "expected 'stream ', got 'end'");
+}
+
+TEST(ScheduleIo, OversizedRecordCountRejected) {
+  expect_oversized_count_rejected("stream 0 2", "stream 0 100000000000000",
+                                  "expected 'r ', got 'stream 1 3'");
 }
 
 TEST(ScheduleIo, PointNamesRoundTrip) {

@@ -125,6 +125,37 @@ TEST(TraceIo, GarbageEventLineNamesLineAndField) {
   EXPECT_NE(err.find("event player"), std::string::npos) << err;
 }
 
+/// `sample_trace()` with its `<header> <count>` line's count replaced by
+/// one far beyond the lines that follow: the read must fail naming the
+/// line where the table ends, with a runtime_error, not std::bad_alloc.
+void expect_oversized_count_rejected(const std::string& header,
+                                     const std::string& want) {
+  std::string text = encode(sample_trace());
+  const auto pos = text.find("\n" + header + " ");
+  ASSERT_NE(pos, std::string::npos) << header;
+  text.replace(pos + 1, text.find('\n', pos + 1) - pos - 1,
+               header + " 100000000000000");
+  const std::string err = error_for(text);
+  EXPECT_NE(err.find("trace line"), std::string::npos) << err;
+  EXPECT_NE(err.find(want), std::string::npos) << err;
+}
+
+// A count read from a trace sizes no allocation.
+TEST(TraceIo, OversizedRegionsCountRejected) {
+  expect_oversized_count_rejected("regions",
+                                  "expected 'region ', got 'games 2'");
+}
+
+TEST(TraceIo, OversizedGamesCountRejected) {
+  expect_oversized_count_rejected("games",
+                                  "expected 'game ', got 'events 3'");
+}
+
+TEST(TraceIo, OversizedEventsCountRejected) {
+  expect_oversized_count_rejected("events",
+                                  "expected 'e ', got 'end-traffic'");
+}
+
 TEST(TraceIo, OutOfRangeIndicesNameTheLine) {
   {
     std::string text = encode(sample_trace());
