@@ -55,9 +55,9 @@ int main() {
       // Count the distinct catalog types this script's runs visit.
       std::set<int> visited;
       for (int r = 0; r < 8; ++r) {
-        const auto trace = game::profile_run(
+        const auto means = game::profile_run_frame_means(
             spec, s, static_cast<std::uint64_t>(r % 4 + 1), rng.next_u64());
-        for (int st : core::infer_stage_sequence(out.profile, trace)) {
+        for (int st : core::infer_stage_sequence(out.profile, means)) {
           visited.insert(st);
         }
       }

@@ -192,23 +192,21 @@ ProfilerOutput FrameProfiler::profile(
   return out;
 }
 
-std::vector<int> infer_stage_sequence(const GameProfile& profile,
-                                      const telemetry::Trace& trace,
-                                      DurationMs slice_ms) {
-  COCG_EXPECTS(!trace.empty());
+std::vector<int> infer_stage_sequence(
+    const GameProfile& profile, std::span<const ResourceVector> frame_means) {
+  COCG_EXPECTS(!frame_means.empty());
   // Mirror FrameProfiler's segmentation hygiene.
   const ProfilerConfig defaults;
-  const auto frames = trace.to_frame_slices(slice_ms);
 
   std::vector<int> seq;
   std::size_t i = 0;
-  while (i < frames.size()) {
-    const int first = profile.match_cluster(frames[i].mean_usage);
+  while (i < frame_means.size()) {
+    const int first = profile.match_cluster(frame_means[i]);
     const bool loading = profile.cluster(first).loading;
     std::map<int, std::size_t> votes;
     const std::size_t start = i;
-    while (i < frames.size()) {
-      const int c = profile.match_cluster(frames[i].mean_usage);
+    while (i < frame_means.size()) {
+      const int c = profile.match_cluster(frame_means[i]);
       if (profile.cluster(c).loading != loading) break;
       ++votes[c];
       ++i;

@@ -7,6 +7,7 @@
 // catalog as cluster combinations (§IV-A2).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -72,13 +73,13 @@ class FrameProfiler {
   ProfilerConfig cfg_;
 };
 
-/// Re-segment a (new) trace against an existing profile: slice, match each
-/// frame to its nearest cluster, cut stages at loading boundaries, and
-/// label each stage by signature (falling back to the most specific
-/// containing type for unseen signatures). Used to turn bulk runs into
-/// predictor training sequences.
-std::vector<int> infer_stage_sequence(const GameProfile& profile,
-                                      const telemetry::Trace& trace,
-                                      DurationMs slice_ms = kFrameSliceMs);
+/// Re-segment a (new) run against an existing profile from its frame
+/// means, in order: match each frame to its nearest cluster, cut stages at
+/// loading boundaries, and label each stage by signature (falling back to
+/// the most specific containing type for unseen signatures). Used to turn
+/// bulk runs into predictor training sequences; game::
+/// profile_run_frame_means builds the means without a trace.
+std::vector<int> infer_stage_sequence(
+    const GameProfile& profile, std::span<const ResourceVector> frame_means);
 
 }  // namespace cocg::core

@@ -45,7 +45,9 @@ TrainedGame train_game(const game::GameSpec& spec, const OfflineConfig& cfg) {
   out.chosen_k = prof_out.chosen_k;
 
   // 3. Predictor corpus: the profiling runs' sequences plus bulk runs
-  //    re-segmented against the fixed profile.
+  //    re-segmented against the fixed profile, at the profile's slice
+  //    width. A bulk run is needed only as frame means, so it is streamed
+  //    into them and never kept as a trace.
   std::vector<TrainingRun> corpus;
   for (std::size_t t = 0; t < prof_out.stage_sequences.size(); ++t) {
     corpus.push_back(TrainingRun{prof_out.stage_sequences[t],
@@ -56,9 +58,9 @@ TrainedGame train_game(const game::GameSpec& spec, const OfflineConfig& cfg) {
         0, static_cast<std::int64_t>(spec.scripts.size()) - 1));
     const auto player =
         static_cast<std::uint64_t>(rng.uniform_int(1, cfg.players));
-    const auto trace =
-        game::profile_run(spec, script, player, rng.next_u64());
-    corpus.push_back(TrainingRun{infer_stage_sequence(*out.profile, trace),
+    const auto means = game::profile_run_frame_means(
+        spec, script, player, rng.next_u64(), prof_cfg.frame_slice_ms);
+    corpus.push_back(TrainingRun{infer_stage_sequence(*out.profile, means),
                                  player, script});
   }
 

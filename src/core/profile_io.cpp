@@ -121,6 +121,8 @@ GameProfile read_profile(LineReader& r) {
   {
     auto ls = r.expect("clusters ");
     n_clusters = r.field<std::size_t>(ls, "clusters");
+    // GameProfile::match_cluster maps every frame to a cluster.
+    if (n_clusters == 0) r.fail("clusters 0: a profile needs a cluster");
   }
   // GameProfile::cluster(id) and stage_type(id) index by id, so every id
   // must equal its position.

@@ -8,9 +8,14 @@
 
 namespace cocg::game {
 
-telemetry::Trace profile_run(const GameSpec& spec, std::size_t script_idx,
-                             std::uint64_t player_id, std::uint64_t seed,
-                             const TraceGenConfig& cfg) {
+namespace {
+
+// One scripted play-through on an idle server, handing each sample to
+// `sink` as it is taken.
+template <class Sink>
+void play_solo(const GameSpec& spec, std::size_t script_idx,
+               std::uint64_t player_id, std::uint64_t seed,
+               const TraceGenConfig& cfg, Sink&& sink) {
   COCG_EXPECTS(script_idx < spec.scripts.size());
   COCG_EXPECTS(cfg.sample_period_ms > 0);
   Rng rng(seed);
@@ -19,7 +24,6 @@ telemetry::Trace profile_run(const GameSpec& spec, std::size_t script_idx,
                       std::move(plan), rng.fork());
   Rng noise = rng.fork();
 
-  telemetry::Trace trace(spec.name + "/" + spec.scripts[script_idx].name);
   TimeMs now = 0;
   session.begin(now);
   while (!session.finished()) {
@@ -40,10 +44,48 @@ telemetry::Trace profile_run(const GameSpec& spec, std::size_t script_idx,
 
     session.tick(now, demand);
     s.fps = session.last_fps();
-    trace.add(s);
+    sink(s);
     now += cfg.sample_period_ms;
   }
+}
+
+}  // namespace
+
+telemetry::Trace profile_run(const GameSpec& spec, std::size_t script_idx,
+                             std::uint64_t player_id, std::uint64_t seed,
+                             const TraceGenConfig& cfg) {
+  COCG_EXPECTS(script_idx < spec.scripts.size());
+  telemetry::Trace trace(spec.name + "/" + spec.scripts[script_idx].name);
+  play_solo(spec, script_idx, player_id, seed, cfg,
+            [&](const telemetry::MetricSample& s) { trace.add(s); });
   return trace;
+}
+
+std::vector<ResourceVector> profile_run_frame_means(
+    const GameSpec& spec, std::size_t script_idx, std::uint64_t player_id,
+    std::uint64_t seed, DurationMs slice_ms, const TraceGenConfig& cfg) {
+  COCG_EXPECTS(slice_ms > 0);
+  std::vector<ResourceVector> means;
+  ResourceVector acc;
+  std::size_t n = 0;
+  TimeMs t0 = 0, slice_end = 0;
+  const auto close_slice = [&] {
+    means.push_back(acc * (1.0 / static_cast<double>(n)));
+    acc = ResourceVector{};
+    n = 0;
+  };
+  play_solo(spec, script_idx, player_id, seed, cfg,
+            [&](const telemetry::MetricSample& s) {
+              if (n > 0 && s.t >= slice_end) close_slice();
+              if (n == 0) {
+                if (means.empty()) t0 = s.t;
+                slice_end = t0 + ((s.t - t0) / slice_ms) * slice_ms + slice_ms;
+              }
+              acc += s.usage;
+              ++n;
+            });
+  if (n > 0) close_slice();
+  return means;
 }
 
 std::vector<RunRecord> generate_corpus(const GameSpec& spec, int n_runs,

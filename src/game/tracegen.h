@@ -27,6 +27,15 @@ telemetry::Trace profile_run(const GameSpec& spec, std::size_t script_idx,
                              std::uint64_t player_id, std::uint64_t seed,
                              const TraceGenConfig& cfg = {});
 
+/// The `slice_ms` frame means of the trace profile_run(spec, script_idx,
+/// player_id, seed, cfg) records, built as the run plays without keeping
+/// the trace: the same draws, each mean summed in sample order and scaled
+/// by 1/n, as Trace::to_frame_slices computes them.
+std::vector<ResourceVector> profile_run_frame_means(
+    const GameSpec& spec, std::size_t script_idx, std::uint64_t player_id,
+    std::uint64_t seed, DurationMs slice_ms = kFrameSliceMs,
+    const TraceGenConfig& cfg = {});
+
 /// One realized play-through's stage-type sequence.
 struct RunRecord {
   std::size_t script_idx = 0;

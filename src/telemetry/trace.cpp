@@ -1,9 +1,10 @@
 #include "telemetry/trace.h"
 
+#include <algorithm>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "common/check.h"
 #include "common/table.h"
@@ -32,12 +33,51 @@ TimeMs Trace::end_time() const {
   return samples_.back().t;
 }
 
+namespace {
+
+// Votes per key in a flat array, reused across slices. A slice holds a
+// handful of samples, so a linear search beats any map.
+class VoteTally {
+ public:
+  void clear() { votes_.clear(); }
+  void add(int key) {
+    for (auto& [k, n] : votes_) {
+      if (k == key) {
+        ++n;
+        return;
+      }
+    }
+    votes_.emplace_back(key, 1);
+  }
+  /// The key with the most votes; a tie goes to the smallest key.
+  int majority() const {
+    int best = -1, best_n = -1;
+    for (const auto& [k, n] : votes_) {
+      if (n > best_n || (n == best_n && k < best)) {
+        best = k;
+        best_n = n;
+      }
+    }
+    return best;
+  }
+
+ private:
+  std::vector<std::pair<int, int>> votes_;
+};
+
+}  // namespace
+
 std::vector<FrameSlice> Trace::to_frame_slices(DurationMs slice_ms) const {
   COCG_EXPECTS(slice_ms > 0);
   std::vector<FrameSlice> out;
   if (empty()) return out;
 
   const TimeMs t0 = start_time();
+  // At most one slice per sample, however far apart the samples lie.
+  out.reserve(std::min(
+      samples_.size(),
+      static_cast<std::size_t>((end_time() - t0) / slice_ms) + 1));
+  VoteTally stage_votes, cluster_votes;
   std::size_t i = 0;
   while (i < samples_.size()) {
     const TimeMs slice_start =
@@ -47,13 +87,14 @@ std::vector<FrameSlice> Trace::to_frame_slices(DurationMs slice_ms) const {
     ResourceVector acc;
     double fps_acc = 0.0;
     std::size_t n = 0;
-    std::map<int, int> stage_votes, cluster_votes;
+    stage_votes.clear();
+    cluster_votes.clear();
     int loading_votes = 0;
     while (i < samples_.size() && samples_[i].t < slice_end) {
       acc += samples_[i].usage;
       fps_acc += samples_[i].fps;
-      ++stage_votes[samples_[i].true_stage_type];
-      ++cluster_votes[samples_[i].true_cluster];
+      stage_votes.add(samples_[i].true_stage_type);
+      cluster_votes.add(samples_[i].true_cluster);
       if (samples_[i].true_loading) ++loading_votes;
       ++n;
       ++i;
@@ -65,18 +106,8 @@ std::vector<FrameSlice> Trace::to_frame_slices(DurationMs slice_ms) const {
     fs.end = slice_end;
     fs.mean_usage = acc * (1.0 / static_cast<double>(n));
     fs.mean_fps = fps_acc / static_cast<double>(n);
-    auto majority = [](const std::map<int, int>& votes) {
-      int best = -1, best_n = -1;
-      for (const auto& [k, v] : votes) {
-        if (v > best_n) {
-          best = k;
-          best_n = v;
-        }
-      }
-      return best;
-    };
-    fs.true_stage_type = majority(stage_votes);
-    fs.true_cluster = majority(cluster_votes);
+    fs.true_stage_type = stage_votes.majority();
+    fs.true_cluster = cluster_votes.majority();
     fs.true_loading = loading_votes * 2 > static_cast<int>(n);
     out.push_back(fs);
   }

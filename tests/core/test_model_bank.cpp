@@ -267,6 +267,53 @@ TEST(GameBundle, ChosenKOtherThanClusterCountRejected) {
   expect_line_rejected("chosen_k ", "chosen_k 7", "chosen_k");
 }
 
+// chosen_k 0 with no clusters, and stages left with no members: it used
+// to load, and a fleet run on it then stopped on a precondition.
+TEST(GameBundle, ZeroClustersRejectedAtLoad) {
+  static const game::GameSpec g = game::make_contra();
+  std::stringstream saved;
+  write_bundle(ModelBank::bundle_from(train_game(g, small_cfg())), saved);
+  std::istringstream in(saved.str());
+  std::ostringstream edited;
+  int clusters_line = 0;
+  std::string l;
+  for (int n = 1; std::getline(in, l); ++n) {
+    if (l.rfind("chosen_k ", 0) == 0) l = "chosen_k 0";
+    if (l.rfind("cluster ", 0) == 0) continue;  // drop every cluster
+    if (l.rfind("clusters ", 0) == 0) {
+      l = "clusters 0";
+      clusters_line = n;
+    }
+    if (l.rfind("stage ", 0) == 0) {
+      // stage <id> <loading> <mean> <max> <occurrences> <members...> <peak
+      // and mean demands>: keep the first five fields and no member.
+      std::istringstream ls(l);
+      std::string tag, id, loading, mean, max, occ;
+      std::size_t members = 0;
+      ls >> tag >> id >> loading >> mean >> max >> occ >> members;
+      for (std::size_t m = 0; m < members; ++m) ls >> tag;
+      std::string rest;
+      std::getline(ls, rest);
+      l = "stage " + id + ' ' + loading + ' ' + mean + ' ' + max + ' ' +
+          occ + " 0" + rest;
+    }
+    edited << l << '\n';
+  }
+  ASSERT_GT(clusters_line, 0);
+  // The clusters line keeps its number: only cluster lines after it go.
+  std::stringstream ss(edited.str());
+  try {
+    read_bundle(ss);
+    FAIL() << "a bundle with no clusters loaded";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line " + std::to_string(clusters_line) + ":"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("clusters 0"), std::string::npos) << what;
+  }
+}
+
 TEST(GameBundle, NegativeOrNonFiniteSseRejected) {
   for (const char* bad :
        {"sse_by_k 2 1.5 -0.25", "sse_by_k 2 1.5 1e999", "sse_by_k 1 nan"}) {

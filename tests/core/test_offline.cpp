@@ -1,7 +1,12 @@
 // Dedicated offline-pipeline tests (train_game / train_suite wiring).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <sstream>
+#include <string>
+
 #include "common/check.h"
+#include "core/model_bank.h"
 #include "core/offline.h"
 #include "game/library.h"
 
@@ -105,6 +110,31 @@ TEST(OfflinePipeline, SuitePointersRemainValid) {
     EXPECT_EQ(tg.spec->name, name);
     EXPECT_EQ(tg.profile->game_name, name);
   }
+}
+
+// fleetbench and cocg_fleet train the paper suite with 8 profiling runs,
+// 40 corpus runs and seed 42 before every run. This digest pins the bytes
+// of all five bundles they build, so a set-up speed-up that moves one
+// trained bit (a K-means assignment, a corpus frame mean, a forest split)
+// fails here. Re-pin only on purpose.
+TEST(OfflinePipeline, FleetbenchSuiteMatchesParentDigest) {
+  static const std::vector<game::GameSpec> suite = game::paper_suite();
+  OfflineConfig cfg;
+  cfg.profiling_runs = 8;
+  cfg.corpus_runs = 40;
+  cfg.seed = 42;
+  std::uint64_t h = 14695981039346656037ull;
+  std::size_t bytes = 0;
+  for (const auto& [name, tg] : train_suite(suite, cfg)) {
+    std::ostringstream os;
+    write_bundle(ModelBank::bundle_from(tg), os);
+    for (const unsigned char c : os.str()) {
+      h ^= c;
+      h *= 1099511628211ull;
+    }
+    bytes += os.str().size();
+  }
+  EXPECT_EQ(h, 15376703710069367757ull) << bytes << " bundle bytes";
 }
 
 }  // namespace

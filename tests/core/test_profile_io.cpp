@@ -249,6 +249,17 @@ TEST(ProfileIo, ClusterIdOffItsIndexRejectedNamingTheLine) {
   EXPECT_NE(why.find("cluster id 7"), std::string::npos) << why;
 }
 
+// A profile without clusters used to load and then stop a fleet run on
+// GameProfile::match_cluster's precondition at its first frame.
+TEST(ProfileIo, ZeroClustersRejectedAtLoad) {
+  GameProfile p = sample_profile();
+  p.clusters.clear();
+  for (auto& st : p.stage_types) st.clusters.clear();
+  const std::string why = rejection(p);
+  EXPECT_NE(why.find(line_tag(p, "clusters ")), std::string::npos) << why;
+  EXPECT_NE(why.find("clusters 0"), std::string::npos) << why;
+}
+
 // GameProfile::stage_type(id) indexes by id, so loading_stage_type must
 // name a loading stage in range (or be -1: no loading stage).
 TEST(ProfileIo, LoadingStageTypeOutOfRangeRejectedNamingTheLine) {

@@ -181,8 +181,9 @@ TEST(InferStageSequence, MatchesGroundTruthOnFreshRuns) {
   const auto out = profile_game(g, 12);
   // A fresh run re-segmented with the profile yields alternating
   // loading/exec types of the right count.
-  const auto trace = game::profile_run(g, 2, 9, 777);  // three levels
-  const auto seq = infer_stage_sequence(out.profile, trace);
+  const auto means =
+      game::profile_run_frame_means(g, 2, 9, 777);  // three levels
+  const auto seq = infer_stage_sequence(out.profile, means);
   // Contra 3 levels: L E L E L E L = 7 stages.
   EXPECT_EQ(seq.size(), 7u);
   for (std::size_t i = 0; i < seq.size(); ++i) {
@@ -195,8 +196,8 @@ TEST(InferStageSequence, MatchesGroundTruthOnFreshRuns) {
 TEST(InferStageSequence, GenshinTaskCountPreserved) {
   const game::GameSpec g = game::make_genshin();
   const auto out = profile_game(g, 14);
-  const auto trace = game::profile_run(g, 0, 5, 888);
-  const auto seq = infer_stage_sequence(out.profile, trace);
+  const auto seq = infer_stage_sequence(
+      out.profile, game::profile_run_frame_means(g, 0, 5, 888));
   int execs = 0;
   for (int st : seq) {
     if (!out.profile.stage_type(st).loading) ++execs;

@@ -172,7 +172,11 @@ TEST_P(RandomSpecPipeline, ProfilerHandlesArbitraryTitles) {
   }
   // Sequences re-derived against the profile stay within the catalog.
   for (const auto& trace : traces) {
-    for (int st : core::infer_stage_sequence(out.profile, trace)) {
+    std::vector<ResourceVector> means;
+    for (const auto& fs : trace.to_frame_slices()) {
+      means.push_back(fs.mean_usage);
+    }
+    for (int st : core::infer_stage_sequence(out.profile, means)) {
       EXPECT_GE(st, 0);
       EXPECT_LT(st, out.profile.num_stage_types());
     }

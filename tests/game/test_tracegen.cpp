@@ -90,6 +90,34 @@ TEST(TraceGen, FpsRecordedDuringExecution) {
 TEST(TraceGen, InvalidScriptThrows) {
   const GameSpec g = make_contra();
   EXPECT_THROW(profile_run(g, 9, 1, 48), ContractError);
+  EXPECT_THROW(profile_run_frame_means(g, 9, 1, 48), ContractError);
+  EXPECT_THROW(profile_run_frame_means(g, 0, 1, 48, 0), ContractError);
+}
+
+// Streamed frame means are the traced run's slice means, bit for bit, for
+// every game and for slice widths that do and do not divide the sample
+// period's multiples evenly.
+TEST(TraceGen, StreamedFrameMeansMatchTracedSlices) {
+  for (const GameSpec& g : paper_suite()) {
+    for (std::uint64_t seed = 60; seed < 63; ++seed) {
+      const std::size_t script = seed % g.scripts.size();
+      for (DurationMs slice_ms : {kFrameSliceMs, DurationMs{3500}}) {
+        TraceGenConfig cfg;
+        cfg.sample_period_ms = seed == 61 ? 700 : 1000;
+        const auto slices =
+            profile_run(g, script, 3, seed, cfg).to_frame_slices(slice_ms);
+        const auto means =
+            profile_run_frame_means(g, script, 3, seed, slice_ms, cfg);
+        ASSERT_EQ(means.size(), slices.size()) << g.name << ' ' << seed;
+        for (std::size_t i = 0; i < means.size(); ++i) {
+          for (std::size_t d = 0; d < kNumDims; ++d) {
+            EXPECT_EQ(means[i].at(d), slices[i].mean_usage.at(d))
+                << g.name << ' ' << seed << " slice " << i;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Corpus, GeneratesRequestedRuns) {

@@ -4,7 +4,10 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/resources.h"
@@ -152,6 +155,293 @@ TEST_P(KMeansRestartProp, MoreRestartsNoWorse) {
 
 INSTANTIATE_TEST_SUITE_P(Restarts, KMeansRestartProp,
                          ::testing::Values(2, 4, 8));
+
+// --- the bounded fit against plain Lloyd ---
+
+// Plain Lloyd as the unbounded implementation ran it: k-means++ seeding
+// through Rng::weighted_index, a full k-way scan per point per iteration,
+// and a final scan. The bounded fit must reproduce it bit for bit.
+namespace reference {
+
+double sq_dist(const double* a, const double* b, std::size_t dims) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < dims; ++i) {
+    const double d = a[i] - b[i];
+    acc += d * d;
+  }
+  return acc;
+}
+
+int nearest(const double* centroids, std::size_t k, const double* p,
+            std::size_t dims) {
+  int best = 0;
+  double best_d = std::numeric_limits<double>::max();
+  for (std::size_t c = 0; c < k; ++c) {
+    const double d = sq_dist(centroids + c * dims, p, dims);
+    if (d < best_d) {
+      best_d = d;
+      best = static_cast<int>(c);
+    }
+  }
+  return best;
+}
+
+void seed_plusplus(const PointSet& points, std::size_t k, Rng& rng,
+                   PointSet& centroids) {
+  const std::size_t n = points.size();
+  const std::size_t dims = points.dims();
+  const auto take = [&](std::size_t c, std::size_t i) {
+    std::copy_n(points[i].data(), dims, centroids[c].data());
+  };
+  take(0, static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(n) - 1)));
+  std::vector<double> d2(n, std::numeric_limits<double>::max());
+  for (std::size_t c = 1; c < k; ++c) {
+    const double* newest = centroids[c - 1].data();
+    double total = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      d2[i] = std::min(d2[i], sq_dist(points[i].data(), newest, dims));
+      total += d2[i];
+    }
+    take(c, total <= 0.0 ? 0 : rng.weighted_index(d2));
+  }
+}
+
+/// Counts, across every run of every fit, the clusters that had points
+/// in one update step and none in a later one.
+int emptied_clusters = 0;
+/// Counts the points that moved to a lower-index centroid exactly as far
+/// away as the one they left: only the tie rule moved them.
+int tie_moves = 0;
+
+void lloyd(const PointSet& points, const KMeansConfig& cfg,
+           KMeansResult& res) {
+  const std::size_t n = points.size();
+  const std::size_t dims = points.dims();
+  const auto k = static_cast<std::size_t>(cfg.k);
+  const double* pts = points.data();
+  double* cen = res.centroids.data();
+  std::vector<double> sums(k * dims);
+  std::vector<std::size_t> counts(k);
+  std::vector<bool> ever_filled(k, false);
+  res.iterations = 0;
+  res.converged = false;
+  for (int iter = 0; iter < cfg.max_iterations; ++iter) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const int was = res.assignment[i];
+      const double* p = pts + i * dims;
+      res.assignment[i] = nearest(cen, k, p, dims);
+      const auto now = static_cast<std::size_t>(res.assignment[i]);
+      if (iter > 0 && res.assignment[i] != was &&
+          sq_dist(cen + now * dims, p, dims) ==
+              sq_dist(cen + static_cast<std::size_t>(was) * dims, p, dims)) {
+        ++tie_moves;
+      }
+    }
+    std::fill(sums.begin(), sums.end(), 0.0);
+    std::fill(counts.begin(), counts.end(), std::size_t{0});
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto c = static_cast<std::size_t>(res.assignment[i]);
+      ++counts[c];
+      for (std::size_t d = 0; d < dims; ++d) {
+        sums[c * dims + d] += pts[i * dims + d];
+      }
+    }
+    double movement = 0.0;
+    for (std::size_t c = 0; c < k; ++c) {
+      if (counts[c] == 0) {
+        if (ever_filled[c]) ++emptied_clusters;
+        ever_filled[c] = false;
+        continue;
+      }
+      ever_filled[c] = true;
+      double* centroid = cen + c * dims;
+      double acc = 0.0;
+      for (std::size_t d = 0; d < dims; ++d) {
+        const double next =
+            sums[c * dims + d] / static_cast<double>(counts[c]);
+        const double diff = centroid[d] - next;
+        acc += diff * diff;
+        centroid[d] = next;
+      }
+      movement += acc;
+    }
+    res.iterations = iter + 1;
+    if (movement < cfg.tolerance) {
+      res.converged = true;
+      break;
+    }
+  }
+  res.sse = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* p = pts + i * dims;
+    const int c = nearest(cen, k, p, dims);
+    res.assignment[i] = c;
+    res.sse += sq_dist(p, cen + static_cast<std::size_t>(c) * dims, dims);
+  }
+}
+
+KMeansResult fit(const PointSet& points, const KMeansConfig& cfg, Rng& rng) {
+  const auto k = static_cast<std::size_t>(cfg.k);
+  KMeansResult best, run;
+  for (KMeansResult* r : {&best, &run}) {
+    r->centroids = PointSet(k, points.dims());
+    r->assignment.resize(points.size());
+  }
+  best.sse = std::numeric_limits<double>::max();
+  for (int r = 0; r < cfg.restarts; ++r) {
+    seed_plusplus(points, k, rng, run.centroids);
+    lloyd(points, cfg, run);
+    if (run.sse < best.sse) std::swap(best, run);
+  }
+  return best;
+}
+
+}  // namespace reference
+
+/// Fit `points` with both implementations from the same seed and require
+/// the same bits everywhere, the generators' final states included.
+void expect_matches_reference(const PointSet& points, int k,
+                              std::uint64_t seed, int restarts = 3) {
+  KMeansConfig cfg;
+  cfg.k = k;
+  cfg.restarts = restarts;
+  Rng rng_fit(seed), rng_ref(seed);
+  const KMeansResult got = KMeans::fit(points, cfg, rng_fit);
+  const KMeansResult want = reference::fit(points, cfg, rng_ref);
+  const std::string where = std::to_string(points.size()) + " points of " +
+                            std::to_string(points.dims()) + ", k " +
+                            std::to_string(k) + ", seed " +
+                            std::to_string(seed);
+  ASSERT_EQ(got.centroids.size(), want.centroids.size()) << where;
+  for (std::size_t c = 0; c < want.centroids.size(); ++c) {
+    for (std::size_t d = 0; d < points.dims(); ++d) {
+      EXPECT_EQ(got.centroids[c][d], want.centroids[c][d])
+          << where << ", centroid " << c << " dim " << d;
+    }
+  }
+  EXPECT_EQ(got.assignment, want.assignment) << where;
+  EXPECT_EQ(got.sse, want.sse) << where;
+  EXPECT_EQ(got.iterations, want.iterations) << where;
+  EXPECT_EQ(got.converged, want.converged) << where;
+  EXPECT_EQ(rng_fit.next_u64(), rng_ref.next_u64()) << where;
+}
+
+/// `n` points of width `dims`, each coordinate `offset + scale * u` for
+/// uniform u, or `offset + scale * (integer in [0, grid))` when `grid` is
+/// nonzero (small integer grids make exact distance ties).
+PointSet random_points(std::size_t n, std::size_t dims, std::uint64_t seed,
+                       double scale = 1.0, double offset = 0.0,
+                       int grid = 0) {
+  Rng rng(seed);
+  PointSet pts;
+  std::vector<double> p(dims);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (double& v : p) {
+      const double u = grid > 0 ? static_cast<double>(rng.uniform_int(
+                                      0, grid - 1))
+                                : rng.uniform();
+      v = offset + scale * u;
+    }
+    pts.add(p);
+  }
+  return pts;
+}
+
+TEST(KMeans, BoundedMatchesPlainOnTiesAndDuplicates) {
+  // Two centroids with a point midway between them: the lower index wins.
+  expect_matches_reference(PointSet{{0, 0}, {2, 0}, {1, 0}, {1, 0}}, 2, 3);
+  expect_matches_reference(
+      PointSet{{0, 0}, {0, 0}, {4, 0}, {4, 0}, {2, 0}, {2, 2}, {2, -2}}, 2,
+      4);
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    // On a 3-wide integer grid most distances tie with another.
+    const auto pts = random_points(60, 2, seed, 1.0, 0.0, 3);
+    for (int k : {2, 3, 4, 6}) expect_matches_reference(pts, k, seed + 100);
+  }
+}
+
+// On a line, a point midway between two centroids sits exactly half
+// their gap from each, so a bound test without its margin would keep the
+// point where it was instead of moving it to the lower index.
+TEST(KMeans, BoundedMatchesPlainOnMidpointTies) {
+  int cases = 0;
+  for (std::uint64_t seed = 1; seed <= 2000 && cases < 10; ++seed) {
+    const auto pts = random_points(10, 1, seed, 1.0, 0.0, 9);
+    for (int k : {2, 3, 4}) {
+      KMeansConfig cfg;
+      cfg.k = k;
+      cfg.restarts = 1;
+      Rng rng(seed);
+      reference::tie_moves = 0;
+      reference::fit(pts, cfg, rng);
+      if (reference::tie_moves == 0) continue;
+      ++cases;
+      expect_matches_reference(pts, k, seed, 1);
+    }
+  }
+  EXPECT_EQ(cases, 10);
+}
+
+TEST(KMeans, BoundedMatchesPlainAtKOneAndKEqualsN) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const auto pts = random_points(12, 3, seed);
+    expect_matches_reference(pts, 1, seed);
+    expect_matches_reference(pts, 12, seed);
+    // Duplicates with k = n: seeding runs out of positive weights.
+    const auto dup = random_points(9, 2, seed, 1.0, 0.0, 2);
+    expect_matches_reference(dup, 9, seed);
+  }
+}
+
+TEST(KMeans, BoundedMatchesPlainAtEachWidth) {
+  for (std::size_t dims : {1u, 3u, 4u, 7u}) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      const auto pts = random_points(150, dims, seed * 31 + dims);
+      for (int k : {2, 5, 8}) expect_matches_reference(pts, k, seed, 4);
+    }
+  }
+}
+
+TEST(KMeans, BoundedMatchesPlainAtTinyAndHugeScales) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    for (const auto& [scale, offset] :
+         {std::pair{1e-9, 0.0}, std::pair{1e-9, 1e-9}, std::pair{1e6, 0.0},
+          std::pair{1.0, 1e6}, std::pair{1e6, 1e6}}) {
+      const auto pts = random_points(120, 4, seed, scale, offset);
+      for (int k : {3, 7}) expect_matches_reference(pts, k, seed);
+    }
+  }
+}
+
+TEST(KMeans, BoundedMatchesPlainWhenClusterEmpties) {
+  // Seeded at 3.5, 4 and 8.1, the middle cluster takes {4, 6} and moves to
+  // 5 while its neighbours move to 3.5 and 6.6; then 4 and 6 both leave
+  // it. Widths 1 and 4 (zero-padded) run both distance loops. Seeds are
+  // searched for runs where plain Lloyd empties a cluster that had points.
+  const double xs[]{3.5, 4.0, 6.0, 6.1, 6.1, 6.1, 8.1};
+  for (std::size_t dims : {1u, 4u}) {
+    PointSet pts;
+    for (double x : xs) {
+      std::vector<double> p(dims, 0.0);
+      p[0] = x;
+      pts.add(p);
+    }
+    int cases = 0;
+    for (std::uint64_t seed = 1; seed <= 500 && cases < 5; ++seed) {
+      KMeansConfig cfg;
+      cfg.k = 3;
+      cfg.restarts = 1;
+      Rng rng(seed);
+      reference::emptied_clusters = 0;
+      reference::fit(pts, cfg, rng);
+      if (reference::emptied_clusters == 0) continue;
+      ++cases;
+      expect_matches_reference(pts, 3, seed, 1);
+    }
+    EXPECT_EQ(cases, 5) << dims;
+  }
+}
 
 // --- the elbow sweep and final fit pinned to fixed bits ---
 
