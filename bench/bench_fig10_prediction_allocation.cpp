@@ -50,7 +50,7 @@ SavingResult measure_game(const std::string& name,
     if (cloud.running_sessions() == 0) break;
     const SessionId sid = cloud.session_ids()[0];
     const auto info = cloud.session_info(sid);
-    const auto& samples = cloud.session_trace(sid).samples();
+    const auto& samples = cloud.session_samples(sid);
     const double usage_gpu = samples.empty() ? 0.0 : samples.back().usage.gpu();
     const double alloc_gpu = std::min(info.allocation.gpu(), 100.0);
     alloc_int += alloc_gpu;

@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
               << TablePrinter::fmt(n ? gpu_sum / n : 0.0, 1) << "% |";
     for (SessionId sid : cloud.session_ids()) {
       const auto& truth = cloud.session_truth(sid);
-      const auto& samples = cloud.session_trace(sid).samples();
+      const auto& samples = cloud.session_samples(sid);
       const double gpu = samples.empty() ? 0.0 : samples.back().usage.gpu();
       std::cout << "  [" << truth.spec().name << ": "
                 << (truth.stage_kind() == game::StageKind::kLoading

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "telemetry/sample_window.h"
 
 namespace cocg::core {
 
@@ -131,7 +132,10 @@ ImprovedScheduler::ImprovedScheduler(std::map<std::string, TrainedGame> models,
                                      ImprovedConfig cfg)
     : models_(std::move(models)), cfg_(cfg) {
   COCG_EXPECTS(cfg_.headroom >= 1.0);
-  COCG_EXPECTS(cfg_.window >= 1);
+  COCG_EXPECTS_MSG(
+      cfg_.window >= 1 && cfg_.window <= telemetry::SampleWindow::kCapacity,
+      "ImprovedConfig::window must be in [1, " +
+          std::to_string(telemetry::SampleWindow::kCapacity) + "]");
 }
 
 std::optional<platform::Placement> ImprovedScheduler::admit(
@@ -155,15 +159,15 @@ std::optional<platform::Placement> ImprovedScheduler::admit(
     for (int g = 0; g < srv.spec().num_gpus; ++g) {
       ResourceVector observed;
       for (SessionId sid : srv.sessions_on_gpu(g)) {
-        const auto& samples = view.session_trace(sid).samples();
-        if (samples.empty()) continue;
+        const auto& samples = view.session_samples(sid);
+        const std::size_t count = samples.count();
+        if (count == 0) continue;
         ResourceVector mean;
-        const std::size_t first =
-            samples.size() > cfg_.window ? samples.size() - cfg_.window : 0;
-        for (std::size_t i = first; i < samples.size(); ++i) {
-          mean += samples[i].usage;
+        const std::size_t first = count > cfg_.window ? count - cfg_.window : 0;
+        for (std::size_t i = first; i < count; ++i) {
+          mean += samples.at(i).usage;
         }
-        mean *= 1.0 / static_cast<double>(samples.size() - first);
+        mean *= 1.0 / static_cast<double>(count - first);
         observed += mean;
       }
       const ResourceVector cap = srv.spec().per_gpu_capacity();
@@ -182,15 +186,15 @@ std::optional<platform::Placement> ImprovedScheduler::admit(
 void ImprovedScheduler::control(platform::PlatformView& view) {
   // Reactive reallocation: follow the recent observation with headroom.
   for (SessionId sid : view.session_ids()) {
-    const auto& samples = view.session_trace(sid).samples();
-    if (samples.empty()) continue;
+    const auto& samples = view.session_samples(sid);
+    const std::size_t count = samples.count();
+    if (count == 0) continue;
     ResourceVector mean;
-    const std::size_t first =
-        samples.size() > cfg_.window ? samples.size() - cfg_.window : 0;
-    for (std::size_t i = first; i < samples.size(); ++i) {
-      mean += samples[i].usage;
+    const std::size_t first = count > cfg_.window ? count - cfg_.window : 0;
+    for (std::size_t i = first; i < count; ++i) {
+      mean += samples.at(i).usage;
     }
-    mean *= 1.0 / static_cast<double>(samples.size() - first);
+    mean *= 1.0 / static_cast<double>(count - first);
     view.reallocate(sid, mean * cfg_.headroom, /*allow_oversubscribe=*/true);
   }
 }

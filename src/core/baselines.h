@@ -70,7 +70,8 @@ class GaugurScheduler final : public platform::Scheduler {
 
 struct ImprovedConfig {
   double headroom = 1.15;          ///< margin over observed usage
-  std::size_t window = 5;          ///< samples averaged per reaction
+  /// Samples averaged per reaction, in [1, SampleWindow::kCapacity].
+  std::size_t window = 5;
   double capacity_limit = 0.95;
 };
 

@@ -5,6 +5,7 @@
 #include "common/check.h"
 #include "common/log.h"
 #include "schedcheck/session.h"
+#include "telemetry/sample_window.h"
 
 namespace cocg::core {
 
@@ -15,6 +16,12 @@ CocgScheduler::CocgScheduler(std::map<std::string, TrainedGame> models,
       distributor_(cfg.distributor),
       regulator_(cfg.regulator) {
   COCG_EXPECTS_MSG(!models_.empty(), "CoCG needs at least one trained game");
+  COCG_EXPECTS_MSG(cfg_.detection_window >= 1 &&
+                       cfg_.detection_window <=
+                           telemetry::SampleWindow::kCapacity,
+                   "CocgConfig::detection_window must be in [1, " +
+                       std::to_string(telemetry::SampleWindow::kCapacity) +
+                       "]");
   for (const auto& [name, tg] : models_) {
     COCG_EXPECTS_MSG(tg.profile != nullptr && tg.predictor != nullptr,
                      "TrainedGame must be fully populated");
@@ -333,25 +340,23 @@ void CocgScheduler::on_session_end(platform::PlatformView& view,
 void CocgScheduler::update_monitor(platform::PlatformView& view,
                                    SessionId sid, SessionState& st,
                                    bool view_saturated) {
-  const auto& trace = view.session_trace(sid);
-  const auto& samples = trace.samples();
-  if (samples.size() <= st.samples_consumed) return;
+  const auto& samples = view.session_samples(sid);
+  const std::size_t count = samples.count();
+  if (count <= st.samples_consumed) return;
 
   // Aggregate the newest detection window into one 5-second observation.
   const std::size_t first =
-      samples.size() > cfg_.detection_window
-          ? samples.size() - cfg_.detection_window
-          : 0;
+      count > cfg_.detection_window ? count - cfg_.detection_window : 0;
   const std::size_t begin = std::max(first, st.samples_consumed);
   ResourceVector mean;
   std::size_t n = 0;
-  for (std::size_t i = begin; i < samples.size(); ++i) {
-    mean += samples[i].usage;
+  for (std::size_t i = begin; i < count; ++i) {
+    mean += samples.at(i).usage;
     ++n;
   }
   COCG_CHECK(n > 0);
   mean *= 1.0 / static_cast<double>(n);
-  st.samples_consumed = samples.size();
+  st.samples_consumed = count;
 
   const bool was_loading = st.monitor->in_loading();
   const int hits_before = st.monitor->prediction_hits();
@@ -474,19 +479,20 @@ void CocgScheduler::control(platform::PlatformView& view) {
         // one draws ≥98% of the cap in every sample. Grow pinned
         // dimensions so the monitor can see the true demand.
         {
-          const auto& samples = view.session_trace(sid).samples();
-          if (samples.size() >= cfg_.detection_window) {
+          const auto& samples = view.session_samples(sid);
+          const std::size_t count = samples.count();
+          if (count >= cfg_.detection_window) {
             const ResourceVector cur_alloc =
                 srv.placement(sid).allocation;
-            const std::size_t first = samples.size() - cfg_.detection_window;
+            const std::size_t first = count - cfg_.detection_window;
             const ResourceVector ceiling =
                 st.model->profile->peak_demand +
                 st.model->predictor->redundancy();
             for (std::size_t dim = 0; dim < kNumDims; ++dim) {
               if (cur_alloc.at(dim) <= 0.0) continue;
               bool pinned = true;
-              for (std::size_t i = first; i < samples.size(); ++i) {
-                if (samples[i].usage.at(dim) <
+              for (std::size_t i = first; i < count; ++i) {
+                if (samples.at(i).usage.at(dim) <
                     0.98 * cur_alloc.at(dim)) {
                   pinned = false;
                   break;

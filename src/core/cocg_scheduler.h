@@ -46,6 +46,7 @@ struct CocgConfig {
   /// Consecutive prediction errors before the game's model is replaced.
   int replace_model_after = 5;
   /// Telemetry samples aggregated per detection (the paper's 5 s at 1 Hz).
+  /// In [1, telemetry::SampleWindow::kCapacity].
   std::size_t detection_window = 5;
 };
 

@@ -98,8 +98,10 @@ void GameSession::tick(TimeMs now, const ResourceVector& supplied) {
   } else {
     execution_ms_ += dt;
     const double achievable = achievable_fps();
+    // pow(1, y) is exactly 1, and every uncontended tick is fully supplied.
     const double realized =
-        achievable * std::pow(sat, cfg_.fps_exponent);
+        sat == 1.0 ? achievable
+                   : achievable * std::pow(sat, cfg_.fps_exponent);
     last_fps_ = realized;
     fps_sum_ += realized;
     fps_ratio_sum_ += achievable > 0.0 ? realized / achievable : 1.0;

@@ -20,7 +20,7 @@ int stage_key(bool loading, int stage_type) {
   return loading ? -1 : stage_type;
 }
 
-/// Cap on speculative container reservations (points / samples).
+/// Cap on the utilization log's speculative reservation (points).
 constexpr std::size_t kMaxSpeculativeReserve = 1u << 20;
 
 }  // namespace
@@ -56,7 +56,6 @@ CloudPlatform::CloudPlatform(PlatformConfig cfg,
   obs_wait_ms_ = reg.histogram(
       "platform.admission_wait_ms",
       {1000, 5000, 15000, 30000, 60000, 120000, 300000});
-  obs_trace_dropped_ = reg.counter("platform.trace_samples_dropped");
   obs_util_dropped_ = reg.counter("platform.util_log_points_dropped");
   prof_rng_ = obs::stage_timer(obs::Stage::kRngDraws);
   prof_kernels_ = obs::stage_timer(obs::Stage::kResourceKernels);
@@ -171,7 +170,6 @@ void CloudPlatform::try_admit_queue() {
     }
     auto plan = game::generate_plan(*req.spec, req.script_idx, req.player_id,
                                     rng_);
-    const DurationMs nominal_ms = game::plan_nominal_duration(plan);
     ActiveSession& as = sessions_.emplace(sid);
     as.session = std::make_unique<game::GameSession>(
         sid, req.spec, req.script_idx, std::move(plan), rng_.fork(),
@@ -182,17 +180,6 @@ void CloudPlatform::try_admit_queue() {
     as.player_id = req.player_id;
     as.request_arrival = req.arrival;
     as.meta = req.meta;
-    as.trace.set_label(req.spec->name + "#" + std::to_string(sid.value));
-    // Size the telemetry buffer for the expected run length (plus slack for
-    // loading extensions) so steady-state sampling never reallocates.
-    std::size_t expect =
-        static_cast<std::size_t>(nominal_ms / cfg_.tick_ms) + 16;
-    if (cfg_.trace_max_samples > 0) {
-      as.trace.set_max_samples(cfg_.trace_max_samples);
-      expect = std::min(expect, cfg_.trace_max_samples +
-                                    cfg_.trace_max_samples / 2 + 1);
-    }
-    as.trace.reserve(std::min(expect, kMaxSpeculativeReserve));
     as.session->begin(engine_.now());
     obs_admitted_.add();
     obs_wait_ms_.record(
@@ -386,7 +373,7 @@ void CloudPlatform::hardware_tick() {
         as.session->tick(t, supplies[i].supplied);
       }
       s.fps = as.session->last_fps();
-      as.trace.add(s);
+      as.samples.add(s);
 
       // §II-A streaming pipeline: interaction latency on rendering ticks.
       if (s.fps > 0.0) {
@@ -474,7 +461,6 @@ void CloudPlatform::finish_session(SessionId sid, TimeMs end) {
   slo_.record(static_cast<std::size_t>(as.session->spec().category),
               run.mean_fps_ratio, run.mean_latency_ms);
   obs_completed_.add();
-  obs_trace_dropped_.add(as.trace.dropped_samples());
   obs::events().record(
       end, obs::SessionEvent{sid.value, run.game, /*started=*/false,
                              as.server.value, as.gpu_index});
@@ -635,8 +621,9 @@ SessionInfo CloudPlatform::session_info(SessionId sid) const {
   return info;
 }
 
-const telemetry::Trace& CloudPlatform::session_trace(SessionId sid) const {
-  return active(sid).trace;
+const telemetry::SampleWindow& CloudPlatform::session_samples(
+    SessionId sid) const {
+  return active(sid).samples;
 }
 
 bool CloudPlatform::reallocate(SessionId sid, const ResourceVector& allocation,

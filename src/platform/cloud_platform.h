@@ -34,7 +34,7 @@
 #include "platform/streaming.h"
 #include "platform/view.h"
 #include "sim/engine.h"
-#include "telemetry/trace.h"
+#include "telemetry/sample_window.h"
 
 namespace cocg::platform {
 
@@ -45,10 +45,6 @@ struct PlatformConfig {
   game::SessionConfig session;
   StreamingConfig streaming;           ///< §II-A pipeline latency model
   std::uint64_t seed = 42;
-  /// Per-session telemetry window: keep at most this many newest samples
-  /// per trace (0 = unbounded). Long-horizon soak runs set this to bound
-  /// memory; report-producing experiments leave it off.
-  std::size_t trace_max_samples = 0;
   /// Utilization-log window: keep at most this many newest points in
   /// utilization_log() (0 = unbounded).
   std::size_t util_log_max_points = 0;
@@ -176,7 +172,8 @@ class CloudPlatform final : public PlatformView {
   const hw::Server& server(ServerId id) const override;
   std::vector<SessionId> session_ids() const override;
   SessionInfo session_info(SessionId sid) const override;
-  const telemetry::Trace& session_trace(SessionId sid) const override;
+  const telemetry::SampleWindow& session_samples(
+      SessionId sid) const override;
   bool reallocate(SessionId sid, const ResourceVector& allocation,
                   bool allow_oversubscribe = false) override;
   void hold_loading(SessionId sid, bool hold) override;
@@ -231,7 +228,7 @@ class CloudPlatform final : public PlatformView {
     std::size_t script_idx = 0;
     std::uint64_t player_id = 0;
     RequestMeta meta;
-    telemetry::Trace trace;
+    telemetry::SampleWindow samples;
     RunningStats latency_ms;
     DurationMs latency_violation_ms = 0;
     TimeMs request_arrival = 0;
@@ -318,10 +315,8 @@ class CloudPlatform final : public PlatformView {
   obs::Gauge obs_running_;
   obs::Histogram obs_wait_ms_;
   std::vector<std::vector<obs::Gauge>> obs_util_;  ///< [server][gpu]
-  /// Windowing drop accounting, surfaced in the metrics snapshot:
-  /// per-session trace drops are credited when the session finishes;
-  /// util-log drops are credited at the drop site.
-  obs::Counter obs_trace_dropped_;
+  /// Utilization-log windowing drops, surfaced in the metrics snapshot and
+  /// credited at the drop site.
   obs::Counter obs_util_dropped_;
   // Stage profiler: per-tick scopes plus the domain profiler pointer the
   // Perfetto counter track and stage_profile() read.

@@ -11,7 +11,7 @@
 #include "common/types.h"
 #include "game/spec.h"
 #include "hw/server.h"
-#include "telemetry/trace.h"
+#include "telemetry/sample_window.h"
 
 namespace cocg::platform {
 
@@ -39,9 +39,13 @@ class PlatformView {
   virtual std::vector<SessionId> session_ids() const = 0;
   virtual SessionInfo session_info(SessionId sid) const = 0;
 
-  /// Observed telemetry so far (1-second samples; ground-truth fields are
-  /// populated for offline evaluation but schedulers must not read them).
-  virtual const telemetry::Trace& session_trace(SessionId sid) const = 0;
+  /// A session's newest telemetry: the last SampleWindow::kCapacity
+  /// 1-second samples, addressed by absolute sample number, plus a count of
+  /// every sample recorded. Windows of up to kCapacity samples can be read
+  /// at any point in a session's life; older samples are gone. Ground-truth
+  /// fields are populated for evaluation, but schedulers must not read them.
+  virtual const telemetry::SampleWindow& session_samples(
+      SessionId sid) const = 0;
 
   /// Change a session's allocation cap. Fails (false) when it does not fit,
   /// unless allow_oversubscribe.

@@ -11,18 +11,6 @@
 
 namespace cocg::telemetry {
 
-void Trace::set_max_samples(std::size_t cap) {
-  max_samples_ = cap;
-  if (max_samples_ > 0 && samples_.size() > max_samples_) trim_to_window();
-}
-
-void Trace::trim_to_window() {
-  const std::size_t drop = samples_.size() - max_samples_;
-  samples_.erase(samples_.begin(),
-                 samples_.begin() + static_cast<std::ptrdiff_t>(drop));
-  dropped_ += drop;
-}
-
 TimeMs Trace::start_time() const {
   COCG_EXPECTS(!empty());
   return samples_.front().t;

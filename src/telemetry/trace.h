@@ -1,8 +1,8 @@
 // Traces: ordered sequences of metric samples, with CSV round-tripping and
-// frame-slice aggregation (the profiler's input).
+// frame-slice aggregation (the profiler's input). Offline only: a live
+// session keeps its newest samples in a SampleWindow (sample_window.h).
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -18,33 +18,13 @@ class Trace {
   explicit Trace(std::string label) : label_(std::move(label)) {}
 
   const std::string& label() const { return label_; }
-  void set_label(std::string l) { label_ = std::move(l); }
 
-  /// Append a sample; timestamps must be non-decreasing. Inline: this runs
-  /// once per session per simulated tick, and with a reserved buffer it
-  /// must compile down to a bounds check and a store.
+  /// Append a sample; timestamps must be non-decreasing.
   void add(const MetricSample& s) {
     COCG_EXPECTS_MSG(samples_.empty() || s.t >= samples_.back().t,
                      "trace timestamps must be non-decreasing");
     samples_.push_back(s);
-    if (max_samples_ > 0 &&
-        samples_.size() > max_samples_ + max_samples_ / 2) {
-      trim_to_window();
-    }
   }
-
-  /// Pre-size the sample buffer (e.g. from a session's expected tick count)
-  /// so steady-state add() never reallocates.
-  void reserve(std::size_t n) { samples_.reserve(n); }
-  std::size_t capacity() const { return samples_.capacity(); }
-
-  /// Bound growth: keep at most `cap` newest samples (0 = unbounded, the
-  /// default). Trimming happens in blocks once the buffer exceeds 1.5× cap,
-  /// so add() stays amortized O(1).
-  void set_max_samples(std::size_t cap);
-  std::size_t max_samples() const { return max_samples_; }
-  /// Samples discarded so far by the max_samples window.
-  std::uint64_t dropped_samples() const { return dropped_; }
 
   bool empty() const { return samples_.empty(); }
   std::size_t size() const { return samples_.size(); }
@@ -65,12 +45,8 @@ class Trace {
   static Trace load_csv(const std::string& path);
 
  private:
-  void trim_to_window();
-
   std::string label_;
   std::vector<MetricSample> samples_;
-  std::size_t max_samples_ = 0;  ///< 0 = unbounded
-  std::uint64_t dropped_ = 0;
 };
 
 }  // namespace cocg::telemetry

@@ -167,7 +167,7 @@ TEST(ImprovedUnit, TracksUsageWithHeadroom) {
   cloud.run(60 * 1000);  // well inside the first level
   ASSERT_EQ(cloud.running_sessions(), 1u);
   const SessionId sid = cloud.session_ids()[0];
-  const auto& samples = cloud.session_trace(sid).samples();
+  const auto& samples = cloud.session_samples(sid);
   ASSERT_FALSE(samples.empty());
   const double usage = samples.back().usage.gpu();
   const double alloc = cloud.session_info(sid).allocation.gpu();

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <iterator>
 #include <set>
 
 #include "common/check.h"
@@ -191,6 +194,51 @@ TEST(Session, FpsDegradesUnderStarvation) {
   EXPECT_NEAR(s.last_fps(), expected, expected * 0.25);
   EXPECT_LT(s.last_fps(), 30.0);  // 60 * 0.35 ≈ 21 → QoS violation
   EXPECT_GT(s.qos_violation_ms(), 0);
+}
+
+TEST(Session, FullSupplyFpsIsExactlyAchievable) {
+  static const GameSpec g = make_genshin();
+  GameSession s = make_session(g, 0, 12);
+  TimeMs now = 0;
+  s.begin(now);
+  int checked = 0;
+  while (!s.finished()) {
+    const bool exec = s.stage_kind() == StageKind::kExecution;
+    const double achievable = exec ? s.achievable_fps() : 0.0;
+    s.tick(now, s.demand());
+    if (exec) {
+      EXPECT_EQ(s.last_fps(), achievable);
+      ++checked;
+    }
+    now += 1000;
+  }
+  EXPECT_GT(checked, 0);
+}
+
+// Full, partial and starved supply in turn, with demand spikes on: the
+// per-tick FPS sequence is pinned bit for bit by a digest of a run where
+// every execution tick went through pow().
+TEST(Session, SeededFpsSequenceMatchesDigest) {
+  static const GameSpec g = make_dota2();
+  GameSession s = make_session(g, 0, 13, SessionConfig{});
+  const double supply[] = {1.0, 1.0, 0.9, 1.0, 0.5, 1.0, 0.75, 1.0, 0.2};
+  std::uint64_t h = 14695981039346656037ULL;
+  TimeMs now = 0;
+  s.begin(now);
+  std::size_t ticks = 0;
+  while (!s.finished()) {
+    s.tick(now, s.demand() * supply[ticks % std::size(supply)]);
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%a;", s.last_fps());
+    for (const char* c = buf; *c != '\0'; ++c) {
+      h ^= static_cast<unsigned char>(*c);
+      h *= 1099511628211ULL;
+    }
+    ++ticks;
+    now += 1000;
+  }
+  EXPECT_GT(ticks, 100u);
+  EXPECT_EQ(h, 0x296f8f0a59dadb1aULL) << std::hex << h;
 }
 
 TEST(Session, MeanFpsRatioOneAtFullSupply) {

@@ -1,6 +1,7 @@
-// Observability integration tests at the platform layer: exact
-// trace/util-log windowing drop accounting, per-class SLO attainment from
-// completed runs, and the stage profiler feeding the metrics snapshot.
+// Observability integration tests at the platform layer: the live
+// sessions' fixed telemetry window, exact util-log windowing drop
+// accounting, per-class SLO attainment from completed runs, and the stage
+// profiler feeding the metrics snapshot.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,9 +16,8 @@
 namespace cocg::platform {
 namespace {
 
-/// Mirror of the windowing rule shared by telemetry::Trace and the
-/// platform utilization log: trim down to `cap` once the buffer exceeds
-/// 1.5x cap, counting everything discarded.
+/// Mirror of the platform utilization log's windowing rule: trim down to
+/// `cap` once the buffer exceeds 1.5x cap, counting everything discarded.
 std::uint64_t rule_dropped(std::uint64_t adds, std::uint64_t cap) {
   std::uint64_t size = 0, dropped = 0;
   for (std::uint64_t i = 0; i < adds; ++i) {
@@ -29,10 +29,6 @@ std::uint64_t rule_dropped(std::uint64_t adds, std::uint64_t cap) {
   }
   return dropped;
 }
-
-/// One batched trim discards exactly cap/2 + 1 samples, so every valid
-/// dropped count is a multiple of this.
-std::uint64_t trim_batch(std::uint64_t cap) { return cap / 2 + 1; }
 
 class GreedyScheduler final : public Scheduler {
  public:
@@ -59,8 +55,8 @@ class GreedyScheduler final : public Scheduler {
 };
 
 /// A single-script game whose execution stage outlives any test horizon:
-/// sessions reach steady state and never finish, so their live traces can
-/// be inspected mid-run via session_trace().
+/// sessions reach steady state and never finish, so their live windows can
+/// be inspected mid-run via session_samples().
 game::GameSpec steady_spec() {
   game::GameSpec spec;
   spec.id = GameId{701};
@@ -98,46 +94,66 @@ game::GameSpec steady_spec() {
   return spec;
 }
 
-TEST(TraceWindowing, LiveSessionDropCountsFollowTheTrimRuleExactly) {
+/// Four never-ending sessions on one server, advanced to `until_ms`.
+std::unique_ptr<CloudPlatform> steady_cloud(TimeMs until_ms) {
   static const auto spec = steady_spec();
-  constexpr std::size_t kCap = 64;
   PlatformConfig cfg;
   cfg.seed = 11;
-  cfg.trace_max_samples = kCap;
   // A small allocation so all four sessions fit on one server.
-  CloudPlatform cloud(cfg, std::make_unique<GreedyScheduler>(
-                               ResourceVector{12, 24, 900, 500}));
-  cloud.add_server(hw::ServerSpec{});
-  for (int i = 0; i < 4; ++i) cloud.submit(&spec, 0, 10 + i);
+  auto cloud = std::make_unique<CloudPlatform>(
+      cfg,
+      std::make_unique<GreedyScheduler>(ResourceVector{12, 24, 900, 500}));
+  cloud->add_server(hw::ServerSpec{});
+  for (int i = 0; i < 4; ++i) cloud->submit(&spec, 0, 10 + i);
+  cloud->begin(2LL * 3600 * 1000);
+  cloud->advance_until(until_ms);
+  return cloud;
+}
 
-  cloud.begin(2LL * 3600 * 1000);
-  cloud.advance_until(10 * 60 * 1000);  // ~600 samples per session
-  const auto sids = cloud.session_ids();
+TEST(SessionWindow, LiveSessionKeepsNewestSamplesByAbsoluteNumber) {
+  constexpr std::size_t kCap = telemetry::SampleWindow::kCapacity;
+  constexpr TimeMs kLate = 10 * 60 * 1000;  // ~600 samples per session
+  constexpr TimeMs kEarly = kLate - 20 * 1000;
+  auto late = steady_cloud(kLate);
+  auto early = steady_cloud(kEarly);
+  const auto sids = late->session_ids();
   ASSERT_EQ(sids.size(), 4u);
+  ASSERT_EQ(early->session_ids(), sids);
   for (SessionId sid : sids) {
-    const auto& trace = cloud.session_trace(sid);
-    const std::uint64_t dropped = trace.dropped_samples();
-    EXPECT_GT(dropped, 0u);
-    // The windowed buffer never exceeds 1.5x its cap...
-    EXPECT_LE(trace.size(), kCap + kCap / 2);
-    // ...drops happen in whole trim batches...
-    EXPECT_EQ(dropped % trim_batch(kCap), 0u);
-    // ...and replaying the rule over the total add count reproduces the
-    // observed drop count exactly.
-    EXPECT_EQ(dropped, rule_dropped(trace.size() + dropped, kCap));
+    const auto& w = late->session_samples(sid);
+    const auto& e = early->session_samples(sid);
+    // One sample per tick since admission at t = 0.
+    EXPECT_EQ(w.count(), static_cast<std::size_t>(kLate / 1000));
+    EXPECT_EQ(e.count() + 20, w.count());
+    ASSERT_EQ(w.first(), w.count() - kCap);
+    EXPECT_THROW(w.at(w.first() - 1), ContractError);
+    EXPECT_THROW(w.at(w.count()), ContractError);
+    // The retained run is contiguous: sample i was taken at tick i + 1.
+    for (std::size_t i = w.first(); i < w.count(); ++i) {
+      EXPECT_EQ(w.at(i).t, static_cast<TimeMs>(i + 1) * 1000);
+    }
+    EXPECT_EQ(w.back().t, kLate);
+    // The same sample number names the same sample 20 ticks later, across
+    // wraps of the ring: the overlap is bit-identical to the earlier run.
+    for (std::size_t i = w.first(); i < e.count(); ++i) {
+      EXPECT_EQ(w.at(i).t, e.at(i).t);
+      EXPECT_EQ(w.at(i).fps, e.at(i).fps);
+      for (std::size_t d = 0; d < kNumDims; ++d) {
+        EXPECT_EQ(w.at(i).usage.at(d), e.at(i).usage.at(d));
+      }
+    }
   }
-  cloud.finish();
+  late->finish();
+  early->finish();
 }
 
 TEST(TraceWindowing, DropCountersSurfaceInMetricsSnapshot) {
   static const auto contra = game::make_contra();
-  constexpr std::size_t kTraceCap = 64;
   constexpr std::size_t kUtilCap = 100;
   obs::reset();
   obs::set_enabled(true);
   PlatformConfig cfg;
   cfg.seed = 5;
-  cfg.trace_max_samples = kTraceCap;
   cfg.util_log_max_points = kUtilCap;
   CloudPlatform cloud(cfg, std::make_unique<GreedyScheduler>());
   cloud.add_server(hw::ServerSpec{});
@@ -146,15 +162,8 @@ TEST(TraceWindowing, DropCountersSurfaceInMetricsSnapshot) {
   cloud.run(60 * 60 * 1000);
 
   ASSERT_FALSE(cloud.completed_runs().empty());
-  const std::uint64_t trace_dropped =
-      obs::metrics().counter_value("platform.trace_samples_dropped");
   const std::uint64_t util_dropped =
       obs::metrics().counter_value("platform.util_log_points_dropped");
-  // Session traces are long enough to trim (Contra runs are minutes at
-  // one sample per tick), and every finished session folds its exact
-  // per-trace drop count into the counter — whole batches only.
-  EXPECT_GT(trace_dropped, 0u);
-  EXPECT_EQ(trace_dropped % trim_batch(kTraceCap), 0u);
   // The util-log counter mirrors the platform's own ground-truth
   // accessor one for one.
   EXPECT_GT(util_dropped, 0u);
@@ -164,13 +173,13 @@ TEST(TraceWindowing, DropCountersSurfaceInMetricsSnapshot) {
                          kUtilCap));
   EXPECT_LE(cloud.utilization_log().size(), kUtilCap + kUtilCap / 2);
 
-  // Both surface in the exported snapshot with the same values.
+  // It surfaces in the exported snapshot with the same value. Session
+  // telemetry lives in a fixed window that drops by design, so it has no
+  // counter.
   std::ostringstream os;
   obs::metrics().write_json(os);
   const std::string json = os.str();
-  EXPECT_NE(json.find("\"platform.trace_samples_dropped\":" +
-                      std::to_string(trace_dropped)),
-            std::string::npos);
+  EXPECT_EQ(json.find("trace_samples_dropped"), std::string::npos);
   EXPECT_NE(json.find("\"platform.util_log_points_dropped\":" +
                       std::to_string(util_dropped)),
             std::string::npos);

@@ -133,10 +133,10 @@ TEST(CloudPlatform, SessionTraceRecordsSamples) {
   cloud.run(60 * 1000);
   ASSERT_EQ(cloud.running_sessions(), 1u);
   const SessionId sid = cloud.session_ids()[0];
-  const auto& trace = cloud.session_trace(sid);
+  const auto& samples = cloud.session_samples(sid);
   // One sample per second, minus the admission delay.
-  EXPECT_GE(trace.size(), 50u);
-  EXPECT_LE(trace.size(), 61u);
+  EXPECT_GE(samples.count(), 50u);
+  EXPECT_LE(samples.count(), 61u);
   const auto info = cloud.session_info(sid);
   EXPECT_EQ(info.spec, &dota2);
   EXPECT_GE(info.player_id, 1u);
