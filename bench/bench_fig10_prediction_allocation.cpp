@@ -27,7 +27,7 @@ SavingResult measure_game(const std::string& name,
                           std::vector<std::vector<std::string>>* csv) {
   auto models = core::train_suite(bench::paper_suite_static(),
                                   bench::bench_offline_config(1010));
-  const ResourceVector peak = models.at(name).profile->peak_demand;
+  const ResourceVector peak = models.at(name).profile().peak_demand;
   auto sched = std::make_unique<core::CocgScheduler>(std::move(models));
   auto* sched_ptr = sched.get();
 

@@ -206,7 +206,7 @@ int main() {
                  "decision_latency_s", "inference_us"});
 
   for (const auto& [name, tg] : models) {
-    const auto& profile = *tg.profile;
+    const auto& profile = tg.profile();
     double mean_loading_s = 0.0, max_loading_s = 0.0;
     if (profile.loading_stage_type >= 0) {
       const auto& lt = profile.stage_type(profile.loading_stage_type);

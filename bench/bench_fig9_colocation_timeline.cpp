@@ -19,8 +19,8 @@ int main() {
   auto models = core::train_suite(bench::paper_suite_static(),
                                   bench::bench_offline_config(909));
   const double genshin_peak =
-      models.at("Genshin Impact").profile->peak_demand.gpu();
-  const double dota2_peak = models.at("DOTA2").profile->peak_demand.gpu();
+      models.at("Genshin Impact").profile().peak_demand.gpu();
+  const double dota2_peak = models.at("DOTA2").profile().peak_demand.gpu();
 
   platform::PlatformConfig pcfg;
   pcfg.seed = 99;

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   for (const auto& [name, tg] : models) {
     std::cout << "  " << name << ": accuracy "
               << TablePrinter::fmt_pct(100 * tg.predictor->accuracy(), 1)
-              << ", peak " << tg.profile->peak_demand.str() << "\n";
+              << ", peak " << tg.profile().peak_demand.str() << "\n";
   }
 
   platform::PlatformConfig pcfg;

@@ -31,13 +31,13 @@ int main() {
   auto models = core::train_suite(suite, off);
 
   for (const auto& [name, tg] : models) {
-    std::cout << name << ": K=" << tg.chosen_k << " clusters, "
-              << tg.profile->num_stage_types() << " stage types, "
-              << "peak demand " << tg.profile->peak_demand.str()
+    std::cout << name << ": K=" << tg.bundle().chosen_k << " clusters, "
+              << tg.profile().num_stage_types() << " stage types, "
+              << "peak demand " << tg.profile().peak_demand.str()
               << ", predictor accuracy "
               << 100.0 * tg.predictor->accuracy() << "% ("
               << ml::model_kind_name(tg.predictor->model_kind()) << ")\n";
-    for (const auto& st : tg.profile->stage_types) {
+    for (const auto& st : tg.profile().stage_types) {
       std::cout << "  stage type " << st.id
                 << (st.loading ? " [loading]" : " [execution]")
                 << " clusters={";

@@ -51,7 +51,7 @@ std::optional<platform::Placement> VbpScheduler::admit(
   const TrainedGame* tg = find_model(models_, req.spec->name);
   if (tg == nullptr) return std::nullopt;
   const ResourceVector reservation =
-      tg->profile->peak_demand * cfg_.reserve_fraction;
+      tg->profile().peak_demand * cfg_.reserve_fraction;
   return place_fixed(view, reservation);
 }
 
@@ -68,9 +68,9 @@ GaugurScheduler::GaugurScheduler(std::map<std::string, TrainedGame> models,
 ResourceVector GaugurScheduler::fixed_limit(const std::string& game) const {
   const TrainedGame* tg = find_model(models_, game);
   COCG_EXPECTS_MSG(tg != nullptr, "no profile for " + game);
-  ResourceVector mean, peak = tg->profile->peak_demand;
+  ResourceVector mean, peak = tg->profile().peak_demand;
   int n = 0;
-  for (const auto& st : tg->profile->stage_types) {
+  for (const auto& st : tg->profile().stage_types) {
     if (st.loading) continue;
     mean += st.mean_demand;
     ++n;
@@ -146,7 +146,7 @@ std::optional<platform::Placement> ImprovedScheduler::admit(
   // no forward prediction.
   ResourceVector typical;
   int n = 0;
-  for (const auto& st : tg->profile->stage_types) {
+  for (const auto& st : tg->profile().stage_types) {
     if (st.loading) continue;
     typical += st.mean_demand;
     ++n;

@@ -20,7 +20,7 @@ ResourceVector CapacityPlanner::expected_demand(
     const std::string& game) const {
   auto it = models_->find(game);
   COCG_EXPECTS_MSG(it != models_->end(), "no profile for " + game);
-  const GameProfile& p = *it->second.profile;
+  const GameProfile& p = it->second.profile();
   ResourceVector weighted;
   double total_ms = 0.0;
   for (const auto& st : p.stage_types) {

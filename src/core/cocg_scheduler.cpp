@@ -23,7 +23,7 @@ CocgScheduler::CocgScheduler(std::map<std::string, TrainedGame> models,
                        std::to_string(telemetry::SampleWindow::kCapacity) +
                        "]");
   for (const auto& [name, tg] : models_) {
-    COCG_EXPECTS_MSG(tg.profile != nullptr && tg.predictor != nullptr,
+    COCG_EXPECTS_MSG(tg.predictor != nullptr,
                      "TrainedGame must be fully populated");
   }
   auto& reg = obs::metrics();
@@ -99,7 +99,7 @@ ResourceVector expected_demand(const GameProfile& profile,
 
 SessionOutlook CocgScheduler::outlook_for(const SessionState& st) const {
   const TrainedGame& tg = *st.model;
-  const auto& profile = *tg.profile;
+  const auto& profile = tg.profile();
   SessionOutlook o;
   o.in_loading = st.monitor->in_loading();
   const int cur = st.monitor->current_stage();
@@ -112,12 +112,10 @@ SessionOutlook CocgScheduler::outlook_for(const SessionState& st) const {
   // Forward sequence: current stage (if execution) plus predictions.
   std::vector<int> seq;
   if (cur >= 0 && !profile.stage_type(cur).loading) seq.push_back(cur);
-  if (tg.predictor->trained()) {
-    const auto pred = tg.predictor->predict_sequence(
-        st.monitor->exec_history(), st.player_id, st.script_idx,
-        cfg_.distributor.horizon);
-    seq.insert(seq.end(), pred.begin(), pred.end());
-  }
+  const auto pred = tg.predictor->predict_sequence(
+      st.monitor->exec_history(), st.player_id, st.script_idx,
+      cfg_.distributor.horizon);
+  seq.insert(seq.end(), pred.begin(), pred.end());
   o.expected = expected_demand(profile, seq);
   return o;
 }
@@ -142,17 +140,14 @@ CandidateOutlook CocgScheduler::candidate_outlook(
     const TrainedGame& tg, std::uint64_t player_id,
     std::size_t script_idx) const {
   CandidateOutlook c;
-  const auto& profile = *tg.profile;
+  const auto& profile = tg.profile();
   // Opening stage: the initialization loading (cheap on GPU).
   c.opening = profile.loading_stage_type >= 0
                   ? profile.stage_type(profile.loading_stage_type).peak_demand
                   : profile.peak_demand;
   // Predicted run: peak and expected demand with redundancy (Eq. 1).
-  std::vector<int> seq;
-  if (tg.predictor->trained()) {
-    seq = tg.predictor->predict_sequence({}, player_id, script_idx,
-                                         cfg_.distributor.horizon);
-  }
+  const std::vector<int> seq = tg.predictor->predict_sequence(
+      {}, player_id, script_idx, cfg_.distributor.horizon);
   c.peak = profile.peak_demand;
   for (int stt : seq) {
     if (stt >= 0 && stt < profile.num_stage_types()) {
@@ -164,7 +159,7 @@ CandidateOutlook CocgScheduler::candidate_outlook(
   // distributor reasons about real expected consumption.
   c.expected = expected_demand(profile, seq);
   c.short_game = tg.spec->short_game;
-  c.expected_duration_ms = tg.mean_run_duration_ms;
+  c.expected_duration_ms = tg.bundle().mean_run_duration_ms;
   return c;
 }
 
@@ -294,14 +289,12 @@ std::optional<platform::Placement> CocgScheduler::admit(
   // execution stage"), clamped to the hardware actually free. The control
   // loop re-provisions within 5 s.
   ResourceVector alloc = cand->opening;
-  if (tg.predictor->trained()) {
-    const int first =
-        tg.predictor->predict_next({}, req.player_id, req.script_idx);
-    if (first >= 0 && first < tg.profile->num_stage_types()) {
-      alloc = ResourceVector::max(
-          alloc, tg.profile->stage_type(first).peak_demand +
-                     tg.predictor->redundancy());
-    }
+  const int first =
+      tg.predictor->predict_next({}, req.player_id, req.script_idx);
+  if (first >= 0 && first < tg.profile().num_stage_types()) {
+    alloc = ResourceVector::max(alloc,
+                                tg.profile().stage_type(first).peak_demand +
+                                    tg.predictor->redundancy());
   }
   alloc = ResourceVector::min(alloc, srv.free_on_gpu(best->gpu));
   // The admitted request leaves the queue; its key's entry goes with it.
@@ -320,7 +313,7 @@ void CocgScheduler::on_session_start(platform::PlatformView& view,
   SessionState st;
   st.model = &tg;
   st.monitor = std::make_unique<OnlineMonitor>(
-      tg.profile.get(), tg.predictor.get(), info.player_id, info.script_idx,
+      &tg.profile(), tg.predictor.get(), info.player_id, info.script_idx,
       cfg_.monitor);
   st.monitor->set_session_id(sid.value);
   st.game = info.spec->name;
@@ -486,7 +479,7 @@ void CocgScheduler::control(platform::PlatformView& view) {
                 srv.placement(sid).allocation;
             const std::size_t first = count - cfg_.detection_window;
             const ResourceVector ceiling =
-                st.model->profile->peak_demand +
+                st.model->profile().peak_demand +
                 st.model->predictor->redundancy();
             for (std::size_t dim = 0; dim < kNumDims; ++dim) {
               if (cur_alloc.at(dim) <= 0.0) continue;
@@ -506,7 +499,7 @@ void CocgScheduler::control(platform::PlatformView& view) {
             }
           }
         }
-        const auto& profile = *st.model->profile;
+        const auto& profile = st.model->profile();
         p.loading_demand =
             profile.loading_stage_type >= 0
                 ? profile.stage_type(profile.loading_stage_type).peak_demand

@@ -50,16 +50,19 @@ TrainedGame migrate_trained_game(TrainedGame&& tg,
                                  const hw::ServerSpec& from,
                                  const hw::ServerSpec& to,
                                  const game::GameSpec* scaled) {
-  COCG_EXPECTS(tg.profile != nullptr && tg.predictor != nullptr);
+  COCG_EXPECTS(tg.predictor != nullptr);
   COCG_EXPECTS(scaled != nullptr);
-  TrainedGame out = std::move(tg);
-  // rebind_profile compares against the old profile, so it must still be
-  // alive when the predictor is re-pointed.
-  auto migrated =
-      std::make_shared<GameProfile>(migrate_profile(*out.profile, from, to));
-  out.predictor->rebind_profile(migrated.get());
-  out.profile = std::move(migrated);
+  // The one new object is the rescaled profile: corpus and forests stay
+  // shared. The refit memo's fits were made against the old profile, so
+  // the migrated bundle starts its own.
+  auto migrated = std::make_shared<GameBundle>(tg.bundle());
+  migrated->profile = std::make_shared<const GameProfile>(
+      migrate_profile(tg.profile(), from, to));
+  migrated->refits = std::make_shared<RefitMemo>();
+  TrainedGame out;
   out.spec = scaled;
+  out.predictor =
+      std::make_unique<StagePredictor>(std::move(migrated), *tg.predictor);
   return out;
 }
 

@@ -22,10 +22,11 @@ GameProfile migrate_profile(const GameProfile& profile,
                             const hw::ServerSpec& from,
                             const hw::ServerSpec& to);
 
-/// Migrate a whole trained bundle to another SKU: the profile's demands
-/// are rescaled and the (unchanged) predictor is rebound to it. `scaled`
-/// must be the GameSpec describing the title on the target platform and
-/// must outlive the result. The paper's point: no retraining is needed.
+/// Migrate a trained game to another SKU: a new bundle pairs the rescaled
+/// profile with the shared corpus and forests, and the predictor lineage
+/// (active model, online accuracy) continues over it. `scaled` must be
+/// the GameSpec describing the title on the target platform and must
+/// outlive the result. The paper's point: no retraining is needed.
 TrainedGame migrate_trained_game(TrainedGame&& tg,
                                  const hw::ServerSpec& from,
                                  const hw::ServerSpec& to,

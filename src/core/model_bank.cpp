@@ -7,9 +7,9 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/check.h"
 #include "common/textio.h"
 #include "core/profile_io.h"
+#include "ml/model_io.h"
 
 namespace cocg::core {
 
@@ -31,6 +31,194 @@ std::string sanitize_name(const std::string& name) {
   return out.empty() ? std::string("game") : out;
 }
 
+constexpr const char* kPredictorMagic = "cocg-predictor-v1";
+constexpr const char* kPredictorVersionPrefix = "cocg-predictor-";
+
+/// The predictor block: config, trained P, corpus and forests.
+void write_predictor(const GameBundle& b, std::ostream& os) {
+  const PredictorConfig& cfg = b.cfg;
+  os << kPredictorMagic << '\n';
+  os << "model " << ml::model_kind_name(cfg.model) << '\n';
+  os << "category " << static_cast<int>(cfg.category) << '\n';
+  os << "history_len " << cfg.encoder.history_len << '\n';
+  os << "player_features " << (cfg.encoder.player_features ? 1 : 0) << '\n';
+  os << "mode_feature " << (cfg.encoder.mode_feature ? 1 : 0) << '\n';
+  os << "train_fraction " << cfg.train_fraction << '\n';
+  os << "min_player_runs " << cfg.min_player_runs << '\n';
+  os << "accuracy " << b.trained.accuracy << '\n';
+  os << "corpus " << b.corpus->size() << '\n';
+  for (const auto& run : *b.corpus) {
+    os << "run " << run.player_id << ' ' << run.script_idx << ' '
+       << run.stage_seq.size();
+    for (int st : run.stage_seq) os << ' ' << st;
+    os << '\n';
+  }
+  os << "pooled\n";
+  ml::write_model(*b.trained.pooled, os);
+  os << "per_player " << b.trained.per_player.size() << '\n';
+  for (const auto& [pid, model] : b.trained.per_player) {
+    os << "player " << pid << '\n';
+    ml::write_model(*model, os);
+  }
+  os << "end-predictor\n";
+}
+
+/// One forest read at line `line` (the `pooled` or `player <id>` line
+/// that heads it): it must be of the kind the `model` line names, and fit
+/// the encoder's rows and the profile's stage-type catalog, so no loaded
+/// forest can fail a predict precondition.
+std::shared_ptr<const ml::CompiledForest> read_forest(
+    LineReader& r, int line, const std::string& what, ml::ModelKind kind,
+    const FeatureEncoder& encoder) {
+  auto forest =
+      std::make_shared<const ml::CompiledForest>(ml::read_model(r));
+  if (!forest->trained()) r.fail_at(line, "'" + what + "' forest is empty");
+  if (forest->kind() != kind) {
+    r.fail_at(line, "'" + what + "' forest is " +
+                        ml::model_kind_name(forest->kind()) +
+                        ", but the model line says " +
+                        ml::model_kind_name(kind));
+  }
+  const auto width = static_cast<int>(encoder.feature_names().size());
+  if (forest->num_features() > width) {
+    r.fail_at(line, "'" + what + "' forest reads " +
+                        std::to_string(forest->num_features()) +
+                        " features, but the encoder emits " +
+                        std::to_string(width));
+  }
+  if (forest->num_classes() > encoder.num_types()) {
+    r.fail_at(line, "'" + what + "' forest predicts " +
+                        std::to_string(forest->num_classes()) +
+                        " stage types, but the profile's catalog has " +
+                        std::to_string(encoder.num_types()));
+  }
+  return forest;
+}
+
+/// Read the predictor block into `b`, whose profile is already read.
+void read_predictor(LineReader& r, GameBundle& b) {
+  const std::string magic = r.line(kPredictorMagic);
+  if (magic != kPredictorMagic) {
+    if (magic.rfind(kPredictorVersionPrefix, 0) == 0) {
+      r.fail("unsupported predictor format version '" + magic +
+             "' (expected " + kPredictorMagic + ")");
+    }
+    r.fail("bad magic '" + magic + "' (expected " +
+           std::string(kPredictorMagic) + ")");
+  }
+  PredictorConfig& cfg = b.cfg;
+  {
+    auto ls = r.expect("model ");
+    const auto name = r.field<std::string>(ls, "model");
+    if (!ml::parse_model_kind(name, cfg.model)) {
+      r.fail("unknown model kind '" + name + "'");
+    }
+  }
+  {
+    auto ls = r.expect("category ");
+    const int c = r.field<int>(ls, "category");
+    if (c < 0 || c > static_cast<int>(game::GameCategory::kMoba)) {
+      r.fail("category out of range");
+    }
+    cfg.category = static_cast<game::GameCategory>(c);
+  }
+  {
+    auto ls = r.expect("history_len ");
+    cfg.encoder.history_len = r.field<int>(ls, "history_len");
+    if (cfg.encoder.history_len < 1) r.fail("history_len must be >= 1");
+  }
+  {
+    auto ls = r.expect("player_features ");
+    cfg.encoder.player_features = r.field<int>(ls, "player_features") != 0;
+  }
+  {
+    auto ls = r.expect("mode_feature ");
+    cfg.encoder.mode_feature = r.field<int>(ls, "mode_feature") != 0;
+  }
+  {
+    auto ls = r.expect("train_fraction ");
+    cfg.train_fraction = r.field<double>(ls, "train_fraction");
+    if (cfg.train_fraction <= 0.0 || cfg.train_fraction >= 1.0) {
+      r.fail("train_fraction must be in (0, 1)");
+    }
+  }
+  {
+    auto ls = r.expect("min_player_runs ");
+    cfg.min_player_runs = r.field<std::size_t>(ls, "min_player_runs");
+  }
+  {
+    auto ls = r.expect("accuracy ");
+    b.trained.accuracy = r.field<double>(ls, "accuracy");
+    // Eq. 1's S = (1 - P) x M must stay within [0, M].
+    if (!(b.trained.accuracy >= 0.0 && b.trained.accuracy <= 1.0)) {
+      r.fail("accuracy must be in [0, 1]");
+    }
+  }
+  const GameProfile& profile = *b.profile;
+  // Counts size nothing: a count beyond what follows fails at the first
+  // missing line or value.
+  std::vector<TrainingRun> corpus;
+  std::size_t n_runs = 0;
+  int corpus_line = 0;
+  {
+    auto ls = r.expect("corpus ");
+    n_runs = r.field<std::size_t>(ls, "corpus");
+    corpus_line = r.line_no();
+  }
+  bool has_pair = false;
+  for (std::size_t i = 0; i < n_runs; ++i) {
+    auto ls = r.expect("run ");
+    TrainingRun run;
+    run.player_id = r.field<std::uint64_t>(ls, "run player");
+    run.script_idx = r.field<std::size_t>(ls, "run script");
+    const auto len = r.field<std::size_t>(ls, "run length");
+    for (std::size_t s = 0; s < len; ++s) {
+      const int st = r.field<int>(ls, "run stage");
+      has_pair = has_pair || (st >= 0 && st < profile.num_stage_types() &&
+                              !profile.stage_type(st).loading);
+      run.stage_seq.push_back(st);
+    }
+    corpus.push_back(std::move(run));
+  }
+  // A corpus is either absent (no retraining) or able to retrain, so the
+  // §IV-B2 fallback cannot fail mid-run.
+  if (n_runs > 0 && !has_pair) {
+    r.fail_at(corpus_line,
+              "'corpus " + std::to_string(n_runs) +
+                  "' yields no training pair (no run has an execution "
+                  "stage of the profile's catalog)");
+  }
+  b.corpus =
+      std::make_shared<const std::vector<TrainingRun>>(std::move(corpus));
+  const FeatureEncoder encoder(cfg.encoder, profile.num_stage_types());
+  {
+    const std::string pooled = r.line("pooled");
+    if (pooled != "pooled") {
+      r.fail("expected 'pooled', got '" + pooled + "'");
+    }
+  }
+  b.trained.pooled =
+      read_forest(r, r.line_no(), "pooled", cfg.model, encoder);
+  std::size_t n_players = 0;
+  {
+    auto ls = r.expect("per_player ");
+    n_players = r.field<std::size_t>(ls, "per_player");
+  }
+  for (std::size_t i = 0; i < n_players; ++i) {
+    auto ls = r.expect("player ");
+    const auto pid = r.field<std::uint64_t>(ls, "player id");
+    b.trained.per_player[pid] =
+        read_forest(r, r.line_no(), "player " + std::to_string(pid),
+                    cfg.model, encoder);
+  }
+  {
+    const std::string end = r.line("end-predictor");
+    if (end != "end-predictor") {
+      r.fail("expected 'end-predictor', got '" + end + "'");
+    }
+  }
+}
+
 }  // namespace
 
 void write_bundle(const GameBundle& bundle, std::ostream& os) {
@@ -45,10 +233,7 @@ void write_bundle(const GameBundle& bundle, std::ostream& os) {
   for (double v : bundle.sse_by_k) os << ' ' << v;
   os << '\n';
   write_profile(*bundle.profile, os);
-  // Re-serialize the predictor artifact via a throwaway StagePredictor so
-  // there is exactly one writer for the predictor block.
-  StagePredictor::from_artifact(bundle.predictor, bundle.profile.get())
-      ->save_bundle(os);
+  write_predictor(bundle, os);
   os << "end-bundle\n";
 }
 
@@ -102,7 +287,8 @@ GameBundle read_bundle(std::istream& is) {
                   " does not match the profile's " +
                   std::to_string(b.profile->num_clusters()) + " clusters");
   }
-  b.predictor = StagePredictor::read_artifact(r);
+  read_predictor(r, b);
+  b.refits = std::make_shared<RefitMemo>();
   {
     const std::string end = r.line("end-bundle");
     if (end != "end-bundle") {
@@ -122,33 +308,16 @@ GameBundle load_bundle_file(const std::string& path) {
   }
 }
 
-GameBundle ModelBank::bundle_from(const TrainedGame& tg) {
-  COCG_EXPECTS_MSG(tg.profile != nullptr && tg.predictor != nullptr &&
-                       tg.predictor->trained(),
-                   "bundle_from requires a fully trained game");
-  GameBundle b;
-  b.profile = std::make_shared<const GameProfile>(*tg.profile);
-  b.predictor = tg.predictor->to_artifact();
-  b.sse_by_k = tg.sse_by_k;
-  b.chosen_k = tg.chosen_k;
-  b.mean_run_duration_ms = tg.mean_run_duration_ms;
-  return b;
-}
-
-void ModelBank::add(GameBundle bundle) {
-  if (bundle.profile == nullptr) {
+void ModelBank::add(std::shared_ptr<const GameBundle> bundle) {
+  if (bundle == nullptr || bundle->profile == nullptr) {
     throw std::runtime_error("ModelBank::add: bundle has no profile");
   }
-  // Every predictor instantiated from this bundle shares one refit memo.
-  if (bundle.predictor.refits == nullptr) {
-    bundle.predictor.refits = std::make_shared<RefitMemo>();
-  }
-  const std::string name = bundle.game_name();
+  const std::string name = bundle->game_name();
   bundles_.insert_or_assign(name, std::move(bundle));
 }
 
 void ModelBank::add_trained(const TrainedGame& tg) {
-  add(bundle_from(tg));
+  add(tg.predictor->bundle());
 }
 
 bool ModelBank::has(const std::string& game) const {
@@ -162,7 +331,8 @@ std::vector<std::string> ModelBank::games() const {
   return out;
 }
 
-const GameBundle& ModelBank::bundle(const std::string& game) const {
+const std::shared_ptr<const GameBundle>& ModelBank::find(
+    const std::string& game) const {
   auto it = bundles_.find(game);
   if (it == bundles_.end()) {
     throw std::runtime_error("model bank has no bundle for game '" + game +
@@ -171,16 +341,15 @@ const GameBundle& ModelBank::bundle(const std::string& game) const {
   return it->second;
 }
 
+const GameBundle& ModelBank::bundle(const std::string& game) const {
+  return *find(game);
+}
+
 TrainedGame ModelBank::instantiate(const std::string& game,
                                    const game::GameSpec* spec) const {
-  const GameBundle& b = bundle(game);
   TrainedGame tg;
   tg.spec = spec;
-  tg.profile = std::make_shared<GameProfile>(*b.profile);
-  tg.predictor = StagePredictor::from_artifact(b.predictor, tg.profile.get());
-  tg.sse_by_k = b.sse_by_k;
-  tg.chosen_k = b.chosen_k;
-  tg.mean_run_duration_ms = b.mean_run_duration_ms;
+  tg.predictor = std::make_unique<StagePredictor>(find(game));
   return tg;
 }
 
@@ -188,10 +357,6 @@ std::map<std::string, TrainedGame> ModelBank::instantiate_suite(
     const std::vector<game::GameSpec>& suite) const {
   std::map<std::string, TrainedGame> out;
   for (const auto& spec : suite) {
-    if (!has(spec.name)) {
-      throw std::runtime_error("model bank has no bundle for game '" +
-                               spec.name + "'");
-    }
     out.emplace(spec.name, instantiate(spec.name, &spec));
   }
   return out;
@@ -209,7 +374,7 @@ std::vector<std::string> ModelBank::save_dir(const std::string& dir) const {
     const auto path =
         (std::filesystem::path(dir) / (sanitize_name(name) + kFileExt))
             .string();
-    save_bundle_file(b, path);
+    save_bundle_file(*b, path);
     paths.push_back(path);
   }
   return paths;
@@ -225,7 +390,8 @@ ModelBank ModelBank::load_dir(const std::string& dir) {
         entry.path().extension() != kFileExt) {
       continue;
     }
-    bank.add(load_bundle_file(entry.path().string()));
+    bank.add(std::make_shared<const GameBundle>(
+        load_bundle_file(entry.path().string())));
   }
   return bank;
 }

@@ -1,27 +1,28 @@
 // ModelBank: the train-once / share-everywhere registry (§IV-B1).
 //
-// A GameBundle is one game's complete offline output — profile, compiled
-// predictor artifact, and the summary stats the schedulers read — in an
-// immutable, serializable form. The ModelBank keys bundles by game name
-// and materializes per-session TrainedGame instances from them:
+// The bank keys GameBundles (core/stage_predictor.h) by game name and
+// hands each holder — a session, a scheduler, a fleet shard — a
+// TrainedGame over them:
 //
-//   * the compiled forests are SHARED (aliased shared_ptr, read-only), so
-//     K fleet shards hold one copy of every model instead of K;
-//   * the profile is DEEP-COPIED per instantiation (it is small, and the
-//     per-shard copy keeps any future profile mutation from leaking
-//     across shards);
-//   * the training corpus rides along, so a restored predictor's
-//     replace_model retrains exactly like the original's;
-//   * the refit memo is SHARED too, so a model replacement's seeded
+//   * the bundle is SHARED, never copied: its profile, training corpus,
+//     compiled forests and refit memo are the bank's own objects in every
+//     instantiation, so K fleet shards hold one copy of each instead of K;
+//   * what belongs to one holder is its StagePredictor lineage alone: the
+//     active model kind and forests a replace_model adopted, the generation
+//     and the online accuracy EMA;
+//   * the refit memo is internally locked, so a model replacement's seeded
 //     rotation fit is made once per (game, kind) per bank, not per shard:
 //     every later replacement to that kind is a pointer swap.
 //
-// Lifetime rules: a bundle handed out by the bank stays valid as long as
-// any instantiated TrainedGame holds its forests — the shared_ptrs keep
-// the arrays alive even if the bank itself is destroyed. The bank is
-// immutable after loading (the refit memo is internally locked);
-// concurrent instantiate() calls and replacements from fleet shard threads
-// are safe.
+// Lifetime rules: every TrainedGame holds its bundle by shared_ptr, so it
+// stays valid after the bank is destroyed. The bank is immutable after
+// loading; concurrent instantiate() calls and replacements from fleet
+// shard threads are safe.
+//
+// On disk a bundle is one versioned, human-diffable `.cocgm` text file:
+// the bundle header, the profile block and the predictor block. There is
+// one writer and one reader of each; the reader checks the predictor block
+// against the profile read just before it, naming the offending line.
 #pragma once
 
 #include <iosfwd>
@@ -34,36 +35,28 @@
 
 namespace cocg::core {
 
-/// One game's immutable trained artifacts.
-struct GameBundle {
-  std::shared_ptr<const GameProfile> profile;
-  PredictorArtifact predictor;
-  std::vector<double> sse_by_k;  ///< Fig. 14 curve from profiling
-  int chosen_k = 0;
-  DurationMs mean_run_duration_ms = 0;
-
-  const std::string& game_name() const { return profile->game_name; }
-};
-
-/// Serialize one bundle (versioned, human-diffable; embeds the profile
-/// and predictor blocks). Throws std::runtime_error on failure.
+/// Serialize one bundle. Throws std::runtime_error on failure.
 void write_bundle(const GameBundle& bundle, std::ostream& os);
 void save_bundle_file(const GameBundle& bundle, const std::string& path);
 
-/// Deserialize. Throws std::runtime_error with a line/field diagnostic on
-/// truncated, corrupt, or version-skewed input.
+/// Deserialize, with a fresh refit memo. Throws std::runtime_error with a
+/// line/field diagnostic on truncated, corrupt or version-skewed input, and
+/// on a predictor block its profile cannot host: a forest of another kind
+/// than the `model` line, wider than the encoder or predicting stage types
+/// beyond the catalog, or a corpus with no training pair.
 GameBundle read_bundle(std::istream& is);
 GameBundle load_bundle_file(const std::string& path);
 
 class ModelBank {
  public:
-  /// Snapshot a TrainedGame as an immutable bundle (models shared, not
-  /// copied; profile copied).
-  static GameBundle bundle_from(const TrainedGame& tg);
+  /// The bundle a trained game runs over (shared, not copied).
+  static const GameBundle& bundle_from(const TrainedGame& tg) {
+    return tg.bundle();
+  }
 
   /// Register a bundle under its game name, replacing any previous one.
-  /// A bundle without a refit memo gets a fresh one.
-  void add(GameBundle bundle);
+  void add(std::shared_ptr<const GameBundle> bundle);
+  /// Register the bundle `tg` runs over, shared with it.
   void add_trained(const TrainedGame& tg);
 
   bool has(const std::string& game) const;
@@ -72,10 +65,9 @@ class ModelBank {
   /// Throws std::runtime_error when the game is unknown.
   const GameBundle& bundle(const std::string& game) const;
 
-  /// Materialize a TrainedGame for one session/shard: profile deep-copied,
-  /// predictor restored against that copy, forests shared with the bank.
-  /// `spec` must outlive the result (it is stored by pointer, exactly as
-  /// train_game does).
+  /// A TrainedGame for one session/shard: a fresh predictor lineage over
+  /// the bank's bundle. `spec` must outlive the result (it is stored by
+  /// pointer, exactly as train_game does).
   TrainedGame instantiate(const std::string& game,
                           const game::GameSpec* spec) const;
 
@@ -89,11 +81,14 @@ class ModelBank {
   /// (created if needed); returns the paths written.
   std::vector<std::string> save_dir(const std::string& dir) const;
   /// Load every *.cocgm file in `dir`. Throws std::runtime_error when the
-  /// directory is missing or any bundle fails to parse.
+  /// directory is missing or any bundle fails to load.
   static ModelBank load_dir(const std::string& dir);
 
  private:
-  std::map<std::string, GameBundle> bundles_;
+  const std::shared_ptr<const GameBundle>& find(
+      const std::string& game) const;
+
+  std::map<std::string, std::shared_ptr<const GameBundle>> bundles_;
 };
 
 }  // namespace cocg::core

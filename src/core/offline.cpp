@@ -11,9 +11,6 @@ TrainedGame train_game(const game::GameSpec& spec, const OfflineConfig& cfg) {
   COCG_EXPECTS(cfg.players >= 1);
   Rng rng(cfg.seed ^ spec.id.value);
 
-  TrainedGame out;
-  out.spec = &spec;
-
   // 1. Laboratory profiling runs → traces.
   std::vector<telemetry::Trace> traces;
   std::vector<std::uint64_t> trace_players;
@@ -31,7 +28,8 @@ TrainedGame train_game(const game::GameSpec& spec, const OfflineConfig& cfg) {
   }
   DurationMs dur_sum = 0;
   for (const auto& t : traces) dur_sum += t.end_time() - t.start_time();
-  out.mean_run_duration_ms = dur_sum / static_cast<DurationMs>(traces.size());
+  const DurationMs mean_run_duration_ms =
+      dur_sum / static_cast<DurationMs>(traces.size());
 
   // 2. Cluster + segment + catalog.
   ProfilerConfig prof_cfg = cfg.profiler;
@@ -40,9 +38,8 @@ TrainedGame train_game(const game::GameSpec& spec, const OfflineConfig& cfg) {
   }
   FrameProfiler profiler(prof_cfg);
   auto prof_out = profiler.profile(spec.name, traces, rng);
-  out.profile = std::make_shared<GameProfile>(std::move(prof_out.profile));
-  out.sse_by_k = std::move(prof_out.sse_by_k);
-  out.chosen_k = prof_out.chosen_k;
+  auto profile =
+      std::make_shared<const GameProfile>(std::move(prof_out.profile));
 
   // 3. Predictor corpus: the profiling runs' sequences plus bulk runs
   //    re-segmented against the fixed profile, at the profile's slice
@@ -60,7 +57,7 @@ TrainedGame train_game(const game::GameSpec& spec, const OfflineConfig& cfg) {
         static_cast<std::uint64_t>(rng.uniform_int(1, cfg.players));
     const auto means = game::profile_run_frame_means(
         spec, script, player, rng.next_u64(), prof_cfg.frame_slice_ms);
-    corpus.push_back(TrainingRun{infer_stage_sequence(*out.profile, means),
+    corpus.push_back(TrainingRun{infer_stage_sequence(*profile, means),
                                  player, script});
   }
 
@@ -70,8 +67,15 @@ TrainedGame train_game(const game::GameSpec& spec, const OfflineConfig& cfg) {
   pcfg.encoder = cfg.encoder;
   pcfg.train_fraction = cfg.train_fraction;
   pcfg.category = spec.category;
-  out.predictor = std::make_unique<StagePredictor>(out.profile.get(), pcfg);
-  out.predictor->train(corpus, rng);
+  GameBundle bundle =
+      train_predictor(std::move(profile), pcfg, std::move(corpus), rng);
+  bundle.sse_by_k = std::move(prof_out.sse_by_k);
+  bundle.chosen_k = prof_out.chosen_k;
+  bundle.mean_run_duration_ms = mean_run_duration_ms;
+  TrainedGame out;
+  out.spec = &spec;
+  out.predictor = std::make_unique<StagePredictor>(
+      std::make_shared<const GameBundle>(std::move(bundle)));
   return out;
 }
 

@@ -1,8 +1,9 @@
 // Offline per-game pipeline: lab traces → profile → trained predictor.
 //
 // "Contention feature profiling and model training only need to be
-// performed once" (§IV-B1). A TrainedGame bundles everything CoCG's online
-// path needs about one title; the CocgScheduler takes one per game.
+// performed once" (§IV-B1). train_game builds one immutable GameBundle per
+// title; a TrainedGame is one holder's predictor lineage over it, and the
+// CocgScheduler takes one per game.
 #pragma once
 
 #include <map>
@@ -34,12 +35,12 @@ struct OfflineConfig {
 
 struct TrainedGame {
   const game::GameSpec* spec = nullptr;
-  /// Heap-held so the predictor's back-pointer survives moves.
-  std::shared_ptr<GameProfile> profile;
+  /// This game's own lineage over its shared bundle. Heap-held so the
+  /// online monitors' pointers to it survive moves.
   std::unique_ptr<StagePredictor> predictor;
-  std::vector<double> sse_by_k;  ///< Fig. 14 curve from profiling
-  int chosen_k = 0;
-  DurationMs mean_run_duration_ms = 0;  ///< over profiling runs
+
+  const GameBundle& bundle() const { return *predictor->bundle(); }
+  const GameProfile& profile() const { return *bundle().profile; }
 };
 
 /// Run the full offline pipeline for one game.

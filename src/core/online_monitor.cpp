@@ -143,9 +143,7 @@ MonitorEvent OnlineMonitor::observe_impl(TimeMs t, const ResourceVector& usage,
       loading_entered_ = t;
       first_loading_detection_ = true;
       predicted_next_ =
-          predictor_->trained()
-              ? predictor_->predict_next(exec_history_, player_id_, mode_)
-              : -1;
+          predictor_->predict_next(exec_history_, player_id_, mode_);
       return MonitorEvent::kEnteredLoading;
     }
     const int st = match_execution_stage(cluster);
@@ -168,9 +166,7 @@ MonitorEvent OnlineMonitor::observe_impl(TimeMs t, const ResourceVector& usage,
         finalize_execution_stage(t);
         window_clusters_.clear();
         predicted_next_ =
-            predictor_->trained()
-                ? predictor_->predict_next(exec_history_, player_id_, mode_)
-                : -1;
+            predictor_->predict_next(exec_history_, player_id_, mode_);
         first_loading_detection_ = false;
       }
       return MonitorEvent::kSameStage;
@@ -203,9 +199,7 @@ MonitorEvent OnlineMonitor::observe_impl(TimeMs t, const ResourceVector& usage,
     if (first_loading_detection_) {
       finalize_execution_stage(t);
       predicted_next_ =
-          predictor_->trained()
-              ? predictor_->predict_next(exec_history_, player_id_, mode_)
-              : -1;
+          predictor_->predict_next(exec_history_, player_id_, mode_);
     }
     int next = matched;
     if (next < 0) next = predicted_next_ >= 0 ? predicted_next_ : 0;
@@ -230,9 +224,7 @@ MonitorEvent OnlineMonitor::observe_impl(TimeMs t, const ResourceVector& usage,
     loading_entered_ = t;
     first_loading_detection_ = true;
     predicted_next_ =
-        predictor_->trained()
-            ? predictor_->predict_next(exec_history_, player_id_, mode_)
-            : -1;
+        predictor_->predict_next(exec_history_, player_id_, mode_);
     return MonitorEvent::kEnteredLoading;
   }
 
@@ -333,7 +325,6 @@ std::vector<ResourceVector> OnlineMonitor::predicted_peaks(int n) const {
   if (current_stage_ >= 0) {
     out.push_back(profile_->stage_type(current_stage_).peak_demand);
   }
-  if (!predictor_->trained()) return out;
   const auto seq =
       predictor_->predict_sequence(exec_history_, player_id_, mode_, n);
   for (int st : seq) {

@@ -3,7 +3,7 @@
 // Two sources of trained models: a freshly trained suite (the legacy
 // retrain-per-use path) or a ModelBank (the train-once path) — the second
 // overload instantiates per-scheduler TrainedGames from the bank, sharing
-// the compiled forests.
+// its bundles.
 #pragma once
 
 #include <map>

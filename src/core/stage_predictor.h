@@ -10,25 +10,26 @@
 // Online: predict_next() returns the execution stage expected after the
 // current loading stage; replace_model() hot-swaps the algorithm when
 // errors persist (the "replacing model" fallback, §IV-B2).
+//
+// A trained game is one immutable GameBundle shared by pointer; each
+// StagePredictor is one holder's lineage over it.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "common/resources.h"
 #include "common/rng.h"
-#include "common/textio.h"
 #include "core/features.h"
 #include "core/game_profile.h"
 #include "game/spec.h"
 #include "ml/compiled.h"
-#include "ml/dataset.h"
 
 namespace cocg::core {
 
@@ -90,39 +91,56 @@ class RefitMemo {
   std::array<Slot, 3> slots_;  ///< indexed by ml::ModelKind
 };
 
-/// Everything a trained predictor is, minus the profile pointer: the
-/// immutable compiled models plus config and held-out accuracy P, and the
-/// training corpus so replace_model can still retrain. This is the
-/// in-memory form of the on-disk predictor bundle and the unit the core
-/// ModelBank shares across sessions and fleet shards — the CompiledForest
-/// pointers are aliased, never deep-copied.
-struct PredictorArtifact {
-  PredictorConfig cfg;
-  double accuracy = 0.0;
-  std::shared_ptr<const ml::CompiledForest> pooled;
-  std::map<std::uint64_t, std::shared_ptr<const ml::CompiledForest>>
-      per_player;
-  std::vector<TrainingRun> corpus;  ///< empty → retraining unavailable
-  /// Shared by every predictor made from this artifact. It holds fits of
-  /// this corpus, config, stage catalog and game name only: code that
-  /// changes one of those on a copy must reset it. Null → from_artifact
-  /// starts a new one.
+/// One game's trained artifact, the only form a trained game takes: its
+/// profile, its stage predictor's config, corpus and fitted model, and the
+/// profiling summary the schedulers read. Immutable once train_game or
+/// read_bundle has built it, and shared by pointer: the offline pipeline,
+/// the ModelBank and every predictor instantiated from it hold this one
+/// object, so none of it is ever copied. Migration (§IV-D) makes another
+/// around a rescaled profile, sharing everything else.
+struct GameBundle {
+  std::shared_ptr<const GameProfile> profile;
+  PredictorConfig cfg;  ///< cfg.model is the trained kind
+  RefitMemo::Entry trained;  ///< cfg.model's held-out P and forests
+  /// Never null; empty → retraining unavailable.
+  std::shared_ptr<const std::vector<TrainingRun>> corpus;
+  /// Never null. It holds fits of this corpus, config, stage catalog and
+  /// game name only: a bundle that changes one of those takes a new one.
   std::shared_ptr<RefitMemo> refits;
+  std::vector<double> sse_by_k;  ///< Fig. 14 curve from profiling
+  int chosen_k = 0;
+  DurationMs mean_run_duration_ms = 0;  ///< over profiling runs
+
+  const std::string& game_name() const { return profile->game_name; }
 };
 
+/// Train a stage predictor for `profile` on `corpus`: cfg.model's held-out
+/// accuracy P (the cfg.train_fraction split) and full-corpus forests, every
+/// fit drawing from `rng`, with a fresh refit memo. The profiling summary
+/// is left for the caller to fill.
+GameBundle train_predictor(std::shared_ptr<const GameProfile> profile,
+                           const PredictorConfig& cfg,
+                           std::vector<TrainingRun> corpus, Rng& rng);
+
+/// One lineage of a game's stage predictor: the shared bundle plus the
+/// state that belongs to its holder alone — the active model (kind, P and
+/// forests, rotated by replace_model) and the online accuracy EMA.
 class StagePredictor {
  public:
-  /// `profile` must outlive the predictor.
-  StagePredictor(const GameProfile* profile, PredictorConfig cfg);
+  /// A lineage over `bundle`, starting at its trained model.
+  explicit StagePredictor(std::shared_ptr<const GameBundle> bundle);
 
-  /// Train on realized runs; keeps the corpus so replace_model can retrain.
-  /// The split and every fit draw from `rng`; the refit memo is not used.
-  void train(const std::vector<TrainingRun>& runs, Rng& rng);
+  /// `lineage` continued over `bundle`, which must have the same
+  /// stage-type catalog (a migrated bundle, §IV-D): the active model and
+  /// the online accuracy carry over, and the generation moves.
+  StagePredictor(std::shared_ptr<const GameBundle> bundle,
+                 const StagePredictor& lineage);
 
-  bool trained() const { return pooled_ != nullptr; }
+  const std::shared_ptr<const GameBundle>& bundle() const { return bundle_; }
+  const GameProfile& profile() const { return *bundle_->profile; }
 
-  /// Bumped by train, every replace_model and rebind_profile, so
-  /// a prediction cached at one generation stays valid while it lasts.
+  /// Bumped by every replace_model and by continuing a lineage, so a
+  /// prediction cached at one generation stays valid while it lasts.
   std::uint64_t generation() const { return generation_; }
 
   /// Predict the next execution stage type given the execution-stage
@@ -136,8 +154,8 @@ class StagePredictor {
                                     std::uint64_t player_id, std::size_t mode,
                                     int n) const;
 
-  /// Held-out accuracy P of the pooled model (Fig. 15; Eq. 1's P).
-  double accuracy() const { return accuracy_; }
+  /// Held-out accuracy P of the active pooled model (Fig. 15; Eq. 1's P).
+  double accuracy() const { return active_.accuracy; }
 
   /// Online outcome feedback (extension beyond the paper): loading-exit
   /// prediction hits/misses observed in production refine P, so Eq. 1's
@@ -150,83 +168,37 @@ class StagePredictor {
   /// Redundancy S = (1 − P) × M applied to an allocation (Eq. 1).
   ResourceVector redundancy() const;
 
-  ml::ModelKind model_kind() const { return cfg_.model; }
+  ml::ModelKind model_kind() const { return kind_; }
+  /// The active model: model_kind()'s P and forests.
+  const RefitMemo::Entry& active() const { return active_; }
 
   /// Whether replace_model/evaluate_model can retrain. False when the
-  /// predictor was restored from a bundle whose corpus is empty —
-  /// callers (e.g. the CoCG scheduler's §IV-B2 fallback) must check this
-  /// before asking for a model swap.
-  bool can_retrain() const { return !corpus_.empty(); }
+  /// bundle was loaded without its corpus — callers (e.g. the CoCG
+  /// scheduler's §IV-B2 fallback) must check this before asking for a
+  /// model swap.
+  bool can_retrain() const { return !bundle_->corpus->empty(); }
 
   /// Swap to the next algorithm in {DTC, RF, GBDT} (§IV-B2) and adopt
-  /// that kind's entry of the refit memo: its held-out accuracy P and its
-  /// full-corpus forests. The first request for a kind fits the entry
-  /// from an Rng seeded by (game name, kind); every later one, in any
-  /// predictor sharing the memo, swaps pointers. The online EMA carries
+  /// that kind's entry of the bundle's refit memo: its held-out accuracy P
+  /// and its full-corpus forests. The first request for a kind fits the
+  /// entry from an Rng seeded by (game name, kind); every later one, in
+  /// any predictor over the bundle, swaps pointers. The online EMA carries
   /// over. Throws std::runtime_error — without changing the active model —
   /// when !can_retrain().
   void replace_model();
 
-  /// Evaluate a specific model kind on this predictor's corpus without
+  /// Evaluate a specific model kind on the bundle's corpus without
   /// changing the active model (Fig. 15 sweeps). Throws
   /// std::runtime_error when !can_retrain().
   double evaluate_model(ml::ModelKind kind, Rng& rng) const;
 
-  /// Snapshot the trained state. Compiled models and the refit memo are
-  /// shared, not copied; the corpus is copied.
-  PredictorArtifact to_artifact() const;
-
-  /// Reconstruct a trained predictor from an artifact. `profile` must
-  /// outlive the predictor, exactly as for the training constructor.
-  /// Throws std::runtime_error if the artifact is untrained, holds a
-  /// forest of another kind than its `cfg.model`, does not match the
-  /// profile's stage-type catalog, or has a corpus that yields no training
-  /// pair.
-  static std::unique_ptr<StagePredictor> from_artifact(
-      const PredictorArtifact& artifact, const GameProfile* profile);
-
-  /// Serialize the trained state as a self-delimiting text block
-  /// (versioned, human-diffable, embeddable inside larger bundles).
-  void save_bundle(std::ostream& os) const;
-
-  /// Restore from save_bundle output. Throws std::runtime_error with a
-  /// line/field diagnostic on truncated, corrupt, or version-skewed input.
-  static std::unique_ptr<StagePredictor> load_bundle(
-      std::istream& is, const GameProfile* profile);
-  /// Embedded form: consumes one predictor block from an outer artifact's
-  /// reader (used by core/model_bank).
-  static std::unique_ptr<StagePredictor> load_bundle(
-      LineReader& r, const GameProfile* profile);
-  /// Parse just the artifact, without binding it to a profile.
-  static PredictorArtifact read_artifact(LineReader& r);
-
   const FeatureEncoder& encoder() const { return encoder_; }
 
-  /// Re-point the predictor at a migrated profile (§IV-D): the catalog
-  /// (stage-type ids and count) must be identical — only the resource
-  /// amounts may differ. Used when a trained bundle moves to another SKU.
-  /// The predictor takes a fresh refit memo.
-  void rebind_profile(const GameProfile* profile);
-
  private:
-  /// Strip loading stages: prediction operates on execution stages.
-  std::vector<int> exec_only(const std::vector<int>& seq) const;
-  ml::Dataset build_dataset(const std::vector<TrainingRun>& runs) const;
-  /// `kind`'s 75/25 held-out accuracy and full-corpus pooled and
-  /// per-player fits, in that order, all drawing from `rng`.
-  RefitMemo::Entry fit_kind(ml::ModelKind kind, Rng& rng) const;
-  void adopt(RefitMemo::Entry entry);
-
-  const GameProfile* profile_;
-  PredictorConfig cfg_;
+  std::shared_ptr<const GameBundle> bundle_;
   FeatureEncoder encoder_;
-  std::vector<TrainingRun> corpus_;
-  std::shared_ptr<RefitMemo> refits_;
-
-  std::shared_ptr<const ml::CompiledForest> pooled_;
-  std::map<std::uint64_t, std::shared_ptr<const ml::CompiledForest>>
-      per_player_;
-  double accuracy_ = 0.0;
+  ml::ModelKind kind_;
+  RefitMemo::Entry active_;
   std::uint64_t generation_ = 0;
   double online_acc_ = 0.0;
   std::size_t online_n_ = 0;

@@ -71,9 +71,9 @@ struct FleetConfig {
 
 /// Builds shard `i`'s scheduler. Called once per shard at construction,
 /// under the shard's obs domain. The train-once pattern trains the suite
-/// a single time, snapshots it into a core::ModelBank, and has each
+/// a single time, registers it in a core::ModelBank, and has each
 /// factory call instantiate from the bank — every shard then shares the
-/// same immutable compiled models instead of retraining K times (see
+/// same immutable trained bundles instead of retraining K times (see
 /// tools/cocg_fleet.cpp and docs/models.md).
 using SchedulerFactory =
     std::function<std::unique_ptr<platform::Scheduler>(int shard)>;

@@ -63,12 +63,6 @@ std::vector<PlannedStage> generate_plan(const GameSpec& spec,
   return plan;
 }
 
-DurationMs plan_nominal_duration(const std::vector<PlannedStage>& plan) {
-  DurationMs total = 0;
-  for (const auto& ps : plan) total += ps.planned_dwell_ms;
-  return total;
-}
-
 std::vector<int> plan_stage_types(const std::vector<PlannedStage>& plan) {
   std::vector<int> out;
   out.reserve(plan.size());

@@ -35,9 +35,6 @@ std::vector<PlannedStage> generate_plan(const GameSpec& spec,
                                         std::size_t script_idx,
                                         std::uint64_t player_id, Rng& rng);
 
-/// Total nominal duration of a plan (sum of planned dwells).
-DurationMs plan_nominal_duration(const std::vector<PlannedStage>& plan);
-
 /// Stage-type sequence of a plan (for predictor training corpora).
 std::vector<int> plan_stage_types(const std::vector<PlannedStage>& plan);
 

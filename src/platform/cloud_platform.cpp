@@ -56,7 +56,6 @@ CloudPlatform::CloudPlatform(PlatformConfig cfg,
   obs_wait_ms_ = reg.histogram(
       "platform.admission_wait_ms",
       {1000, 5000, 15000, 30000, 60000, 120000, 300000});
-  obs_util_dropped_ = reg.counter("platform.util_log_points_dropped");
   prof_rng_ = obs::stage_timer(obs::Stage::kRngDraws);
   prof_kernels_ = obs::stage_timer(obs::Stage::kResourceKernels);
   prof_domain_ = &obs::profiler();
@@ -326,17 +325,6 @@ void CloudPlatform::hardware_tick() {
         }
         if (record_utilization_) {
           util_log_.push_back(up);
-          if (cfg_.util_log_max_points > 0 &&
-              util_log_.size() > cfg_.util_log_max_points +
-                                     cfg_.util_log_max_points / 2) {
-            const std::size_t drop =
-                util_log_.size() - cfg_.util_log_max_points;
-            util_log_.erase(
-                util_log_.begin(),
-                util_log_.begin() + static_cast<std::ptrdiff_t>(drop));
-            util_log_dropped_ += drop;
-            obs_util_dropped_.add(drop);
-          }
         }
       }
     }
@@ -552,12 +540,7 @@ void CloudPlatform::begin(DurationMs duration_ms) {
       views += static_cast<std::size_t>(srv.spec().num_gpus);
     }
     const auto ticks = static_cast<std::size_t>(duration_ms / cfg_.tick_ms);
-    std::size_t expect = views * ticks;
-    if (cfg_.util_log_max_points > 0) {
-      expect = std::min(expect, cfg_.util_log_max_points +
-                                    cfg_.util_log_max_points / 2 + 1);
-    }
-    util_log_.reserve(std::min(expect, kMaxSpeculativeReserve));
+    util_log_.reserve(std::min(views * ticks, kMaxSpeculativeReserve));
   }
 
   replenish_sources();

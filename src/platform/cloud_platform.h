@@ -45,9 +45,6 @@ struct PlatformConfig {
   game::SessionConfig session;
   StreamingConfig streaming;           ///< §II-A pipeline latency model
   std::uint64_t seed = 42;
-  /// Utilization-log window: keep at most this many newest points in
-  /// utilization_log() (0 = unbounded).
-  std::size_t util_log_max_points = 0;
   /// SLO classes, indexed by game::GameCategory (so the table must have
   /// one entry per category, in enum order). Empty selects
   /// default_slo_classes().
@@ -192,8 +189,6 @@ class CloudPlatform final : public PlatformView {
   const std::vector<UtilizationPoint>& utilization_log() const {
     return util_log_;
   }
-  /// Points discarded by the util_log_max_points window.
-  std::uint64_t utilization_log_dropped() const { return util_log_dropped_; }
   std::size_t queued_requests() const { return queue_.size(); }
   std::size_t running_sessions() const { return sessions_.size(); }
   /// Requests ever submitted / sessions ever admitted — the conservation
@@ -281,7 +276,6 @@ class CloudPlatform final : public PlatformView {
 
   std::vector<CompletedRun> completed_;
   std::vector<UtilizationPoint> util_log_;
-  std::uint64_t util_log_dropped_ = 0;
   bool record_utilization_ = false;
   bool record_harvest_ = false;
   double harvested_gpu_s_ = 0.0;
@@ -315,9 +309,6 @@ class CloudPlatform final : public PlatformView {
   obs::Gauge obs_running_;
   obs::Histogram obs_wait_ms_;
   std::vector<std::vector<obs::Gauge>> obs_util_;  ///< [server][gpu]
-  /// Utilization-log windowing drops, surfaced in the metrics snapshot and
-  /// credited at the drop site.
-  obs::Counter obs_util_dropped_;
   // Stage profiler: per-tick scopes plus the domain profiler pointer the
   // Perfetto counter track and stage_profile() read.
   obs::StageTimer prof_rng_;

@@ -37,7 +37,7 @@ TEST(VbpUnit, ReservationFractionConfigurable) {
   VbpConfig cfg;
   cfg.reserve_fraction = 0.5;
   auto m = models();
-  const double peak = m.at("Contra").profile->peak_demand.gpu();
+  const double peak = m.at("Contra").profile().peak_demand.gpu();
   platform::CloudPlatform cloud(
       quiet(1), std::make_unique<VbpScheduler>(std::move(m), cfg));
   cloud.add_server(hw::ServerSpec{});
@@ -99,7 +99,7 @@ TEST(GaugurUnit, FixedLimitFormula) {
   cfg.gap_share = 0.5;
   auto m = models();
   // Compute the expected value from the profile directly.
-  const auto& profile = *m.at("Genshin Impact").profile;
+  const auto& profile = m.at("Genshin Impact").profile();
   ResourceVector mean;
   int n = 0;
   for (const auto& st : profile.stage_types) {
@@ -123,7 +123,7 @@ TEST(GaugurUnit, GapShareZeroMeansMeanAllocation) {
   GaugurConfig cfg;
   cfg.gap_share = 0.0;
   auto m = models();
-  const auto& profile = *m.at("DOTA2").profile;
+  const auto& profile = m.at("DOTA2").profile();
   GaugurScheduler g(std::move(m), cfg);
   // With gap_share 0 the limit is strictly below the peak.
   EXPECT_LT(g.fixed_limit("DOTA2").gpu(), profile.peak_demand.gpu());

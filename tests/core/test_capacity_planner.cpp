@@ -31,7 +31,7 @@ TEST(CapacityPlanner, ExpectedDemandBetweenZeroAndPeak) {
   for (const auto& [name, tg] : models()) {
     const ResourceVector e = planner.expected_demand(name);
     EXPECT_TRUE(e.non_negative()) << name;
-    EXPECT_TRUE(e.fits_within(tg.profile->peak_demand +
+    EXPECT_TRUE(e.fits_within(tg.profile().peak_demand +
                               ResourceVector{65, 1, 1, 1}))
         << name;  // loading CPU may exceed execution peak CPU
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/offline.h"
 
 #include "common/check.h"
@@ -137,20 +139,36 @@ TEST(Migration, TrainedGameBundleMigrates) {
   cfg.profiling_runs = 6;
   cfg.corpus_runs = 12;
   TrainedGame tg = train_game(base, cfg);
-  const int types_before = tg.profile->num_stage_types();
-  const double base_peak_gpu = tg.profile->peak_demand.gpu();
+  const int types_before = tg.profile().num_stage_types();
+  const double base_peak_gpu = tg.profile().peak_demand.gpu();
+  // A lineage with state of its own: one rotation, one online outcome.
+  tg.predictor->replace_model();
+  tg.predictor->record_outcome(false);
+  const StagePredictor before = *tg.predictor;
+  const std::shared_ptr<const GameBundle> original = before.bundle();
 
   TrainedGame moved = migrate_trained_game(
       std::move(tg), hw::baseline_sku(), hw::flagship_sku(), &scaled);
   EXPECT_EQ(moved.spec, &scaled);
-  EXPECT_EQ(moved.profile->num_stage_types(), types_before);
+  // One new profile and a fresh refit memo; corpus and forests shared.
+  EXPECT_NE(moved.bundle().profile, original->profile);
+  EXPECT_NE(moved.bundle().refits, original->refits);
+  EXPECT_EQ(moved.bundle().corpus, original->corpus);
+  EXPECT_EQ(moved.bundle().trained.pooled, original->trained.pooled);
+  // The lineage carries over: active model and online state.
+  EXPECT_EQ(moved.predictor->model_kind(), before.model_kind());
+  EXPECT_EQ(moved.predictor->active().pooled, before.active().pooled);
+  EXPECT_EQ(moved.predictor->online_outcomes(), before.online_outcomes());
+  EXPECT_EQ(moved.predictor->online_accuracy(), before.online_accuracy());
+  EXPECT_NE(moved.predictor->generation(), before.generation());
+  EXPECT_EQ(moved.profile().num_stage_types(), types_before);
   // Flagship GPU is 1.9x: utilization shrinks accordingly.
-  EXPECT_NEAR(moved.profile->peak_demand.gpu(), base_peak_gpu / 1.9, 1e-9);
+  EXPECT_NEAR(moved.profile().peak_demand.gpu(), base_peak_gpu / 1.9, 1e-9);
   // The predictor still works and its redundancy now reads the migrated M.
   EXPECT_NO_THROW(moved.predictor->predict_next({}, 1, 0));
   EXPECT_NEAR(moved.predictor->redundancy().gpu(),
-              (1.0 - moved.predictor->accuracy()) *
-                  moved.profile->peak_demand.gpu(),
+              (1.0 - moved.predictor->online_accuracy()) *
+                  moved.profile().peak_demand.gpu(),
               1e-9);
 }
 
@@ -160,10 +178,12 @@ TEST(Migration, RebindRejectsDifferentCatalog) {
   cfg.profiling_runs = 6;
   cfg.corpus_runs = 12;
   TrainedGame tg = train_game(base, cfg);
-  GameProfile wrong = *tg.profile;
+  GameProfile wrong = tg.profile();
   wrong.stage_types.push_back(wrong.stage_types.back());
-  EXPECT_THROW(tg.predictor->rebind_profile(&wrong), ContractError);
-  EXPECT_THROW(tg.predictor->rebind_profile(nullptr), ContractError);
+  auto rebound = std::make_shared<GameBundle>(tg.bundle());
+  rebound->profile = std::make_shared<const GameProfile>(wrong);
+  EXPECT_THROW(StagePredictor(rebound, *tg.predictor), ContractError);
+  EXPECT_THROW(StagePredictor(nullptr, *tg.predictor), ContractError);
 }
 
 TEST(Migration, Preconditions) {

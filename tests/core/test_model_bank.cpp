@@ -1,13 +1,17 @@
 // GameBundle / ModelBank tests: the train-once / share-everywhere path.
 // Round trips must preserve predictions bit-for-bit and the training
 // corpus (so replace_model retrains exactly like the original); bundles
-// saved without the corpus must degrade gracefully; instantiation must
-// alias the compiled forests, not copy them.
+// saved without the corpus must degrade gracefully; a bundle its profile
+// cannot host must fail to load; instantiation must share the bank's
+// bundle — profile, corpus, forests and refit memo — not copy it.
 #include "core/model_bank.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 
@@ -38,52 +42,56 @@ void expect_same_predictions(const StagePredictor& a,
   }
 }
 
+/// `text` read as a bundle and shared, as ModelBank::load_dir does.
+std::shared_ptr<const GameBundle> read_shared(const std::string& text) {
+  std::istringstream in(text);
+  return std::make_shared<const GameBundle>(read_bundle(in));
+}
+
+std::string bundle_text(const GameBundle& bundle) {
+  std::ostringstream os;
+  write_bundle(bundle, os);
+  return os.str();
+}
+
 TEST(GameBundle, StreamRoundTripIsExact) {
   static const game::GameSpec g = game::make_genshin();
   const TrainedGame tg = train_game(g, small_cfg());
-  const GameBundle bundle = ModelBank::bundle_from(tg);
+  const GameBundle& bundle = tg.bundle();
 
-  std::stringstream ss;
-  write_bundle(bundle, ss);
-  const GameBundle back = read_bundle(ss);
+  const std::string text = bundle_text(bundle);
+  const auto back = read_shared(text);
 
-  EXPECT_EQ(back.game_name(), "Genshin Impact");  // spaces survive
-  EXPECT_EQ(back.chosen_k, tg.chosen_k);
-  EXPECT_EQ(back.mean_run_duration_ms, tg.mean_run_duration_ms);
-  EXPECT_EQ(back.sse_by_k, tg.sse_by_k);
-  EXPECT_EQ(back.predictor.accuracy, tg.predictor->accuracy());
-  EXPECT_EQ(back.predictor.corpus.size(),
-            bundle.predictor.corpus.size());
+  EXPECT_EQ(back->game_name(), "Genshin Impact");  // spaces survive
+  EXPECT_EQ(back->chosen_k, bundle.chosen_k);
+  EXPECT_EQ(back->mean_run_duration_ms, bundle.mean_run_duration_ms);
+  EXPECT_EQ(back->sse_by_k, bundle.sse_by_k);
+  EXPECT_EQ(back->trained.accuracy, tg.predictor->accuracy());
+  EXPECT_EQ(back->corpus->size(), bundle.corpus->size());
+  // Load → write is a fixed point.
+  EXPECT_EQ(bundle_text(*back), text);
 
-  const auto restored =
-      StagePredictor::from_artifact(back.predictor, back.profile.get());
-  EXPECT_TRUE(restored->trained());
-  EXPECT_EQ(restored->accuracy(), tg.predictor->accuracy());
-  expect_same_predictions(*tg.predictor, *restored);
+  const StagePredictor restored(back);
+  EXPECT_EQ(restored.accuracy(), tg.predictor->accuracy());
+  expect_same_predictions(*tg.predictor, restored);
 }
 
 TEST(GameBundle, FileRoundTrip) {
   static const game::GameSpec g = game::make_contra();
   const TrainedGame tg = train_game(g, small_cfg());
-  const GameBundle bundle = ModelBank::bundle_from(tg);
   const std::string path = "test_model_bank_tmp.cocgm";
-  save_bundle_file(bundle, path);
-  const GameBundle back = load_bundle_file(path);
-  EXPECT_EQ(back.game_name(), "Contra");
-  const auto restored =
-      StagePredictor::from_artifact(back.predictor, back.profile.get());
-  expect_same_predictions(*tg.predictor, *restored);
+  save_bundle_file(tg.bundle(), path);
+  const auto back = std::make_shared<const GameBundle>(load_bundle_file(path));
+  EXPECT_EQ(back->game_name(), "Contra");
+  expect_same_predictions(*tg.predictor, StagePredictor(back));
   std::filesystem::remove(path);
 }
 
 TEST(GameBundle, ReplaceModelRetrainsIdentically) {
   static const game::GameSpec g = game::make_contra();
   const TrainedGame tg = train_game(g, small_cfg());
-  std::stringstream ss;
-  write_bundle(ModelBank::bundle_from(tg), ss);
-  const GameBundle back = read_bundle(ss);
-  const auto restored =
-      StagePredictor::from_artifact(back.predictor, back.profile.get());
+  const auto restored = std::make_unique<StagePredictor>(
+      read_shared(bundle_text(tg.bundle())));
 
   // Same corpus, separate refit memos → the §IV-B2 fallback retrains to
   // the exact same model on both sides.
@@ -98,21 +106,17 @@ TEST(GameBundle, ReplaceModelRetrainsIdentically) {
 TEST(GameBundle, CorpusFreeBundleDegradesGracefully) {
   static const game::GameSpec g = game::make_contra();
   const TrainedGame tg = train_game(g, small_cfg());
-  std::stringstream saved;
-  write_bundle(ModelBank::bundle_from(tg), saved);
   // Drop the predictor block's `corpus N` count line and its N run lines.
-  std::string text = saved.str();
+  std::string text = bundle_text(tg.bundle());
   const auto begin = text.find("\ncorpus ");
   const auto end = text.find("\npooled\n", begin);
   ASSERT_NE(begin, std::string::npos);
   ASSERT_NE(end, std::string::npos);
   text.replace(begin, end - begin, "\ncorpus 0");
-  std::stringstream ss(text);
-  const GameBundle back = read_bundle(ss);
-  EXPECT_TRUE(back.predictor.corpus.empty());
+  const auto back = read_shared(text);
+  EXPECT_TRUE(back->corpus->empty());
 
-  const auto restored =
-      StagePredictor::from_artifact(back.predictor, back.profile.get());
+  const auto restored = std::make_unique<StagePredictor>(back);
   // Inference still works, bit-identical to the original...
   expect_same_predictions(*tg.predictor, *restored);
   // ...but retraining is a clear error, not UB, and the active model
@@ -130,9 +134,7 @@ TEST(GameBundle, CorpusFreeBundleDegradesGracefully) {
 TEST(GameBundle, TruncatedAndSkewedInputsRejected) {
   static const game::GameSpec g = game::make_contra();
   const TrainedGame tg = train_game(g, small_cfg());
-  std::stringstream ss;
-  write_bundle(ModelBank::bundle_from(tg), ss);
-  const std::string full = ss.str();
+  const std::string full = bundle_text(tg.bundle());
 
   for (double frac : {0.05, 0.4, 0.8, 0.99}) {
     std::stringstream cut(
@@ -165,9 +167,7 @@ std::string replace_line(std::string text, const std::string& prefix,
 TEST(GameBundle, HistoryLenBelowOneRejectedAtLoad) {
   static const game::GameSpec g = game::make_contra();
   const TrainedGame tg = train_game(g, small_cfg());
-  std::stringstream saved;
-  write_bundle(ModelBank::bundle_from(tg), saved);
-  std::stringstream ss(replace_line(saved.str(), "history_len ",
+  std::stringstream ss(replace_line(bundle_text(tg.bundle()), "history_len ",
                                     "history_len 0"));
   try {
     read_bundle(ss);
@@ -184,10 +184,9 @@ TEST(GameBundle, HistoryLenBelowOneRejectedAtLoad) {
 TEST(GameBundle, AccuracyOutsideUnitIntervalRejectedAtLoad) {
   static const game::GameSpec g = game::make_contra();
   const TrainedGame tg = train_game(g, small_cfg());
-  std::stringstream saved;
-  write_bundle(ModelBank::bundle_from(tg), saved);
+  const std::string saved = bundle_text(tg.bundle());
   for (const char* bad : {"accuracy 1.5", "accuracy -0.1"}) {
-    std::stringstream ss(replace_line(saved.str(), "accuracy ", bad));
+    std::stringstream ss(replace_line(saved, "accuracy ", bad));
     try {
       read_bundle(ss);
       FAIL() << bad << " accepted";
@@ -199,30 +198,43 @@ TEST(GameBundle, AccuracyOutsideUnitIntervalRejectedAtLoad) {
   }
 }
 
+// A corpus that cannot retrain is rejected when the bundle is read —
+// by read_bundle and by ModelBank::load_dir — naming its `corpus` line.
 TEST(GameBundle, CorpusWithoutTrainingPairRejected) {
   static const game::GameSpec g = game::make_contra();
   const TrainedGame tg = train_game(g, small_cfg());
-  std::stringstream saved;
-  write_bundle(ModelBank::bundle_from(tg), saved);
   // One run with no stages: nothing to learn, yet not an empty corpus.
-  std::string text = saved.str();
+  std::string text = bundle_text(tg.bundle());
   const auto begin = text.find("\ncorpus ");
   const auto end = text.find("\npooled\n", begin);
   ASSERT_NE(begin, std::string::npos);
   ASSERT_NE(end, std::string::npos);
   text.replace(begin, end - begin, "\ncorpus 1\nrun 1 0 0");
+  const auto corpus_line =
+      std::count(text.begin(), text.begin() + begin + 1, '\n') + 1;
+  const std::string where =
+      "line " + std::to_string(corpus_line) + ": 'corpus 1'";
   std::stringstream ss(text);
-  const GameBundle back = read_bundle(ss);
   try {
-    StagePredictor::from_artifact(back.predictor, back.profile.get());
+    read_bundle(ss);
     FAIL() << "corpus without a training pair accepted";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("corpus"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
         << e.what();
   }
-  ModelBank bank;
-  bank.add(back);
-  EXPECT_THROW(bank.instantiate("Contra", &g), std::runtime_error);
+
+  const std::string dir = "test_model_bank_bad_corpus_tmp";
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir + "/Contra.cocgm") << text;
+  try {
+    ModelBank::load_dir(dir);
+    ADD_FAILURE() << "load_dir accepted a corpus without a training pair";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("Contra.cocgm"), std::string::npos) << what;
+    EXPECT_NE(what.find(where), std::string::npos) << what;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 /// A saved Contra bundle with its first line starting `prefix` replaced by
@@ -232,11 +244,8 @@ void expect_line_rejected(const std::string& prefix,
                           const std::string& replacement,
                           const std::string& field) {
   static const game::GameSpec g = game::make_contra();
-  static const std::string saved = [] {
-    std::stringstream ss;
-    write_bundle(ModelBank::bundle_from(train_game(g, small_cfg())), ss);
-    return ss.str();
-  }();
+  static const std::string saved =
+      bundle_text(train_game(g, small_cfg()).bundle());
   std::stringstream ss(replace_line(saved, prefix, replacement));
   try {
     read_bundle(ss);
@@ -271,9 +280,7 @@ TEST(GameBundle, ChosenKOtherThanClusterCountRejected) {
 // to load, and a fleet run on it then stopped on a precondition.
 TEST(GameBundle, ZeroClustersRejectedAtLoad) {
   static const game::GameSpec g = game::make_contra();
-  std::stringstream saved;
-  write_bundle(ModelBank::bundle_from(train_game(g, small_cfg())), saved);
-  std::istringstream in(saved.str());
+  std::istringstream in(bundle_text(train_game(g, small_cfg()).bundle()));
   std::ostringstream edited;
   int clusters_line = 0;
   std::string l;
@@ -321,30 +328,51 @@ TEST(GameBundle, NegativeOrNonFiniteSseRejected) {
   }
 }
 
-TEST(ModelBank, InstantiateSharesForestsCopiesProfile) {
+// Two shards instantiated from one bank run over the bank's own bundle:
+// one profile, corpus, pooled forest and refit memo, nothing copied. Each
+// has a lineage of its own.
+TEST(ModelBank, InstantiateSharesBankArtifacts) {
   static const game::GameSpec g = game::make_genshin();
   const TrainedGame tg = train_game(g, small_cfg());
   ModelBank bank;
   bank.add_trained(tg);
   ASSERT_TRUE(bank.has("Genshin Impact"));
+  const GameBundle& own = bank.bundle("Genshin Impact");
+  EXPECT_EQ(&own, &tg.bundle());  // add_trained shares, too
 
-  const TrainedGame inst_a = bank.instantiate("Genshin Impact", &g);
-  const TrainedGame inst_b = bank.instantiate("Genshin Impact", &g);
+  const TrainedGame shard_a = bank.instantiate("Genshin Impact", &g);
+  const TrainedGame shard_b = bank.instantiate("Genshin Impact", &g);
+  for (const TrainedGame* shard : {&shard_a, &shard_b}) {
+    EXPECT_EQ(&shard->bundle(), &own);
+    EXPECT_EQ(&shard->profile(), own.profile.get());
+    EXPECT_EQ(shard->bundle().corpus.get(), own.corpus.get());
+    EXPECT_EQ(shard->bundle().refits.get(), own.refits.get());
+    EXPECT_EQ(shard->predictor->active().pooled.get(),
+              own.trained.pooled.get());
+    EXPECT_EQ(shard->spec, &g);
+  }
+  EXPECT_NE(shard_a.predictor.get(), shard_b.predictor.get());
+  shard_a.predictor->replace_model();
+  EXPECT_NE(shard_a.predictor->model_kind(), shard_b.predictor->model_kind());
+  expect_same_predictions(*tg.predictor, *shard_b.predictor);
+}
 
-  // The compiled forests are one shared copy across the bank and every
-  // instantiation; the profiles are independent deep copies.
-  const auto& bank_pooled = bank.bundle("Genshin Impact").predictor.pooled;
-  EXPECT_EQ(inst_a.predictor->to_artifact().pooled.get(),
-            bank_pooled.get());
-  EXPECT_EQ(inst_b.predictor->to_artifact().pooled.get(),
-            bank_pooled.get());
-  EXPECT_NE(inst_a.profile.get(), inst_b.profile.get());
-  EXPECT_NE(inst_a.profile.get(),
-            bank.bundle("Genshin Impact").profile.get());
-
-  EXPECT_EQ(inst_a.spec, &g);
-  EXPECT_EQ(inst_a.chosen_k, tg.chosen_k);
-  expect_same_predictions(*tg.predictor, *inst_a.predictor);
+// An instantiated game keeps its bundle alive: it predicts and rotates
+// after the bank that made it is gone.
+TEST(ModelBank, InstantiatedGameOutlivesBank) {
+  static const game::GameSpec g = game::make_contra();
+  auto bank = std::make_unique<ModelBank>();
+  bank->add_trained(train_game(g, small_cfg()));
+  TrainedGame tg = bank->instantiate("Contra", &g);
+  const int before = tg.predictor->predict_next({}, 1, 0);
+  bank.reset();
+  EXPECT_EQ(tg.predictor->predict_next({}, 1, 0), before);
+  tg.predictor->replace_model();
+  tg.predictor->replace_model();
+  EXPECT_NO_THROW(tg.predictor->predict_sequence({1}, 1, 0, 3));
+  EXPECT_EQ(tg.predictor->redundancy(),
+            (1.0 - tg.predictor->online_accuracy()) *
+                tg.profile().peak_demand);
 }
 
 TEST(ModelBank, UnknownGameThrows) {

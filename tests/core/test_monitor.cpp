@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -42,14 +43,14 @@ GameProfile toy_profile() {
 }
 
 StagePredictor trained_predictor(const GameProfile& p) {
-  StagePredictor pred(&p, PredictorConfig{});
   std::vector<TrainingRun> runs;
   for (int i = 0; i < 30; ++i) {
     runs.push_back(TrainingRun{{0, 1, 0, 2, 0, 3, 0}, 1, 0});
   }
   Rng rng(1);
-  pred.train(runs, rng);
-  return pred;
+  return StagePredictor(std::make_shared<const GameBundle>(
+      train_predictor(std::make_shared<const GameProfile>(p),
+                      PredictorConfig{}, std::move(runs), rng)));
 }
 
 ResourceVector usage_of(const GameProfile& p, int cluster) {

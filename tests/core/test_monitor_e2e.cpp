@@ -28,7 +28,7 @@ E2eScore run_monitored_session(const TrainedGame& tg, std::size_t script,
   scfg.spike_prob = 0.0;
   game::GameSession session(SessionId{1}, &spec, script, std::move(plan),
                             rng.fork(), scfg);
-  OnlineMonitor monitor(tg.profile.get(), tg.predictor.get(), player,
+  OnlineMonitor monitor(&tg.profile(), tg.predictor.get(), player,
                         script);
   Rng noise = rng.fork();
 
@@ -56,13 +56,13 @@ E2eScore run_monitored_session(const TrainedGame& tg, std::size_t script,
       ++score.observations;
       if (monitor.in_loading() == true_loading) ++loading_hits;
       if (!true_loading && monitor.current_stage() >= 0 &&
-          !tg.profile->stage_type(monitor.current_stage()).loading) {
+          !tg.profile().stage_type(monitor.current_stage()).loading) {
         const auto& sig =
-            tg.profile->stage_type(monitor.current_stage()).clusters;
+            tg.profile().stage_type(monitor.current_stage()).clusters;
         // The judged stage's signature should contain a cluster whose
         // centroid is near the true cluster's draw; since catalogs are
         // learned, compare via the profile's own matcher.
-        const int matched = tg.profile->match_cluster(usage);
+        const int matched = tg.profile().match_cluster(usage);
         if (std::find(sig.begin(), sig.end(), matched) != sig.end()) {
           ++cluster_hits;
         }

@@ -4,6 +4,8 @@
 // and score predictions against the resolved type.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/online_monitor.h"
 #include "core/stage_predictor.h"
 
@@ -51,14 +53,14 @@ GameProfile realm_profile() {
 }
 
 StagePredictor realm_predictor(const GameProfile& p) {
-  StagePredictor pred(&p, PredictorConfig{});
   std::vector<TrainingRun> runs;
   for (int i = 0; i < 30; ++i) {
     runs.push_back(TrainingRun{{0, 3, 0, 1, 0}, 1, 0});  // realm → solo
   }
   Rng rng(1);
-  pred.train(runs, rng);
-  return pred;
+  return StagePredictor(std::make_shared<const GameBundle>(
+      train_predictor(std::make_shared<const GameProfile>(p),
+                      PredictorConfig{}, std::move(runs), rng)));
 }
 
 struct Fixture {

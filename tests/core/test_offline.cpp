@@ -19,8 +19,8 @@ TEST(OfflinePipeline, OperatorKUsesDesignedClusterCount) {
   cfg.corpus_runs = 10;
   cfg.operator_k = true;
   const auto tg = train_game(game::make_devil_may_cry(), cfg);
-  EXPECT_EQ(tg.chosen_k, 6);
-  EXPECT_EQ(tg.profile->num_clusters(), 6);
+  EXPECT_EQ(tg.bundle().chosen_k, 6);
+  EXPECT_EQ(tg.profile().num_clusters(), 6);
 }
 
 TEST(OfflinePipeline, AutomaticElbowMode) {
@@ -30,9 +30,9 @@ TEST(OfflinePipeline, AutomaticElbowMode) {
   cfg.operator_k = false;
   const auto tg = train_game(game::make_genshin(), cfg);
   // The Genshin elbow lands at its designed K (±1 depending on traces).
-  EXPECT_GE(tg.chosen_k, 3);
-  EXPECT_LE(tg.chosen_k, 5);
-  EXPECT_FALSE(tg.sse_by_k.empty());
+  EXPECT_GE(tg.bundle().chosen_k, 3);
+  EXPECT_LE(tg.bundle().chosen_k, 5);
+  EXPECT_FALSE(tg.bundle().sse_by_k.empty());
 }
 
 TEST(OfflinePipeline, ExplicitForcedKOverridesOperatorK) {
@@ -42,7 +42,7 @@ TEST(OfflinePipeline, ExplicitForcedKOverridesOperatorK) {
   cfg.operator_k = true;
   cfg.profiler.forced_k = 3;  // explicit beats the convention
   const auto tg = train_game(game::make_devil_may_cry(), cfg);
-  EXPECT_EQ(tg.chosen_k, 3);
+  EXPECT_EQ(tg.bundle().chosen_k, 3);
 }
 
 TEST(OfflinePipeline, MeanRunDurationPlausible) {
@@ -52,9 +52,10 @@ TEST(OfflinePipeline, MeanRunDurationPlausible) {
   const auto contra = train_game(game::make_contra(), cfg);
   const auto dota2 = train_game(game::make_dota2(), cfg);
   // Contra's runs are minutes; DOTA2's are tens of minutes.
-  EXPECT_GT(contra.mean_run_duration_ms, 2 * 60 * 1000);
-  EXPECT_LT(contra.mean_run_duration_ms, 20 * 60 * 1000);
-  EXPECT_GT(dota2.mean_run_duration_ms, contra.mean_run_duration_ms);
+  EXPECT_GT(contra.bundle().mean_run_duration_ms, 2 * 60 * 1000);
+  EXPECT_LT(contra.bundle().mean_run_duration_ms, 20 * 60 * 1000);
+  EXPECT_GT(dota2.bundle().mean_run_duration_ms,
+            contra.bundle().mean_run_duration_ms);
 }
 
 TEST(OfflinePipeline, MoreCorpusNeverBreaksTraining) {
@@ -64,7 +65,7 @@ TEST(OfflinePipeline, MoreCorpusNeverBreaksTraining) {
     cfg.corpus_runs = corpus;
     cfg.seed = 200 + corpus;
     const auto tg = train_game(game::make_csgo(), cfg);
-    EXPECT_TRUE(tg.predictor->trained()) << corpus;
+    EXPECT_TRUE(tg.predictor->active().pooled->trained()) << corpus;
     EXPECT_GE(tg.predictor->accuracy(), 0.0) << corpus;
   }
 }
@@ -81,10 +82,10 @@ TEST(OfflinePipeline, SeedsChangeProfilesDeterministically) {
   const auto t3 = train_game(game::make_genshin(), b);
   // Same seed → identical profile; different seed → (almost surely)
   // different centroid noise.
-  EXPECT_EQ(t1.profile->clusters[0].centroid,
-            t2.profile->clusters[0].centroid);
-  EXPECT_NE(t1.profile->clusters[0].centroid,
-            t3.profile->clusters[0].centroid);
+  EXPECT_EQ(t1.profile().clusters[0].centroid,
+            t2.profile().clusters[0].centroid);
+  EXPECT_NE(t1.profile().clusters[0].centroid,
+            t3.profile().clusters[0].centroid);
 }
 
 TEST(OfflinePipeline, ConfigValidation) {
@@ -108,7 +109,7 @@ TEST(OfflinePipeline, SuitePointersRemainValid) {
   for (const auto& [name, tg] : moved) {
     ASSERT_NE(tg.spec, nullptr);
     EXPECT_EQ(tg.spec->name, name);
-    EXPECT_EQ(tg.profile->game_name, name);
+    EXPECT_EQ(tg.profile().game_name, name);
   }
 }
 

@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "common/check.h"
 #include "core/features.h"
+#include "core/model_bank.h"
 #include "core/offline.h"
+#include "core/profile_io.h"
 #include "game/library.h"
 #include "obs/obs.h"
 
@@ -35,6 +38,7 @@ GameProfile toy_profile() {
     st.peak_demand = p.clusters[static_cast<std::size_t>(t)].centroid;
     st.mean_demand = st.peak_demand;
     st.mean_duration_ms = 60000;
+    st.max_duration_ms = 60000;
     st.occurrences = 10;
     p.stage_types.push_back(st);
   }
@@ -111,13 +115,21 @@ TEST(FeatureEncoder, ModeFeatureIncluded) {
 
 // --- StagePredictor ---
 
+/// A predictor trained on `runs` over a copy of `p`, drawing from `rng`,
+/// in a bundle that read_bundle accepts once written.
+StagePredictor trained(const GameProfile& p, const PredictorConfig& cfg,
+                       std::vector<TrainingRun> runs, Rng& rng) {
+  GameBundle b = train_predictor(std::make_shared<const GameProfile>(p),
+                                 cfg, std::move(runs), rng);
+  b.chosen_k = p.num_clusters();
+  return StagePredictor(std::make_shared<const GameBundle>(std::move(b)));
+}
+
 TEST(StagePredictor, LearnsDeterministicChain) {
   const GameProfile p = toy_profile();
   PredictorConfig cfg;
-  StagePredictor pred(&p, cfg);
   Rng rng(1);
-  pred.train(deterministic_corpus(40), rng);
-  EXPECT_TRUE(pred.trained());
+  const StagePredictor pred = trained(p, cfg, deterministic_corpus(40), rng);
   EXPECT_GT(pred.accuracy(), 0.99);
   EXPECT_EQ(pred.predict_next({}, 1, 0), 1);
   EXPECT_EQ(pred.predict_next({1}, 1, 0), 2);
@@ -126,18 +138,18 @@ TEST(StagePredictor, LearnsDeterministicChain) {
 
 TEST(StagePredictor, PredictSequenceIterates) {
   const GameProfile p = toy_profile();
-  StagePredictor pred(&p, PredictorConfig{});
   Rng rng(2);
-  pred.train(deterministic_corpus(40), rng);
+  const StagePredictor pred =
+      trained(p, PredictorConfig{}, deterministic_corpus(40), rng);
   const auto seq = pred.predict_sequence({}, 1, 0, 3);
   EXPECT_EQ(seq, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(StagePredictor, RedundancyEq1) {
   const GameProfile p = toy_profile();
-  StagePredictor pred(&p, PredictorConfig{});
   Rng rng(3);
-  pred.train(deterministic_corpus(40), rng);
+  const StagePredictor pred =
+      trained(p, PredictorConfig{}, deterministic_corpus(40), rng);
   // S = (1 − P) × M with P ≈ 1 → S ≈ 0.
   const ResourceVector s = pred.redundancy();
   EXPECT_LT(s.gpu(), 0.05 * p.peak_demand.gpu() + 1e-9);
@@ -148,9 +160,9 @@ TEST(StagePredictor, RedundancyEq1) {
 
 TEST(StagePredictor, ReplaceModelRotates) {
   const GameProfile p = toy_profile();
-  StagePredictor pred(&p, PredictorConfig{});
   Rng rng(4);
-  pred.train(deterministic_corpus(40), rng);
+  StagePredictor pred =
+      trained(p, PredictorConfig{}, deterministic_corpus(40), rng);
   EXPECT_EQ(pred.model_kind(), ml::ModelKind::kDtc);
   pred.replace_model();
   EXPECT_EQ(pred.model_kind(), ml::ModelKind::kRf);
@@ -162,29 +174,30 @@ TEST(StagePredictor, ReplaceModelRotates) {
 }
 
 // Cached predictions are keyed on generation(): every change of the model
-// (train, each replace_model rotation, rebind_profile) must move it, and
-// inference or outcome feedback must not.
+// (each replace_model rotation, continuing the lineage over a migrated
+// bundle) must move it, and inference or outcome feedback must not.
 TEST(StagePredictor, GenerationBumpsOnEveryFit) {
   const GameProfile p = toy_profile();
-  StagePredictor pred(&p, PredictorConfig{});
   Rng rng(4);
+  StagePredictor pred =
+      trained(p, PredictorConfig{}, deterministic_corpus(40), rng);
   std::uint64_t last = pred.generation();
-  auto expect_bumped = [&](const char* what) {
-    EXPECT_NE(pred.generation(), last) << what;
-    last = pred.generation();
+  auto expect_bumped = [&](const StagePredictor& now, const char* what) {
+    EXPECT_NE(now.generation(), last) << what;
+    last = now.generation();
   };
-  pred.train(deterministic_corpus(40), rng);
-  expect_bumped("train");
   (void)pred.predict_sequence({1}, 1, 0, 3);
   pred.record_outcome(false);
   EXPECT_EQ(pred.generation(), last) << "inference and feedback";
   for (int i = 0; i < 3; ++i) {
     pred.replace_model();
-    expect_bumped(ml::model_kind_name(pred.model_kind()));
+    expect_bumped(pred, ml::model_kind_name(pred.model_kind()));
   }
-  const GameProfile migrated = toy_profile();
-  pred.rebind_profile(&migrated);
-  expect_bumped("rebind_profile");
+  auto migrated = std::make_shared<GameBundle>(*pred.bundle());
+  migrated->profile = std::make_shared<const GameProfile>(toy_profile());
+  migrated->refits = std::make_shared<RefitMemo>();
+  const StagePredictor continued(migrated, pred);
+  expect_bumped(continued, "continued over a migrated bundle");
 }
 
 /// Every third run takes another path, so held-out accuracy depends on
@@ -197,6 +210,25 @@ std::vector<TrainingRun> noisy_corpus(int n) {
   return corpus;
 }
 
+/// `b` with a refit memo of its own.
+std::shared_ptr<const GameBundle> with_own_memo(
+    const std::shared_ptr<const GameBundle>& b) {
+  auto out = std::make_shared<GameBundle>(*b);
+  out->refits = std::make_shared<RefitMemo>();
+  return out;
+}
+
+/// The bytes of `pred`'s bundle with its active model in place of the
+/// trained one: what a bundle trained to that model would write.
+std::string bundle_bytes(const StagePredictor& pred) {
+  GameBundle b = *pred.bundle();
+  b.cfg.model = pred.model_kind();
+  b.trained = pred.active();
+  std::ostringstream os;
+  write_bundle(b, os);
+  return os.str();
+}
+
 // A replacement that takes its entry from the shared refit memo must write
 // the same bundle as one that fits the entry afresh.
 TEST(StagePredictor, RefitMemoHitMatchesFreshFit) {
@@ -204,17 +236,14 @@ TEST(StagePredictor, RefitMemoHitMatchesFreshFit) {
   PredictorConfig cfg;
   cfg.model = ml::ModelKind::kRf;  // rotates to GBDT
   cfg.category = game::GameCategory::kMobile;  // per-player fits too
-  StagePredictor trained(&p, cfg);
   Rng train_rng(6);
-  trained.train(noisy_corpus(40), train_rng);
+  const auto shared =
+      trained(p, cfg, noisy_corpus(40), train_rng).bundle();
+  const auto unshared = with_own_memo(shared);
 
-  const PredictorArtifact shared = trained.to_artifact();
-  PredictorArtifact unshared = shared;
-  unshared.refits = nullptr;
-
-  const auto filler = StagePredictor::from_artifact(shared, &p);
-  const auto hitter = StagePredictor::from_artifact(shared, &p);
-  const auto fresh = StagePredictor::from_artifact(unshared, &p);
+  const auto filler = std::make_unique<StagePredictor>(shared);
+  const auto hitter = std::make_unique<StagePredictor>(shared);
+  const auto fresh = std::make_unique<StagePredictor>(unshared);
   filler->replace_model();
   hitter->replace_model();
   fresh->replace_model();
@@ -222,16 +251,10 @@ TEST(StagePredictor, RefitMemoHitMatchesFreshFit) {
 
   // The hitter took the filler's forests; the fresh predictor fitted its
   // own.
-  const PredictorArtifact hit_art = hitter->to_artifact();
-  const PredictorArtifact fresh_art = fresh->to_artifact();
-  EXPECT_EQ(hit_art.pooled, filler->to_artifact().pooled);
-  EXPECT_NE(hit_art.pooled, fresh_art.pooled);
-  EXPECT_FALSE(hit_art.per_player.empty());
-
-  std::ostringstream hit_bytes, fresh_bytes;
-  hitter->save_bundle(hit_bytes);
-  fresh->save_bundle(fresh_bytes);
-  EXPECT_EQ(hit_bytes.str(), fresh_bytes.str());
+  EXPECT_EQ(hitter->active().pooled, filler->active().pooled);
+  EXPECT_NE(hitter->active().pooled, fresh->active().pooled);
+  EXPECT_FALSE(hitter->active().per_player.empty());
+  EXPECT_EQ(bundle_bytes(*hitter), bundle_bytes(*fresh));
 }
 
 // --- ModelRotation: replace_model adopts one seeded entry per kind ---
@@ -248,21 +271,13 @@ std::uint64_t expected_rotation_seed(const std::string& game,
   return SplitMix64(h ^ static_cast<std::uint64_t>(kind)).next();
 }
 
-std::string bundle_bytes(const StagePredictor& pred) {
-  std::ostringstream os;
-  pred.save_bundle(os);
-  return os.str();
-}
-
-/// A mobile-quadrant predictor trained on the noisy corpus, so every
-/// entry has per-player forests and a split-dependent accuracy.
-PredictorArtifact mobile_artifact(const GameProfile& p) {
+/// A mobile-quadrant bundle trained on the noisy corpus, so every entry
+/// has per-player forests and a split-dependent accuracy.
+std::shared_ptr<const GameBundle> mobile_bundle(const GameProfile& p) {
   PredictorConfig cfg;
   cfg.category = game::GameCategory::kMobile;
-  StagePredictor trained(&p, cfg);
   Rng rng(17);
-  trained.train(noisy_corpus(45), rng);
-  return trained.to_artifact();
+  return trained(p, cfg, noisy_corpus(45), rng).bundle();
 }
 
 // Through a whole DTC -> RF -> GBDT -> DTC rotation, an entry another
@@ -274,22 +289,19 @@ TEST(ModelRotation, CachedEntryMatchesFreshFitFromSeparateCache) {
   obs::reset();
   obs::set_enabled(true);
   const GameProfile p = toy_profile();
-  const PredictorArtifact shared = mobile_artifact(p);
-  PredictorArtifact unshared = shared;
-  unshared.refits = nullptr;
-  const auto filler = StagePredictor::from_artifact(shared, &p);
-  const auto cached = StagePredictor::from_artifact(shared, &p);
-  const auto fresh = StagePredictor::from_artifact(unshared, &p);
+  const auto shared = mobile_bundle(p);
+  const auto unshared = with_own_memo(shared);
+  const auto filler = std::make_unique<StagePredictor>(shared);
+  const auto cached = std::make_unique<StagePredictor>(shared);
+  const auto fresh = std::make_unique<StagePredictor>(unshared);
   for (int i = 0; i < 3; ++i) {
     filler->replace_model();
     cached->replace_model();
     fresh->replace_model();
     const char* kind = ml::model_kind_name(cached->model_kind());
-    EXPECT_EQ(cached->to_artifact().pooled, filler->to_artifact().pooled)
-        << kind;
-    EXPECT_NE(cached->to_artifact().pooled, fresh->to_artifact().pooled)
-        << kind;
-    EXPECT_FALSE(cached->to_artifact().per_player.empty()) << kind;
+    EXPECT_EQ(cached->active().pooled, filler->active().pooled) << kind;
+    EXPECT_NE(cached->active().pooled, fresh->active().pooled) << kind;
+    EXPECT_FALSE(cached->active().per_player.empty()) << kind;
     EXPECT_EQ(cached->accuracy(), fresh->accuracy()) << kind;
     EXPECT_EQ(bundle_bytes(*cached), bundle_bytes(*fresh)) << kind;
   }
@@ -301,38 +313,36 @@ TEST(ModelRotation, CachedEntryMatchesFreshFitFromSeparateCache) {
 }
 
 // Whichever predictor asks first, the memo hands every predictor of one
-// artifact the same forests: two predictors that rotate in different
+// bundle the same forests: two predictors that rotate in different
 // interleavings hold the same pointers at every kind, and those forests
 // are the bytes a separate memo rotated in a third order makes.
 TEST(ModelRotation, InterleavingsShareForests) {
   const GameProfile p = toy_profile();
-  const PredictorArtifact shared = mobile_artifact(p);
-  const auto a = StagePredictor::from_artifact(shared, &p);
-  const auto b = StagePredictor::from_artifact(shared, &p);
+  const auto shared = mobile_bundle(p);
+  const auto a = std::make_unique<StagePredictor>(shared);
+  const auto b = std::make_unique<StagePredictor>(shared);
   // a fills RF; b hits RF and fills GBDT; a hits GBDT and fills DTC; b
   // hits DTC.
   a->replace_model();
   b->replace_model();
-  EXPECT_EQ(a->to_artifact().pooled, b->to_artifact().pooled);
+  EXPECT_EQ(a->active().pooled, b->active().pooled);
   const std::string rf_bytes = bundle_bytes(*a);
   b->replace_model();
   a->replace_model();
-  EXPECT_EQ(a->to_artifact().pooled, b->to_artifact().pooled);
-  EXPECT_EQ(a->to_artifact().per_player, b->to_artifact().per_player);
+  EXPECT_EQ(a->active().pooled, b->active().pooled);
+  EXPECT_EQ(a->active().per_player, b->active().per_player);
   const std::string gbdt_bytes = bundle_bytes(*a);
   a->replace_model();
   b->replace_model();
   ASSERT_EQ(a->model_kind(), ml::ModelKind::kDtc);
   ASSERT_EQ(b->model_kind(), ml::ModelKind::kDtc);
-  EXPECT_EQ(a->to_artifact().pooled, b->to_artifact().pooled);
-  EXPECT_EQ(a->to_artifact().per_player, b->to_artifact().per_player);
+  EXPECT_EQ(a->active().pooled, b->active().pooled);
+  EXPECT_EQ(a->active().per_player, b->active().per_player);
   EXPECT_EQ(a->accuracy(), b->accuracy());
 
   // A separate memo, its first rotation two steps in: the GBDT entry
   // first, then RF's (after a wrap through DTC's).
-  PredictorArtifact unshared = shared;
-  unshared.refits = nullptr;
-  const auto c = StagePredictor::from_artifact(unshared, &p);
+  const auto c = std::make_unique<StagePredictor>(with_own_memo(shared));
   c->replace_model();
   c->replace_model();
   EXPECT_EQ(bundle_bytes(*c), gbdt_bytes);
@@ -348,22 +358,21 @@ TEST(ModelRotation, InterleavingsShareForests) {
 // DTC's full-corpus fit draws nothing, so only P can tell them apart.
 TEST(ModelRotation, BackToTrainedKindTakesSeededEntry) {
   const GameProfile p = toy_profile();
-  const PredictorArtifact art = mobile_artifact(p);
-  ASSERT_EQ(art.cfg.model, ml::ModelKind::kDtc);
-  const auto trained = StagePredictor::from_artifact(art, &p);
-  const auto pred = StagePredictor::from_artifact(art, &p);
+  const auto art = mobile_bundle(p);
+  ASSERT_EQ(art->cfg.model, ml::ModelKind::kDtc);
+  const auto trained_pred = std::make_unique<StagePredictor>(art);
+  const auto pred = std::make_unique<StagePredictor>(art);
   for (int i = 0; i < 3; ++i) {
     pred->replace_model();
-    PredictorConfig cfg = art.cfg;
+    PredictorConfig cfg = art->cfg;
     cfg.model = pred->model_kind();
-    StagePredictor seeded(&p, cfg);
     Rng rng(expected_rotation_seed("toy", cfg.model));
-    seeded.train(art.corpus, rng);
+    const StagePredictor seeded = trained(p, cfg, *art->corpus, rng);
     EXPECT_EQ(bundle_bytes(*pred), bundle_bytes(seeded))
         << ml::model_kind_name(cfg.model);
   }
   ASSERT_EQ(pred->model_kind(), ml::ModelKind::kDtc);
-  EXPECT_NE(pred->accuracy(), trained->accuracy())
+  EXPECT_NE(pred->accuracy(), trained_pred->accuracy())
       << "the corpus must make P depend on the split";
 
   // Every byte but the accuracy line is the trained predictor's.
@@ -373,14 +382,14 @@ TEST(ModelRotation, BackToTrainedKindTakesSeededEntry) {
     return bundle.erase(line, bundle.find('\n', line + 1) - line);
   };
   EXPECT_EQ(without_accuracy(bundle_bytes(*pred)),
-            without_accuracy(bundle_bytes(*trained)));
+            without_accuracy(bundle_bytes(*trained_pred)));
 }
 
 TEST(StagePredictor, EvaluateModelAllKinds) {
   const GameProfile p = toy_profile();
-  StagePredictor pred(&p, PredictorConfig{});
   Rng rng(5);
-  pred.train(deterministic_corpus(60), rng);
+  const StagePredictor pred =
+      trained(p, PredictorConfig{}, deterministic_corpus(60), rng);
   for (ml::ModelKind kind :
        {ml::ModelKind::kDtc, ml::ModelKind::kRf, ml::ModelKind::kGbdt}) {
     EXPECT_GT(pred.evaluate_model(kind, rng), 0.9)
@@ -396,9 +405,8 @@ TEST(StagePredictor, ModeDisambiguatesBranches) {
     runs.push_back(TrainingRun{{0, 1, 0, 2, 0}, 1, 0});
     runs.push_back(TrainingRun{{0, 2, 0, 1, 0}, 1, 1});
   }
-  StagePredictor pred(&p, PredictorConfig{});
   Rng rng(6);
-  pred.train(runs, rng);
+  const StagePredictor pred = trained(p, PredictorConfig{}, runs, rng);
   EXPECT_EQ(pred.predict_next({}, 1, 0), 1);
   EXPECT_EQ(pred.predict_next({}, 1, 1), 2);
   EXPECT_GT(pred.accuracy(), 0.95);
@@ -415,18 +423,17 @@ TEST(StagePredictor, MobilePerPlayerModels) {
     runs.push_back(TrainingRun{{0, 1, 0, 2, 0, 3, 0}, 1, 0});
     runs.push_back(TrainingRun{{0, 3, 0, 2, 0, 1, 0}, 2, 0});
   }
-  StagePredictor pred(&p, cfg);
   Rng rng(7);
-  pred.train(runs, rng);
+  const StagePredictor pred = trained(p, cfg, runs, rng);
   EXPECT_EQ(pred.predict_next({}, 1, 0), 1);
   EXPECT_EQ(pred.predict_next({}, 2, 0), 3);
 }
 
 TEST(StagePredictor, LoadingStagesStrippedFromHistory) {
   const GameProfile p = toy_profile();
-  StagePredictor pred(&p, PredictorConfig{});
   Rng rng(8);
-  pred.train(deterministic_corpus(40), rng);
+  const StagePredictor pred =
+      trained(p, PredictorConfig{}, deterministic_corpus(40), rng);
   // Histories never contain type 0; prediction never returns it either.
   for (int i = 0; i < 3; ++i) {
     std::vector<int> hist;
@@ -437,18 +444,18 @@ TEST(StagePredictor, LoadingStagesStrippedFromHistory) {
 
 TEST(StagePredictor, OnlineAccuracySeedsFromOffline) {
   const GameProfile p = toy_profile();
-  StagePredictor pred(&p, PredictorConfig{});
   Rng rng(31);
-  pred.train(deterministic_corpus(40), rng);
+  const StagePredictor pred =
+      trained(p, PredictorConfig{}, deterministic_corpus(40), rng);
   EXPECT_DOUBLE_EQ(pred.online_accuracy(), pred.accuracy());
   EXPECT_EQ(pred.online_outcomes(), 0u);
 }
 
 TEST(StagePredictor, OnlineMissesInflateRedundancy) {
   const GameProfile p = toy_profile();
-  StagePredictor pred(&p, PredictorConfig{});
   Rng rng(32);
-  pred.train(deterministic_corpus(40), rng);
+  StagePredictor pred =
+      trained(p, PredictorConfig{}, deterministic_corpus(40), rng);
   const double s_before = pred.redundancy().gpu();
   for (int i = 0; i < 50; ++i) pred.record_outcome(false);
   EXPECT_LT(pred.online_accuracy(), pred.accuracy());
@@ -460,43 +467,67 @@ TEST(StagePredictor, OnlineMissesInflateRedundancy) {
 
 TEST(StagePredictor, Preconditions) {
   const GameProfile p = toy_profile();
-  StagePredictor pred(&p, PredictorConfig{});
   Rng rng(9);
-  EXPECT_THROW(pred.train({}, rng), ContractError);
-  EXPECT_THROW(pred.predict_next({}, 1, 0), ContractError);
+  EXPECT_THROW(trained(p, PredictorConfig{}, {}, rng), ContractError);
   PredictorConfig bad;
   bad.train_fraction = 1.0;
-  EXPECT_THROW(StagePredictor(&p, bad), ContractError);
+  EXPECT_THROW(trained(p, bad, deterministic_corpus(40), rng),
+               ContractError);
+  // A predictor runs over a trained bundle only.
+  EXPECT_THROW(StagePredictor(nullptr), ContractError);
+  auto untrained = std::make_shared<GameBundle>(
+      *trained(p, PredictorConfig{}, deterministic_corpus(40), rng).bundle());
+  untrained->trained = RefitMemo::Entry{};
+  EXPECT_THROW(StagePredictor{untrained}, ContractError);
 }
 
-// --- predictor bundles (save_bundle / load_bundle) ---
+// --- the predictor block of a bundle (write_bundle / read_bundle) ---
 
-TEST(StagePredictorBundle, RoundTripPreservesEverything) {
-  const GameProfile p = toy_profile();
-  PredictorConfig cfg;
-  cfg.category = game::GameCategory::kMobile;
-  cfg.min_player_runs = 3;
-  StagePredictor pred(&p, cfg);
-  Rng rng(41);
+/// The bundle text of a predictor trained on `runs` over the toy profile.
+std::string toy_bundle_text(const PredictorConfig& cfg,
+                            std::vector<TrainingRun> runs, Rng& rng) {
+  return bundle_bytes(trained(toy_profile(), cfg, std::move(runs), rng));
+}
+
+StagePredictor load(const std::string& text) {
+  std::istringstream in(text);
+  return StagePredictor(std::make_shared<const GameBundle>(read_bundle(in)));
+}
+
+/// Deterministic runs plus six runs of player 9 in reverse, so a mobile
+/// bundle has a personal model for player 9.
+std::vector<TrainingRun> corpus_with_player_9() {
   std::vector<TrainingRun> runs = deterministic_corpus(40);
   for (int i = 0; i < 6; ++i) {
     runs.push_back(TrainingRun{{0, 3, 0, 2, 0, 1, 0}, 9, 0});
   }
-  pred.train(runs, rng);
+  return runs;
+}
 
-  std::stringstream ss;
-  pred.save_bundle(ss);
-  const auto back = StagePredictor::load_bundle(ss, &p);
-  EXPECT_TRUE(back->trained());
-  EXPECT_EQ(back->model_kind(), pred.model_kind());
-  EXPECT_EQ(back->accuracy(), pred.accuracy());
-  EXPECT_TRUE(back->can_retrain());
+TEST(StagePredictorBundle, RoundTripPreservesEverything) {
+  PredictorConfig cfg;
+  cfg.category = game::GameCategory::kMobile;
+  cfg.min_player_runs = 3;
+  Rng rng(41);
+  const StagePredictor pred =
+      trained(toy_profile(), cfg, corpus_with_player_9(), rng);
+  const std::string text = bundle_bytes(pred);
+  const StagePredictor back = load(text);
+  EXPECT_EQ(back.model_kind(), pred.model_kind());
+  EXPECT_EQ(back.accuracy(), pred.accuracy());
+  EXPECT_TRUE(back.can_retrain());
+  EXPECT_EQ(back.active().per_player.size(),
+            pred.active().per_player.size());
+  EXPECT_EQ(back.active().per_player.count(9), 1u);
+  EXPECT_EQ(back.bundle()->corpus->size(), pred.bundle()->corpus->size());
   for (std::uint64_t player : {1u, 2u, 9u}) {
-    EXPECT_EQ(back->predict_next({}, player, 0),
+    EXPECT_EQ(back.predict_next({}, player, 0),
               pred.predict_next({}, player, 0));
-    EXPECT_EQ(back->predict_sequence({1}, player, 0, 3),
+    EXPECT_EQ(back.predict_sequence({1}, player, 0, 3),
               pred.predict_sequence({1}, player, 0, 3));
   }
+  // Load → write is a fixed point.
+  EXPECT_EQ(bundle_bytes(back), text);
 }
 
 /// A saved bundle with its `corpus N` block (the count line plus its N
@@ -512,105 +543,106 @@ std::string without_corpus(const std::string& bundle) {
 }
 
 TEST(StagePredictorBundle, CorpusFreeLoadCannotRetrain) {
-  const GameProfile p = toy_profile();
-  StagePredictor pred(&p, PredictorConfig{});
   Rng rng(42);
-  pred.train(deterministic_corpus(40), rng);
-  std::stringstream saved;
-  pred.save_bundle(saved);
-  std::stringstream ss(without_corpus(saved.str()));
-  const auto back = StagePredictor::load_bundle(ss, &p);
-  EXPECT_FALSE(back->can_retrain());
-  EXPECT_EQ(back->predict_next({1}, 1, 0), pred.predict_next({1}, 1, 0));
-  EXPECT_THROW(back->replace_model(), std::runtime_error);
-  EXPECT_THROW(back->evaluate_model(ml::ModelKind::kRf, rng),
+  const std::string text =
+      toy_bundle_text(PredictorConfig{}, deterministic_corpus(40), rng);
+  const StagePredictor pred = load(text);
+  StagePredictor back = load(without_corpus(text));
+  EXPECT_FALSE(back.can_retrain());
+  EXPECT_EQ(back.predict_next({1}, 1, 0), pred.predict_next({1}, 1, 0));
+  EXPECT_THROW(back.replace_model(), std::runtime_error);
+  EXPECT_THROW(back.evaluate_model(ml::ModelKind::kRf, rng),
                std::runtime_error);
 }
 
 TEST(StagePredictorBundle, TruncatedAndCorruptRejected) {
-  const GameProfile p = toy_profile();
-  StagePredictor pred(&p, PredictorConfig{});
   Rng rng(43);
-  pred.train(deterministic_corpus(40), rng);
-  std::stringstream ss;
-  pred.save_bundle(ss);
-  const std::string full = ss.str();
+  const std::string full =
+      toy_bundle_text(PredictorConfig{}, deterministic_corpus(40), rng);
   std::stringstream cut(full.substr(0, full.size() / 3));
-  EXPECT_THROW(StagePredictor::load_bundle(cut, &p), std::runtime_error);
+  EXPECT_THROW(read_bundle(cut), std::runtime_error);
   std::string skewed = full;
   skewed.replace(skewed.find("cocg-predictor-v1"), 17, "cocg-predictor-v8");
   std::stringstream sk(skewed);
-  EXPECT_THROW(StagePredictor::load_bundle(sk, &p), std::runtime_error);
+  EXPECT_THROW(read_bundle(sk), std::runtime_error);
 }
 
-TEST(StagePredictorBundle, ModelKindMismatchRejected) {
-  const GameProfile p = toy_profile();
-  StagePredictor pred(&p, PredictorConfig{});
+/// Loading `text` must fail naming `line` — its number and its text.
+void expect_rejected_at(const std::string& text, const std::string& line,
+                        const std::string& why) {
+  std::istringstream lines(text);
+  std::string l;
+  int n = 0;
+  for (int i = 1; std::getline(lines, l); ++i) {
+    if (l == line) {
+      n = i;
+      break;
+    }
+  }
+  ASSERT_GT(n, 0) << "no line '" << line << "'";
+  std::istringstream in(text);
+  try {
+    read_bundle(in);
+    ADD_FAILURE() << why << " accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line " + std::to_string(n) + ": '" + line + "'"),
+              std::string::npos)
+        << what;
+  }
+}
+
+// A bundle is checked against its profile when it is read, not when a
+// predictor is first made from it.
+TEST(GameBundle, ForestOfOtherKindRejectedAtLoad) {
   Rng rng(45);
-  pred.train(deterministic_corpus(40), rng);
-  ASSERT_EQ(pred.model_kind(), ml::ModelKind::kDtc);
-  std::stringstream ss;
-  pred.save_bundle(ss);
+  const std::string text =
+      toy_bundle_text(PredictorConfig{}, deterministic_corpus(40), rng);
   // The header claims RF, but the pooled forest on disk is a DTC.
-  std::string edited = ss.str();
+  std::string edited = text;
   const auto at = edited.find("\nmodel DTC\n");
   ASSERT_NE(at, std::string::npos);
   edited.replace(at, 11, "\nmodel RF\n");
-  std::stringstream in(edited);
-  try {
-    StagePredictor::load_bundle(in, &p);
-    FAIL() << "model kind mismatch accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("kind"), std::string::npos)
-        << e.what();
-  }
+  expect_rejected_at(edited, "pooled", "a DTC forest under 'model RF'");
 }
 
-TEST(StagePredictorBundle, PerPlayerForestWiderThanEncoderRejected) {
-  const GameProfile p = toy_profile();
+TEST(GameBundle, ForestWiderThanEncoderRejectedAtLoad) {
   PredictorConfig cfg;
   cfg.category = game::GameCategory::kMobile;
-  StagePredictor pred(&p, cfg);
   Rng rng(46);
-  std::vector<TrainingRun> runs = deterministic_corpus(40);
-  for (int i = 0; i < 6; ++i) {
-    runs.push_back(TrainingRun{{0, 3, 0, 2, 0, 1, 0}, 9, 0});
-  }
-  pred.train(runs, rng);
-  std::stringstream ss;
-  pred.save_bundle(ss);
+  const std::string text = toy_bundle_text(cfg, corpus_with_player_9(), rng);
   // Player 9's forest claims one feature more than the encoder emits; the
   // pooled forest is untouched.
-  std::string edited = ss.str();
+  std::string edited = text;
   const auto player = edited.find("\nplayer 9\n");
   ASSERT_NE(player, std::string::npos);
   const auto at = edited.find("\nfeatures ", player);
   ASSERT_NE(at, std::string::npos);
   const auto end = edited.find('\n', at + 1);
-  const auto wider = pred.encoder().feature_names().size() + 1;
+  const auto wider = load(text).encoder().feature_names().size() + 1;
   edited.replace(at, end - at, "\nfeatures " + std::to_string(wider));
-  std::stringstream in(edited);
-  try {
-    StagePredictor::load_bundle(in, &p);
-    FAIL() << "per-player forest wider than the encoder accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("player 9"), std::string::npos)
-        << e.what();
-  }
+  expect_rejected_at(edited, "player 9",
+                     "a per-player forest wider than the encoder");
 }
 
-TEST(StagePredictorBundle, MismatchedProfileRejected) {
-  const GameProfile p = toy_profile();
-  StagePredictor pred(&p, PredictorConfig{});
+TEST(GameBundle, ForestBeyondCatalogRejectedAtLoad) {
   Rng rng(44);
-  pred.train(deterministic_corpus(40), rng);
-  std::stringstream ss;
-  pred.save_bundle(ss);
-  // A profile with a different stage-type catalog cannot host the model.
+  const std::string text =
+      toy_bundle_text(PredictorConfig{}, deterministic_corpus(40), rng);
+  // The same predictor block after a profile whose catalog lacks stage
+  // type 3, which the forests predict.
   GameProfile smaller = toy_profile();
-  smaller.stage_types.resize(2);
-  EXPECT_THROW(StagePredictor::load_bundle(ss, &smaller),
-               std::runtime_error);
+  smaller.stage_types.resize(3);
+  std::ostringstream profile_block;
+  write_profile(smaller, profile_block);
+  const auto begin = text.find("cocg-profile-");
+  const auto end = text.find("cocg-predictor-");
+  ASSERT_NE(begin, std::string::npos);
+  ASSERT_NE(end, std::string::npos);
+  std::string edited = text;
+  edited.replace(begin, end - begin, profile_block.str());
+  expect_rejected_at(edited, "pooled",
+                     "forests predicting stage types the catalog lacks");
 }
 
 // --- end-to-end offline pipeline (train_game) ---
@@ -623,12 +655,11 @@ TEST(Offline, TrainGameProducesWorkingBundle) {
   cfg.seed = 11;
   const TrainedGame tg = train_game(g, cfg);
   EXPECT_EQ(tg.spec, &g);
-  ASSERT_NE(tg.profile, nullptr);
   ASSERT_NE(tg.predictor, nullptr);
-  EXPECT_EQ(tg.profile->num_clusters(), 2);
+  EXPECT_EQ(tg.profile().num_clusters(), 2);
   EXPECT_GT(tg.predictor->accuracy(), 0.9);  // web games are near-trivial
-  EXPECT_GT(tg.mean_run_duration_ms, 0);
-  EXPECT_EQ(tg.chosen_k, 2);
+  EXPECT_GT(tg.bundle().mean_run_duration_ms, 0);
+  EXPECT_EQ(tg.bundle().chosen_k, 2);
 }
 
 TEST(Offline, TrainSuiteKeysByName) {
@@ -641,10 +672,10 @@ TEST(Offline, TrainSuiteKeysByName) {
   ASSERT_EQ(models.size(), 2u);
   EXPECT_TRUE(models.count("Contra"));
   EXPECT_TRUE(models.count("Genshin Impact"));
-  // The bundle's predictor points at the bundle's own (heap) profile —
-  // moves into the map must not dangle.
+  // The predictor holds its bundle by pointer — moves into the map must
+  // not dangle.
   const auto& tg = models.at("Genshin Impact");
-  EXPECT_EQ(tg.profile->game_name, "Genshin Impact");
+  EXPECT_EQ(tg.profile().game_name, "Genshin Impact");
   EXPECT_NO_THROW(tg.predictor->predict_next({}, 1, 0));
 }
 

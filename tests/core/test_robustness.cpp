@@ -59,7 +59,7 @@ TEST(Robustness, TinyCorpusPredictorStillWorks) {
   cfg.corpus_runs = 0;  // profiling runs only
   cfg.seed = 3;
   const TrainedGame tg = train_game(game::make_contra(), cfg);
-  EXPECT_TRUE(tg.predictor->trained());
+  EXPECT_TRUE(tg.predictor->active().pooled->trained());
   EXPECT_NO_THROW(tg.predictor->predict_next({}, 1, 0));
   EXPECT_GE(tg.predictor->accuracy(), 0.0);
   EXPECT_LE(tg.predictor->accuracy(), 1.0);

@@ -39,7 +39,7 @@ platform::PlatformConfig quiet_platform(std::uint64_t seed = 1) {
 TEST(Vbp, ReservesNinetyPercentOfPeak) {
   auto models = small_models();
   const ResourceVector peak =
-      models.at("Genshin Impact").profile->peak_demand;
+      models.at("Genshin Impact").profile().peak_demand;
   platform::CloudPlatform cloud(
       quiet_platform(),
       std::make_unique<VbpScheduler>(std::move(models)));
@@ -76,7 +76,7 @@ TEST(Gaugur, FixedLimitBetweenMeanAndPeak) {
   GaugurScheduler g(std::move(models));
   const ResourceVector limit = g.fixed_limit("DOTA2");
   auto models2 = small_models();
-  const auto& profile = *models2.at("DOTA2").profile;
+  const auto& profile = models2.at("DOTA2").profile();
   EXPECT_LT(limit.gpu(), profile.peak_demand.gpu());
   EXPECT_GT(limit.gpu(), 0.0);
 }

@@ -55,7 +55,8 @@ TEST(Session, LifecycleBasics) {
 TEST(Session, FullSupplyRunsNominalDuration) {
   static const GameSpec g = make_contra();
   GameSession s = make_session(g, 0, 2);
-  const DurationMs nominal = plan_nominal_duration(s.plan());
+  DurationMs nominal = 0;
+  for (const auto& ps : s.plan()) nominal += ps.planned_dwell_ms;
   const DurationMs elapsed = run_full_supply(s);
   // At full supply loading never stretches: elapsed ≈ nominal (tick
   // rounding may add up to one tick per stage).

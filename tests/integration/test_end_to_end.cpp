@@ -61,8 +61,8 @@ TEST(EndToEnd, FullPipelineTrainsAllFiveGames) {
   ASSERT_EQ(m.size(), 5u);
   for (const auto& [name, tg] : m) {
     EXPECT_GT(tg.predictor->accuracy(), 0.6) << name;
-    EXPECT_GE(tg.profile->loading_stage_type, 0) << name;
-    EXPECT_GT(tg.mean_run_duration_ms, 0) << name;
+    EXPECT_GE(tg.profile().loading_stage_type, 0) << name;
+    EXPECT_GT(tg.bundle().mean_run_duration_ms, 0) << name;
   }
 }
 
@@ -72,7 +72,7 @@ TEST(EndToEnd, SingleGameSavingVsPeakAllocation) {
   // solo Genshin run.
   auto m = models(78);
   const auto& tg = m.at("Genshin Impact");
-  const double peak_gpu = tg.profile->peak_demand.gpu();
+  const double peak_gpu = tg.profile().peak_demand.gpu();
 
   platform::CloudPlatform cloud(
       pcfg(79), std::make_unique<core::CocgScheduler>(std::move(m)));

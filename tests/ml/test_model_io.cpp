@@ -248,10 +248,10 @@ std::uint64_t fnv1a(const std::string& s) {
 Dataset predictor_corpus(const core::TrainedGame& tg) {
   const auto& enc = tg.predictor->encoder();
   Dataset d(enc.feature_names());
-  for (const auto& run : tg.predictor->to_artifact().corpus) {
+  for (const auto& run : *tg.bundle().corpus) {
     std::vector<int> exec;
     for (int st : run.stage_seq) {
-      if (!tg.profile->stage_type(st).loading) exec.push_back(st);
+      if (!tg.profile().stage_type(st).loading) exec.push_back(st);
     }
     for (std::size_t i = 0; i < exec.size(); ++i) {
       const std::vector<int> hist(

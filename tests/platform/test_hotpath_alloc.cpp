@@ -3,9 +3,10 @@
 // Replaces the global operator new/delete with counting wrappers and
 // asserts that hardware_tick() performs zero heap allocation at steady
 // state: dense SessionTable lookups, scratch-arena reuse, SeqSet event
-// bookkeeping and pre-reserved telemetry buffers must keep the tick loop
-// off the allocator entirely once warmed up. The same holds for the CoCG
-// scheduler re-rejecting a queued request within one admission pass.
+// bookkeeping and live sessions writing into their inline SampleWindow
+// must keep the tick loop off the allocator entirely once warmed up. The
+// same holds for the CoCG scheduler re-rejecting a queued request within
+// one admission pass.
 //
 // Sanitizer builds provide their own operator new and need the default
 // one for poisoning/interception, so the hook (and the strict zero

@@ -1,7 +1,6 @@
 // Observability integration tests at the platform layer: the live
-// sessions' fixed telemetry window, exact util-log windowing drop
-// accounting, per-class SLO attainment from completed runs, and the stage
-// profiler feeding the metrics snapshot.
+// sessions' fixed telemetry window, per-class SLO attainment from
+// completed runs, and the stage profiler feeding the metrics snapshot.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,20 +14,6 @@
 
 namespace cocg::platform {
 namespace {
-
-/// Mirror of the platform utilization log's windowing rule: trim down to
-/// `cap` once the buffer exceeds 1.5x cap, counting everything discarded.
-std::uint64_t rule_dropped(std::uint64_t adds, std::uint64_t cap) {
-  std::uint64_t size = 0, dropped = 0;
-  for (std::uint64_t i = 0; i < adds; ++i) {
-    ++size;
-    if (size > cap + cap / 2) {
-      dropped += size - cap;
-      size = cap;
-    }
-  }
-  return dropped;
-}
 
 class GreedyScheduler final : public Scheduler {
  public:
@@ -145,46 +130,6 @@ TEST(SessionWindow, LiveSessionKeepsNewestSamplesByAbsoluteNumber) {
   }
   late->finish();
   early->finish();
-}
-
-TEST(TraceWindowing, DropCountersSurfaceInMetricsSnapshot) {
-  static const auto contra = game::make_contra();
-  constexpr std::size_t kUtilCap = 100;
-  obs::reset();
-  obs::set_enabled(true);
-  PlatformConfig cfg;
-  cfg.seed = 5;
-  cfg.util_log_max_points = kUtilCap;
-  CloudPlatform cloud(cfg, std::make_unique<GreedyScheduler>());
-  cloud.add_server(hw::ServerSpec{});
-  cloud.enable_utilization_recording(true);
-  cloud.add_source({&contra, 2, 4});
-  cloud.run(60 * 60 * 1000);
-
-  ASSERT_FALSE(cloud.completed_runs().empty());
-  const std::uint64_t util_dropped =
-      obs::metrics().counter_value("platform.util_log_points_dropped");
-  // The util-log counter mirrors the platform's own ground-truth
-  // accessor one for one.
-  EXPECT_GT(util_dropped, 0u);
-  EXPECT_EQ(util_dropped, cloud.utilization_log_dropped());
-  EXPECT_EQ(util_dropped,
-            rule_dropped(cloud.utilization_log().size() + util_dropped,
-                         kUtilCap));
-  EXPECT_LE(cloud.utilization_log().size(), kUtilCap + kUtilCap / 2);
-
-  // It surfaces in the exported snapshot with the same value. Session
-  // telemetry lives in a fixed window that drops by design, so it has no
-  // counter.
-  std::ostringstream os;
-  obs::metrics().write_json(os);
-  const std::string json = os.str();
-  EXPECT_EQ(json.find("trace_samples_dropped"), std::string::npos);
-  EXPECT_NE(json.find("\"platform.util_log_points_dropped\":" +
-                      std::to_string(util_dropped)),
-            std::string::npos);
-  obs::set_enabled(false);
-  obs::reset();
 }
 
 TEST(PlatformSlo, DefaultClassesTrackCompletedRunsByCategory) {

@@ -124,20 +124,20 @@ int cmd_profile(int argc, char** argv) {
 }
 
 void print_bundle_summary(const core::GameBundle& b) {
-  const auto& art = b.predictor;
+  const auto& trained = b.trained;
   TablePrinter model({"bundle field", "value"});
-  model.add_row({"model", ml::model_kind_name(art.cfg.model)});
+  model.add_row({"model", ml::model_kind_name(b.cfg.model)});
   model.add_row({"held-out accuracy P",
-                 TablePrinter::fmt_pct(100 * art.accuracy, 1)});
-  model.add_row({"pooled trees",
-                 std::to_string(art.pooled ? art.pooled->num_trees() : 0)});
-  model.add_row({"pooled nodes",
-                 std::to_string(art.pooled ? art.pooled->node_count() : 0)});
-  model.add_row({"per-player models", std::to_string(art.per_player.size())});
+                 TablePrinter::fmt_pct(100 * trained.accuracy, 1)});
+  model.add_row({"pooled trees", std::to_string(trained.pooled->num_trees())});
+  model.add_row(
+      {"pooled nodes", std::to_string(trained.pooled->node_count())});
+  model.add_row(
+      {"per-player models", std::to_string(trained.per_player.size())});
   model.add_row({"training runs in corpus",
-                 std::to_string(art.corpus.size())});
+                 std::to_string(b.corpus->size())});
   model.add_row({"replace_model available",
-                 art.corpus.empty() ? "no (corpus stripped)" : "yes"});
+                 b.corpus->empty() ? "no (corpus stripped)" : "yes"});
   model.add_row({"chosen K", std::to_string(b.chosen_k)});
   model.add_row({"mean run duration (s)",
                  TablePrinter::fmt(ms_to_sec(b.mean_run_duration_ms), 0)});
@@ -157,7 +157,7 @@ int cmd_train(int argc, char** argv) {
             << " profiling runs, " << cfg.corpus_runs
             << " corpus runs, seed " << cfg.seed << ")...\n";
   const auto tg = core::train_game(spec, cfg);
-  const auto bundle = core::ModelBank::bundle_from(tg);
+  const core::GameBundle& bundle = tg.bundle();
   core::save_bundle_file(bundle, out_path);
   print_bundle_summary(bundle);
   std::cout << "saved bundle to " << out_path << "\n";
@@ -183,9 +183,7 @@ int cmd_train_suite(int argc, char** argv) {
     table.add_row(
         {name, ml::model_kind_name(tg.predictor->model_kind()),
          TablePrinter::fmt_pct(100 * tg.predictor->accuracy(), 1),
-         std::to_string(tg.predictor->trained()
-                            ? bank.bundle(name).predictor.pooled->num_trees()
-                            : 0)});
+         std::to_string(tg.bundle().trained.pooled->num_trees())});
   }
   table.print(std::cout);
   const auto paths = bank.save_dir(dir);
