@@ -25,19 +25,20 @@ namespace {
 
 core::GameProfile profile_on(const game::GameSpec& spec,
                              std::uint64_t seed) {
-  std::vector<telemetry::Trace> traces;
+  std::vector<std::vector<ResourceVector>> runs;
   Rng rng(seed);
   for (int r = 0; r < 12; ++r) {
     const auto script = static_cast<std::size_t>(rng.uniform_int(
         0, static_cast<std::int64_t>(spec.scripts.size()) - 1));
-    traces.push_back(game::profile_run(
-        spec, script, static_cast<std::uint64_t>(r % 4 + 1),
-        rng.next_u64()));
+    runs.push_back(game::profile_run_frame_means(
+                       spec, script, static_cast<std::uint64_t>(r % 4 + 1),
+                       rng.next_u64())
+                       .means);
   }
   core::ProfilerConfig cfg;
   cfg.forced_k = spec.num_clusters();
   core::FrameProfiler profiler(cfg);
-  return profiler.profile(spec.name, traces, rng).profile;
+  return profiler.profile(spec.name, runs, rng).profile;
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // For each of the four figure games (the paper plots CSGO, DOTA2, Genshin
 // Impact, Devil May Cry; Contra's trivial 2-cluster curve is included for
 // completeness), run K-means over the profiled 5-second frames for
-// K = 1..8 and print the SSE series plus the elbow-chosen K.
+// K = 1..core::kElbowKMax (8) and print the SSE series plus the
+// elbow-chosen K.
 //
 // Paper reference points: SSEs change little beyond the inflection; chosen
 // K values are Contra 2, CSGO 4, Genshin Impact 4, DOTA2 5, DMC 6.
@@ -21,8 +22,13 @@ using namespace cocg;
 int main() {
   bench::banner("Fig. 14", "K-means SSE vs K, per game");
 
-  TablePrinter table({"game", "K=1", "K=2", "K=3", "K=4", "K=5", "K=6",
-                      "K=7", "K=8", "elbow K", "paper K"});
+  std::vector<std::string> header{"game"};
+  for (int k = 1; k <= core::kElbowKMax; ++k) {
+    header.push_back("K=" + std::to_string(k));
+  }
+  header.push_back("elbow K");
+  header.push_back("paper K");
+  TablePrinter table(std::move(header));
   std::vector<std::vector<std::string>> csv;
   csv.push_back({"game", "k", "sse"});
 
@@ -34,33 +40,31 @@ int main() {
 
   for (const auto& spec : game::paper_suite()) {
     Rng rng(1234 ^ spec.id.value);
-    // Profiling traces (lab runs across scripts/players).
-    std::vector<telemetry::Trace> traces;
+    // Profiling runs' frames (lab runs across scripts/players), as points
+    // in normalized space.
+    ml::PointSet points;
+    const ResourceVector scale = default_norm_scale();
     for (int r = 0; r < 12; ++r) {
       const auto script = static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(spec.scripts.size()) - 1));
-      traces.push_back(game::profile_run(
+      const auto run = game::profile_run_frame_means(
           spec, script, static_cast<std::uint64_t>(r % 6 + 1),
-          rng.next_u64()));
-    }
-    // Frame points in normalized space.
-    ml::PointSet points;
-    const ResourceVector scale = default_norm_scale();
-    for (const auto& t : traces) {
-      for (const auto& fs : t.to_frame_slices()) {
+          rng.next_u64());
+      for (const auto& m : run.means) {
         std::array<double, kNumDims> p{};
         for (std::size_t i = 0; i < kNumDims; ++i) {
-          p[i] = fs.mean_usage.at(i) / scale.at(i);
+          p[i] = m.at(i) / scale.at(i);
         }
         points.add(p);
       }
     }
-    const auto sse = ml::sse_curve(points, 8, rng, 6);
-    core::ProfilerConfig pc;
-    const int elbow = ml::pick_elbow(sse, pc.elbow_min_gain);
+    const auto sse =
+        ml::sse_curve(points, core::kElbowKMax, rng, core::kKMeansRestarts);
+    const int elbow = ml::pick_elbow(sse, core::kElbowMinGain);
 
     std::vector<std::string> row{spec.name};
-    for (std::size_t k = 0; k < 8; ++k) {
+    for (std::size_t k = 0; k < static_cast<std::size_t>(core::kElbowKMax);
+         ++k) {
       row.push_back(k < sse.size() ? TablePrinter::fmt(sse[k], 3) : "-");
       if (k < sse.size()) {
         csv.push_back({spec.name, std::to_string(k + 1),

@@ -36,18 +36,20 @@ int main() {
     // Global profile over all scripts (the paper clusters per game, then
     // counts which types each script exercises).
     Rng rng(900 + spec.id.value);
-    std::vector<telemetry::Trace> all_traces;
+    std::vector<std::vector<ResourceVector>> all_runs;
     for (int r = 0; r < 12; ++r) {
       const auto script = static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(spec.scripts.size()) - 1));
-      all_traces.push_back(game::profile_run(
-          spec, script, static_cast<std::uint64_t>(r % 4 + 1),
-          rng.next_u64()));
+      all_runs.push_back(game::profile_run_frame_means(
+                             spec, script,
+                             static_cast<std::uint64_t>(r % 4 + 1),
+                             rng.next_u64())
+                             .means);
     }
     core::ProfilerConfig pcfg;
     pcfg.forced_k = spec.num_clusters();
     core::FrameProfiler profiler(pcfg);
-    const auto out = profiler.profile(spec.name, all_traces, rng);
+    const auto out = profiler.profile(spec.name, all_runs, rng);
 
     for (std::size_t s = 0; s < spec.scripts.size(); ++s) {
       const int designed = spec.script_stage_type_count(s);
@@ -55,9 +57,9 @@ int main() {
       // Count the distinct catalog types this script's runs visit.
       std::set<int> visited;
       for (int r = 0; r < 8; ++r) {
-        const auto means = game::profile_run_frame_means(
+        const auto run = game::profile_run_frame_means(
             spec, s, static_cast<std::uint64_t>(r % 4 + 1), rng.next_u64());
-        for (int st : core::infer_stage_sequence(out.profile, means)) {
+        for (int st : core::infer_stage_sequence(out.profile, run.means)) {
           visited.insert(st);
         }
       }

@@ -14,19 +14,20 @@ namespace cocg::bench {
 
 inline void report_game_clustering(const game::GameSpec& spec, int forced_k,
                             const std::string& csv_name) {
-  std::vector<telemetry::Trace> traces;
+  std::vector<std::vector<ResourceVector>> runs;
   Rng rng(3100 + spec.id.value);
   for (int r = 0; r < 12; ++r) {
     const auto script = static_cast<std::size_t>(rng.uniform_int(
         0, static_cast<std::int64_t>(spec.scripts.size()) - 1));
-    traces.push_back(game::profile_run(
-        spec, script, static_cast<std::uint64_t>(r % 5 + 1),
-        rng.next_u64()));
+    runs.push_back(game::profile_run_frame_means(
+                       spec, script, static_cast<std::uint64_t>(r % 5 + 1),
+                       rng.next_u64())
+                       .means);
   }
   core::ProfilerConfig cfg;
   cfg.forced_k = forced_k;
   core::FrameProfiler profiler(cfg);
-  const auto out = profiler.profile(spec.name, traces, rng);
+  const auto out = profiler.profile(spec.name, runs, rng);
 
   std::cout << "clusters (K=" << out.chosen_k << "):\n";
   TablePrinter clusters({"cluster", "CPU%", "GPU%", "VRAM MB", "frames",

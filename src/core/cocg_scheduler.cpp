@@ -313,8 +313,7 @@ void CocgScheduler::on_session_start(platform::PlatformView& view,
   SessionState st;
   st.model = &tg;
   st.monitor = std::make_unique<OnlineMonitor>(
-      &tg.profile(), tg.predictor.get(), info.player_id, info.script_idx,
-      cfg_.monitor);
+      tg.predictor.get(), info.player_id, info.script_idx, cfg_.monitor);
   st.monitor->set_session_id(sid.value);
   st.game = info.spec->name;
   st.player_id = info.player_id;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <map>
-#include <set>
 #include <span>
 
 #include "common/check.h"
@@ -12,6 +11,24 @@
 namespace cocg::core {
 
 namespace {
+
+/// A cluster joins a stage's signature only when it covers at least this
+/// fraction of the stage's frames — boundary-blended and transient-spike
+/// frames otherwise explode the 2^N stage-type space (§IV-A2 notes real
+/// games stay under 2N types).
+constexpr double kSignatureMinFrac = 0.20;
+/// Execution-stage occurrences shorter than this many frames are
+/// transition artifacts (a 5 s slice straddling a loading boundary) and
+/// are dropped from the catalog and the sequences.
+constexpr std::size_t kMinExecFrames = 2;
+/// Loading signature: GPU below this absolute % AND below this fraction
+/// of the busiest cluster's GPU, with CPU above kLoadingCpuFloorPct and the
+/// CPU:GPU ratio above kLoadingCpuGpuRatio (loading burns CPU with a black
+/// screen; low-intensity gameplay does not).
+constexpr double kLoadingGpuPct = 15.0;
+constexpr double kLoadingGpuFrac = 0.35;
+constexpr double kLoadingCpuFloorPct = 20.0;
+constexpr double kLoadingCpuGpuRatio = 3.0;
 
 std::array<double, kNumDims> to_point(const ResourceVector& v,
                                      const ResourceVector& scale) {
@@ -27,39 +44,86 @@ ResourceVector from_point(std::span<const double> p,
   return v;
 }
 
+/// One stage of a run, frames [first, end).
+struct Segment {
+  std::size_t first = 0;
+  std::size_t end = 0;
+  bool loading = false;
+  std::vector<int> clusters;  ///< the signature, sorted
+  int majority = -1;  ///< most-voted cluster; a tie goes to the lower id
+};
+
+/// The stage segmentation rule (Observation 2), shared by profiling and
+/// re-segmentation: cut a run's per-frame clusters at loading boundaries,
+/// keep in each segment's signature only the clusters covering at least
+/// kSignatureMinFrac of its frames, and drop execution segments shorter
+/// than kMinExecFrames (1-frame blips are boundary artifacts).
+std::vector<Segment> segment_stages(const GameProfile& profile,
+                                    std::span<const int> frame_clusters) {
+  std::vector<Segment> out;
+  std::vector<std::size_t> votes(profile.clusters.size());
+  std::size_t i = 0;
+  while (i < frame_clusters.size()) {
+    Segment seg;
+    seg.first = i;
+    seg.loading = profile.cluster(frame_clusters[i]).loading;
+    std::fill(votes.begin(), votes.end(), 0);
+    while (i < frame_clusters.size() &&
+           profile.cluster(frame_clusters[i]).loading == seg.loading) {
+      ++votes[static_cast<std::size_t>(frame_clusters[i])];
+      ++i;
+    }
+    seg.end = i;
+    const std::size_t n_frames = seg.end - seg.first;
+    if (!seg.loading && n_frames < kMinExecFrames) continue;
+
+    std::size_t best_votes = 0;
+    for (std::size_t c = 0; c < votes.size(); ++c) {
+      if (votes[c] > best_votes) {
+        best_votes = votes[c];
+        seg.majority = static_cast<int>(c);
+      }
+      if (static_cast<double>(votes[c]) >=
+          kSignatureMinFrac * static_cast<double>(n_frames)) {
+        seg.clusters.push_back(static_cast<int>(c));
+      }
+    }
+    if (seg.clusters.empty()) seg.clusters.push_back(frame_clusters[seg.first]);
+    out.push_back(std::move(seg));
+  }
+  return out;
+}
+
 }  // namespace
 
 ProfilerOutput FrameProfiler::profile(
     const std::string& game_name,
-    const std::vector<telemetry::Trace>& traces, Rng& rng) const {
-  COCG_EXPECTS_MSG(!traces.empty(), "profiling needs at least one trace");
+    std::span<const std::vector<ResourceVector>> runs, Rng& rng) const {
+  COCG_EXPECTS_MSG(!runs.empty(), "profiling needs at least one run");
 
   ProfilerOutput out;
   out.profile.game_name = game_name;
   out.profile.norm_scale = default_norm_scale();
 
-  // 1. Slice all traces into 5-second frames.
-  std::vector<std::vector<telemetry::FrameSlice>> sliced;
+  // 1. Every run's 5-second frames, as points in normalized space.
   ml::PointSet points;
-  for (const auto& trace : traces) {
-    COCG_EXPECTS(!trace.empty());
-    sliced.push_back(trace.to_frame_slices(cfg_.frame_slice_ms));
-    for (const auto& fs : sliced.back()) {
-      points.add(to_point(fs.mean_usage, out.profile.norm_scale));
+  for (const auto& means : runs) {
+    COCG_EXPECTS(!means.empty());
+    for (const auto& m : means) {
+      points.add(to_point(m, out.profile.norm_scale));
     }
   }
-  COCG_CHECK(!points.empty());
 
   // 2. Choose K (elbow over the SSE curve unless forced) and cluster.
-  out.sse_by_k = ml::sse_curve(points, cfg_.k_max, rng, cfg_.kmeans_restarts);
+  out.sse_by_k = ml::sse_curve(points, kElbowKMax, rng, kKMeansRestarts);
   out.chosen_k = cfg_.forced_k > 0
                      ? cfg_.forced_k
-                     : ml::pick_elbow(out.sse_by_k, cfg_.elbow_min_gain);
+                     : ml::pick_elbow(out.sse_by_k, kElbowMinGain);
   out.chosen_k = std::min<int>(out.chosen_k,
                                static_cast<int>(points.size()));
   ml::KMeansConfig kcfg;
   kcfg.k = out.chosen_k;
-  kcfg.restarts = cfg_.kmeans_restarts;
+  kcfg.restarts = kKMeansRestarts;
   const auto km = ml::KMeans::fit(points, kcfg, rng);
 
   // 3. Build cluster infos; identify the loading signature
@@ -79,56 +143,27 @@ ProfilerOutput FrameProfiler::profile(
         std::count(km.assignment.begin(), km.assignment.end(), c));
     const double gpu = info.centroid[Dim::kGpuPct];
     const double cpu = info.centroid[Dim::kCpuPct];
-    info.loading = gpu < cfg_.loading_gpu_pct &&
-                   (max_gpu <= 0.0 || gpu < cfg_.loading_gpu_frac * max_gpu) &&
-                   cpu > cfg_.loading_cpu_floor_pct &&
-                   cpu > cfg_.loading_cpu_gpu_ratio * gpu;
+    info.loading = gpu < kLoadingGpuPct &&
+                   (max_gpu <= 0.0 || gpu < kLoadingGpuFrac * max_gpu) &&
+                   cpu > kLoadingCpuFloorPct &&
+                   cpu > kLoadingCpuGpuRatio * gpu;
     out.profile.clusters.push_back(info);
   }
 
-  // 4. Segment stages per trace at loading boundaries (Observation 2).
-  //    A stage's signature keeps only clusters covering a meaningful share
-  //    of its frames; 1-frame execution blips are boundary artifacts.
-  std::size_t point_idx = 0;
-  for (std::size_t ti = 0; ti < sliced.size(); ++ti) {
-    const auto& frames = sliced[ti];
-    std::size_t i = 0;
-    while (i < frames.size()) {
-      const int first_cluster = km.assignment[point_idx + i];
-      const bool loading =
-          out.profile.clusters[static_cast<std::size_t>(first_cluster)]
-              .loading;
-      std::map<int, std::size_t> votes;
-      const std::size_t start = i;
-      while (i < frames.size()) {
-        const int c = km.assignment[point_idx + i];
-        const bool c_loading =
-            out.profile.clusters[static_cast<std::size_t>(c)].loading;
-        if (c_loading != loading) break;
-        ++votes[c];
-        ++i;
-      }
-      const std::size_t n_frames = i - start;
-      if (!loading && n_frames < cfg_.min_exec_frames) continue;
-
-      std::set<int> clusters;
-      for (const auto& [c, v] : votes) {
-        if (static_cast<double>(v) >=
-            cfg_.signature_min_frac * static_cast<double>(n_frames)) {
-          clusters.insert(c);
-        }
-      }
-      if (clusters.empty()) clusters.insert(first_cluster);
-
+  // 4. Segment stages per run at loading boundaries (Observation 2).
+  std::span<const int> assignment(km.assignment);
+  for (std::size_t ri = 0; ri < runs.size(); ++ri) {
+    const auto frames = assignment.first(runs[ri].size());
+    assignment = assignment.subspan(runs[ri].size());
+    for (auto& seg : segment_stages(out.profile, frames)) {
       StageOccurrence occ;
-      occ.trace_idx = ti;
-      occ.start = frames[start].start;
-      occ.end = frames[i - 1].end;
-      occ.clusters.assign(clusters.begin(), clusters.end());
-      occ.loading = loading;
-      out.occurrences.push_back(occ);
+      occ.run_idx = ri;
+      occ.start = static_cast<TimeMs>(seg.first) * kFrameSliceMs;
+      occ.end = static_cast<TimeMs>(seg.end) * kFrameSliceMs;
+      occ.clusters = std::move(seg.clusters);
+      occ.loading = seg.loading;
+      out.occurrences.push_back(std::move(occ));
     }
-    point_idx += frames.size();
   }
 
   // 5. Catalog stage types by cluster-combination signature. Loading
@@ -182,10 +217,10 @@ ProfilerOutput FrameProfiler::profile(
     }
   }
 
-  // 7. Per-trace stage-type sequences for the predictor.
-  out.stage_sequences.assign(sliced.size(), {});
+  // 7. Per-run stage-type sequences for the predictor.
+  out.stage_sequences.assign(runs.size(), {});
   for (const auto& occ : out.occurrences) {
-    out.stage_sequences[occ.trace_idx].push_back(occ.stage_type);
+    out.stage_sequences[occ.run_idx].push_back(occ.stage_type);
   }
 
   COCG_ENSURES(out.profile.num_stage_types() >= 1);
@@ -195,53 +230,20 @@ ProfilerOutput FrameProfiler::profile(
 std::vector<int> infer_stage_sequence(
     const GameProfile& profile, std::span<const ResourceVector> frame_means) {
   COCG_EXPECTS(!frame_means.empty());
-  // Mirror FrameProfiler's segmentation hygiene.
-  const ProfilerConfig defaults;
+  std::vector<int> frame_clusters;
+  frame_clusters.reserve(frame_means.size());
+  for (const auto& m : frame_means) {
+    frame_clusters.push_back(profile.match_cluster(m));
+  }
 
   std::vector<int> seq;
-  std::size_t i = 0;
-  while (i < frame_means.size()) {
-    const int first = profile.match_cluster(frame_means[i]);
-    const bool loading = profile.cluster(first).loading;
-    std::map<int, std::size_t> votes;
-    const std::size_t start = i;
-    while (i < frame_means.size()) {
-      const int c = profile.match_cluster(frame_means[i]);
-      if (profile.cluster(c).loading != loading) break;
-      ++votes[c];
-      ++i;
-    }
-    const std::size_t n_frames = i - start;
-    if (loading) {
-      if (profile.loading_stage_type >= 0) {
-        seq.push_back(profile.loading_stage_type);
-      }
-      continue;
-    }
-    if (n_frames < defaults.min_exec_frames) continue;
-
-    std::set<int> clusters;
-    for (const auto& [c, v] : votes) {
-      if (static_cast<double>(v) >=
-          defaults.signature_min_frac * static_cast<double>(n_frames)) {
-        clusters.insert(c);
-      }
-    }
-    if (clusters.empty()) clusters.insert(first);
-    std::vector<int> sig(clusters.begin(), clusters.end());
-    int st = profile.match_stage_signature(sig);
-    if (st < 0) {
+  for (const auto& seg : segment_stages(profile, frame_clusters)) {
+    int st = profile.loading_stage_type;
+    if (!seg.loading) {
+      st = profile.match_stage_signature(seg.clusters);
       // Unseen combination: label by the majority cluster's most specific
       // containing type.
-      int best_cluster = sig[0];
-      std::size_t best_votes = 0;
-      for (const auto& [c, v] : votes) {
-        if (v > best_votes) {
-          best_votes = v;
-          best_cluster = c;
-        }
-      }
-      st = profile.match_execution_stage_for_cluster(best_cluster);
+      if (st < 0) st = profile.match_execution_stage_for_cluster(seg.majority);
     }
     if (st >= 0) seq.push_back(st);
   }

@@ -11,25 +11,26 @@ TrainedGame train_game(const game::GameSpec& spec, const OfflineConfig& cfg) {
   COCG_EXPECTS(cfg.players >= 1);
   Rng rng(cfg.seed ^ spec.id.value);
 
-  // 1. Laboratory profiling runs → traces.
-  std::vector<telemetry::Trace> traces;
-  std::vector<std::uint64_t> trace_players;
-  std::vector<std::size_t> trace_scripts;
-  traces.reserve(static_cast<std::size_t>(cfg.profiling_runs));
+  // 1. Laboratory profiling runs, streamed into their frame means.
+  std::vector<std::vector<ResourceVector>> runs;
+  std::vector<std::uint64_t> run_players;
+  std::vector<std::size_t> run_scripts;
+  runs.reserve(static_cast<std::size_t>(cfg.profiling_runs));
+  DurationMs dur_sum = 0;
   for (int r = 0; r < cfg.profiling_runs; ++r) {
     const auto script = static_cast<std::size_t>(rng.uniform_int(
         0, static_cast<std::int64_t>(spec.scripts.size()) - 1));
     const auto player =
         static_cast<std::uint64_t>(rng.uniform_int(1, cfg.players));
-    traces.push_back(
-        game::profile_run(spec, script, player, rng.next_u64()));
-    trace_players.push_back(player);
-    trace_scripts.push_back(script);
+    auto run =
+        game::profile_run_frame_means(spec, script, player, rng.next_u64());
+    dur_sum += run.last_sample_ms;
+    runs.push_back(std::move(run.means));
+    run_players.push_back(player);
+    run_scripts.push_back(script);
   }
-  DurationMs dur_sum = 0;
-  for (const auto& t : traces) dur_sum += t.end_time() - t.start_time();
   const DurationMs mean_run_duration_ms =
-      dur_sum / static_cast<DurationMs>(traces.size());
+      dur_sum / static_cast<DurationMs>(runs.size());
 
   // 2. Cluster + segment + catalog.
   ProfilerConfig prof_cfg = cfg.profiler;
@@ -37,27 +38,25 @@ TrainedGame train_game(const game::GameSpec& spec, const OfflineConfig& cfg) {
     prof_cfg.forced_k = spec.num_clusters();
   }
   FrameProfiler profiler(prof_cfg);
-  auto prof_out = profiler.profile(spec.name, traces, rng);
+  auto prof_out = profiler.profile(spec.name, runs, rng);
   auto profile =
       std::make_shared<const GameProfile>(std::move(prof_out.profile));
 
   // 3. Predictor corpus: the profiling runs' sequences plus bulk runs
-  //    re-segmented against the fixed profile, at the profile's slice
-  //    width. A bulk run is needed only as frame means, so it is streamed
-  //    into them and never kept as a trace.
+  //    re-segmented against the fixed profile.
   std::vector<TrainingRun> corpus;
   for (std::size_t t = 0; t < prof_out.stage_sequences.size(); ++t) {
     corpus.push_back(TrainingRun{prof_out.stage_sequences[t],
-                                 trace_players[t], trace_scripts[t]});
+                                 run_players[t], run_scripts[t]});
   }
   for (int r = 0; r < cfg.corpus_runs; ++r) {
     const auto script = static_cast<std::size_t>(rng.uniform_int(
         0, static_cast<std::int64_t>(spec.scripts.size()) - 1));
     const auto player =
         static_cast<std::uint64_t>(rng.uniform_int(1, cfg.players));
-    const auto means = game::profile_run_frame_means(
-        spec, script, player, rng.next_u64(), prof_cfg.frame_slice_ms);
-    corpus.push_back(TrainingRun{infer_stage_sequence(*profile, means),
+    const auto run =
+        game::profile_run_frame_means(spec, script, player, rng.next_u64());
+    corpus.push_back(TrainingRun{infer_stage_sequence(*profile, run.means),
                                  player, script});
   }
 

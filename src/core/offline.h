@@ -1,4 +1,4 @@
-// Offline per-game pipeline: lab traces → profile → trained predictor.
+// Offline per-game pipeline: lab runs → profile → trained predictor.
 //
 // "Contention feature profiling and model training only need to be
 // performed once" (§IV-B1). train_game builds one immutable GameBundle per

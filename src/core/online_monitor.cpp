@@ -20,22 +20,17 @@ const char* monitor_event_name(MonitorEvent e) {
   return "?";
 }
 
-OnlineMonitor::OnlineMonitor(const GameProfile* profile,
-                             const StagePredictor* predictor,
+OnlineMonitor::OnlineMonitor(const StagePredictor* predictor,
                              std::uint64_t player_id, std::size_t mode,
                              MonitorConfig cfg)
-    : profile_(profile),
-      predictor_(predictor),
-      player_id_(player_id),
-      mode_(mode),
-      cfg_(cfg) {
-  COCG_EXPECTS(profile != nullptr);
+    : predictor_(predictor), player_id_(player_id), mode_(mode), cfg_(cfg) {
   COCG_EXPECTS(predictor != nullptr);
+  profile_ = &predictor->profile();
   auto& reg = obs::metrics();
-  obs_hits_ = reg.counter("predictor.hits." + profile->game_name);
-  obs_misses_ = reg.counter("predictor.misses." + profile->game_name);
+  obs_hits_ = reg.counter("predictor.hits." + profile_->game_name);
+  obs_misses_ = reg.counter("predictor.misses." + profile_->game_name);
   obs_callbacks_ =
-      reg.counter("monitor.rehearsal_callbacks." + profile->game_name);
+      reg.counter("monitor.rehearsal_callbacks." + profile_->game_name);
 }
 
 bool OnlineMonitor::in_loading() const {

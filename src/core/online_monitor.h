@@ -43,10 +43,10 @@ struct MonitorConfig {
 
 class OnlineMonitor {
  public:
-  /// `profile` and `predictor` must outlive the monitor.
-  OnlineMonitor(const GameProfile* profile, const StagePredictor* predictor,
-                std::uint64_t player_id, std::size_t mode,
-                MonitorConfig cfg = {});
+  /// Judges stages against the predictor's profile. `predictor` must
+  /// outlive the monitor.
+  OnlineMonitor(const StagePredictor* predictor, std::uint64_t player_id,
+                std::size_t mode, MonitorConfig cfg = {});
 
   /// Feed one 5-second observation (mean usage over the detection window).
   /// When `view_saturated`, observations are supply-squeezed, so jumps to
@@ -105,8 +105,8 @@ class OnlineMonitor {
   /// window-resolved type and score the pending prediction.
   void finalize_execution_stage(TimeMs t);
 
-  const GameProfile* profile_;
   const StagePredictor* predictor_;
+  const GameProfile* profile_;  ///< the predictor's, fixed for its lifetime
   std::uint64_t player_id_;
   std::size_t mode_;
   MonitorConfig cfg_;

@@ -379,12 +379,7 @@ void Fleet::run(DurationMs duration_ms) {
   }
 
   if (!lockstep) {
-    const auto c = exec.snapshot();
-    exec_stats_.jobs_run = c.jobs_run;
-    exec_stats_.steals = c.steals;
-    exec_stats_.steal_ns = c.steal_ns;
-    exec_stats_.idle_waits = c.idle_waits;
-    exec_stats_.idle_ns = c.idle_ns;
+    static_cast<ShardExecutor::Counters&>(exec_stats_) = exec.snapshot();
     // Steals are wall-class schedule points: thread confinement means the
     // victim choice cannot affect results, so they are counted, never
     // recorded or forced (docs/schedcheck.md).

@@ -202,12 +202,8 @@ class Fleet {
 
   /// Steal-runner schedule diagnostics from the last run() (all zeros
   /// under lockstep). Wall-clock quantities — never part of the report.
-  struct ExecutorStats {
-    std::uint64_t jobs_run = 0;
-    std::uint64_t steals = 0;      ///< epochs executed off their home worker
-    std::uint64_t steal_ns = 0;
-    std::uint64_t idle_waits = 0;
-    std::uint64_t idle_ns = 0;
+  /// The executor's counters after the run, plus the fleet's drains.
+  struct ExecutorStats : ShardExecutor::Counters {
     std::uint64_t syncs = 0;  ///< forced drains (load-dependent routing/health)
   };
   const ExecutorStats& executor_stats() const { return exec_stats_; }

@@ -1,6 +1,7 @@
 #include "game/tracegen.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/check.h"
 #include "game/plan.h"
@@ -54,38 +55,41 @@ void play_solo(const GameSpec& spec, std::size_t script_idx,
 telemetry::Trace profile_run(const GameSpec& spec, std::size_t script_idx,
                              std::uint64_t player_id, std::uint64_t seed,
                              const TraceGenConfig& cfg) {
-  COCG_EXPECTS(script_idx < spec.scripts.size());
-  telemetry::Trace trace(spec.name + "/" + spec.scripts[script_idx].name);
+  telemetry::Trace trace;
   play_solo(spec, script_idx, player_id, seed, cfg,
             [&](const telemetry::MetricSample& s) { trace.add(s); });
   return trace;
 }
 
-std::vector<ResourceVector> profile_run_frame_means(
-    const GameSpec& spec, std::size_t script_idx, std::uint64_t player_id,
-    std::uint64_t seed, DurationMs slice_ms, const TraceGenConfig& cfg) {
-  COCG_EXPECTS(slice_ms > 0);
-  std::vector<ResourceVector> means;
+RunFrameMeans profile_run_frame_means(const GameSpec& spec,
+                                      std::size_t script_idx,
+                                      std::uint64_t player_id,
+                                      std::uint64_t seed,
+                                      const TraceGenConfig& cfg) {
+  COCG_EXPECTS_MSG(cfg.sample_period_ms <= kFrameSliceMs,
+                   "sample period " + std::to_string(cfg.sample_period_ms) +
+                       " ms exceeds the " + std::to_string(kFrameSliceMs) +
+                       " ms frame slice");
+  // Samples fall at 0, p, 2p, ... with p <= the slice, so every slice gets
+  // at least one and a sample past the open slice's end opens the next.
+  RunFrameMeans out;
   ResourceVector acc;
   std::size_t n = 0;
-  TimeMs t0 = 0, slice_end = 0;
   const auto close_slice = [&] {
-    means.push_back(acc * (1.0 / static_cast<double>(n)));
+    out.means.push_back(acc * (1.0 / static_cast<double>(n)));
     acc = ResourceVector{};
     n = 0;
   };
   play_solo(spec, script_idx, player_id, seed, cfg,
             [&](const telemetry::MetricSample& s) {
-              if (n > 0 && s.t >= slice_end) close_slice();
-              if (n == 0) {
-                if (means.empty()) t0 = s.t;
-                slice_end = t0 + ((s.t - t0) / slice_ms) * slice_ms + slice_ms;
-              }
+              const auto open = static_cast<TimeMs>(out.means.size());
+              if (n > 0 && s.t >= (open + 1) * kFrameSliceMs) close_slice();
               acc += s.usage;
               ++n;
+              out.last_sample_ms = s.t;
             });
   if (n > 0) close_slice();
-  return means;
+  return out;
 }
 
 std::vector<RunRecord> generate_corpus(const GameSpec& spec, int n_runs,

@@ -30,7 +30,6 @@ struct FrameSlice {
   TimeMs start = 0;
   TimeMs end = 0;
   ResourceVector mean_usage;
-  double mean_fps = 0.0;
   int true_stage_type = -1;
   bool true_loading = false;
   int true_cluster = -1;

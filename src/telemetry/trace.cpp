@@ -1,13 +1,9 @@
 #include "telemetry/trace.h"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
 #include <utility>
 
 #include "common/check.h"
-#include "common/table.h"
 
 namespace cocg::telemetry {
 
@@ -73,14 +69,12 @@ std::vector<FrameSlice> Trace::to_frame_slices(DurationMs slice_ms) const {
     const TimeMs slice_end = slice_start + slice_ms;
 
     ResourceVector acc;
-    double fps_acc = 0.0;
     std::size_t n = 0;
     stage_votes.clear();
     cluster_votes.clear();
     int loading_votes = 0;
     while (i < samples_.size() && samples_[i].t < slice_end) {
       acc += samples_[i].usage;
-      fps_acc += samples_[i].fps;
       stage_votes.add(samples_[i].true_stage_type);
       cluster_votes.add(samples_[i].true_cluster);
       if (samples_[i].true_loading) ++loading_votes;
@@ -93,58 +87,12 @@ std::vector<FrameSlice> Trace::to_frame_slices(DurationMs slice_ms) const {
     fs.start = slice_start;
     fs.end = slice_end;
     fs.mean_usage = acc * (1.0 / static_cast<double>(n));
-    fs.mean_fps = fps_acc / static_cast<double>(n);
     fs.true_stage_type = stage_votes.majority();
     fs.true_cluster = cluster_votes.majority();
     fs.true_loading = loading_votes * 2 > static_cast<int>(n);
     out.push_back(fs);
   }
   return out;
-}
-
-void Trace::save_csv(const std::string& path) const {
-  CsvWriter w(path);
-  w.write_row({"t_ms", "cpu_pct", "gpu_pct", "gpu_mem_mb", "ram_mb", "fps",
-               "true_stage_type", "true_loading", "true_cluster"});
-  for (const auto& s : samples_) {
-    w.write_row({std::to_string(s.t), std::to_string(s.usage.cpu()),
-                 std::to_string(s.usage.gpu()), std::to_string(s.usage.gpu_mem()),
-                 std::to_string(s.usage.ram()), std::to_string(s.fps),
-                 std::to_string(s.true_stage_type),
-                 s.true_loading ? "1" : "0", std::to_string(s.true_cluster)});
-  }
-}
-
-Trace Trace::load_csv(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("Trace::load_csv: cannot open " + path);
-  Trace trace(path);
-  std::string line;
-  bool header = true;
-  while (std::getline(in, line)) {
-    if (header) {
-      header = false;
-      continue;
-    }
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string cell;
-    std::vector<std::string> cells;
-    while (std::getline(ls, cell, ',')) cells.push_back(cell);
-    if (cells.size() != 9) {
-      throw std::runtime_error("Trace::load_csv: malformed row: " + line);
-    }
-    MetricSample s;
-    s.t = std::stoll(cells[0]);
-    s.usage = ResourceVector{std::stod(cells[1]), std::stod(cells[2]),
-                             std::stod(cells[3]), std::stod(cells[4])};
-    s.fps = std::stod(cells[5]);
-    s.true_stage_type = std::stoi(cells[6]);
-    s.true_loading = cells[7] == "1";
-    s.true_cluster = std::stoi(cells[8]);
-    trace.add(s);
-  }
-  return trace;
 }
 
 }  // namespace cocg::telemetry

@@ -1,9 +1,9 @@
-// Traces: ordered sequences of metric samples, with CSV round-tripping and
-// frame-slice aggregation (the profiler's input). Offline only: a live
+// Traces: ordered sequences of metric samples with frame-slice aggregation,
+// kept for evaluation against a run's ground truth. Training streams a run
+// into its frame means instead (game::profile_run_frame_means), and a live
 // session keeps its newest samples in a SampleWindow (sample_window.h).
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -14,11 +14,6 @@ namespace cocg::telemetry {
 
 class Trace {
  public:
-  Trace() = default;
-  explicit Trace(std::string label) : label_(std::move(label)) {}
-
-  const std::string& label() const { return label_; }
-
   /// Append a sample; timestamps must be non-decreasing.
   void add(const MetricSample& s) {
     COCG_EXPECTS_MSG(samples_.empty() || s.t >= samples_.back().t,
@@ -40,12 +35,7 @@ class Trace {
   std::vector<FrameSlice> to_frame_slices(
       DurationMs slice_ms = kFrameSliceMs) const;
 
-  /// CSV persistence (header row + one row per sample).
-  void save_csv(const std::string& path) const;
-  static Trace load_csv(const std::string& path);
-
  private:
-  std::string label_;
   std::vector<MetricSample> samples_;
 };
 

@@ -16,19 +16,20 @@ namespace cocg::core {
 namespace {
 
 GameProfile profile_on(const game::GameSpec& spec, std::uint64_t seed) {
-  std::vector<telemetry::Trace> traces;
+  std::vector<std::vector<ResourceVector>> runs;
   Rng rng(seed);
   for (int r = 0; r < 10; ++r) {
     const auto script = static_cast<std::size_t>(rng.uniform_int(
         0, static_cast<std::int64_t>(spec.scripts.size()) - 1));
-    traces.push_back(game::profile_run(
-        spec, script, static_cast<std::uint64_t>(r % 4 + 1),
-        rng.next_u64()));
+    runs.push_back(game::profile_run_frame_means(
+                       spec, script, static_cast<std::uint64_t>(r % 4 + 1),
+                       rng.next_u64())
+                       .means);
   }
   ProfilerConfig cfg;
   cfg.forced_k = spec.num_clusters();
   FrameProfiler profiler(cfg);
-  return profiler.profile(spec.name, traces, rng).profile;
+  return profiler.profile(spec.name, runs, rng).profile;
 }
 
 // --- platform scaling of game specs ---

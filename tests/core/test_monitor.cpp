@@ -58,9 +58,9 @@ ResourceVector usage_of(const GameProfile& p, int cluster) {
 }
 
 struct Fixture {
-  GameProfile profile = toy_profile();
-  StagePredictor predictor = trained_predictor(profile);
-  OnlineMonitor monitor{&profile, &predictor, 1, 0};
+  StagePredictor predictor = trained_predictor(toy_profile());
+  const GameProfile& profile = predictor.profile();
+  OnlineMonitor monitor{&predictor, 1, 0};
 };
 
 TEST(OnlineMonitor, FirstObservationExecution) {
@@ -192,16 +192,17 @@ TEST(OnlineMonitor, RealLoadingAfterTwoDetectionsNotWithdrawn) {
 // signature refinement, and a loading confirmation that relabels the last
 // history entry while the judged stage stays put.
 TEST(OnlineMonitor, VersionChangesWheneverJudgedStateChanges) {
-  GameProfile profile = toy_profile();
+  GameProfile toy = toy_profile();
   {
     // A two-cluster type {2, 3} that a window of 2s and 3s resolves to.
-    StageTypeInfo st = profile.stage_types[2];
+    StageTypeInfo st = toy.stage_types[2];
     st.id = 4;
     st.clusters = {2, 3};
-    profile.stage_types.push_back(st);
+    toy.stage_types.push_back(st);
   }
-  const StagePredictor predictor = trained_predictor(profile);
-  OnlineMonitor monitor(&profile, &predictor, 1, 0);
+  const StagePredictor predictor = trained_predictor(toy);
+  const GameProfile& profile = predictor.profile();
+  OnlineMonitor monitor(&predictor, 1, 0);
 
   std::set<MonitorEvent> seen;
   int relabels_in_loading = 0;
@@ -333,10 +334,7 @@ TEST(OnlineMonitor, ErrorStreakResets) {
 }
 
 TEST(OnlineMonitor, ConstructorValidation) {
-  GameProfile p = toy_profile();
-  StagePredictor pred = trained_predictor(p);
-  EXPECT_THROW(OnlineMonitor(nullptr, &pred, 1, 0), ContractError);
-  EXPECT_THROW(OnlineMonitor(&p, nullptr, 1, 0), ContractError);
+  EXPECT_THROW(OnlineMonitor(nullptr, 1, 0), ContractError);
 }
 
 }  // namespace

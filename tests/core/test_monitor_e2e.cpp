@@ -28,8 +28,7 @@ E2eScore run_monitored_session(const TrainedGame& tg, std::size_t script,
   scfg.spike_prob = 0.0;
   game::GameSession session(SessionId{1}, &spec, script, std::move(plan),
                             rng.fork(), scfg);
-  OnlineMonitor monitor(&tg.profile(), tg.predictor.get(), player,
-                        script);
+  OnlineMonitor monitor(tg.predictor.get(), player, script);
   Rng noise = rng.fork();
 
   E2eScore score;

@@ -64,9 +64,9 @@ StagePredictor realm_predictor(const GameProfile& p) {
 }
 
 struct Fixture {
-  GameProfile profile = realm_profile();
-  StagePredictor predictor = realm_predictor(profile);
-  OnlineMonitor monitor{&profile, &predictor, 1, 0};
+  StagePredictor predictor = realm_predictor(realm_profile());
+  const GameProfile& profile = predictor.profile();
+  OnlineMonitor monitor{&predictor, 1, 0};
 
   MonitorEvent step(int cluster, TimeMs& t) {
     const auto ev =

@@ -16,17 +16,18 @@ namespace {
 
 GameProfile sample_profile() {
   const game::GameSpec spec = game::make_genshin();
-  std::vector<telemetry::Trace> traces;
+  std::vector<std::vector<ResourceVector>> runs;
   Rng rng(21);
   for (int r = 0; r < 8; ++r) {
-    traces.push_back(game::profile_run(
-        spec, static_cast<std::size_t>(r % 3),
-        static_cast<std::uint64_t>(r % 4 + 1), rng.next_u64()));
+    runs.push_back(game::profile_run_frame_means(
+                       spec, static_cast<std::size_t>(r % 3),
+                       static_cast<std::uint64_t>(r % 4 + 1), rng.next_u64())
+                       .means);
   }
   ProfilerConfig cfg;
   cfg.forced_k = spec.num_clusters();
   FrameProfiler profiler(cfg);
-  return profiler.profile(spec.name, traces, rng).profile;
+  return profiler.profile(spec.name, runs, rng).profile;
 }
 
 void expect_profiles_equal(const GameProfile& a, const GameProfile& b) {

@@ -11,17 +11,19 @@
 namespace cocg::core {
 namespace {
 
-std::vector<telemetry::Trace> lab_traces(const game::GameSpec& g, int n,
-                                         std::uint64_t seed) {
-  std::vector<telemetry::Trace> traces;
+std::vector<std::vector<ResourceVector>> lab_runs(const game::GameSpec& g,
+                                                  int n, std::uint64_t seed) {
+  std::vector<std::vector<ResourceVector>> runs;
   Rng rng(seed);
   for (int i = 0; i < n; ++i) {
     const auto script = static_cast<std::size_t>(rng.uniform_int(
         0, static_cast<std::int64_t>(g.scripts.size()) - 1));
-    traces.push_back(game::profile_run(
-        g, script, static_cast<std::uint64_t>(i % 4 + 1), rng.next_u64()));
+    runs.push_back(game::profile_run_frame_means(
+                       g, script, static_cast<std::uint64_t>(i % 4 + 1),
+                       rng.next_u64())
+                       .means);
   }
-  return traces;
+  return runs;
 }
 
 ProfilerOutput profile_game(const game::GameSpec& g, int runs = 10,
@@ -30,7 +32,7 @@ ProfilerOutput profile_game(const game::GameSpec& g, int runs = 10,
   cfg.forced_k = g.num_clusters();  // operator K, as in the paper
   FrameProfiler profiler(cfg);
   Rng rng(seed);
-  return profiler.profile(g.name, lab_traces(g, runs, seed), rng);
+  return profiler.profile(g.name, lab_runs(g, runs, seed), rng);
 }
 
 TEST(FrameProfiler, DiscoversDesignedClusterCount) {
@@ -44,9 +46,9 @@ TEST(FrameProfiler, ElbowModeWithoutForcedK) {
   ProfilerConfig cfg;  // automatic elbow
   FrameProfiler profiler(cfg);
   Rng rng(3);
-  const auto out = profiler.profile(g.name, lab_traces(g, 10, 3), rng);
+  const auto out = profiler.profile(g.name, lab_runs(g, 10, 3), rng);
   // Fig. 14's Genshin inflection is at 4; the automatic elbow may land one
-  // off depending on the sampled traces.
+  // off depending on the sampled runs.
   EXPECT_GE(out.chosen_k, 3);
   EXPECT_LE(out.chosen_k, 5);
   EXPECT_FALSE(out.sse_by_k.empty());
@@ -88,16 +90,16 @@ TEST(FrameProfiler, StageTypesRespectEmpirical2NBound) {
 
 TEST(FrameProfiler, OccurrencesAlternateLoadingExecution) {
   const auto out = profile_game(game::make_contra());
-  std::size_t prev_trace = SIZE_MAX;
+  std::size_t prev_run = SIZE_MAX;
   bool prev_loading = false;
   for (const auto& occ : out.occurrences) {
     EXPECT_LT(occ.start, occ.end);
     EXPECT_GE(occ.stage_type, 0);
-    if (occ.trace_idx == prev_trace) {
+    if (occ.run_idx == prev_run) {
       EXPECT_NE(occ.loading, prev_loading)
           << "consecutive occurrences must alternate kinds";
     }
-    prev_trace = occ.trace_idx;
+    prev_run = occ.run_idx;
     prev_loading = occ.loading;
   }
 }
@@ -181,9 +183,9 @@ TEST(InferStageSequence, MatchesGroundTruthOnFreshRuns) {
   const auto out = profile_game(g, 12);
   // A fresh run re-segmented with the profile yields alternating
   // loading/exec types of the right count.
-  const auto means =
+  const auto run =
       game::profile_run_frame_means(g, 2, 9, 777);  // three levels
-  const auto seq = infer_stage_sequence(out.profile, means);
+  const auto seq = infer_stage_sequence(out.profile, run.means);
   // Contra 3 levels: L E L E L E L = 7 stages.
   EXPECT_EQ(seq.size(), 7u);
   for (std::size_t i = 0; i < seq.size(); ++i) {
@@ -197,12 +199,39 @@ TEST(InferStageSequence, GenshinTaskCountPreserved) {
   const game::GameSpec g = game::make_genshin();
   const auto out = profile_game(g, 14);
   const auto seq = infer_stage_sequence(
-      out.profile, game::profile_run_frame_means(g, 0, 5, 888));
+      out.profile, game::profile_run_frame_means(g, 0, 5, 888).means);
   int execs = 0;
   for (int st : seq) {
     if (!out.profile.stage_type(st).loading) ++execs;
   }
   EXPECT_EQ(execs, 4);  // run/battle/fly + domain
+}
+
+// Profiling and re-segmentation share one segmentation rule: a profiling
+// run re-segmented against its own profile gives back the profiler's
+// sequence for it, for every paper game, with operator and elbow K.
+TEST(InferStageSequence, ReproducesProfilerSequencesOnProfilingRuns) {
+  int compared = 0;
+  for (const auto& g : game::paper_suite()) {
+    for (std::uint64_t seed : {42ULL, 7ULL, 1234ULL}) {
+      for (int forced_k : {g.num_clusters(), 0}) {
+        const auto runs = lab_runs(g, 8, seed);
+        ProfilerConfig cfg;
+        cfg.forced_k = forced_k;
+        Rng rng(seed);
+        const auto out = FrameProfiler(cfg).profile(g.name, runs, rng);
+        ASSERT_EQ(out.stage_sequences.size(), runs.size());
+        for (std::size_t r = 0; r < runs.size(); ++r) {
+          EXPECT_EQ(infer_stage_sequence(out.profile, runs[r]),
+                    out.stage_sequences[r])
+              << g.name << " seed " << seed << " K " << forced_k << " run "
+              << r;
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 240);
 }
 
 // Property: profiling is deterministic given the seed.

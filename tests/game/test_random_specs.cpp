@@ -150,17 +150,19 @@ TEST_P(RandomSpecPipeline, SessionsTerminateWithSaneAccounting) {
 TEST_P(RandomSpecPipeline, ProfilerHandlesArbitraryTitles) {
   Rng rng(GetParam() ^ 0x1234);
   const GameSpec g = random_spec(rng);
-  std::vector<telemetry::Trace> traces;
+  std::vector<std::vector<ResourceVector>> runs;
   for (int r = 0; r < 5; ++r) {
     const auto script = static_cast<std::size_t>(rng.uniform_int(
         0, static_cast<std::int64_t>(g.scripts.size()) - 1));
-    traces.push_back(profile_run(
-        g, script, static_cast<std::uint64_t>(r + 1), rng.next_u64()));
+    runs.push_back(profile_run_frame_means(g, script,
+                                           static_cast<std::uint64_t>(r + 1),
+                                           rng.next_u64())
+                       .means);
   }
   core::ProfilerConfig cfg;
   cfg.forced_k = g.num_clusters();
   core::FrameProfiler profiler(cfg);
-  const auto out = profiler.profile(g.name, traces, rng);
+  const auto out = profiler.profile(g.name, runs, rng);
   EXPECT_GE(out.profile.num_stage_types(), 1);
   EXPECT_LE(out.profile.num_stage_types(),
             1 << out.profile.num_clusters());  // hard 2^N bound (§IV-A2)
@@ -172,11 +174,7 @@ TEST_P(RandomSpecPipeline, ProfilerHandlesArbitraryTitles) {
     }
   }
   // Sequences re-derived against the profile stay within the catalog.
-  for (const auto& trace : traces) {
-    std::vector<ResourceVector> means;
-    for (const auto& fs : trace.to_frame_slices()) {
-      means.push_back(fs.mean_usage);
-    }
+  for (const auto& means : runs) {
     for (int st : core::infer_stage_sequence(out.profile, means)) {
       EXPECT_GE(st, 0);
       EXPECT_LT(st, out.profile.num_stage_types());

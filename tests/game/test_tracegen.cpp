@@ -91,29 +91,42 @@ TEST(TraceGen, InvalidScriptThrows) {
   const GameSpec g = make_contra();
   EXPECT_THROW(profile_run(g, 9, 1, 48), ContractError);
   EXPECT_THROW(profile_run_frame_means(g, 9, 1, 48), ContractError);
-  EXPECT_THROW(profile_run_frame_means(g, 0, 1, 48, 0), ContractError);
+  // A sample period longer than the slice could leave a slice empty, and
+  // the profiler times a stage by its slice indices.
+  TraceGenConfig cfg;
+  cfg.sample_period_ms = kFrameSliceMs + 1;
+  try {
+    profile_run_frame_means(g, 0, 1, 48, cfg);
+    FAIL() << "expected a ContractError";
+  } catch (const ContractError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("5001 ms"), std::string::npos) << what;
+    EXPECT_NE(what.find("5000 ms"), std::string::npos) << what;
+  }
+  cfg.sample_period_ms = kFrameSliceMs;
+  EXPECT_NO_THROW(profile_run_frame_means(g, 0, 1, 48, cfg));
 }
 
-// Streamed frame means are the traced run's slice means, bit for bit, for
-// every game and for slice widths that do and do not divide the sample
-// period's multiples evenly.
+// Streamed frame means are the traced run's slice means, bit for bit, and
+// the reported run length is the trace's, for every game and for sample
+// periods that do and do not divide the slice evenly.
 TEST(TraceGen, StreamedFrameMeansMatchTracedSlices) {
   for (const GameSpec& g : paper_suite()) {
     for (std::uint64_t seed = 60; seed < 63; ++seed) {
       const std::size_t script = seed % g.scripts.size();
-      for (DurationMs slice_ms : {kFrameSliceMs, DurationMs{3500}}) {
-        TraceGenConfig cfg;
-        cfg.sample_period_ms = seed == 61 ? 700 : 1000;
-        const auto slices =
-            profile_run(g, script, 3, seed, cfg).to_frame_slices(slice_ms);
-        const auto means =
-            profile_run_frame_means(g, script, 3, seed, slice_ms, cfg);
-        ASSERT_EQ(means.size(), slices.size()) << g.name << ' ' << seed;
-        for (std::size_t i = 0; i < means.size(); ++i) {
-          for (std::size_t d = 0; d < kNumDims; ++d) {
-            EXPECT_EQ(means[i].at(d), slices[i].mean_usage.at(d))
-                << g.name << ' ' << seed << " slice " << i;
-          }
+      TraceGenConfig cfg;
+      cfg.sample_period_ms = seed == 61 ? 700 : 1000;
+      const auto trace = profile_run(g, script, 3, seed, cfg);
+      const auto slices = trace.to_frame_slices();
+      const auto run = profile_run_frame_means(g, script, 3, seed, cfg);
+      EXPECT_EQ(run.last_sample_ms, trace.end_time() - trace.start_time())
+          << g.name << ' ' << seed;
+      ASSERT_EQ(run.means.size(), slices.size()) << g.name << ' ' << seed;
+      for (std::size_t i = 0; i < run.means.size(); ++i) {
+        EXPECT_EQ(slices[i].start, static_cast<TimeMs>(i) * kFrameSliceMs);
+        for (std::size_t d = 0; d < kNumDims; ++d) {
+          EXPECT_EQ(run.means[i].at(d), slices[i].mean_usage.at(d))
+              << g.name << ' ' << seed << " slice " << i;
         }
       }
     }

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <map>
 
 #include "common/rng.h"
@@ -25,7 +24,7 @@ MetricSample sample(TimeMs t, double cpu, double gpu, int stage = 0,
 }
 
 TEST(Trace, AppendAndAccess) {
-  Trace t("x");
+  Trace t;
   EXPECT_TRUE(t.empty());
   t.add(sample(0, 10, 20));
   t.add(sample(1000, 11, 21));
@@ -33,7 +32,6 @@ TEST(Trace, AppendAndAccess) {
   EXPECT_EQ(t[0].t, 0);
   EXPECT_EQ(t.start_time(), 0);
   EXPECT_EQ(t.end_time(), 1000);
-  EXPECT_EQ(t.label(), "x");
 }
 
 TEST(Trace, RejectsTimeRegression) {
@@ -177,28 +175,6 @@ TEST(Trace, FrameSlicesRejectBadSlice) {
   Trace t;
   t.add(sample(0, 1, 1));
   EXPECT_THROW(t.to_frame_slices(0), ContractError);
-}
-
-TEST(Trace, CsvRoundTrip) {
-  Trace t("roundtrip");
-  t.add(sample(0, 12.5, 34.5, 3, true, 2));
-  t.add(sample(1000, 13.5, 35.5, 4, false, 1));
-  const std::string path = "test_trace_roundtrip_tmp.csv";
-  t.save_csv(path);
-  const Trace back = Trace::load_csv(path);
-  ASSERT_EQ(back.size(), 2u);
-  EXPECT_EQ(back[0].t, 0);
-  EXPECT_NEAR(back[0].usage.cpu(), 12.5, 1e-9);
-  EXPECT_NEAR(back[1].usage.gpu(), 35.5, 1e-9);
-  EXPECT_EQ(back[0].true_stage_type, 3);
-  EXPECT_TRUE(back[0].true_loading);
-  EXPECT_FALSE(back[1].true_loading);
-  EXPECT_EQ(back[1].true_cluster, 1);
-  std::remove(path.c_str());
-}
-
-TEST(Trace, LoadCsvMissingFileThrows) {
-  EXPECT_THROW(Trace::load_csv("no_such_file_xyz.csv"), std::runtime_error);
 }
 
 // Property: slicing any N-sample 1 Hz trace yields ceil(N/5) slices.

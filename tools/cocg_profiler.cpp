@@ -104,19 +104,20 @@ int cmd_profile(int argc, char** argv) {
   const game::GameSpec spec = game::game_by_name(game_name);
   std::cout << "profiling " << spec.name << " over " << runs
             << " laboratory runs...\n";
-  std::vector<telemetry::Trace> traces;
+  std::vector<std::vector<ResourceVector>> frames;
   Rng rng(seed);
   for (int r = 0; r < runs; ++r) {
     const auto script = static_cast<std::size_t>(rng.uniform_int(
         0, static_cast<std::int64_t>(spec.scripts.size()) - 1));
-    traces.push_back(game::profile_run(
-        spec, script, static_cast<std::uint64_t>(r % 6 + 1),
-        rng.next_u64()));
+    frames.push_back(game::profile_run_frame_means(
+                         spec, script, static_cast<std::uint64_t>(r % 6 + 1),
+                         rng.next_u64())
+                         .means);
   }
   core::ProfilerConfig cfg;
   cfg.forced_k = spec.num_clusters();
   core::FrameProfiler profiler(cfg);
-  const auto out = profiler.profile(spec.name, traces, rng);
+  const auto out = profiler.profile(spec.name, frames, rng);
   print_profile(out.profile);
   core::save_profile(out.profile, out_path);
   std::cout << "saved to " << out_path << "\n";
