@@ -9,9 +9,8 @@
 //
 // Two workload flavours per server count:
 //  - "noisy": the default stochastic models (measurement noise, demand
-//    jitter, network jitter). Reported for context; dominated by the
-//    Box–Muller transcendentals, whose draw values are pinned bit-exactly
-//    by the determinism contract and therefore cannot be optimized away.
+//    jitter, network jitter). Reported for context; about nine normal
+//    draws per session tick, whose values the determinism contract pins.
 //  - "det": all noise sources zeroed. This isolates the simulation
 //    machinery (event queue, session table, resolver, telemetry) that the
 //    hot-path work targets, and exercises the noise-off fast paths.

@@ -49,11 +49,6 @@ GameBundle load_bundle_file(const std::string& path);
 
 class ModelBank {
  public:
-  /// The bundle a trained game runs over (shared, not copied).
-  static const GameBundle& bundle_from(const TrainedGame& tg) {
-    return tg.bundle();
-  }
-
   /// Register a bundle under its game name, replacing any previous one.
   void add(std::shared_ptr<const GameBundle> bundle);
   /// Register the bundle `tg` runs over, shared with it.

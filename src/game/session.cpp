@@ -53,16 +53,12 @@ void GameSession::enter_stage(std::size_t idx) {
 
 ResourceVector GameSession::noisy_demand(const FrameClusterSpec& c) const {
   ResourceVector d = c.centroid;
-  // One batched draw of standard normals, scaled per dimension. Same draw
-  // sequence and arithmetic as the former per-dim normal(0, jitter) calls
-  // (normal(0, s) == s * standard normal), so demand is bit-identical.
-  // Jitter-free clusters skip the draws: the centroid needs no perturbing
-  // and the Box–Muller transcendentals dominate the per-tick cost.
+  // One normal per dimension, in dimension order. Jitter-free clusters
+  // draw nothing: the centroid needs no perturbing, and skipping the draws
+  // is part of the session's RNG stream.
   if (!c.jitter.is_zero()) {
-    double z[kNumDims];
-    rng_.fill_normal(z, kNumDims, 0.0, 1.0);
     for (std::size_t i = 0; i < kNumDims; ++i) {
-      d.at(i) = std::max(0.0, d.at(i) + c.jitter.at(i) * z[i]);
+      d.at(i) = std::max(0.0, d.at(i) + rng_.normal(0.0, c.jitter.at(i)));
     }
   }
   if (spike_ticks_left_ > 0) d *= cfg_.spike_factor;

@@ -335,16 +335,14 @@ void CloudPlatform::hardware_tick() {
       telemetry::MetricSample s;
       s.t = t;
       s.usage = supplies[i].supplied;
-      // Batched measurement noise: one fill per session reproduces the
-      // exact draw sequence of the former per-dimension normal() calls.
-      // Noise-free configs skip the draws entirely (the Box–Muller
-      // transcendentals dominate the per-session tick cost).
+      // Measurement noise: one normal per dimension, in dimension order.
+      // Noise-free configs draw nothing, which is part of the platform's
+      // RNG stream.
       if (cfg_.measurement_noise_rel > 0.0) {
         obs::StageScope rng_scope(prof_rng_);
-        double noise[kNumDims];
-        rng_.fill_normal(noise, kNumDims, 0.0, cfg_.measurement_noise_rel);
         for (std::size_t d = 0; d < kNumDims; ++d) {
-          s.usage.at(d) = std::max(0.0, s.usage.at(d) * (1.0 + noise[d]));
+          const double noise = rng_.normal(0.0, cfg_.measurement_noise_rel);
+          s.usage.at(d) = std::max(0.0, s.usage.at(d) * (1.0 + noise));
         }
       }
       s.true_stage_type = as.session->stage_type();

@@ -5,7 +5,9 @@
 // rejected at construction. Sessions here run for many minutes, far past
 // the window's 32 samples, and each run is pinned by a digest of its
 // report and counters computed when sessions still kept their whole
-// telemetry history: the window must not move a single decision.
+// telemetry history: the window must not move a single decision. (Re-pinned
+// for the ziggurat normal sampler from a build whose window held 4096
+// samples, more than any session here records.)
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -158,14 +160,14 @@ TEST(LongSessionDigest, CocgMatchesFullHistoryRun) {
       std::make_unique<CocgScheduler>(models(suite)), suite);
   EXPECT_NE(rep.find("scheduler.model_replacements="), std::string::npos);
   EXPECT_NE(rep.find("regulator.holds="), std::string::npos);
-  EXPECT_EQ(fnv1a(rep), 0x78c83db0c0cf7c89ULL) << std::hex << fnv1a(rep) << "\n" << rep;
+  EXPECT_EQ(fnv1a(rep), 0xb31c7325177060adULL) << std::hex << fnv1a(rep) << "\n" << rep;
 }
 
 TEST(LongSessionDigest, ImprovedMatchesFullHistoryRun) {
   static const auto suite = game::paper_suite();
   const std::string rep = long_session_report(
       std::make_unique<ImprovedScheduler>(models(suite)), suite);
-  EXPECT_EQ(fnv1a(rep), 0x7bf312b3b08886a0ULL) << std::hex << fnv1a(rep) << "\n" << rep;
+  EXPECT_EQ(fnv1a(rep), 0x2511e216bfe0f71eULL) << std::hex << fnv1a(rep) << "\n" << rep;
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -30,6 +31,43 @@ std::string corpus_dir() {
   return COCG_SCHEDCHECK_CORPUS_DIR;
 }
 
+// Disarms the planted fault when an artifact's replay ends, thrown or not,
+// so one failing artifact cannot leave it armed for the next.
+struct FaultGuard {
+  ~FaultGuard() { set_fault(Fault::kNone); }
+};
+
+void check_artifact(const std::filesystem::path& path) {
+  const Schedule schedule = load_schedule(path.string());
+  const std::string expect = schedule.meta_value("expect");
+  ASSERT_FALSE(expect.empty()) << "corpus artifact lacks 'meta expect'";
+
+  FaultGuard guard;
+  const std::string fault_name = schedule.meta_value("fault");
+  if (fault_name == "double_host_window") {
+    set_fault(Fault::kDoubleHostWindow);
+  } else {
+    ASSERT_TRUE(fault_name.empty()) << "unknown fault " << fault_name;
+  }
+
+  // Clean artifacts are full recordings: they must replay strictly,
+  // every decision forced and none diverging.
+  const bool clean = expect == "clean";
+  const Scenario sc = scenario_from_meta(schedule);
+  const RunOutcome out = replay_run(sc, schedule, /*strict=*/clean);
+
+  if (clean) {
+    EXPECT_FALSE(out.aborted) << describe(out.violations);
+    EXPECT_EQ(out.stats.forced, out.stats.decisions);
+    EXPECT_EQ(out.stats.divergences, 0u);
+  } else {
+    ASSERT_TRUE(out.aborted) << "expected invariant " << expect;
+    ASSERT_FALSE(out.violations.empty());
+    EXPECT_EQ(out.violations.front().invariant, expect)
+        << describe(out.violations);
+  }
+}
+
 TEST(SchedCorpus, EveryArtifactReproducesItsDeclaredOutcome) {
   namespace fs = std::filesystem;
   const std::string dir = corpus_dir();
@@ -41,35 +79,15 @@ TEST(SchedCorpus, EveryArtifactReproducesItsDeclaredOutcome) {
   std::sort(files.begin(), files.end());
   ASSERT_FALSE(files.empty()) << "no .sched artifacts in " << dir;
 
+  // A strict replay that diverges throws; report it against its artifact
+  // and go on to the next one.
   for (const auto& path : files) {
-    SCOPED_TRACE(path.filename().string());
-    const Schedule schedule = load_schedule(path.string());
-    const std::string expect = schedule.meta_value("expect");
-    ASSERT_FALSE(expect.empty()) << "corpus artifact lacks 'meta expect'";
-
-    const std::string fault_name = schedule.meta_value("fault");
-    if (fault_name == "double_host_window") {
-      set_fault(Fault::kDoubleHostWindow);
-    } else {
-      ASSERT_TRUE(fault_name.empty()) << "unknown fault " << fault_name;
-    }
-
-    // Clean artifacts are full recordings: they must replay strictly,
-    // every decision forced and none diverging.
-    const bool clean = expect == "clean";
-    const Scenario sc = scenario_from_meta(schedule);
-    const RunOutcome out = replay_run(sc, schedule, /*strict=*/clean);
-    set_fault(Fault::kNone);
-
-    if (clean) {
-      EXPECT_FALSE(out.aborted) << describe(out.violations);
-      EXPECT_EQ(out.stats.forced, out.stats.decisions);
-      EXPECT_EQ(out.stats.divergences, 0u);
-    } else {
-      ASSERT_TRUE(out.aborted) << "expected invariant " << expect;
-      ASSERT_FALSE(out.violations.empty());
-      EXPECT_EQ(out.violations.front().invariant, expect)
-          << describe(out.violations);
+    const std::string name = path.filename().string();
+    SCOPED_TRACE(name);
+    try {
+      check_artifact(path);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << name << ": " << e.what();
     }
   }
 }
