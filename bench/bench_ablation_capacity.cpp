@@ -11,6 +11,7 @@
 #include "core/baselines.h"
 #include "core/cocg_scheduler.h"
 #include "platform/cloud_platform.h"
+#include "traffic/generator.h"
 #include "traffic/source.h"
 
 using namespace cocg;
@@ -30,12 +31,14 @@ LoadResult run_load(std::unique_ptr<platform::Scheduler> sched,
   platform::CloudPlatform cloud(pcfg, std::move(sched));
   cloud.add_server(hw::ServerSpec{});
   static const auto& suite = bench::paper_suite_static();
-  traffic::PoissonSource poisson(seed);
-  poisson.add_stream({&suite[2], per_hour * 0.5, 16});  // Genshin Impact
-  poisson.add_stream({&suite[4], per_hour * 0.5, 16});  // Contra
+  // Genshin Impact and Contra, half the rate each.
+  const std::vector<const game::GameSpec*> games = {&suite[2], &suite[4]};
   constexpr DurationMs kHorizon = 2LL * 60 * 60 * 1000;
-  std::vector<traffic::Arrival> arrivals;
-  poisson.generate(0, kHorizon, arrivals);
+  traffic::RegionTable regions;
+  const auto arrivals = traffic::bind_trace(
+      traffic::generate_trace(
+          traffic::per_game_poisson(games, per_hour * 0.5, kHorizon, seed)),
+      games, regions);
   for (const auto& a : arrivals) {
     cloud.schedule_request(a.spec, a.script_idx, a.player_id, a.at);
   }

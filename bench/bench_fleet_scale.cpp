@@ -44,6 +44,7 @@
 #include "fleet/fleet.h"
 #include "game/library.h"
 #include "obs/metrics.h"
+#include "traffic/generator.h"
 #include "traffic/trace.h"
 
 using namespace cocg;
@@ -92,11 +93,14 @@ RunResult run_config(int shards, int threads, fleet::RouterPolicy policy,
   hw::ServerSpec spec;
   spec.num_gpus = kGpusPerServer;
   for (int i = 0; i < kTotalServers; ++i) sim.add_server(spec);
-  for (const auto& g : bench::paper_suite_static()) {
-    sim.add_global_source({&g, kArrivalsPerHourPerGame, 16});
-  }
-
   const DurationMs horizon = static_cast<DurationMs>(minutes) * 60 * 1000;
+  std::vector<const game::GameSpec*> games;
+  for (const auto& g : bench::paper_suite_static()) games.push_back(&g);
+  sim.add_trace_arrivals(
+      traffic::generate_trace(traffic::per_game_poisson(
+          games, kArrivalsPerHourPerGame, horizon, kSeed)),
+      games, /*use_recorded_routing=*/false);
+
   const auto wall0 = std::chrono::steady_clock::now();
   sim.run(horizon);
   RunResult r;

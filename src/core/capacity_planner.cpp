@@ -13,7 +13,6 @@ CapacityPlanner::CapacityPlanner(
   COCG_EXPECTS(models != nullptr);
   COCG_EXPECTS_MSG(!models->empty(), "planner needs at least one profile");
   COCG_EXPECTS(cfg.capacity_limit > 0.0);
-  COCG_EXPECTS(cfg.max_sessions_per_view >= 1);
 }
 
 ResourceVector CapacityPlanner::expected_demand(
@@ -44,7 +43,7 @@ ResourceVector CapacityPlanner::combined(
 bool CapacityPlanner::mix_fits(const std::vector<std::string>& games,
                                const hw::ServerSpec& sku) const {
   if (games.empty()) return true;
-  if (static_cast<int>(games.size()) > cfg_.max_sessions_per_view) {
+  if (static_cast<int>(games.size()) > kMaxSessionsPerView) {
     return false;
   }
   const ResourceVector limit =
@@ -55,11 +54,11 @@ bool CapacityPlanner::mix_fits(const std::vector<std::string>& games,
 int CapacityPlanner::max_concurrent(const std::string& game,
                                     const hw::ServerSpec& sku) const {
   std::vector<std::string> mix;
-  for (int n = 1; n <= cfg_.max_sessions_per_view; ++n) {
+  for (int n = 1; n <= kMaxSessionsPerView; ++n) {
     mix.push_back(game);
     if (!mix_fits(mix, sku)) return n - 1;
   }
-  return cfg_.max_sessions_per_view;
+  return kMaxSessionsPerView;
 }
 
 std::vector<MixPlan> CapacityPlanner::maximal_mixes(

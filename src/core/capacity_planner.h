@@ -18,9 +18,10 @@
 
 namespace cocg::core {
 
+inline constexpr int kMaxSessionsPerView = 6;  ///< enumeration bound
+
 struct PlannerConfig {
   double capacity_limit = 0.90;  ///< the distributor's admission headroom
-  int max_sessions_per_view = 6; ///< enumeration bound
 };
 
 /// One admissible mix on a single GPU view.
@@ -50,7 +51,7 @@ class CapacityPlanner {
 
   /// All maximal admissible mixes (no further title can be added) on one
   /// view, sorted by descending headroom. Exponential in principle;
-  /// bounded by max_sessions_per_view and the suite size.
+  /// bounded by kMaxSessionsPerView and the suite size.
   std::vector<MixPlan> maximal_mixes(const hw::ServerSpec& sku) const;
 
  private:

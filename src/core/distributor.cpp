@@ -52,12 +52,12 @@ AdmitDecision Distributor::decide(
   // short-game fastpath; accumulate both totals in one pass so the
   // discounted peaks are computed once per hosted session.
   ResourceVector opening = candidate.opening;
-  opening[Dim::kCpuPct] *= cfg_.loading_cpu_elasticity;
+  opening[Dim::kCpuPct] *= kLoadingCpuElasticity;
   ResourceVector now_total = opening;
   ResourceVector with_peak = candidate.peak;
   for (const auto& h : hosted) {
     ResourceVector cur = h.current_peak;
-    if (h.in_loading) cur[Dim::kCpuPct] *= cfg_.loading_cpu_elasticity;
+    if (h.in_loading) cur[Dim::kCpuPct] *= kLoadingCpuElasticity;
     now_total += cur;
     with_peak += cur;
   }

@@ -59,6 +59,10 @@ inline bool decides_alike(const CandidateOutlook& a,
          a.expected == b.expected && a.short_game == b.short_game;
 }
 
+/// Loading stages stretch instead of contending: their CPU draw counts at
+/// this factor in instantaneous checks.
+inline constexpr double kLoadingCpuElasticity = 0.5;
+
 struct DistributorConfig {
   int horizon = 4;               ///< Algorithm 1's Total.iteration
   /// Admission headroom: expected combined demand must stay under this
@@ -66,9 +70,6 @@ struct DistributorConfig {
   /// utilization bound so residual peak interleaving stays within §IV-D's
   /// 5%-of-time degradation budget.
   double capacity_limit = 0.90;
-  /// Loading stages stretch instead of contending: their CPU draw counts
-  /// at this factor in instantaneous checks.
-  double loading_cpu_elasticity = 0.5;
   bool short_game_fastpath = true;  ///< §IV-C2 gap insertion
 };
 

@@ -180,8 +180,10 @@ MonitorEvent OnlineMonitor::observe_impl(TimeMs t, const ResourceVector& usage,
       const auto& sig = profile_->stage_type(previous_stage_).clusters;
       return std::find(sig.begin(), sig.end(), cluster) != sig.end();
     }();
-    if (cfg_.guard_loading_misjudge && first_loading_detection_ &&
-        resumes_previous && !window_clusters_.empty()) {
+    // Loading-stage exit misjudgement guard: a loading judgement reverts
+    // if the very next detection matches the previous execution stage.
+    if (first_loading_detection_ && resumes_previous &&
+        !window_clusters_.empty()) {
       ++callbacks_;
       ++consecutive_errors_;
       enter_stage(previous_stage_, t);
@@ -302,7 +304,7 @@ ResourceVector OnlineMonitor::recommended_allocation() const {
   }
   // Loading: cover the loading draw and pre-provision the predicted next
   // stage so it starts unconstrained.
-  ResourceVector rec = st.peak_demand * cfg_.loading_margin;
+  ResourceVector rec = st.peak_demand * kLoadingMargin;
   if (predicted_next_ >= 0 &&
       predicted_next_ < profile_->num_stage_types()) {
     rec = ResourceVector::max(
@@ -310,7 +312,7 @@ ResourceVector OnlineMonitor::recommended_allocation() const {
                  profile_->stage_type(predicted_next_).peak_demand +
                      redundancy,
                  ResourceVector::max(profile_->peak_demand,
-                                     st.peak_demand * cfg_.loading_margin)));
+                                     st.peak_demand * kLoadingMargin)));
   }
   return rec;
 }

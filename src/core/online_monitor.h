@@ -31,12 +31,10 @@ enum class MonitorEvent {
 
 const char* monitor_event_name(MonitorEvent e);
 
+/// Margin applied to loading-stage demand recommendations.
+inline constexpr double kLoadingMargin = 1.10;
+
 struct MonitorConfig {
-  /// Loading-stage exit misjudgement guard: a loading judgement reverts if
-  /// the very next detection matches the previous execution stage.
-  bool guard_loading_misjudge = true;
-  /// Margin applied to loading-stage demand recommendations.
-  double loading_margin = 1.10;
   /// Scale on Eq. 1's redundancy S (ablation knob; 1.0 = the paper).
   double redundancy_scale = 1.0;
 };

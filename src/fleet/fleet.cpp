@@ -10,14 +10,13 @@ namespace cocg::fleet {
 
 namespace {
 
-/// Stable per-role seed derivation: shard i uses salt i, the arrival
-/// stream and router use reserved salts clear of any sane shard count.
+/// Stable per-role seed derivation: shard i uses salt i, the router a
+/// reserved salt clear of any sane shard count.
 std::uint64_t derived_seed(std::uint64_t fleet_seed, std::uint64_t salt) {
   SplitMix64 sm(fleet_seed ^ (0x9e3779b97f4a7c15ULL * (salt + 1)));
   return sm.next();
 }
 
-constexpr std::uint64_t kArrivalSalt = 1u << 20;
 constexpr std::uint64_t kRouterSalt = (1u << 20) + 1;
 
 // Schedule-stream clocks (raw function pointers — binding a stream must
@@ -76,44 +75,29 @@ void Fleet::add_server_to_shard(int shard, const hw::ServerSpec& spec) {
   refresh_loads();  // keep pre-run snapshots (loads()) consistent
 }
 
-traffic::PoissonSource& Fleet::poisson_source() {
-  if (poisson_ == nullptr) {
-    // Same salt the legacy in-fleet arrival RNG used, so existing seeded
-    // experiments keep their exact arrival sequences.
-    auto src = std::make_unique<traffic::PoissonSource>(
-        derived_seed(cfg_.seed, kArrivalSalt));
-    poisson_ = src.get();
-    sources_.push_back(std::move(src));
-  }
-  return *poisson_;
-}
-
-void Fleet::add_global_source(const traffic::OpenLoopSource& source,
-                              const std::string& region) {
-  poisson_source().add_stream(source, regions_.intern(region));
-}
-
 std::size_t Fleet::add_trace_arrivals(
     const traffic::Trace& trace,
     const std::vector<const game::GameSpec*>& specs,
     bool use_recorded_routing) {
   COCG_EXPECTS_MSG(!ran_, "add_trace_arrivals must precede run()");
-  auto bound = std::make_unique<std::vector<traffic::Arrival>>(
-      traffic::bind_trace(trace, specs, regions_));
-  const std::size_t n = bound->size();
-  sources_.push_back(std::make_unique<traffic::TraceReplaySource>(
-      bound.get(), use_recorded_routing));
-  bound_.push_back(std::move(bound));
-  return n;
+  std::vector<traffic::Arrival> bound =
+      traffic::bind_trace(trace, specs, regions_);
+  if (!use_recorded_routing) {
+    for (auto& a : bound) a.shard = -1;
+  }
+  // bind_trace guarantees time order, so one stable merge keeps the whole
+  // vector time-ordered with ties in registration order.
+  const auto mid =
+      arrivals_in_.insert(arrivals_in_.end(), bound.begin(), bound.end());
+  std::inplace_merge(arrivals_in_.begin(), mid, arrivals_in_.end(),
+                     [](const traffic::Arrival& a, const traffic::Arrival& b) {
+                       return a.at < b.at;
+                     });
+  return bound.size();
 }
 
 void Fleet::enable_capture(traffic::TraceRecorder* recorder) {
   recorder_ = recorder;
-}
-
-void Fleet::add_shard_source(int shard, const platform::SourceConfig& source) {
-  COCG_EXPECTS(shard >= 0 && shard < num_shards());
-  shards_[static_cast<std::size_t>(shard)].platform->add_source(source);
 }
 
 void Fleet::refresh_loads() {
@@ -145,21 +129,9 @@ void Fleet::refresh_loads() {
   }
 }
 
-void Fleet::drain_sources(TimeMs t0, TimeMs t1) {
-  epoch_arrivals_.clear();
-  for (auto& src : sources_) src->generate(t0, t1, epoch_arrivals_);
-  // Sources emit stream-major; route the window in arrival-time order
-  // (stable: ties keep registration order) so captured traces satisfy the
-  // non-decreasing-timestamp invariant and replay consumes the stream in
-  // exactly the order the recorder saw it.
-  std::stable_sort(epoch_arrivals_.begin(), epoch_arrivals_.end(),
-                   [](const traffic::Arrival& a, const traffic::Arrival& b) {
-                     return a.at < b.at;
-                   });
-}
-
-void Fleet::route_epoch() {
-  for (const auto& a : epoch_arrivals_) {
+void Fleet::route_epoch(std::size_t end) {
+  for (; next_arrival_ < end; ++next_arrival_) {
+    const traffic::Arrival& a = arrivals_in_[next_arrival_];
     int shard = 0;
     if (a.shard >= 0 && a.shard < num_shards()) {
       // Captured router verdict — honor it and bypass the router so a
@@ -327,11 +299,16 @@ void Fleet::run(DurationMs duration_ms) {
     while (t < duration_ms) {
       const TimeMs t1 = std::min<TimeMs>(t + epoch, duration_ms);
       sched_now_ = t;
-      drain_sources(t, t1);
+      // The window is (t, t1], and [0, t1] for the first epoch: earlier
+      // windows routed everything up to t, and bind_trace rejects negative
+      // times.
+      std::size_t end = next_arrival_;
+      while (end < arrivals_in_.size() && arrivals_in_[end].at <= t1) ++end;
       bool needs_loads = false;
       if (!loads_free) {
-        for (const auto& a : epoch_arrivals_) {
-          if (!(a.shard >= 0 && a.shard < num_shards())) {
+        for (std::size_t i = next_arrival_; i < end; ++i) {
+          const int verdict = arrivals_in_[i].shard;
+          if (!(verdict >= 0 && verdict < num_shards())) {
             needs_loads = true;  // fresh routing under a load-based policy
             break;
           }
@@ -353,7 +330,7 @@ void Fleet::run(DurationMs duration_ms) {
         sync_at(t, health_due);
         synced = true;
       }
-      route_epoch();
+      route_epoch(end);
       for (std::size_t i = 0; i < shards_.size(); ++i) {
         Shard& s = shards_[i];
         exec.submit(static_cast<int>(i),

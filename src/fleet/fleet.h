@@ -7,12 +7,14 @@
 // semantics (§IV-C distributor/regulator, 5-second control loop) are
 // untouched.
 //
-// Global arrival streams replace per-shard sources: the fleet drains its
-// traffic::ArrivalSources once per epoch (the legacy Poisson stream, a
-// replayed trace, or both), orders the epoch's arrivals by time, and a
-// Router assigns each to a shard using only the load snapshots taken at
-// the last sync. Each shard then advances one control period as a job on
-// its own ShardExecutor queue (lock-free hot loop, shards share no
+// Open-loop load arrives as traffic traces, Poisson load included
+// (traffic::per_game_poisson): add_trace_arrivals binds each one and
+// merges it, stably by time, into one arrival vector. Every epoch a
+// Router assigns the arrivals in the epoch's window to shards, reading
+// only the load snapshots taken at the last sync. Closed-loop sources
+// (platform::SourceConfig) stay a single-platform feature and never
+// cross the router. Each shard then advances one control period as a job
+// on its own ShardExecutor queue (lock-free hot loop, shards share no
 // mutable state). The runner policy decides where the coordinator syncs
 // — drains the executor and publishes fresh snapshots: lockstep before
 // every epoch, steal only where a load-based router needs them. Because
@@ -62,6 +64,8 @@ struct FleetConfig {
   /// has no load-snapshot dependency on the epoch — reports are
   /// byte-identical either way (tests/fleet enforces it).
   RunnerKind runner = RunnerKind::kLockstep;
+  /// Seeds every shard, the router and — through traffic::per_game_poisson
+  /// — the tools' and benches' generated Poisson load.
   std::uint64_t seed = 42;
   /// Per-shard platform template. `platform.seed` is ignored — each shard
   /// derives its own seed from `seed` — and `platform.control_period_ms`
@@ -82,7 +86,7 @@ using SchedulerFactory =
 struct FleetReport {
   double throughput = 0.0;  ///< Σ shards' Eq. 2 throughput (game-seconds)
   std::size_t completed = 0;
-  std::size_t arrivals = 0;  ///< global open-loop arrivals generated
+  std::size_t arrivals = 0;  ///< arrivals routed (within the horizon)
   double qos_violation_s = 0.0;
   double mean_wait_s = 0.0;       ///< over completed runs
   double mean_fps_ratio = 0.0;    ///< over completed runs
@@ -148,18 +152,17 @@ class Fleet {
   /// Targeted placement (heterogeneous / skewed fleets).
   void add_server_to_shard(int shard, const hw::ServerSpec& spec);
 
-  /// Register a global open-loop Poisson source; arrivals are routed
-  /// across shards by the configured policy. Every arrival is tagged with
-  /// `region` (interned into regions(); "global" is index 0).
-  void add_global_source(const traffic::OpenLoopSource& source,
-                         const std::string& region = "global");
-
-  /// Feed a trace's arrivals into the run (replay). Games are bound
-  /// against `specs` by name (traffic::BindError on mismatch); region
-  /// names are interned into regions(). With `use_recorded_routing` the
-  /// captured router verdicts are honored and the router is bypassed for
-  /// those arrivals; without it the configured policy re-routes the
-  /// stream. Returns the number of arrivals added. Call before run().
+  /// Feed a trace's arrivals into the run — the fleet's one arrival
+  /// entry point. Games are bound against `specs` by name
+  /// (traffic::BindError on mismatch or out-of-order timestamps); region
+  /// names are interned into regions() ("global" is index 0). The
+  /// arrivals merge into those already added stably by time, so ties
+  /// keep registration order. With `use_recorded_routing` the captured
+  /// router verdicts are honored and the router is bypassed for those
+  /// arrivals; without it the verdicts are dropped here and the
+  /// configured policy routes the stream. Epoch windows are (t0, t1],
+  /// the first one also owning t == 0. Returns the number of arrivals
+  /// added. Call before run().
   std::size_t add_trace_arrivals(const traffic::Trace& trace,
                                  const std::vector<const game::GameSpec*>& specs,
                                  bool use_recorded_routing);
@@ -168,12 +171,8 @@ class Fleet {
   /// `recorder`, which must outlive run(). Pass nullptr to disable.
   void enable_capture(traffic::TraceRecorder* recorder);
 
-  /// Region name table shared by sources, capture and the report.
+  /// Region name table shared by traces, capture and the report.
   const traffic::RegionTable& regions() const { return regions_; }
-
-  /// Attach a closed-loop source to one shard (background load skew for
-  /// stress experiments; bypasses the router by design).
-  void add_shard_source(int shard, const platform::SourceConfig& source);
 
   /// Stream health snapshots (obs/health.h JSONL) to `os` during run():
   /// one line per `period_ms` of simulated time, written at a sync on the
@@ -255,30 +254,22 @@ class Fleet {
   };
 
   void refresh_loads();
-  /// Drain every arrival source for (t0, t1] into epoch_arrivals_, ordered
-  /// by arrival time (stable — ties keep source registration order).
-  void drain_sources(TimeMs t0, TimeMs t1);
-  /// Route epoch_arrivals_, staging each request in staged_ for injection
-  /// inside its shard's next epoch job.
-  void route_epoch();
+  /// Route arrivals_in_[next_arrival_, end), staging each request in
+  /// staged_ for injection inside its shard's next epoch job.
+  void route_epoch(std::size_t end);
   /// Write one health line at `t` and advance the next due time.
   void write_health_snapshot_now(TimeMs t);
-  traffic::PoissonSource& poisson_source();
 
   FleetConfig cfg_;
   std::vector<Shard> shards_;
   std::vector<ShardLoad> loads_;
   Router router_;
   traffic::RegionTable regions_;
-  /// Drain order: sources are polled in registration order; the Poisson
-  /// source is created lazily on the first add_global_source so a
-  /// replay-only fleet never touches the legacy arrival RNG.
-  std::vector<std::unique_ptr<traffic::ArrivalSource>> sources_;
-  traffic::PoissonSource* poisson_ = nullptr;  ///< owned by sources_
-  /// Bound trace arrivals; stable storage borrowed by TraceReplaySources.
-  std::vector<std::unique_ptr<std::vector<traffic::Arrival>>> bound_;
+  /// Every added arrival, time-ordered (ties: registration order), and
+  /// the cursor past the last one routed.
+  std::vector<traffic::Arrival> arrivals_in_;
+  std::size_t next_arrival_ = 0;
   traffic::TraceRecorder* recorder_ = nullptr;
-  std::vector<traffic::Arrival> epoch_arrivals_;  ///< per-epoch scratch
   /// Routed-arrival staging buffers, one per shard (per-epoch scratch).
   std::vector<std::vector<StagedRequest>> staged_;
   ExecutorStats exec_stats_;

@@ -97,12 +97,12 @@ void GameSession::tick(TimeMs now, const ResourceVector& supplied) {
     // pow(1, y) is exactly 1, and every uncontended tick is fully supplied.
     const double realized =
         sat == 1.0 ? achievable
-                   : achievable * std::pow(sat, cfg_.fps_exponent);
+                   : achievable * std::pow(sat, kFpsExponent);
     last_fps_ = realized;
     fps_sum_ += realized;
     fps_ratio_sum_ += achievable > 0.0 ? realized / achievable : 1.0;
     ++fps_samples_;
-    if (realized < cfg_.qos_fps_floor) qos_violation_ms_ += dt;
+    if (realized < kQosFpsFloor) qos_violation_ms_ += dt;
     // Execution advances in wall time: user influence fixed the dwell.
     if (stage_elapsed_ms_ >= ps.planned_dwell_ms) advance = true;
 
@@ -114,7 +114,7 @@ void GameSession::tick(TimeMs now, const ResourceVector& supplied) {
       // at p=0, so dropping it would shift the RNG stream of spike-free
       // configs.
       spike_ticks_left_ = static_cast<int>(
-          rng_.uniform_int(cfg_.spike_min_ticks, cfg_.spike_max_ticks));
+          rng_.uniform_int(kSpikeMinTicks, kSpikeMaxTicks));
     }
   }
 

@@ -8,7 +8,7 @@
 //  * loading stages progress in *work* terms: starving the loading stage
 //    stretches it (Observation 4 / the regulator's time-stealing knob).
 //
-// FPS model: realized = achievable × satisfaction^fps_exponent, where
+// FPS model: realized = achievable × satisfaction^kFpsExponent, where
 // achievable = min(fps_cap, cluster.fps_base). QoS accounting tracks ticks
 // with realized FPS below the 30-frame floor (§V-C2).
 #pragma once
@@ -26,16 +26,18 @@
 
 namespace cocg::game {
 
+inline constexpr double kFpsExponent = 1.5;
+inline constexpr double kQosFpsFloor = 30.0;  ///< §V-C2's 30-frame floor
+/// A transient demand spike lasts kSpikeMinTicks..kSpikeMaxTicks ticks.
+inline constexpr int kSpikeMinTicks = 3;
+inline constexpr int kSpikeMaxTicks = 8;
+
 struct SessionConfig {
   DurationMs tick_ms = 1000;
-  double fps_exponent = 1.5;
-  double qos_fps_floor = 30.0;
   /// Per-tick probability of a transient demand fluctuation (the "sudden
-  /// event" Fig. 9/10 discuss); the spike lasts spike_min..max ticks and
-  /// multiplies demand by spike_factor.
+  /// event" Fig. 9/10 discuss); the spike lasts kSpikeMinTicks..
+  /// kSpikeMaxTicks ticks and multiplies demand by spike_factor.
   double spike_prob = 0.002;
-  int spike_min_ticks = 3;
-  int spike_max_ticks = 8;
   double spike_factor = 1.35;
 };
 

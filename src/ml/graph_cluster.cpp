@@ -54,7 +54,7 @@ GraphClusterResult graph_cluster(const PointSet& points,
     for (auto& d : nn) d = std::sqrt(d);
     std::nth_element(nn.begin(), nn.begin() + static_cast<std::ptrdiff_t>(n / 2),
                      nn.end());
-    eps = cfg.adaptive_scale * nn[n / 2];
+    eps = kAdaptiveEpsilonScale * nn[n / 2];
     if (eps <= 0.0) eps = 1e-9;
   }
   res.epsilon_used = eps;

@@ -16,12 +16,14 @@
 
 namespace cocg::ml {
 
+/// Scale of the adaptive edge rule (see GraphClusterConfig::epsilon).
+inline constexpr double kAdaptiveEpsilonScale = 3.0;
+
 struct GraphClusterConfig {
   /// Edge rule: connect points within `epsilon` (normalized distance).
-  /// epsilon <= 0 selects the adaptive rule: epsilon = scale × the median
-  /// nearest-neighbour distance.
+  /// epsilon <= 0 selects the adaptive rule: epsilon =
+  /// kAdaptiveEpsilonScale × the median nearest-neighbour distance.
   double epsilon = 0.0;
-  double adaptive_scale = 3.0;
   /// Components smaller than this are merged into the nearest big cluster
   /// (noise handling).
   std::size_t min_cluster_size = 3;

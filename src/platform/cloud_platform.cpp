@@ -59,8 +59,7 @@ CloudPlatform::CloudPlatform(PlatformConfig cfg,
   prof_rng_ = obs::stage_timer(obs::Stage::kRngDraws);
   prof_kernels_ = obs::stage_timer(obs::Stage::kResourceKernels);
   prof_domain_ = &obs::profiler();
-  slo_.configure(cfg_.slo_classes.empty() ? default_slo_classes()
-                                          : cfg_.slo_classes);
+  slo_.configure(default_slo_classes());
 }
 
 CloudPlatform::~CloudPlatform() = default;
@@ -105,6 +104,13 @@ RequestId CloudPlatform::submit(const game::GameSpec* spec,
                                 std::size_t script_idx,
                                 std::uint64_t player_id,
                                 const RequestMeta& meta) {
+  return enqueue(spec, script_idx, player_id, meta, /*source=*/-1);
+}
+
+RequestId CloudPlatform::enqueue(const game::GameSpec* spec,
+                                 std::size_t script_idx,
+                                 std::uint64_t player_id,
+                                 const RequestMeta& meta, int source) {
   COCG_EXPECTS(spec != nullptr);
   COCG_EXPECTS(script_idx < spec->scripts.size());
   GameRequest req;
@@ -114,6 +120,7 @@ RequestId CloudPlatform::submit(const game::GameSpec* spec,
   req.player_id = player_id;
   req.arrival = engine_.now();
   req.meta = meta;
+  req.source = source;
   queue_.push_back(req);
   obs_requests_.add();
   if (arrival_hook_) arrival_hook_(queue_.back());
@@ -121,13 +128,15 @@ RequestId CloudPlatform::submit(const game::GameSpec* spec,
 }
 
 void CloudPlatform::replenish_sources() {
-  for (auto& src : sources_) {
+  for (std::size_t i = 0; i < sources_.size(); ++i) {
+    auto& src = sources_[i];
     while (src.outstanding < src.cfg.max_concurrent) {
       const auto script = static_cast<std::size_t>(rng_.uniform_int(
           0, static_cast<std::int64_t>(src.cfg.spec->scripts.size()) - 1));
       const auto player =
           static_cast<std::uint64_t>(rng_.uniform_int(1, src.cfg.player_pool));
-      submit(src.cfg.spec, script, player);
+      enqueue(src.cfg.spec, script, player, RequestMeta{},
+              static_cast<int>(i));
       ++src.outstanding;
     }
   }
@@ -179,6 +188,7 @@ void CloudPlatform::try_admit_queue() {
     as.player_id = req.player_id;
     as.request_arrival = req.arrival;
     as.meta = req.meta;
+    as.source = req.source;
     as.session->begin(engine_.now());
     obs_admitted_.add();
     obs_wait_ms_.record(
@@ -460,12 +470,9 @@ void CloudPlatform::finish_session(SessionId sid, TimeMs end) {
   scheduler_->on_session_end(*this, sid);
   server_mut(as.server).remove(sid);
 
-  // Credit the closed-loop source.
-  for (auto& src : sources_) {
-    if (src.cfg.spec == &as.session->spec()) {
-      src.outstanding = std::max(0, src.outstanding - 1);
-      break;
-    }
+  // Credit the closed-loop source that issued the session, if any.
+  if (as.source >= 0) {
+    --sources_[static_cast<std::size_t>(as.source)].outstanding;
   }
   sessions_.erase(sid);
 }

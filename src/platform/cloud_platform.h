@@ -45,16 +45,13 @@ struct PlatformConfig {
   game::SessionConfig session;
   StreamingConfig streaming;           ///< §II-A pipeline latency model
   std::uint64_t seed = 42;
-  /// SLO classes, indexed by game::GameCategory (so the table must have
-  /// one entry per category, in enum order). Empty selects
-  /// default_slo_classes().
-  std::vector<obs::SloClassConfig> slo_classes;
 };
 
-/// The default SLO class table, one class per game::GameCategory in enum
-/// order. Targets follow the delay-sensitivity ladder ("Games Are Not
-/// Equal"): MOBAs are the tightest, web-category platformers the most
-/// tolerant; the latency targets bracket the 100 ms streaming budget.
+/// The SLO class table every platform records against, one class per
+/// game::GameCategory in enum order. Targets follow the delay-sensitivity
+/// ladder ("Games Are Not Equal"): MOBAs are the tightest, web-category
+/// platformers the most tolerant; the latency targets bracket the 100 ms
+/// streaming budget.
 std::vector<obs::SloClassConfig> default_slo_classes();
 
 /// One finished play-through.
@@ -227,6 +224,7 @@ class CloudPlatform final : public PlatformView {
     RunningStats latency_ms;
     DurationMs latency_violation_ms = 0;
     TimeMs request_arrival = 0;
+    int source = -1;  ///< GameRequest::source, credited when it ends
     /// Open timeline span (ground-truth stage): -2 none, -1 loading,
     /// >= 0 the execution stage type.
     int span_stage = -2;
@@ -256,6 +254,10 @@ class CloudPlatform final : public PlatformView {
   void try_admit_queue();
   void finish_session(SessionId sid, TimeMs end);
   void replenish_sources();
+  /// Queue a request issued by closed-loop source `source` (-1: none).
+  RequestId enqueue(const game::GameSpec* spec, std::size_t script_idx,
+                    std::uint64_t player_id, const RequestMeta& meta,
+                    int source);
   hw::Server& server_mut(ServerId id);
   const ActiveSession& active(SessionId sid) const;
 

@@ -28,6 +28,9 @@ struct GameRequest {
   std::uint64_t player_id = 0;
   TimeMs arrival = 0;
   RequestMeta meta;
+  /// Index of the closed-loop source that issued the request (the order
+  /// of add_source calls); -1 when none did.
+  int source = -1;
 };
 
 /// Closed-loop source (the Fig. 11 methodology): a game "continuously runs

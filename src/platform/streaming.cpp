@@ -7,10 +7,7 @@
 namespace cocg::platform {
 
 StreamingModel::StreamingModel(StreamingConfig cfg) : cfg_(cfg) {
-  COCG_EXPECTS(cfg_.network_rtt_ms >= 0.0);
   COCG_EXPECTS(cfg_.network_jitter_ms >= 0.0);
-  COCG_EXPECTS(cfg_.encode_ms >= 0.0);
-  COCG_EXPECTS(cfg_.decode_ms >= 0.0);
   COCG_EXPECTS(cfg_.latency_budget_ms > 0.0);
 }
 

@@ -24,12 +24,15 @@
 
 namespace cocg::platform {
 
+// Fixed pipeline segments (ms).
+inline constexpr double kNetworkRttMs = 6.0;  ///< paper wants <3 ms one-way
+/// Command compilation at full CPU supply.
+inline constexpr double kInputProcessMs = 1.0;
+inline constexpr double kEncodeMs = 5.0;  ///< frame encode at full supply
+inline constexpr double kDecodeMs = 4.0;  ///< client-side decode
+
 struct StreamingConfig {
-  double network_rtt_ms = 6.0;     ///< round trip; paper wants <3 ms one-way
   double network_jitter_ms = 1.0;  ///< stddev of per-sample jitter
-  double input_process_ms = 1.0;   ///< command compilation at full supply
-  double encode_ms = 5.0;          ///< frame encode at full CPU supply
-  double decode_ms = 4.0;          ///< client-side decode
   double latency_budget_ms = 100.0;  ///< interaction-latency QoS bound
 };
 
@@ -50,8 +53,8 @@ class StreamingModel {
         cfg_.network_jitter_ms > 0.0
             ? std::max(0.0, rng.normal(0.0, cfg_.network_jitter_ms))
             : 0.0;
-    return cfg_.network_rtt_ms + jitter + cfg_.input_process_ms / sat +
-           frame_time_ms + cfg_.encode_ms / sat + cfg_.decode_ms;
+    return kNetworkRttMs + jitter + kInputProcessMs / sat + frame_time_ms +
+           kEncodeMs / sat + kDecodeMs;
   }
 
   const StreamingConfig& config() const { return cfg_; }

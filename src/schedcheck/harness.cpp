@@ -13,6 +13,7 @@
 #include "core/scheduler_factory.h"
 #include "fleet/fleet.h"
 #include "game/library.h"
+#include "traffic/generator.h"
 
 namespace cocg::schedcheck {
 
@@ -97,9 +98,11 @@ RunOutcome run_scenario(const Scenario& sc, Session* session) {
   hw::ServerSpec spec;
   spec.num_gpus = sc.gpus;
   for (int i = 0; i < sc.servers; ++i) sim.add_server(spec);
-  for (const auto* g : games) {
-    sim.add_global_source({g, sc.arrivals_per_hour, 16});
-  }
+  const DurationMs horizon = static_cast<DurationMs>(sc.minutes) * 60 * 1000;
+  sim.add_trace_arrivals(
+      traffic::generate_trace(traffic::per_game_poisson(
+          games, sc.arrivals_per_hour, horizon, sc.seed)),
+      games, /*use_recorded_routing=*/false);
 
   sim.set_schedule_session(session);
   sim.set_barrier_hook([&sim](TimeMs t) {
@@ -109,7 +112,7 @@ RunOutcome run_scenario(const Scenario& sc, Session* session) {
 
   RunOutcome out;
   try {
-    sim.run(static_cast<DurationMs>(sc.minutes) * 60 * 1000);
+    sim.run(horizon);
     out.report = fleet::report_json(sim.report());
   } catch (const InvariantViolationError& e) {
     out.aborted = true;

@@ -5,8 +5,8 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "common/check.h"
 #include "common/rng.h"
-#include "traffic/source.h"
 
 namespace cocg::traffic {
 
@@ -14,6 +14,46 @@ namespace {
 
 void require(bool ok, const std::string& msg) {
   if (!ok) throw std::runtime_error("generate_trace: " + msg);
+}
+
+/// Nominal expected session length per category (ms). Web platformers are
+/// quick runs; consoles hold players the longest; MOBAs sit at match
+/// length. Purely declarative metadata.
+constexpr DurationMs kCategoryNominalMs[] = {
+    10 * 60 * 1000,  // kWeb
+    25 * 60 * 1000,  // kMobile
+    40 * 60 * 1000,  // kConsole
+    35 * 60 * 1000,  // kMoba
+};
+
+constexpr double kProfileScale[] = {
+    0.5,  // casual
+    1.0,  // regular
+    1.8,  // hardcore
+};
+
+/// Expected-session-length model: a per-category nominal length scaled by
+/// the player profile, with mild deterministic jitter from `rng`.
+/// Metadata only — sessions still run their scripts.
+DurationMs draw_expected_session_ms(game::GameCategory category,
+                                    PlayerProfile profile, Rng& rng) {
+  const auto c = static_cast<std::size_t>(category);
+  const auto p = static_cast<std::size_t>(profile);
+  COCG_EXPECTS(c < 4 && p < kNumProfiles);
+  const double nominal =
+      static_cast<double>(kCategoryNominalMs[c]) * kProfileScale[p];
+  // ±25% deterministic jitter, floored at one minute.
+  const double jittered = nominal * (1.0 + 0.25 * rng.normal());
+  return static_cast<DurationMs>(std::max(60'000.0, jittered));
+}
+
+/// Profile mix of a production pool: casual 50%, regular 35%,
+/// hardcore 15%.
+PlayerProfile draw_profile(Rng& rng) {
+  const double u = rng.uniform();
+  if (u < 0.50) return PlayerProfile::kCasual;
+  if (u < 0.85) return PlayerProfile::kRegular;
+  return PlayerProfile::kHardcore;
 }
 
 /// Per-hour → per-ms.
@@ -118,6 +158,21 @@ Pattern parse_pattern(const std::string& name) {
   }
   throw std::runtime_error("unknown traffic pattern '" + name +
                            "' (want poisson|diurnal|flash|failover)");
+}
+
+GeneratorConfig per_game_poisson(std::vector<const game::GameSpec*> games,
+                                 double per_game_per_hour,
+                                 DurationMs duration_ms,
+                                 std::uint64_t run_seed) {
+  GeneratorConfig cfg;
+  cfg.pattern = Pattern::kPoisson;
+  cfg.duration_ms = duration_ms;
+  cfg.arrivals_per_hour =
+      per_game_per_hour * static_cast<double>(games.size());
+  cfg.games = std::move(games);
+  cfg.player_pool = 16;
+  cfg.seed = SplitMix64(run_seed).next();
+  return cfg;
 }
 
 Trace generate_trace(const GeneratorConfig& cfg) {

@@ -71,6 +71,18 @@ struct GeneratorConfig {
   DurationMs failover_ramp_ms = 5 * 60 * 1000;
 };
 
+/// The open-loop load the fleet tools and benches run on: a Poisson stream
+/// of `per_game_per_hour` arrivals per hour for each of `games` over
+/// `duration_ms`, player ids drawn from [1, 16]. By superposition that is
+/// one stream at rate × games with uniform game weights. The generator
+/// seed is one splitmix64 step from `run_seed`, the seed of the fleet (or
+/// platform) the load feeds, so the arrival stream never replays the
+/// draws of a shard, router or training Rng seeded from the same value.
+GeneratorConfig per_game_poisson(std::vector<const game::GameSpec*> games,
+                                 double per_game_per_hour,
+                                 DurationMs duration_ms,
+                                 std::uint64_t run_seed);
+
 /// Generate the trace for `cfg`. Validates the config (non-empty games,
 /// weight lengths, amplitude range, pattern-specific indices) and throws
 /// std::runtime_error on violations. The result carries a `meta` block

@@ -31,6 +31,7 @@
 #include "obs/json.h"
 #include "obs/obs.h"
 #include "platform/cloud_platform.h"
+#include "traffic/generator.h"
 
 namespace cocg::fleet {
 namespace {
@@ -81,7 +82,11 @@ OverloadedRun run_overloaded_fleet() {
     return core::make_named_scheduler("cocg", bank, suite);
   });
   for (int i = 0; i < 8; ++i) f.add_server(hw::ServerSpec{});
-  for (const auto& g : suite) f.add_global_source({&g, 1000.0, 64});
+  const std::vector<const game::GameSpec*> games = {&suite[0], &suite[1],
+                                                    &suite[2]};
+  f.add_trace_arrivals(traffic::generate_trace(traffic::per_game_poisson(
+                           games, 1000.0, 15 * 60 * 1000, cfg.seed)),
+                       games, /*use_recorded_routing=*/false);
   f.run(15 * 60 * 1000);
 
   OverloadedRun out;
@@ -143,9 +148,10 @@ TEST(AdmissionMemo, OverloadedFleetMatchesParentDigest) {
   // Digest computed from a scheduler with every admission memo bypassed
   // (each outlook recomputed on every admit() call, no rejection
   // replayed). It moved when model replacements began adopting seeded
-  // rotation entries instead of refitting from the shard's Rng, and when
-  // the normal sampler became a ziggurat.
-  EXPECT_EQ(fnv1a(run.report + run.counters), 0xc1668c50e1aee28eULL)
+  // rotation entries instead of refitting from the shard's Rng, when the
+  // normal sampler became a ziggurat, and when the fleet's Poisson load
+  // became a generated trace.
+  EXPECT_EQ(fnv1a(run.report + run.counters), 0xfe31bbac6ee228a3ULL)
       << std::hex << fnv1a(run.report + run.counters) << "\n"
       << run.counters;
 }

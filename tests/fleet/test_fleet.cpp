@@ -12,6 +12,7 @@
 #include "game/library.h"
 #include "obs/json.h"
 #include "obs/obs.h"
+#include "traffic/generator.h"
 
 namespace cocg::fleet {
 namespace {
@@ -74,6 +75,16 @@ SchedulerFactory greedy_factory() {
   return [](int) { return std::make_unique<GreedyScheduler>(); };
 }
 
+/// Poisson load of `per_game_per_hour` for each of `games` over the
+/// longest horizon these tests run, seeded from the fleet's seed.
+void add_poisson(Fleet& f, const std::vector<const game::GameSpec*>& games,
+                 double per_game_per_hour) {
+  f.add_trace_arrivals(
+      traffic::generate_trace(traffic::per_game_poisson(
+          games, per_game_per_hour, 60 * 60 * 1000, f.config().seed)),
+      games, /*use_recorded_routing=*/false);
+}
+
 FleetConfig small_config(int shards, int threads,
                          RouterPolicy policy = RouterPolicy::kLeastLoaded) {
   FleetConfig cfg;
@@ -84,16 +95,15 @@ FleetConfig small_config(int shards, int threads,
   return cfg;
 }
 
-/// Standard small fleet: `shards` shards, 2 servers each, two open-loop
-/// game streams.
+/// Standard small fleet: `shards` shards, 2 servers each, open-loop load
+/// of two games.
 std::unique_ptr<Fleet> make_small_fleet(int shards, int threads,
                                         RouterPolicy policy =
                                             RouterPolicy::kLeastLoaded) {
   auto f = std::make_unique<Fleet>(small_config(shards, threads, policy),
                                    greedy_factory());
   for (int i = 0; i < 2 * shards; ++i) f->add_server(hw::ServerSpec{});
-  f->add_global_source({&contra(), 60.0, 8});
-  f->add_global_source({&csgo(), 40.0, 8});
+  add_poisson(*f, {&contra(), &csgo()}, 50.0);
   return f;
 }
 
@@ -172,7 +182,7 @@ TEST(Fleet, SameSeedReproducesDifferentSeedDiverges) {
     cfg.seed = seed;
     Fleet f(cfg, greedy_factory());
     for (int i = 0; i < 4; ++i) f.add_server(hw::ServerSpec{});
-    f.add_global_source({&contra(), 60.0, 8});
+    add_poisson(f, {&contra()}, 60.0);
     f.run(20 * 60 * 1000);
     return f.merged_events_jsonl();
   };
@@ -239,19 +249,6 @@ TEST(Fleet, MergedMetricsSumShardCounters) {
             0u);
 }
 
-TEST(Fleet, ShardSourceBypassesRouter) {
-  auto cfg = small_config(2, 1);
-  Fleet f(cfg, greedy_factory());
-  for (int i = 0; i < 4; ++i) f.add_server(hw::ServerSpec{});
-  f.add_shard_source(0, {&contra(), 2, 4});
-  f.run(40 * 60 * 1000);
-  EXPECT_EQ(f.arrivals_generated(), 0u);
-  EXPECT_EQ(f.routed_to(0), 0u);
-  const auto rep = f.report();
-  EXPECT_GT(rep.shards[0].completed, 0u);
-  EXPECT_EQ(rep.shards[1].completed, 0u);
-}
-
 TEST(Fleet, RunIsOneShot) {
   auto f = make_small_fleet(1, 1);
   f->run(60 * 1000);
@@ -299,8 +296,7 @@ std::unique_ptr<Fleet> make_runner_fleet(RunnerKind runner, int threads,
   cfg.runner = runner;
   auto f = std::make_unique<Fleet>(cfg, greedy_factory());
   for (int i = 0; i < 8; ++i) f->add_server(hw::ServerSpec{});
-  f->add_global_source({&contra(), 60.0, 8});
-  f->add_global_source({&csgo(), 40.0, 8});
+  add_poisson(*f, {&contra(), &csgo()}, 50.0);
   return f;
 }
 
@@ -475,7 +471,9 @@ CocgRunOut run_cocg_fleet(const core::ModelBank* bank,
     return core::make_named_scheduler("cocg", core::train_suite(suite, ocfg));
   });
   for (int i = 0; i < 4; ++i) f.add_server(hw::ServerSpec{});
-  for (const auto& g : suite) f.add_global_source({&g, 40.0, 8});
+  std::vector<const game::GameSpec*> games;
+  for (const auto& g : suite) games.push_back(&g);
+  add_poisson(f, games, 40.0);
   f.run(15 * 60 * 1000);
   CocgRunOut out;
   out.report = report_json(f.report());
@@ -539,7 +537,7 @@ TEST(FleetModelBank, RefitMemoFitsEachKindOncePerGame) {
         bank.instantiate_suite(suite), ccfg);
   });
   for (int i = 0; i < 8; ++i) f.add_server(hw::ServerSpec{});
-  f.add_global_source({&suite[0], 600.0, 32});
+  add_poisson(f, {&suite[0]}, 600.0);
   f.run(15 * 60 * 1000);
 
   int replacing_shards = 0;

@@ -11,6 +11,7 @@
 #include "game/library.h"
 #include "obs/json.h"
 #include "obs/obs.h"
+#include "traffic/generator.h"
 
 namespace cocg::fleet {
 namespace {
@@ -45,11 +46,9 @@ std::unique_ptr<Fleet> make_fleet(int shards, int threads,
   auto f = std::make_unique<Fleet>(
       cfg, [](int) { return std::make_unique<GreedyScheduler>(); });
   for (int s = 0; s < 2 * shards; ++s) f->add_server(hw::ServerSpec{});
-  traffic::OpenLoopSource src;
-  src.spec = &contra;
-  src.arrivals_per_hour = 240.0;
-  src.player_pool = 16;
-  f->add_global_source(src);
+  f->add_trace_arrivals(traffic::generate_trace(traffic::per_game_poisson(
+                            {&contra}, 240.0, 60 * 60 * 1000, seed)),
+                        {&contra}, /*use_recorded_routing=*/false);
   return f;
 }
 

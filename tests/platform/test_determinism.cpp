@@ -15,6 +15,7 @@
 #include "game/library.h"
 #include "obs/obs.h"
 #include "platform/cloud_platform.h"
+#include "traffic/generator.h"
 
 namespace cocg::platform {
 namespace {
@@ -132,11 +133,9 @@ std::string run_fleet(int threads) {
   auto f = std::make_unique<fleet::Fleet>(
       cfg, [](int) { return std::make_unique<GreedyScheduler>(); });
   for (int s = 0; s < 6; ++s) f->add_server(hw::ServerSpec{});
-  traffic::OpenLoopSource src;
-  src.spec = &contra;
-  src.arrivals_per_hour = 240.0;
-  src.player_pool = 16;
-  f->add_global_source(src);
+  f->add_trace_arrivals(traffic::generate_trace(traffic::per_game_poisson(
+                            {&contra}, 240.0, 20 * 60 * 1000, cfg.seed)),
+                        {&contra}, /*use_recorded_routing=*/false);
   f->run(20 * 60 * 1000);
   return fleet::report_json(f->report()) + f->merged_events_jsonl();
 }

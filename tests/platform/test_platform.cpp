@@ -180,6 +180,35 @@ TEST(CloudPlatform, MaxConcurrentHonoured) {
   EXPECT_EQ(cloud.running_sessions(), 3u);
 }
 
+// A submitted session of a source's game is not the source's: when it
+// ends, the source must not issue another and overrun max_concurrent.
+TEST(CloudPlatform, CompletionCreditsOnlyTheIssuingSource) {
+  static const auto contra = game::make_contra();
+  CloudPlatform cloud(quiet_config(12), std::make_unique<GreedyScheduler>(
+                                            ResourceVector{10, 10, 500, 500}));
+  cloud.add_server(hw::ServerSpec{});
+  cloud.add_source({&contra, 1, 6});
+  RequestMeta submitted;
+  submitted.region = 7;  // tags the submitted session's CompletedRun
+  cloud.submit(&contra, 0, 1, submitted);
+  constexpr DurationMs kHorizon = 60 * 60 * 1000;
+  cloud.begin(kHorizon);
+  bool submitted_done = false;
+  std::size_t checked = 0;
+  for (TimeMs t = 5000; t <= kHorizon; t += 5000) {
+    cloud.advance_until(t);
+    for (const auto& run : cloud.completed_runs()) {
+      submitted_done |= run.region == submitted.region;
+    }
+    if (!submitted_done) continue;
+    ++checked;
+    EXPECT_LE(cloud.running_sessions() + cloud.queued_requests(), 1u)
+        << "at t=" << t;
+  }
+  cloud.finish();
+  EXPECT_GT(checked, 0u) << "the submitted session never finished";
+}
+
 TEST(CloudPlatform, UtilizationRecordingProducesPoints) {
   static const auto contra = game::make_contra();
   CloudPlatform cloud(quiet_config(10), std::make_unique<GreedyScheduler>());

@@ -1,14 +1,16 @@
-// Open-loop Poisson arrivals (traffic::PoissonSource), alone and feeding a
+// Open-loop Poisson load (traffic::per_game_poisson), alone and feeding a
 // platform through schedule_request.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
-#include "common/check.h"
 #include "core/baselines.h"
 #include "core/offline.h"
+#include "fleet/fleet.h"
 #include "game/library.h"
 #include "platform/cloud_platform.h"
+#include "traffic/generator.h"
 #include "traffic/source.h"
 
 namespace cocg::traffic {
@@ -30,32 +32,32 @@ platform::PlatformConfig quiet(std::uint64_t seed) {
   return cfg;
 }
 
+const game::GameSpec& contra() {
+  static const game::GameSpec g = game::make_contra();
+  return g;
+}
+
 TEST(OpenLoop, ArrivalRateApproximatelyRespected) {
-  static const auto contra = game::make_contra();
-  PoissonSource poisson(1);
-  OpenLoopSource src;
-  src.spec = &contra;
-  src.arrivals_per_hour = 60.0;  // one per minute
-  poisson.add_stream(src);
-  std::vector<Arrival> out;
-  poisson.generate(0, 2LL * 60 * 60 * 1000, out);  // 2 hours → ~120
-  EXPECT_NEAR(static_cast<double>(out.size()), 120.0, 35.0);
+  // One per minute per game, two games, two hours → ~240.
+  static const auto csgo = game::make_csgo();
+  const Trace t = generate_trace(
+      per_game_poisson({&contra(), &csgo}, 60.0, 2LL * 60 * 60 * 1000, 1));
+  EXPECT_NEAR(static_cast<double>(t.events.size()), 240.0, 50.0);
+  std::size_t contra_events = 0;
+  for (const auto& e : t.events) contra_events += e.game == 0 ? 1 : 0;
+  EXPECT_NEAR(static_cast<double>(contra_events), 120.0, 35.0);
 }
 
 TEST(OpenLoop, QueueGrowsUnderOverload) {
-  static const auto contra = game::make_contra();
   platform::CloudPlatform cloud(quiet(2), vbp());
   hw::ServerSpec tiny;
   tiny.num_gpus = 1;
   cloud.add_server(tiny);
-  PoissonSource poisson(2);
-  OpenLoopSource src;
-  src.spec = &contra;
   // Contra runs ~6 min and VBP hosts a handful at once; 300/h overwhelms.
-  src.arrivals_per_hour = 300.0;
-  poisson.add_stream(src);
-  std::vector<Arrival> arrivals;
-  poisson.generate(0, 60 * 60 * 1000, arrivals);
+  RegionTable regions;
+  const auto arrivals = bind_trace(
+      generate_trace(per_game_poisson({&contra()}, 300.0, 60 * 60 * 1000, 2)),
+      {&contra()}, regions);
   for (const auto& a : arrivals) {
     cloud.schedule_request(a.spec, a.script_idx, a.player_id, a.at);
   }
@@ -64,50 +66,39 @@ TEST(OpenLoop, QueueGrowsUnderOverload) {
   EXPECT_GT(cloud.completed_runs().size(), 3u);  // service still progresses
 }
 
+// A fleet given no trace routes nothing: every arrival enters through
+// add_trace_arrivals.
 TEST(OpenLoop, NoArrivalsAfterZeroSources) {
-  PoissonSource poisson(3);
-  std::vector<Arrival> out;
-  poisson.generate(0, 10 * 60 * 1000, out);
-  EXPECT_EQ(poisson.num_streams(), 0u);
-  EXPECT_TRUE(out.empty());
+  fleet::Fleet f(fleet::FleetConfig{}, [](int) { return vbp(); });
+  f.add_server(hw::ServerSpec{});
+  f.run(10 * 60 * 1000);
+  EXPECT_EQ(f.arrivals_generated(), 0u);
+  EXPECT_EQ(f.report().arrivals, 0u);
 }
 
+// A trace generated for a longer horizon starts with the shorter one's
+// events, so load generated past a run's end never changes what the run
+// sees.
 TEST(OpenLoop, AbuttingWindowsMatchOneWindow) {
-  static const auto contra = game::make_contra();
-  const OpenLoopSource src{&contra, 120.0, 16};
-  PoissonSource whole(4);
-  PoissonSource split(4);
-  whole.add_stream(src);
-  split.add_stream(src);
-  std::vector<Arrival> one;
-  whole.generate(0, 60 * 60 * 1000, one);
-  std::vector<Arrival> many;
-  for (TimeMs t = 0; t < 60 * 60 * 1000; t += 2 * 60 * 1000) {
-    split.generate(t, t + 2 * 60 * 1000, many);  // 30 windows
+  const Trace hour =
+      generate_trace(per_game_poisson({&contra()}, 120.0, 60 * 60 * 1000, 4));
+  const Trace two_hours = generate_trace(
+      per_game_poisson({&contra()}, 120.0, 2LL * 60 * 60 * 1000, 4));
+  ASSERT_FALSE(hour.events.empty());
+  ASSERT_GT(two_hours.events.size(), hour.events.size());
+  for (std::size_t i = 0; i < hour.events.size(); ++i) {
+    EXPECT_EQ(two_hours.events[i], hour.events[i]) << "arrival " << i;
   }
-  ASSERT_FALSE(one.empty());
-  ASSERT_EQ(many.size(), one.size());
-  for (std::size_t i = 0; i < one.size(); ++i) {
-    EXPECT_EQ(many[i].at, one[i].at) << "arrival " << i;
-    EXPECT_EQ(many[i].spec, one[i].spec) << "arrival " << i;
-    EXPECT_EQ(many[i].script_idx, one[i].script_idx) << "arrival " << i;
-    EXPECT_EQ(many[i].player_id, one[i].player_id) << "arrival " << i;
-    EXPECT_EQ(many[i].profile, one[i].profile) << "arrival " << i;
-    EXPECT_EQ(many[i].expected_session_ms, one[i].expected_session_ms)
-        << "arrival " << i;
-  }
+  EXPECT_GE(two_hours.events[hour.events.size()].t, 60 * 60 * 1000);
 }
 
 TEST(OpenLoop, ConfigValidation) {
-  PoissonSource poisson(5);
-  OpenLoopSource bad;
-  bad.spec = nullptr;
-  EXPECT_THROW(poisson.add_stream(bad), ContractError);
-  static const auto contra = game::make_contra();
-  bad.spec = &contra;
-  bad.arrivals_per_hour = 0.0;
-  EXPECT_THROW(poisson.add_stream(bad), ContractError);
-  EXPECT_EQ(poisson.num_streams(), 0u);
+  EXPECT_THROW(generate_trace(per_game_poisson({nullptr}, 60.0, 60'000, 5)),
+               std::runtime_error);
+  EXPECT_THROW(generate_trace(per_game_poisson({&contra()}, 0.0, 60'000, 5)),
+               std::runtime_error);
+  EXPECT_THROW(generate_trace(per_game_poisson({}, 60.0, 60'000, 5)),
+               std::runtime_error);
 }
 
 }  // namespace

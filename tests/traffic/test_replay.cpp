@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "fleet/fleet.h"
@@ -69,8 +70,18 @@ FleetConfig fleet_config(int shards, int threads,
 
 constexpr DurationMs kRunMs = 20 * 60 * 1000;
 
-/// A live Poisson-driven fleet run with capture on. Returns the report
-/// JSON and the captured trace.
+/// One game's Poisson load, all of it from `region`, for the router to
+/// route.
+void add_regional_load(Fleet& f, const game::GameSpec& g, double per_hour,
+                       const std::string& region, std::uint64_t seed) {
+  auto gcfg = traffic::per_game_poisson({&g}, per_hour, kRunMs, seed);
+  gcfg.regions = {region};
+  f.add_trace_arrivals(traffic::generate_trace(gcfg), {&g},
+                       /*use_recorded_routing=*/false);
+}
+
+/// A live Poisson-driven fleet run with capture on: two generated traces,
+/// merged by the fleet. Returns the report JSON and the captured trace.
 struct Captured {
   std::string report;
   traffic::Trace trace;
@@ -79,8 +90,8 @@ struct Captured {
 Captured run_and_capture(int shards, int threads) {
   Fleet f(fleet_config(shards, threads), greedy_factory());
   for (int i = 0; i < 2 * shards; ++i) f.add_server(hw::ServerSpec{});
-  f.add_global_source({&contra(), 60.0, 8}, "eu");
-  f.add_global_source({&csgo(), 40.0, 8}, "us");
+  add_regional_load(f, contra(), 60.0, "eu", 1);
+  add_regional_load(f, csgo(), 40.0, "us", 2);
   traffic::TraceRecorder recorder;
   f.enable_capture(&recorder);
   f.run(kRunMs);
@@ -203,30 +214,104 @@ TEST(TraceReplay, BindRejectsUnknownGameAndBadScript) {
                                1000, 10'000, -1});
   EXPECT_THROW(traffic::bind_trace(bad_script, specs(), regions),
                traffic::BindError);
+
+  traffic::Trace bad_index = bad_script;
+  bad_index.events[0].script_idx = 0;
+  bad_index.events[0].game = 1;  // the trace lists one game
+  EXPECT_THROW(traffic::bind_trace(bad_index, specs(), regions),
+               traffic::BindError);
+  bad_index.events[0].game = 0;
+  bad_index.events[0].region = 1;  // and one region
+  EXPECT_THROW(traffic::bind_trace(bad_index, specs(), regions),
+               traffic::BindError);
+  bad_index.events[0].region = 0;
+  EXPECT_EQ(traffic::bind_trace(bad_index, specs(), regions).size(), 1u);
 }
 
-TEST(TraceReplay, ReplaySourceHonorsEpochWindows) {
-  std::vector<traffic::Arrival> arrivals;
-  for (TimeMs t : {TimeMs{0}, TimeMs{5}, TimeMs{5}, TimeMs{10}, TimeMs{12}}) {
-    traffic::Arrival a;
-    a.at = t;
-    a.spec = &contra();
-    arrivals.push_back(a);
+TEST(TraceReplay, BindRejectsOutOfOrderTimestamps) {
+  traffic::Trace trace;
+  trace.regions = {"global"};
+  trace.games.push_back({contra().name, contra().category});
+  trace.events.push_back({10, 0, 0, 1, traffic::PlayerProfile::kRegular,
+                          1000, 0, -1});
+  trace.events.push_back({5, 0, 0, 2, traffic::PlayerProfile::kRegular,
+                          1000, 0, -1});
+  traffic::RegionTable regions;
+  try {
+    traffic::bind_trace(trace, specs(), regions);
+    FAIL() << "a decreasing timestamp must not bind";
+  } catch (const traffic::BindError& e) {
+    EXPECT_NE(std::string(e.what()).find("event 1"), std::string::npos)
+        << e.what();
   }
-  traffic::TraceReplaySource src(&arrivals, /*use_recorded_shard=*/true);
-  std::vector<traffic::Arrival> out;
-  src.generate(0, 5, out);  // first window owns t == 0
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].at, 0);
-  EXPECT_EQ(out[2].at, 5);
-  out.clear();
-  src.generate(5, 10, out);  // (5, 10]
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].at, 10);
-  out.clear();
-  src.generate(10, 20, out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].at, 12);
+  trace.events[1].t = 10;  // equal times are in order
+  EXPECT_EQ(traffic::bind_trace(trace, specs(), regions).size(), 2u);
+  trace.events[0].t = -1;
+  EXPECT_THROW(traffic::bind_trace(trace, specs(), regions),
+               traffic::BindError);
+}
+
+/// A trace of `game` arrivals at `times`, each with recorded verdict
+/// `shard`.
+traffic::Trace trace_at(const game::GameSpec& game,
+                        const std::vector<TimeMs>& times, int shard) {
+  traffic::Trace trace;
+  trace.regions = {"global"};
+  trace.games.push_back({game.name, game.category});
+  std::uint64_t player = 1;
+  for (TimeMs t : times) {
+    trace.events.push_back({t, 0, 0, player++,
+                            traffic::PlayerProfile::kRegular, 1000, 0,
+                            shard});
+  }
+  return trace;
+}
+
+// Epoch windows are (t0, t1]; the first one also owns t == 0. The
+// lockstep barrier hook runs at each boundary before that epoch routes.
+TEST(FleetArrivals, CursorHonorsEpochWindows) {
+  Fleet f(fleet_config(1, 1), greedy_factory());
+  f.add_server(hw::ServerSpec{});
+  const DurationMs epoch = f.config().platform.control_period_ms;
+  f.add_trace_arrivals(
+      trace_at(contra(), {0, epoch, epoch, 2 * epoch, 2 * epoch + 2000}, -1),
+      specs(), /*use_recorded_routing=*/false);
+  std::vector<std::size_t> routed_by;
+  f.set_barrier_hook(
+      [&](TimeMs) { routed_by.push_back(f.arrivals_generated()); });
+  f.run(4 * epoch);
+  // Syncs at epoch, 2·epoch and 3·epoch, then once after the last epoch.
+  EXPECT_EQ(routed_by, (std::vector<std::size_t>{3, 4, 5, 5}));
+}
+
+// Traces merge by time, ties in registration order, and each keeps or
+// drops its recorded verdicts by its own use_recorded_routing.
+TEST(FleetArrivals, TracesMergeByTimeThenRegistration) {
+  Fleet f(fleet_config(2, 1, RouterPolicy::kRoundRobin), greedy_factory());
+  for (int i = 0; i < 2; ++i) f.add_server(hw::ServerSpec{});
+  f.add_trace_arrivals(trace_at(contra(), {0, 5000}, 1), specs(),
+                       /*use_recorded_routing=*/true);
+  f.add_trace_arrivals(trace_at(csgo(), {0, 3000}, 1), specs(),
+                       /*use_recorded_routing=*/false);
+  traffic::TraceRecorder recorder;
+  f.enable_capture(&recorder);
+  f.run(10'000);
+  const auto& events = recorder.trace().events;
+  ASSERT_EQ(events.size(), 4u);
+  const auto& games = recorder.trace().games;
+  std::vector<std::string> order;
+  std::vector<TimeMs> times;
+  std::vector<std::int32_t> verdicts;
+  for (const auto& e : events) {
+    order.push_back(games[e.game].name);
+    times.push_back(e.t);
+    verdicts.push_back(e.shard);
+  }
+  EXPECT_EQ(order, (std::vector<std::string>{contra().name, csgo().name,
+                                             csgo().name, contra().name}));
+  EXPECT_EQ(times, (std::vector<TimeMs>{0, 0, 3000, 5000}));
+  // Contra keeps its recorded shard 1; round-robin routes CSGO to 0 then 1.
+  EXPECT_EQ(verdicts, (std::vector<std::int32_t>{1, 0, 1, 1}));
 }
 
 }  // namespace

@@ -13,8 +13,9 @@
 //              [--obs-out dir]
 //
 // Partitions N servers round-robin into K shards (each its own engine +
-// platform + scheduler), feeds one global open-loop Poisson arrival
-// stream per game through the router, runs the shards' epochs on T
+// platform + scheduler), generates an open-loop Poisson trace of
+// --arrivals-per-hour per game (traffic::per_game_poisson, seeded from
+// --seed) and feeds it through the router, runs the shards' epochs on T
 // threads (--runner picks the sync policy), and prints the merged fleet
 // report.
 //
@@ -28,7 +29,7 @@
 //
 // Capture/replay (docs/traffic.md): --capture-out records the run's
 // arrival stream plus router verdicts as a traffic trace; --trace-in
-// replays a trace INSTEAD of the internal Poisson sources (recorded
+// replays a trace INSTEAD of the generated Poisson trace (recorded
 // verdicts honored, so replaying a capture reproduces the original
 // report byte-for-byte at any --threads); --replay-reroute clears the
 // verdicts so the configured --policy re-routes the identical stream —
@@ -49,6 +50,7 @@
 #include "fleet/fleet.h"
 #include "game/library.h"
 #include "obs/cli.h"
+#include "traffic/generator.h"
 #include "cli_parse.h"
 
 using namespace cocg;
@@ -66,7 +68,8 @@ int usage() {
          "  --servers N            total servers, split round-robin"
          " (default 2*shards)\n"
          "  --gpus G               GPUs per server (default 2)\n"
-         "  --arrivals-per-hour X  per-game Poisson rate (default 30)\n"
+         "  --arrivals-per-hour X  Poisson arrivals per hour per game"
+         " (default 30)\n"
          "  --minutes M            horizon in simulated minutes"
          " (default 30)\n"
          "  --seed S               fleet seed (default 42)\n"
@@ -74,8 +77,8 @@ int usage() {
          " (default cocg)\n"
          "  --games \"A,B\"          comma-separated subset of the paper"
          " suite (default: all)\n"
-         "  --trace-in FILE        replay a traffic trace instead of the"
-         " internal Poisson sources\n"
+         "  --trace-in FILE        replay a traffic trace instead of"
+         " generating Poisson arrivals\n"
          "  --replay-reroute       ignore recorded router verdicts; let"
          " --policy re-route the stream\n"
          "  --capture-out FILE     record the arrival stream + router"
@@ -227,10 +230,12 @@ int main(int argc, char** argv) {
     hw::ServerSpec spec;
     spec.num_gpus = gpus;
     for (int i = 0; i < servers; ++i) sim.add_server(spec);
+    const DurationMs horizon = static_cast<DurationMs>(minutes) * 60 * 1000;
     if (trace_in.empty()) {
-      for (const auto* g : games) {
-        sim.add_global_source({g, arrivals_per_hour, 16});
-      }
+      sim.add_trace_arrivals(
+          traffic::generate_trace(traffic::per_game_poisson(
+              games, arrivals_per_hour, horizon, seed)),
+          games, /*use_recorded_routing=*/false);
     } else {
       const traffic::Trace trace = traffic::load_trace(trace_in);
       const std::size_t n = sim.add_trace_arrivals(
@@ -266,7 +271,6 @@ int main(int argc, char** argv) {
               << " thread(s), " << fleet::runner_kind_name(runner)
               << " runner, " << minutes << " min...\n";
     const auto wall0 = std::chrono::steady_clock::now();
-    const DurationMs horizon = static_cast<DurationMs>(minutes) * 60 * 1000;
     sim.run(horizon);
     const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
