@@ -3,11 +3,12 @@
 // The operator's question behind Fig. 11: how many players per hour can
 // one server absorb before the queue diverges? Sweep a Poisson arrival
 // rate of mixed Genshin/Contra sessions on one 2-GPU server and report
-// served fraction and end-of-run queue length, CoCG vs VBP. CoCG's
-// fine-grained packing shifts the saturation knee to the right.
+// served fraction and end-of-run queue length, CoCG vs VBP. Past the
+// saturation knee CoCG's fine-grained packing serves more and queues fewer.
 #include <iostream>
 
 #include "bench_util.h"
+#include "common/rng.h"
 #include "core/baselines.h"
 #include "core/cocg_scheduler.h"
 #include "platform/cloud_platform.h"
@@ -66,11 +67,15 @@ int main() {
   std::vector<std::vector<std::string>> csv;
   csv.push_back({"rate", "vbp_served", "vbp_arrivals", "vbp_queue",
                  "cocg_served", "cocg_arrivals", "cocg_queue"});
+  // Each rate draws its own arrival stream (one SplitMix64 step per rate);
+  // both schedulers at a rate see the same one.
+  SplitMix64 seeds(4700);
   for (double rate : {6.0, 12.0, 18.0, 24.0, 36.0}) {
+    const std::uint64_t seed = seeds.next();
     const auto vbp = run_load(
-        std::make_unique<core::VbpScheduler>(fresh()), rate, 4700);
+        std::make_unique<core::VbpScheduler>(fresh()), rate, seed);
     const auto cocg = run_load(
-        std::make_unique<core::CocgScheduler>(fresh()), rate, 4700);
+        std::make_unique<core::CocgScheduler>(fresh()), rate, seed);
     table.add_row(
         {TablePrinter::fmt(rate, 0),
          std::to_string(vbp.served) + "/" + std::to_string(vbp.arrivals),
@@ -85,8 +90,8 @@ int main() {
   }
   table.print(std::cout);
   bench::write_csv("ablation_capacity", csv);
-  std::cout << "\nExpected: at low rates both serve everything; as load"
-               " grows VBP's queue diverges first — CoCG's saturation knee"
-               " sits at a higher arrival rate.\n";
+  std::cout << "\nExpected: at low rates both serve nearly everything;"
+               " past the knee CoCG serves more and ends with a shorter"
+               " queue than VBP.\n";
   return 0;
 }

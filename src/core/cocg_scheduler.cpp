@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/log.h"
+#include "common/rng.h"
 #include "schedcheck/session.h"
 #include "telemetry/sample_window.h"
 
@@ -37,6 +38,8 @@ CocgScheduler::CocgScheduler(std::map<std::string, TrainedGame> models,
   obs_candidate_misses_ = reg.counter("scheduler.candidate_memo.misses");
   obs_reject_hits_ = reg.counter("scheduler.reject_memo.hits");
   obs_reject_misses_ = reg.counter("scheduler.reject_memo.misses");
+  obs_view_cache_hits_ = reg.counter("scheduler.view_cache.hits");
+  obs_view_cache_misses_ = reg.counter("scheduler.view_cache.misses");
   prof_predictor_ = obs::stage_timer(obs::Stage::kPredictorDecide);
   prof_distributor_ = obs::stage_timer(obs::Stage::kDistributorDecide);
   prof_regulator_ = obs::stage_timer(obs::Stage::kRegulator);
@@ -163,17 +166,64 @@ CandidateOutlook CocgScheduler::candidate_outlook(
   return c;
 }
 
-const CandidateOutlook& CocgScheduler::memo_candidate_outlook(
-    const TrainedGame& tg, const CandidateKey& key) {
+std::size_t CocgScheduler::CandidateKeyHash::operator()(
+    const CandidateKey& k) const {
+  SplitMix64 mix(reinterpret_cast<std::uintptr_t>(k.game) ^
+                 (k.player_id * 0x9e3779b97f4a7c15ULL) ^
+                 (static_cast<std::uint64_t>(k.script_idx) << 56));
+  return static_cast<std::size_t>(mix.next());
+}
+
+const CocgScheduler::CandidateEntry& CocgScheduler::memo_candidate(
+    const CandidateKey& key) {
   auto it = candidate_memo_.find(key);
   if (it != candidate_memo_.end()) {
     obs_candidate_hits_.add();
     return it->second;
   }
   obs_candidate_misses_.add();
-  return candidate_memo_
-      .emplace(key, candidate_outlook(tg, std::get<1>(key), std::get<2>(key)))
-      .first->second;
+  CandidateEntry entry;
+  entry.outlook =
+      candidate_outlook(*key.game, key.player_id, key.script_idx);
+  entry.class_id = classes_.id(entry.outlook);
+  return candidate_memo_.emplace(key, entry).first->second;
+}
+
+const std::vector<CocgScheduler::ViewSummary>& CocgScheduler::view_summaries(
+    const platform::PlatformView& view) {
+  if (summaries_valid_) {
+    obs_view_cache_hits_.add();
+    return summaries_;
+  }
+  obs_view_cache_misses_.add();
+  summaries_.clear();
+  summary_outlooks_.clear();
+  for (ServerId server : view.server_ids()) {
+    const auto& srv = view.server(server);
+    for (int g = 0; g < srv.spec().num_gpus; ++g) {
+      // Redundancy-fattened allocations may transiently oversubscribe a
+      // view; new sessions cannot be placed there until it drains.
+      if (!srv.allocated_on_gpu(g).fits_within(
+              srv.spec().per_gpu_capacity())) {
+        continue;
+      }
+      ViewSummary v;
+      v.server = server;
+      v.gpu = g;
+      v.capacity = view_capacity(view, server, g);
+      v.first = summary_outlooks_.size();
+      for (const auto& h : srv.hosted()) {
+        if (h.placement.gpu_index != g) continue;
+        auto it = state_.find(h.sid);
+        if (it == state_.end()) continue;
+        summary_outlooks_.push_back(hosted_outlook(it->second));
+      }
+      v.last = summary_outlooks_.size();
+      summaries_.push_back(v);
+    }
+  }
+  summaries_valid_ = true;
+  return summaries_;
 }
 
 std::optional<platform::Placement> CocgScheduler::admit(
@@ -200,17 +250,19 @@ std::optional<platform::Placement> CocgScheduler::admit(
     return std::nullopt;
   }
   const TrainedGame& tg = mit->second;
-  const CandidateKey key{mit->first, req.player_id, req.script_idx};
-  const CandidateOutlook* cand = nullptr;
+  const CandidateKey key{&tg, req.player_id, req.script_idx};
+  const CandidateEntry* entry = nullptr;
   {
     obs::StageScope predictor_scope(prof_predictor_);
-    cand = &memo_candidate_outlook(tg, key);
+    entry = &memo_candidate(key);
   }
+  const CandidateOutlook* cand = &entry->outlook;
 
   // Rejection replay: within one epoch nothing the view scan reads
-  // changes, so an equal candidate meets the same verdict from every view.
+  // changes, so a candidate of a rejected class meets the same verdict
+  // from every view.
   for (const Rejection& r : rejections_) {
-    if (decides_alike(r.candidate, *cand)) {
+    if (r.class_id == entry->class_id) {
       obs_reject_hits_.add();
       distributor_.replay_rejects(r.views);
       log_decision(false, r.reason);
@@ -234,49 +286,35 @@ std::optional<platform::Placement> CocgScheduler::admit(
 
   {
     obs::StageScope distributor_scope(prof_distributor_);
-    for (ServerId server : view.server_ids()) {
-      const auto& srv = view.server(server);
-      for (int g = 0; g < srv.spec().num_gpus; ++g) {
-        // Redundancy-fattened allocations may transiently oversubscribe a
-        // view; new sessions cannot be placed there until it drains.
-        if (!srv.allocated_on_gpu(g).fits_within(
-                srv.spec().per_gpu_capacity())) {
-          continue;
-        }
-        const ResourceVector cap = view_capacity(view, server, g);
-        hosted_scratch_.clear();
-        for (const auto& h : srv.hosted()) {
-          if (h.placement.gpu_index != g) continue;
-          auto it = state_.find(h.sid);
-          if (it == state_.end()) continue;
-          hosted_scratch_.push_back(hosted_outlook(it->second));
-        }
-        const AdmitDecision d =
-            distributor_.decide(cap, hosted_scratch_, *cand);
-        if (!d.admit) {
-          last_reject = d.reason;
-          ++rejected_views[static_cast<std::size_t>(d.rejected)];
-          continue;
-        }
+    for (const ViewSummary& v : view_summaries(view)) {
+      const std::span<const SessionOutlook> hosted(
+          summary_outlooks_.data() + v.first, v.last - v.first);
+      const AdmitDecision d = distributor_.decide(v.capacity, hosted, *cand);
+      if (!d.admit) {
+        last_reject = d.reason;
+        ++rejected_views[static_cast<std::size_t>(d.rejected)];
+        continue;
+      }
 
-        ResourceVector expected_total = cand->expected;
-        for (const auto& h : hosted_scratch_) expected_total += h.expected;
-        double score = 0.0;
-        for (std::size_t dim = 0; dim < kNumDims; ++dim) {
-          if (cap.at(dim) > 0.0) {
-            score = std::max(score, expected_total.at(dim) / cap.at(dim));
-          }
+      ResourceVector expected_total = cand->expected;
+      for (const auto& h : hosted) expected_total += h.expected;
+      double score = 0.0;
+      for (std::size_t dim = 0; dim < kNumDims; ++dim) {
+        if (v.capacity.at(dim) > 0.0) {
+          score = std::max(score, expected_total.at(dim) / v.capacity.at(dim));
         }
-        if (!best || score < best->score) {
-          best = Choice{server, g, score, d.reason};
-        }
+      }
+      if (!best || score < best->score) {
+        best = Choice{v.server, v.gpu, score, d.reason};
       }
     }
   }
   if (!best) {
     const std::string_view reason =
         last_reject.empty() ? "no capacity view available" : last_reject;
-    rejections_.push_back({*cand, reason, rejected_views});
+    if (entry->class_id != AlikeClasses::kNoClass) {
+      rejections_.push_back({entry->class_id, reason, rejected_views});
+    }
     log_decision(false, reason);
     return std::nullopt;
   }
@@ -318,6 +356,8 @@ void CocgScheduler::on_session_start(platform::PlatformView& view,
   st.game = info.spec->name;
   st.player_id = info.player_id;
   st.script_idx = info.script_idx;
+  st.server = info.server;
+  st.gpu = info.gpu_index;
   state_.emplace(sid, std::move(st));
   new_epoch();
 }
@@ -389,15 +429,29 @@ void CocgScheduler::control(platform::PlatformView& view) {
   // a calmer stage).
   {
     obs::StageScope predictor_scope(prof_predictor_);
-    for (SessionId sid : view.session_ids()) {
-      auto it = state_.find(sid);
-      if (it == state_.end()) continue;
-      const auto info = view.session_info(sid);
-      const auto& srv = view.server(info.server);
-      const bool saturated =
-          !srv.allocated_on_gpu(info.gpu_index)
-               .fits_within(srv.spec().per_gpu_capacity());
-      update_monitor(view, sid, it->second, saturated);
+    // Nothing below reallocates before step 4, so one flag per view holds
+    // for the whole walk.
+    std::size_t stride = 0, servers = 0;
+    for (ServerId server : view.server_ids()) {
+      stride = std::max<std::size_t>(
+          stride,
+          static_cast<std::size_t>(view.server(server).spec().num_gpus));
+      servers = std::max<std::size_t>(servers, server.value + 1);
+    }
+    saturated_.assign(servers * stride, 0);
+    for (ServerId server : view.server_ids()) {
+      const auto& srv = view.server(server);
+      for (int g = 0; g < srv.spec().num_gpus; ++g) {
+        saturated_[server.value * stride + static_cast<std::size_t>(g)] =
+            !srv.allocated_on_gpu(g).fits_within(
+                srv.spec().per_gpu_capacity());
+      }
+    }
+    for (auto& [sid, st] : state_) {
+      update_monitor(
+          view, sid, st,
+          saturated_[st.server.value * stride +
+                     static_cast<std::size_t>(st.gpu)] != 0);
     }
   }
 
@@ -436,8 +490,14 @@ void CocgScheduler::control(platform::PlatformView& view) {
     // The new model changes this game's candidate predictions; a candidate
     // outlook reads only its own game's predictor and profile.
     std::erase_if(candidate_memo_, [&](const auto& entry) {
-      return std::get<0>(entry.first) == game;
+      return entry.first.game == &tg;
     });
+    // Renumber the surviving entries so the class table holds only their
+    // outlooks; this epoch has no rejection yet to carry an old id.
+    classes_.clear();
+    for (auto& [key, entry] : candidate_memo_) {
+      entry.class_id = classes_.id(entry.outlook);
+    }
     ++model_replacements_;
     obs_replacements_.add();
     COCG_INFO("CoCG replaced model for " << game << " -> "
@@ -454,14 +514,15 @@ void CocgScheduler::control(platform::PlatformView& view) {
   for (ServerId server : view.server_ids()) {
     const auto& srv = view.server(server);
     for (int g = 0; g < srv.spec().num_gpus; ++g) {
-      std::vector<SessionPressure> pressures;
-      std::vector<SessionId> sids;
-      for (SessionId sid : srv.sessions_on_gpu(g)) {
-        auto it = state_.find(sid);
+      pressures_.clear();
+      pressured_.clear();
+      for (const auto& h : srv.hosted()) {
+        if (h.placement.gpu_index != g) continue;
+        auto it = state_.find(h.sid);
         if (it == state_.end()) continue;
         auto& st = it->second;
         SessionPressure p;
-        p.sid = sid;
+        p.sid = h.sid;
         p.in_loading = st.monitor->in_loading();
         p.wanted = st.monitor->recommended_allocation();
         // Saturation probe: allocations cap what the monitor can observe,
@@ -471,11 +532,10 @@ void CocgScheduler::control(platform::PlatformView& view) {
         // one draws ≥98% of the cap in every sample. Grow pinned
         // dimensions so the monitor can see the true demand.
         {
-          const auto& samples = view.session_samples(sid);
+          const auto& samples = view.session_samples(h.sid);
           const std::size_t count = samples.count();
           if (count >= cfg_.detection_window) {
-            const ResourceVector cur_alloc =
-                srv.placement(sid).allocation;
+            const ResourceVector& cur_alloc = h.placement.allocation;
             const std::size_t first = count - cfg_.detection_window;
             const ResourceVector ceiling =
                 st.model->profile().peak_demand +
@@ -504,15 +564,15 @@ void CocgScheduler::control(platform::PlatformView& view) {
                 ? profile.stage_type(profile.loading_stage_type).peak_demand
                 : p.wanted;
         p.stolen_ms = st.stolen_ms;
-        pressures.push_back(p);
-        sids.push_back(sid);
+        pressures_.push_back(p);
+        pressured_.push_back(&st);
       }
-      if (pressures.empty()) continue;
+      if (pressures_.empty()) continue;
       const ResourceVector cap = view_capacity(view, server, g);
-      const auto actions = regulator_.resolve(cap, pressures);
-      for (std::size_t i = 0; i < actions.size(); ++i) {
-        auto& st = state_.at(sids[i]);
-        const auto& act = actions[i];
+      regulator_.resolve(cap, pressures_, actions_);
+      for (std::size_t i = 0; i < actions_.size(); ++i) {
+        SessionState& st = *pressured_[i];
+        const auto& act = actions_[i];
         const bool was_held = st.held;
         view.hold_loading(act.sid, act.hold);
         view.reallocate(act.sid, act.allocation,
@@ -530,7 +590,7 @@ void CocgScheduler::control(platform::PlatformView& view) {
         if (obs::enabled() && (act.hold || was_held)) {
           obs::events().record(
               view.now(),
-              obs::RegulatorIntervention{sids[i].value, st.game, act.hold,
+              obs::RegulatorIntervention{act.sid.value, st.game, act.hold,
                                          st.stolen_ms});
         }
       }

@@ -10,15 +10,21 @@
 //    game's model DTC → RF → GBDT (§IV-B2).
 //
 // Admission memos: work in the admission pass is proportional to what
-// changed since it last ran.
+// changed since it last ran. An epoch runs from one change to what
+// admit() reads (session start, session end or control()) to the next.
 //  * A hosted session's outlook is kept with the monitor version() and
 //    predictor generation() it was computed from, and reused while both
 //    are unchanged.
-//  * A candidate key's outlook is kept until its game's next model
-//    replacement (an admitted key's entry is erased).
-//  * A rejection is replayed, without a view scan, for every equal
-//    candidate until the shard's placements may have changed: session
-//    start, session end or control().
+//  * A candidate key (trained game, player, script) keeps its outlook in a
+//    hashed memo until its game's next model replacement (an admitted
+//    key's entry is erased). Each entry carries the id of its
+//    decides_alike() class (AlikeClasses).
+//  * A rejection is kept with its class id for the rest of the epoch:
+//    every later candidate of that class meets the same verdict from every
+//    view, so it is replayed without a view scan.
+//  * The epoch's first view scan records each admissible GPU view's
+//    server, GPU, capacity and hosted outlooks; every later scan in the
+//    epoch runs the distributor over those summaries.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +33,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "core/distributor.h"
@@ -78,6 +84,8 @@ class CocgScheduler final : public platform::Scheduler {
     std::string game;
     std::uint64_t player_id = 0;
     std::size_t script_idx = 0;
+    ServerId server;  ///< the placement, fixed for the session's life
+    int gpu = 0;
     std::size_t samples_consumed = 0;
     DurationMs stolen_ms = 0;
     bool held = false;
@@ -88,17 +96,36 @@ class CocgScheduler final : public platform::Scheduler {
     std::uint64_t outlook_version = 0;
     std::uint64_t outlook_generation = 0;
   };
-  /// A candidate the view scan rejected in the current epoch, with the
-  /// scan's verdict: its final reason and the views it rejected per reason.
+  /// Candidate memo key.
+  struct CandidateKey {
+    const TrainedGame* game = nullptr;  ///< a node of models_
+    std::uint64_t player_id = 0;
+    std::size_t script_idx = 0;
+    bool operator==(const CandidateKey&) const = default;
+  };
+  struct CandidateKeyHash {
+    std::size_t operator()(const CandidateKey& k) const;
+  };
+  struct CandidateEntry {
+    CandidateOutlook outlook;
+    std::uint32_t class_id = AlikeClasses::kNoClass;
+  };
+  /// A class the view scan rejected in the current epoch, with the scan's
+  /// verdict: its final reason and the views it rejected per reason.
   struct Rejection {
-    CandidateOutlook candidate;
+    std::uint32_t class_id = AlikeClasses::kNoClass;
     std::string_view reason;  ///< a static literal
     RejectCounts views{};
   };
-  /// Candidate memo key: (game, player_id, script_idx). The game name
-  /// views the models_ key, which lives as long as the scheduler.
-  using CandidateKey =
-      std::tuple<std::string_view, std::uint64_t, std::size_t>;
+  /// One admissible GPU view as the epoch's first scan found it.
+  struct ViewSummary {
+    ServerId server;
+    int gpu = 0;
+    ResourceVector capacity;  ///< view_capacity()
+    /// Its hosted outlooks, by session id: [first, last) of
+    /// summary_outlooks_.
+    std::size_t first = 0, last = 0;
+  };
 
   /// Capacity of one GPU view with the CPU/RAM pools reduced by sessions
   /// pinned to the server's other GPUs.
@@ -109,21 +136,38 @@ class CocgScheduler final : public platform::Scheduler {
   CandidateOutlook candidate_outlook(const TrainedGame& tg,
                                      std::uint64_t player_id,
                                      std::size_t script_idx) const;
-  const CandidateOutlook& memo_candidate_outlook(const TrainedGame& tg,
-                                                 const CandidateKey& key);
+  const CandidateEntry& memo_candidate(const CandidateKey& key);
+  /// This epoch's view summaries, built by the first call in the epoch.
+  const std::vector<ViewSummary>& view_summaries(
+      const platform::PlatformView& view);
   void update_monitor(platform::PlatformView& view, SessionId sid,
                       SessionState& st, bool view_saturated);
-  /// Start a new placement epoch: forget this epoch's rejections.
-  void new_epoch() { rejections_.clear(); }
+  /// Start a new placement epoch: forget this epoch's rejections and view
+  /// summaries.
+  void new_epoch() {
+    rejections_.clear();
+    summaries_valid_ = false;
+  }
 
   std::map<std::string, TrainedGame> models_;
   CocgConfig cfg_;
   Distributor distributor_;
   Regulator regulator_;
   std::map<SessionId, SessionState> state_;
-  std::map<CandidateKey, CandidateOutlook> candidate_memo_;
+  std::unordered_map<CandidateKey, CandidateEntry, CandidateKeyHash>
+      candidate_memo_;
+  AlikeClasses classes_;  ///< numbers candidate_memo_'s outlooks
   std::vector<Rejection> rejections_;  ///< this epoch's; a few entries
-  std::vector<SessionOutlook> hosted_scratch_;  ///< one view's outlooks
+  std::vector<ViewSummary> summaries_;  ///< this epoch's when valid
+  std::vector<SessionOutlook> summary_outlooks_;
+  bool summaries_valid_ = false;
+  // control()'s scratch, reused across passes: one saturation flag per
+  // GPU view (server id × the most GPUs on a server + GPU) and one view's
+  // regulator inputs, states and verdicts.
+  std::vector<std::uint8_t> saturated_;
+  std::vector<SessionPressure> pressures_;
+  std::vector<SessionState*> pressured_;
+  std::vector<RegulatorAction> actions_;
   int model_replacements_ = 0;
 
   // Decision-level observability (the per-view verdicts live in the
@@ -138,6 +182,8 @@ class CocgScheduler final : public platform::Scheduler {
   obs::Counter obs_candidate_misses_;
   obs::Counter obs_reject_hits_;
   obs::Counter obs_reject_misses_;
+  obs::Counter obs_view_cache_hits_;
+  obs::Counter obs_view_cache_misses_;
   // Stage-profiler scopes for the three decision stages of the pipeline:
   // predictor (candidate outlook + monitor collect/judge/predict),
   // distributor (Algorithm 1 view scan), regulator (loading-steal pass).

@@ -1,10 +1,32 @@
 #include "core/distributor.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/check.h"
 
 namespace cocg::core {
+
+std::size_t AlikeClasses::Hash::operator()(const CandidateOutlook& c) const {
+  // Over exactly the fields decides_alike() reads; -0.0 and 0.0 compare
+  // equal there, so they hash alike here.
+  std::uint64_t h = c.short_game ? 1 : 0;
+  for (const ResourceVector* v : {&c.opening, &c.peak, &c.expected}) {
+    for (std::size_t d = 0; d < kNumDims; ++d) {
+      const double x = v->at(d) == 0.0 ? 0.0 : v->at(d);
+      h = (h ^ std::bit_cast<std::uint64_t>(x)) * 0x9e3779b97f4a7c15ULL;
+      h ^= h >> 29;
+    }
+  }
+  return static_cast<std::size_t>(h);
+}
+
+std::uint32_t AlikeClasses::id(const CandidateOutlook& c) {
+  if (!decides_alike(c, c)) return kNoClass;
+  const auto [it, added] = ids_.try_emplace(c, next_);
+  if (added) ++next_;
+  return it->second;
+}
 
 Distributor::Distributor(DistributorConfig cfg) : cfg_(cfg) {
   auto& reg = obs::metrics();
@@ -30,7 +52,7 @@ void Distributor::replay_rejects(const RejectCounts& counts) const {
 }
 
 AdmitDecision Distributor::decide(
-    const ResourceVector& capacity, const std::vector<SessionOutlook>& hosted,
+    const ResourceVector& capacity, std::span<const SessionOutlook> hosted,
     const CandidateOutlook& candidate) const {
   COCG_EXPECTS(cfg_.horizon >= 1);
   const ResourceVector limit = capacity * cfg_.capacity_limit;

@@ -26,7 +26,9 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/resources.h"
@@ -58,6 +60,38 @@ inline bool decides_alike(const CandidateOutlook& a,
   return a.opening == b.opening && a.peak == b.peak &&
          a.expected == b.expected && a.short_game == b.short_game;
 }
+
+/// Numbers candidate outlooks by decides_alike(): two outlooks get one id
+/// exactly when they decide alike, so an id compare stands in for the
+/// field compare.
+class AlikeClasses {
+ public:
+  /// The id of an outlook that decides alike with nothing, itself included
+  /// (a NaN field).
+  static constexpr std::uint32_t kNoClass = UINT32_MAX;
+
+  /// `c`'s class id: the id of an earlier outlook it decides alike with,
+  /// else a new one.
+  std::uint32_t id(const CandidateOutlook& c);
+  /// Forget every class; ids issued before are void and are issued again.
+  void clear() {
+    ids_.clear();
+    next_ = 0;
+  }
+
+ private:
+  struct Hash {
+    std::size_t operator()(const CandidateOutlook& c) const;
+  };
+  struct Alike {
+    bool operator()(const CandidateOutlook& a,
+                    const CandidateOutlook& b) const {
+      return decides_alike(a, b);
+    }
+  };
+  std::unordered_map<CandidateOutlook, std::uint32_t, Hash, Alike> ids_;
+  std::uint32_t next_ = 0;
+};
 
 /// Loading stages stretch instead of contending: their CPU draw counts at
 /// this factor in instantaneous checks.
@@ -95,7 +129,7 @@ class Distributor {
 
   /// One capacity view (a single GPU's view of a server).
   AdmitDecision decide(const ResourceVector& capacity,
-                       const std::vector<SessionOutlook>& hosted,
+                       std::span<const SessionOutlook> hosted,
                        const CandidateOutlook& candidate) const;
 
   /// Add `counts` to the distributor.reject.* counters, as the scan that

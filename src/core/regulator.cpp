@@ -5,20 +5,19 @@
 
 namespace cocg::core {
 
-std::vector<RegulatorAction> Regulator::resolve(
-    const ResourceVector& capacity,
-    const std::vector<SessionPressure>& sessions) const {
+void Regulator::resolve(const ResourceVector& capacity,
+                        const std::vector<SessionPressure>& sessions,
+                        std::vector<RegulatorAction>& actions) {
   const ResourceVector limit = capacity * cfg_.capacity_limit;
 
-  std::vector<RegulatorAction> actions;
-  actions.reserve(sessions.size());
+  actions.clear();
   ResourceVector total;
   for (const auto& s : sessions) {
     actions.push_back(RegulatorAction{s.sid, false, s.wanted});
     total += s.wanted;
   }
   if (total.fits_within(limit) && !schedcheck::active()) {
-    return actions;  // no pressure: release all
+    return;  // no pressure: release all
   }
 
   // Steal from loading sessions until the view fits. The natural order is
@@ -26,24 +25,23 @@ std::vector<RegulatorAction> Regulator::resolve(
   // victim pick and each hold are schedule points, so replay can reorder
   // victims or hold sessions the natural run would have released —
   // "delayed regulator holds" in the fuzzer's mutation menu.
-  std::vector<std::size_t> eligible;
-  eligible.reserve(sessions.size());
+  eligible_.clear();
   for (std::size_t i = 0; i < sessions.size(); ++i) {
     const auto& s = sessions[i];
     if (!s.in_loading) continue;
     if (s.stolen_ms >= cfg_.max_steal_ms) continue;  // budget exhausted
-    eligible.push_back(i);
+    eligible_.push_back(i);
   }
   bool over = !total.fits_within(limit);
-  while (!eligible.empty()) {
+  while (!eligible_.empty()) {
     std::size_t pick = 0;
-    if (eligible.size() > 1) {
+    if (eligible_.size() > 1) {
       pick = static_cast<std::size_t>(schedcheck::decide(
           schedcheck::Point::kRegulatorVictim,
-          static_cast<int>(eligible.size()), 0));
+          static_cast<int>(eligible_.size()), 0));
     }
-    const std::size_t i = eligible[pick];
-    eligible.erase(eligible.begin() + static_cast<std::ptrdiff_t>(pick));
+    const std::size_t i = eligible_[pick];
+    eligible_.erase(eligible_.begin() + static_cast<std::ptrdiff_t>(pick));
     const int hold =
         schedcheck::decide(schedcheck::Point::kRegulatorHold, 2, over ? 1 : 0);
     if (hold == 0) {
@@ -57,11 +55,10 @@ std::vector<RegulatorAction> Regulator::resolve(
     actions[i].hold = true;
     actions[i].allocation = throttled;
     over = !total.fits_within(limit);
-    if (!over && !schedcheck::active()) return actions;
+    if (!over && !schedcheck::active()) return;
   }
   // Still over: nothing more the regulator may legally steal; contention
   // resolution will squeeze proportionally (§IV-D's bounded degradation).
-  return actions;
 }
 
 }  // namespace cocg::core

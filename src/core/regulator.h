@@ -45,17 +45,19 @@ class Regulator {
  public:
   explicit Regulator(RegulatorConfig cfg = {}) : cfg_(cfg) {}
 
-  /// Resolve one capacity view. Deterministic: holds are applied to
+  /// Resolve one capacity view into `actions` (one per session, in input
+  /// order; its capacity is reused). Deterministic: holds are applied to
   /// loading sessions in input order until the view fits; sessions whose
   /// steal budget is exhausted are exempt.
-  std::vector<RegulatorAction> resolve(
-      const ResourceVector& capacity,
-      const std::vector<SessionPressure>& sessions) const;
+  void resolve(const ResourceVector& capacity,
+               const std::vector<SessionPressure>& sessions,
+               std::vector<RegulatorAction>& actions);
 
   const RegulatorConfig& config() const { return cfg_; }
 
  private:
   RegulatorConfig cfg_;
+  std::vector<std::size_t> eligible_;  ///< resolve()'s scratch
 };
 
 }  // namespace cocg::core

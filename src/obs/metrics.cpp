@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <atomic>
 #include <sstream>
 
 #include "common/check.h"
@@ -9,13 +8,9 @@
 
 namespace cocg::obs {
 
-namespace {
-std::atomic<bool> g_enabled{false};
-}  // namespace
-
-bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
-void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
+void set_enabled(bool on) {
+  detail::g_enabled.store(on, std::memory_order_relaxed);
+}
 
 void Histogram::record(double v) const {
   if (cell_ == nullptr || !enabled()) return;

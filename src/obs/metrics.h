@@ -14,6 +14,7 @@
 //    design); registration takes a map lookup and may allocate.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -23,10 +24,16 @@
 
 namespace cocg::obs {
 
+namespace detail {
+inline std::atomic<bool> g_enabled{false};
+}  // namespace detail
+
 /// Global observability switch. Off by default: every record call reduces
-/// to one relaxed load + branch (bench_fig12 proves this is below the
-/// noise floor of the 5-second loop).
-bool enabled();
+/// to one inlined relaxed load + branch (bench_fig12 proves this is below
+/// the noise floor of the 5-second loop).
+inline bool enabled() {
+  return detail::g_enabled.load(std::memory_order_relaxed);
+}
 void set_enabled(bool on);
 
 namespace detail {

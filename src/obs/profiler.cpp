@@ -10,7 +10,6 @@ namespace cocg::obs {
 
 namespace {
 
-std::atomic<bool> g_profiling{false};
 std::atomic<ProfilerClockMode> g_clock_mode{ProfilerClockMode::kWall};
 
 constexpr const char* kStageNames[kNumStages] = {
@@ -30,12 +29,8 @@ const char* stage_name(std::size_t index) {
   return index < kNumStages ? kStageNames[index] : "unknown";
 }
 
-bool profiling_enabled() {
-  return g_profiling.load(std::memory_order_relaxed);
-}
-
 void set_profiling_enabled(bool on) {
-  g_profiling.store(on, std::memory_order_relaxed);
+  detail::g_profiling.store(on, std::memory_order_relaxed);
 }
 
 void set_profiler_clock_mode(ProfilerClockMode m) {

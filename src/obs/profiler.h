@@ -28,6 +28,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -62,10 +63,16 @@ inline constexpr std::size_t kNumStages = 12;
 const char* stage_name(Stage s);
 const char* stage_name(std::size_t index);
 
+namespace detail {
+inline std::atomic<bool> g_profiling{false};
+}  // namespace detail
+
 /// Profiling switch, layered on top of the master obs switch like
 /// trace_enabled(): stage timing is opt-in because the enabled path costs
 /// two clock reads per scope.
-bool profiling_enabled();
+inline bool profiling_enabled() {
+  return detail::g_profiling.load(std::memory_order_relaxed);
+}
 void set_profiling_enabled(bool on);
 
 /// Clock source for every StageProfiler in the process. kWall reads

@@ -1,6 +1,5 @@
 #include "obs/trace_export.h"
 
-#include <atomic>
 #include <sstream>
 
 #include "obs/json.h"
@@ -8,16 +7,8 @@
 
 namespace cocg::obs {
 
-namespace {
-std::atomic<bool> g_trace_on{false};
-}  // namespace
-
-bool trace_enabled() {
-  return g_trace_on.load(std::memory_order_relaxed) && enabled();
-}
-
 void set_trace_enabled(bool on) {
-  g_trace_on.store(on, std::memory_order_relaxed);
+  detail::g_trace_on.store(on, std::memory_order_relaxed);
 }
 
 void TraceBuilder::set_process_name(int pid, const std::string& name) {

@@ -14,6 +14,7 @@
 // observability switch).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <ostream>
@@ -22,13 +23,20 @@
 #include <vector>
 
 #include "common/types.h"
+#include "obs/metrics.h"
 
 namespace cocg::obs {
+
+namespace detail {
+inline std::atomic<bool> g_trace_on{false};
+}  // namespace detail
 
 /// Trace collection is opt-in on top of the master switch: counter tracks
 /// at tick cadence are bulky, so tools enable it only when --trace-out is
 /// given.
-bool trace_enabled();
+inline bool trace_enabled() {
+  return detail::g_trace_on.load(std::memory_order_relaxed) && enabled();
+}
 void set_trace_enabled(bool on);
 
 class TraceBuilder {

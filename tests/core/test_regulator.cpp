@@ -18,9 +18,16 @@ SessionPressure pressure(std::uint64_t sid, double gpu_wanted,
   return p;
 }
 
+std::vector<RegulatorAction> resolve(Regulator& r, const ResourceVector& cap,
+                                     const std::vector<SessionPressure>& in) {
+  std::vector<RegulatorAction> actions;
+  r.resolve(cap, in, actions);
+  return actions;
+}
+
 TEST(Regulator, NoPressureReleasesEverything) {
   Regulator r;
-  const auto actions = r.resolve(kCap, {pressure(1, 40), pressure(2, 40)});
+  const auto actions = resolve(r, kCap, {pressure(1, 40), pressure(2, 40)});
   ASSERT_EQ(actions.size(), 2u);
   for (const auto& a : actions) {
     EXPECT_FALSE(a.hold);
@@ -32,7 +39,7 @@ TEST(Regulator, StealsFromLoadingSession) {
   Regulator r;
   // Exec session wants 80, loading session pre-provisions 40 → 120 > 95.
   const auto actions =
-      r.resolve(kCap, {pressure(1, 80), pressure(2, 40, /*loading=*/true)});
+      resolve(r, kCap, {pressure(1, 80), pressure(2, 40, /*loading=*/true)});
   EXPECT_FALSE(actions[0].hold);  // never cut a game at its peak
   EXPECT_TRUE(actions[1].hold);
   // Held session throttled to a fraction of the loading draw.
@@ -42,14 +49,14 @@ TEST(Regulator, StealsFromLoadingSession) {
 
 TEST(Regulator, NeverHoldsExecutionSessions) {
   Regulator r;
-  const auto actions = r.resolve(kCap, {pressure(1, 80), pressure(2, 80)});
+  const auto actions = resolve(r, kCap, {pressure(1, 80), pressure(2, 80)});
   for (const auto& a : actions) EXPECT_FALSE(a.hold);
 }
 
 TEST(Regulator, StopsStealingOnceFits) {
   Regulator r;
   // Two loading sessions; stealing from the first suffices.
-  const auto actions = r.resolve(
+  const auto actions = resolve(r, 
       kCap, {pressure(1, 60), pressure(2, 50, true), pressure(3, 30, true)});
   EXPECT_TRUE(actions[1].hold);
   EXPECT_FALSE(actions[2].hold);
@@ -59,7 +66,7 @@ TEST(Regulator, StealBudgetExhaustedExempts) {
   RegulatorConfig cfg;
   cfg.max_steal_ms = 30000;
   Regulator r(cfg);
-  const auto actions = r.resolve(
+  const auto actions = resolve(r, 
       kCap,
       {pressure(1, 80), pressure(2, 40, true, /*stolen=*/30000)});
   // Budget gone: the loading session keeps its wanted allocation.
@@ -72,7 +79,7 @@ TEST(Regulator, HeldFractionConfigurable) {
   cfg.held_loading_frac = 0.5;
   Regulator r(cfg);
   const auto actions =
-      r.resolve(kCap, {pressure(1, 80), pressure(2, 40, true)});
+      resolve(r, kCap, {pressure(1, 80), pressure(2, 40, true)});
   ASSERT_TRUE(actions[1].hold);
   EXPECT_DOUBLE_EQ(actions[1].allocation.cpu(), 55.0 * 0.5);
 }
@@ -83,14 +90,14 @@ TEST(Regulator, CapacityLimitConfigurable) {
   Regulator r(tight);
   // 40+30 = 70 > 60 → steal.
   const auto actions =
-      r.resolve(kCap, {pressure(1, 40), pressure(2, 30, true)});
+      resolve(r, kCap, {pressure(1, 40), pressure(2, 30, true)});
   EXPECT_TRUE(actions[1].hold);
 }
 
 TEST(Regulator, OutputOrderMatchesInput) {
   Regulator r;
   const auto actions =
-      r.resolve(kCap, {pressure(9, 10), pressure(3, 10), pressure(7, 10)});
+      resolve(r, kCap, {pressure(9, 10), pressure(3, 10), pressure(7, 10)});
   EXPECT_EQ(actions[0].sid.value, 9u);
   EXPECT_EQ(actions[1].sid.value, 3u);
   EXPECT_EQ(actions[2].sid.value, 7u);
@@ -98,14 +105,14 @@ TEST(Regulator, OutputOrderMatchesInput) {
 
 TEST(Regulator, EmptyInputOk) {
   Regulator r;
-  EXPECT_TRUE(r.resolve(kCap, {}).empty());
+  EXPECT_TRUE(resolve(r, kCap, {}).empty());
 }
 
 TEST(Regulator, OverloadWithNoLoadingSessionsKeepsWanted) {
   Regulator r;
   // Nothing to steal from: allocations pass through; contention handles
   // the squeeze (§IV-D bounded degradation).
-  const auto actions = r.resolve(kCap, {pressure(1, 70), pressure(2, 70)});
+  const auto actions = resolve(r, kCap, {pressure(1, 70), pressure(2, 70)});
   EXPECT_EQ(actions[0].allocation.gpu(), 70.0);
   EXPECT_EQ(actions[1].allocation.gpu(), 70.0);
 }

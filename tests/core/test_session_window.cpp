@@ -154,13 +154,17 @@ TEST(SessionWindowConfig, ImprovedWindowMustFitTheWindow) {
 
 // The detection window, the regulator's pinned-at-cap probe and the
 // monitor's consumed-sample cursor all index by absolute sample number.
+// The report lists the scheduler's memo counters too: the digest moved
+// when a hosted outlook came to be read once per view per epoch
+// (scheduler.outlook_memo.hits 4721 -> 2151, scheduler.view_cache.* new,
+// every other line equal).
 TEST(LongSessionDigest, CocgMatchesFullHistoryRun) {
   static const auto suite = game::paper_suite();
   const std::string rep = long_session_report(
       std::make_unique<CocgScheduler>(models(suite)), suite);
   EXPECT_NE(rep.find("scheduler.model_replacements="), std::string::npos);
   EXPECT_NE(rep.find("regulator.holds="), std::string::npos);
-  EXPECT_EQ(fnv1a(rep), 0xb31c7325177060adULL) << std::hex << fnv1a(rep) << "\n" << rep;
+  EXPECT_EQ(fnv1a(rep), 0x64b4489a7742efcbULL) << std::hex << fnv1a(rep) << "\n" << rep;
 }
 
 TEST(LongSessionDigest, ImprovedMatchesFullHistoryRun) {

@@ -1,21 +1,25 @@
 // Oracle for the CoCG scheduler's admission-pass memos.
 //
 // The scheduler keeps a hosted session's outlook while its monitor version
-// and predictor generation are unchanged, a candidate key's outlook until
-// its game's next model replacement, and a rejected candidate's verdict
-// until the next session start, session end or control(). A stale memo is
-// deterministic, so comparing two runs of one binary (Determinism.*)
-// cannot catch it. This test instead pins a digest of an overloaded
-// fleet's report and admission counters that was computed with the memos
-// bypassed. Every invalidation event (monitor judgements, model
-// replacement, session start and end, control ticks, admission) happens in
-// the run, and an outlook kept past a judgement or a model replacement, or
-// a rejection replayed past a placement change, moves a decision here, and
-// so the digest. RejectReplayMatchesScan checks the replay itself: the
-// same verdict and distributor counts as the scan it stands in for.
+// and predictor generation are unchanged, a candidate key's outlook and
+// class id until its game's next model replacement, and a rejected class's
+// verdict and the views' summaries until the next session start, session
+// end or control(). A stale memo is deterministic, so comparing two runs
+// of one binary (Determinism.*) cannot catch it. This test instead pins a
+// digest of an overloaded fleet's report and admission counters that was
+// computed with the memos bypassed. Every invalidation event (monitor
+// judgements, model replacement, session start and end, control ticks,
+// admission) happens in the run, and an outlook kept past a judgement or a
+// model replacement, or a rejection replayed past a placement change,
+// moves a decision here, and so the digest. RejectReplayMatchesScan checks
+// the replay itself: the same verdict and distributor counts as the scan
+// it stands in for. The later tests bound the work of a pass and check the
+// class ids.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -286,6 +290,124 @@ TEST(AdmissionMemo, RejectReplayMatchesScan) {
   EXPECT_FALSE(call().hit) << "after control()";
 }
 
+// 1,000 identical queued requests are one class. Each admission starts a
+// new epoch, so the pass scans and summarises the views once per admission
+// plus once for the rejection that ends it; every other call replays it.
+TEST(AdmissionMemo, OneClassPassScansOncePerAdmission) {
+  obs::reset();
+  obs::set_enabled(true);
+  const std::vector<game::GameSpec> suite = {game::make_genshin()};
+  core::OfflineConfig ocfg;
+  ocfg.profiling_runs = 5;
+  ocfg.corpus_runs = 8;
+  ocfg.seed = 7;
+  platform::PlatformConfig pcfg;
+  pcfg.seed = 2026;
+  platform::CloudPlatform cloud(
+      pcfg, std::make_unique<core::CocgScheduler>(
+                core::train_suite(suite, ocfg)));
+  for (int i = 0; i < 2; ++i) cloud.add_server(hw::ServerSpec{});
+  constexpr std::uint64_t kRequests = 1000;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    cloud.submit(&suite.front(), 0, 100);
+  }
+  cloud.begin(60 * 1000);  // runs one admission pass over the queue
+
+  const std::uint64_t admits = counter("scheduler.admit.accepted");
+  EXPECT_GT(admits, 0u);
+  EXPECT_GT(cloud.queued_requests(), 0u);
+  EXPECT_EQ(admits + counter("scheduler.admit.rejected"), kRequests);
+  EXPECT_EQ(counter("scheduler.reject_memo.hits") +
+                counter("scheduler.reject_memo.misses"),
+            kRequests);
+  EXPECT_LE(counter("scheduler.reject_memo.misses"), admits + 1);
+  EXPECT_LE(counter("scheduler.view_cache.misses"), admits + 1);
+
+  cloud.finish();
+  obs::set_enabled(false);
+  obs::reset();
+}
+
+// decides_alike() reads the opening, peak and expected demand and the
+// short-game flag: outlooks equal in those share a class id, outlooks that
+// differ in any one of them do not, and an outlook that decides alike with
+// nothing (a NaN field) gets no class.
+TEST(AdmissionMemo, AlikeClassesFollowDecidesAlike) {
+  core::CandidateOutlook base;
+  base.opening = ResourceVector{10, 1000, 20, 500};
+  base.peak = ResourceVector{40, 3000, 70, 2500};
+  base.expected = ResourceVector{30, 2000, 50, 2000};
+  base.expected_duration_ms = 60 * 1000;
+  core::AlikeClasses classes;
+  const std::uint32_t id = classes.id(base);
+  ASSERT_NE(id, core::AlikeClasses::kNoClass);
+
+  core::CandidateOutlook same = base;
+  same.expected_duration_ms = 90 * 1000;  // not read by decides_alike
+  same.peak.at(3) = 2500.0;
+  EXPECT_EQ(classes.id(same), id);
+  core::CandidateOutlook zero = base;
+  zero.opening.at(0) = 0.0;
+  core::CandidateOutlook neg_zero = base;
+  neg_zero.opening.at(0) = -0.0;
+  EXPECT_EQ(classes.id(zero), classes.id(neg_zero));
+
+  std::vector<core::CandidateOutlook> differ(4, base);
+  differ[0].opening.at(1) += 1.0;
+  differ[1].peak.at(2) += 1e-9;
+  differ[2].expected.at(0) -= 1.0;
+  differ[3].short_game = !base.short_game;
+  std::vector<std::uint32_t> ids = {id};
+  for (const auto& c : differ) {
+    ASSERT_TRUE(!core::decides_alike(c, base));
+    const std::uint32_t other = classes.id(c);
+    EXPECT_NE(other, core::AlikeClasses::kNoClass);
+    EXPECT_EQ(std::count(ids.begin(), ids.end(), other), 0);
+    ids.push_back(other);
+    EXPECT_EQ(classes.id(c), other);  // stable
+  }
+
+  core::CandidateOutlook nan = base;
+  nan.expected.at(1) = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(classes.id(nan), core::AlikeClasses::kNoClass);
+}
+
+// Candidate keys (player, script) whose outlooks decide alike share one
+// rejection: a key the scheduler has never seen is replayed from another
+// key's scan in the same epoch. A key of another class is scanned, over the
+// epoch's one set of view summaries.
+TEST(AdmissionMemo, AlikeKeysShareOneReplayedRejection) {
+  FullPlatform fp;
+  const std::uint64_t summaries_before =
+      counter("scheduler.view_cache.misses");
+  std::uint64_t shared = 0, scanned = 0;
+  for (std::size_t script = 0; script < fp.req.spec->scripts.size();
+       ++script) {
+    for (std::uint64_t player = 1; player <= 16; ++player) {
+      fp.req.script_idx = script;
+      fp.req.player_id = 5000 + player;
+      const std::uint64_t cand_misses =
+          counter("scheduler.candidate_memo.misses");
+      const std::uint64_t hits = counter("scheduler.reject_memo.hits");
+      const std::uint64_t scans = counter("scheduler.view_cache.hits") +
+                                  counter("scheduler.view_cache.misses");
+      ASSERT_FALSE(fp.cocg->admit(*fp.cloud, fp.req).has_value());
+      ASSERT_EQ(counter("scheduler.candidate_memo.misses"), cand_misses + 1);
+      if (counter("scheduler.reject_memo.hits") == hits + 1) {
+        ++shared;
+        EXPECT_EQ(counter("scheduler.view_cache.hits") +
+                      counter("scheduler.view_cache.misses"),
+                  scans);
+      } else {
+        ++scanned;
+      }
+    }
+  }
+  EXPECT_GT(shared, 0u);
+  EXPECT_GT(scanned, 1u);
+  EXPECT_EQ(counter("scheduler.view_cache.misses"), summaries_before + 1);
+}
+
 // A hosted outlook is reused while its monitor and model are unchanged,
 // and recomputed once the game's predictor is refitted.
 TEST(AdmissionMemo, HostedOutlooksFollowPredictorGeneration) {
@@ -314,7 +436,8 @@ TEST(AdmissionMemo, HostedOutlooksFollowPredictorGeneration) {
 
 // A model replacement in control() drops the replaced game's candidate
 // outlooks and keeps every other game's: a candidate outlook reads only
-// its own game's predictor and profile.
+// its own game's predictor and profile. The next pass scans both games
+// again, and the renumbered class ids keep them apart.
 TEST(AdmissionMemo, ReplacementKeepsOtherGamesCandidates) {
   obs::reset();
   obs::set_enabled(true);
@@ -348,24 +471,31 @@ TEST(AdmissionMemo, ReplacementKeepsOtherGamesCandidates) {
   dota.id = RequestId{999};
   dota.spec = &suite[1];
   dota.player_id = 999;
-  // Whether one admit() call was served from the candidate memo.
+  // Whether one admit() call was served from the candidate memo, and
+  // whether its rejection was replayed.
   auto hit = [&](const platform::GameRequest& req) {
     const std::uint64_t hits = counter("scheduler.candidate_memo.hits");
+    const std::uint64_t replays = counter("scheduler.reject_memo.hits");
     EXPECT_FALSE(cocg->admit(cloud, req).has_value()) << req.spec->name;
-    return counter("scheduler.candidate_memo.hits") == hits + 1;
+    return std::pair{counter("scheduler.candidate_memo.hits") == hits + 1,
+                     counter("scheduler.reject_memo.hits") == replays + 1};
   };
-  EXPECT_FALSE(hit(genshin));
-  EXPECT_FALSE(hit(dota));
-  EXPECT_TRUE(hit(genshin));
-  EXPECT_TRUE(hit(dota));
+  EXPECT_EQ(hit(genshin), std::pair(false, false));
+  EXPECT_EQ(hit(dota), std::pair(false, false));
+  EXPECT_EQ(hit(genshin), std::pair(true, true));
+  EXPECT_EQ(hit(dota), std::pair(true, true));
 
   while (cocg->model_replacements() == 0 && now < 3600 * 1000) {
     now += 5000;
     cloud.advance_until(now);
   }
   ASSERT_GT(cocg->model_replacements(), 0);
-  EXPECT_TRUE(hit(dota));
-  EXPECT_FALSE(hit(genshin));
+  const std::uint64_t summaries = counter("scheduler.view_cache.misses");
+  EXPECT_EQ(hit(dota), std::pair(true, false));
+  EXPECT_EQ(hit(genshin), std::pair(false, false));
+  EXPECT_EQ(counter("scheduler.view_cache.misses"), summaries + 1);
+  EXPECT_EQ(hit(dota), std::pair(true, true));
+  EXPECT_EQ(hit(genshin), std::pair(true, true));
 
   cloud.finish();
   obs::set_enabled(false);
